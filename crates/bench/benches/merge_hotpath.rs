@@ -7,6 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use histmerge_core::merge::{MergeConfig, MergeScratch, Merger};
 use histmerge_history::{run_to_final, AugmentedHistory, ClosureTable};
+use histmerge_obs::TracerHandle;
 use histmerge_txn::{Fix, TxnId};
 use histmerge_workload::generator::{generate, Scenario, ScenarioParams};
 
@@ -94,16 +95,18 @@ fn bench_hotpath(c: &mut Criterion) {
             b.iter(|| black_box(merger.merge(&sc.arena, &sc.hm, &sc.hb, &sc.s0).unwrap()));
         });
         let mut scratch = MergeScratch::new();
+        let noop = TracerHandle::noop();
         group.bench_with_input(BenchmarkId::new("merge/scratch", n), &n, |b, _| {
             b.iter(|| {
                 black_box(
                     merger
-                        .merge_scratch(
+                        .merge_traced_scratch(
                             &sc.arena,
                             &sc.hm,
                             &sc.hb,
                             &sc.s0,
                             Default::default(),
+                            &noop,
                             &mut scratch,
                         )
                         .unwrap(),

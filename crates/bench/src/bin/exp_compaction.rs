@@ -17,8 +17,7 @@
 //!   history vs compact-then-merge (the compaction pass is **included**
 //!   in the timed side). The compactor pays its own pair sweep, but in
 //!   word-wise bitmask ANDs; the stages it shrinks pay theirs in graph
-//!   edges, closure rows, back-out weights and re-validations. The
-//!   `speedup` column feeds the `bench_trajectory` gate.
+//!   edges, closure rows, back-out weights and re-validations.
 //!
 //! Run: `cargo run --release -p histmerge-bench --bin exp_compaction`
 

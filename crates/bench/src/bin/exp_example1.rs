@@ -27,20 +27,18 @@ fn main() {
     let names = |ids: &[histmerge_txn::TxnId]| {
         ids.iter().map(|id| ex.arena.get(*id).name().to_string()).collect::<Vec<_>>().join(" ")
     };
+    let removed = outcome.backed_out.iter().copied().collect();
+    let merged = g.merged_history_without(&removed).expect("acyclic after back-out");
     let mut out = Table::new(&["quantity", "paper", "measured"]);
     out.row(&["B", "Tm3", &names(&outcome.bad.iter().copied().collect::<Vec<_>>())]);
     out.row(&["affected", "Tm4", &names(&outcome.affected.iter().copied().collect::<Vec<_>>())]);
     out.row(&["saved", "Tm1 Tm2", &names(&outcome.saved)]);
-    out.row(&[
-        "merged history",
-        "Tb1 Tb2 Tm1 Tm2",
-        &names(outcome.merged_history.as_ref().unwrap().order()),
-    ]);
+    out.row(&["merged history", "Tb1 Tb2 Tm1 Tm2", &names(merged.order())]);
     println!();
     out.print();
 
     assert_eq!(names(&outcome.saved), "Tm1 Tm2");
-    assert_eq!(names(outcome.merged_history.as_ref().unwrap().order()), "Tb1 Tb2 Tm1 Tm2");
+    assert_eq!(names(merged.order()), "Tb1 Tb2 Tm1 Tm2");
     println!("\nAll values match the paper.");
 
     let json = artifact_json("exp_example1", &[("edges", &edges), ("outcome", &out)]);

@@ -21,6 +21,7 @@ use histmerge_core::merge::{MergeConfig, MergeScratch, Merger};
 use histmerge_history::{
     run_to_final, AugmentedHistory, ClosureScratch, ClosureTable, SerialHistory, TxnArena,
 };
+use histmerge_obs::TracerHandle;
 use histmerge_txn::{DbState, Fix, OverlayState, TxnId, VarId};
 use histmerge_workload::generator::{generate, ScenarioParams};
 
@@ -225,8 +226,17 @@ fn main() {
         let merger = Merger::new(MergeConfig::default());
         let mut scratch = MergeScratch::new();
         // Warm the scratch to its high-water mark before timing reuse.
+        let noop = TracerHandle::noop();
         let _ = merger
-            .merge_scratch(&sc.arena, &sc.hm, &sc.hb, &sc.s0, Default::default(), &mut scratch)
+            .merge_traced_scratch(
+                &sc.arena,
+                &sc.hm,
+                &sc.hb,
+                &sc.s0,
+                Default::default(),
+                &noop,
+                &mut scratch,
+            )
             .unwrap();
         let mut fresh_ms = f64::INFINITY;
         let mut reuse_ms = f64::INFINITY;
@@ -238,12 +248,13 @@ fn main() {
             fresh = Some(out);
             let (out, ms) = timed(|| {
                 merger
-                    .merge_scratch(
+                    .merge_traced_scratch(
                         &sc.arena,
                         &sc.hm,
                         &sc.hb,
                         &sc.s0,
                         Default::default(),
+                        &noop,
                         &mut scratch,
                     )
                     .unwrap()

@@ -65,7 +65,7 @@ fn micro_sweep() {
             let start = Instant::now();
             for _ in 0..REPS {
                 let out =
-                    merge_batch(&sc.arena, &jobs, &sc.hb, &sc.s0, &hb_final, &cache, &make, w, false);
+                    merge_batch(&sc.arena, &jobs, &sc.hb, &sc.s0, &hb_final, &cache, &make, w);
                 assert!(out.iter().all(Result::is_ok));
             }
             start.elapsed().as_secs_f64() * 1e3 / REPS as f64

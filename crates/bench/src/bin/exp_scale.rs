@@ -32,15 +32,13 @@
 //! spread stays under 15% — the scaling claim is a property of the
 //! harness, not of one lucky workload.
 //!
-//! `EXP_SCALE_SMOKE=1` drops the 1M row — the CI `bench-trajectory` job
-//! runs that smoke mode on every PR and gates on the emitted
-//! `BENCH_scale.json` (see `bench_trajectory`).
+//! `EXP_SCALE_SMOKE=1` drops the 1M row.
 //!
 //! Run: `cargo run --release -p histmerge-bench --bin exp_scale`
 
 use histmerge_bench::{artifact_json, fmt, timed, write_artifact, Table};
 use histmerge_replication::{
-    Parallelism, Protocol, SchedulerMode, SimConfig, SimReport, Simulation, SyncStrategy,
+    Parallelism, Protocol, SimConfig, SimReport, Simulation, SyncStrategy,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -97,8 +95,6 @@ fn scale_config(fleet: usize, seed: u64) -> SimConfig {
         strategy: SyncStrategy::AdaptiveWindow { max_hb: 64 },
         workload: workload_seeded(seed),
         base_capacity: 10_000.0,
-        scheduler: SchedulerMode::EventQueue,
-        lean_base_log: true,
         backlog_sample_every: 0,
         ..SimConfig::default()
     }
@@ -121,8 +117,6 @@ fn merge_config(fleet: usize) -> SimConfig {
         base_capacity: 10_000.0,
         parallelism: Parallelism::Auto,
         synchronized_reconnects: true,
-        scheduler: SchedulerMode::EventQueue,
-        lean_base_log: true,
         backlog_sample_every: 0,
         ..SimConfig::default()
     }
@@ -207,7 +201,6 @@ fn main() {
                     "seed {seed}: generation burst never fired"
                 );
                 assert!(m.syncs > 0, "seed {seed}: no mobile ever synced pending work");
-                assert_eq!(m.sched.fleet_scans, 0, "seed {seed}: event mode scanned the fleet");
                 reports[i].get_or_insert(report);
             }
         }

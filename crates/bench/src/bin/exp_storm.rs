@@ -35,16 +35,14 @@
 //!    so the bar is a 0.5% one-sided floor, not byte equality) and every
 //!    cell converges.
 //!
-//! `EXP_STORM_SMOKE=1` shrinks the fleet and drops the longest outage —
-//! CI runs that mode on every PR and gates on the emitted
-//! `BENCH_storm.json` (see `bench_trajectory`).
+//! `EXP_STORM_SMOKE=1` shrinks the fleet and drops the longest outage.
 //!
 //! Run: `cargo run --release -p histmerge-bench --bin exp_storm`
 
 use histmerge_bench::{artifact_json, fmt, timed, write_artifact, Table};
 use histmerge_replication::{
-    AdmissionConfig, ConnectivityModel, Protocol, RetryBackoff, SchedulerMode, SimConfig,
-    SimReport, Simulation, SyncPath, SyncStrategy,
+    AdmissionConfig, ConnectivityModel, Protocol, RetryBackoff, SimConfig, SimReport, Simulation,
+    SyncPath, SyncStrategy,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -73,7 +71,6 @@ fn config(fleet: usize, outage: u64, admission: AdmissionConfig) -> SimConfig {
         },
         base_capacity: 10_000.0,
         sync_path: SyncPath::Session,
-        scheduler: SchedulerMode::EventQueue,
         backlog_sample_every: 0,
         connectivity: ConnectivityModel::OutageStorm {
             start: STORM_START,
@@ -125,8 +122,7 @@ fn p99_wait(waits: &[u64], syncs: usize) -> u64 {
 fn main() {
     let smoke = std::env::var_os("EXP_STORM_SMOKE").is_some();
     // Smoke mode keeps the fleet (so its rows share keys with a
-    // full-mode baseline and the trajectory gate compares them) and
-    // drops the longer outages instead.
+    // full-mode run) and drops the longer outages instead.
     let fleet: usize = 300;
     let outages: &[u64] = if smoke { &[30] } else { &[30, 60, 120] };
     let reps = if smoke { 1 } else { 2 };

@@ -36,8 +36,8 @@ use std::time::Instant;
 use histmerge_bench::{artifact_json, experiments_path, fmt, write_artifact, Table};
 use histmerge_obs::{export, FlightRecorder, TimeSeries, TracerHandle};
 use histmerge_replication::{
-    AdmissionConfig, ConnectivityModel, DurabilityConfig, FaultPlan, Protocol, SchedulerMode,
-    SimConfig, SimReport, Simulation, SyncPath, SyncStrategy, TelemetryConfig,
+    AdmissionConfig, ConnectivityModel, DurabilityConfig, FaultPlan, Protocol, SimConfig,
+    SimReport, Simulation, SyncPath, SyncStrategy, TelemetryConfig,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -293,7 +293,6 @@ fn storm_config(fleet: usize, tracer: TracerHandle, telemetry: TelemetryConfig) 
         },
         base_capacity: 10_000.0,
         sync_path: SyncPath::Session,
-        scheduler: SchedulerMode::EventQueue,
         backlog_sample_every: 0,
         connectivity: ConnectivityModel::OutageStorm {
             start: 100,

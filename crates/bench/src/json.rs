@@ -2,16 +2,14 @@
 //!
 //! The vendored `serde` is a no-op stub (the build environment has no
 //! registry access), and the artifact *writer* in this crate
-//! ([`crate::artifact_json`]) is hand-rolled string assembly. The
-//! trajectory gate (`src/bin/bench_trajectory.rs`) needs the other
-//! direction — reading a committed `BENCH_*.json` baseline back — so this
-//! module implements a small recursive-descent parser for the full JSON
-//! grammar, plus helpers for walking the
-//! `{"experiment": .., "tables": {name: [{col: val}]}}` artifact shape.
+//! ([`crate::artifact_json`]) is hand-rolled string assembly. Readers of
+//! JSON documents (the `histbench` benchmark's result sets and
+//! `BENCHMARK.json`) need the other direction, so this module implements
+//! a small recursive-descent parser for the full JSON grammar, plus
+//! helpers for walking objects and arrays.
 //!
 //! Object member order is preserved (members are a `Vec`, not a map):
-//! artifact rows put their key column first, and the trajectory gate
-//! relies on that to label rows.
+//! artifact rows put their key column first.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,16 +60,6 @@ impl JsonVal {
             _ => None,
         }
     }
-}
-
-/// Parses a metric cell into a number. Artifact tables store every cell as
-/// a string, and some carry a unit suffix (`"3.4x"` speedups, `"85%"`
-/// ratios); this strips one trailing `x` or `%` before parsing.
-pub fn metric_number(cell: &str) -> Option<f64> {
-    let trimmed = cell.trim();
-    let trimmed =
-        trimmed.strip_suffix('x').or_else(|| trimmed.strip_suffix('%')).unwrap_or(trimmed);
-    trimmed.parse::<f64>().ok()
 }
 
 /// Parses a JSON document. Errors carry the byte offset of the problem.
@@ -308,13 +296,5 @@ mod tests {
         // The key column is the first member of every row object.
         assert_eq!(rows[0].as_obj().unwrap()[0].0, "fleet");
         assert_eq!(rows[1].get("merges_per_sec").unwrap().as_str(), Some("98.7"));
-    }
-
-    #[test]
-    fn metric_numbers_strip_unit_suffixes() {
-        assert_eq!(metric_number("3.4x"), Some(3.4));
-        assert_eq!(metric_number("85%"), Some(85.0));
-        assert_eq!(metric_number(" 42 "), Some(42.0));
-        assert_eq!(metric_number("n/a"), None);
     }
 }

@@ -55,6 +55,12 @@ impl std::fmt::Debug for MergeConfig {
 }
 
 /// The result of merging a tentative history into a base history.
+///
+/// Theorem 1's witness — an equivalent merged serial history over the
+/// base transactions and the saved tentative ones — is not part of the
+/// outcome: the install path never reads it. Callers that check Theorem 1
+/// build it with `PrecedenceGraph::build(arena, hm, hb)
+/// .merged_history_without(&backed_out)`.
 #[derive(Debug)]
 pub struct MergeOutcome {
     /// Step 2's back-out set `B` (undesirable transactions).
@@ -79,12 +85,6 @@ pub struct MergeOutcome {
     /// Results of re-executing the backed-out transactions (step 6) on the
     /// new master state, in execution order: `(txn, succeeded)`.
     pub reexecuted: Vec<(TxnId, bool)>,
-    /// An equivalent merged serial history over the base transactions and
-    /// the saved tentative transactions (Theorem 1), for inspection.
-    /// `None` when the caller deferred witness materialization
-    /// ([`MergeAssist::defer_witness`]) — the install path derives the new
-    /// master without it.
-    pub merged_history: Option<SerialHistory>,
     /// Number of edges in the full precedence graph `G(H_m, H_b)` (cost
     /// accounting input). Exact even on the fast path: rule-1 pairs are
     /// counted directly and rule-2 edges read from the cache; a disjoint
@@ -105,10 +105,9 @@ pub struct MergeOutcome {
 /// because the install is a constant-write transaction and re-execution
 /// progress is tracked alongside the plan (see `replication::session`).
 ///
-/// Unlike the full outcome (which owns the rewritten history, repaired
-/// states, and the merged witness history), the plan is small, cloneable,
-/// and comparable — the shape a recovering node can dedupe retransmissions
-/// against.
+/// Unlike the full outcome (which owns the rewritten history and the
+/// repaired states), the plan is small, cloneable, and comparable — the
+/// shape a recovering node can dedupe retransmissions against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstallPlan {
     /// Step 5: per saved-written item, its final repaired value.
@@ -132,50 +131,37 @@ impl MergeOutcome {
     }
 }
 
-/// Precomputed inputs a caller can lend to [`Merger::merge_assisted`] to
-/// skip redundant work when merging repeatedly against a growing base
+/// Precomputed inputs a caller can lend to [`Merger::merge_traced_scratch`]
+/// to skip redundant work when merging repeatedly against a growing base
 /// history (the batched sync path).
 ///
-/// Both fields are optional; an empty assist makes `merge_assisted`
-/// behave exactly like [`Merger::merge`].
+/// Both fields are optional; an empty assist computes everything from `hb`
+/// and `s0`, exactly like [`Merger::merge`].
 #[derive(Default, Clone, Copy)]
 pub struct MergeAssist<'a> {
     /// Incrementally maintained rule-2 edges of the epoch's base history.
     /// Must cover `hb` (see [`PrecedenceGraph::build_with_base_cache`]).
+    /// When it holds exactly `hb`, its footprint union also gates the
+    /// conflict-free fast path: a pending history disjoint from it skips
+    /// precedence-graph and closure construction, with a byte-identical
+    /// outcome.
     pub base_edges: Option<&'a BaseEdgeCache>,
     /// The final state of executing `hb` from `s0`. Base nodes already
     /// hold this (it is the current master), so re-executing the whole
     /// epoch log per merge is pure waste.
     pub hb_final: Option<&'a DbState>,
-    /// Allow the conflict-free fast path: when the pending history's
-    /// footprint union is disjoint from the cached base slice's footprint
-    /// union (`base_edges` must cover *all* of `hb`), skip precedence-graph
-    /// and closure construction entirely. Pure mechanism — the outcome is
-    /// byte-identical; the flag exists so legacy-comparison runs can hold
-    /// the old code path.
-    pub fastpath: bool,
-    /// Skip materializing [`MergeOutcome::merged_history`] on the slow
-    /// path. The witness topological sort is O(|H_b ∪ H_m|²) with the
-    /// deterministic base-first tie-break, and the replication install
-    /// path never reads it (the new master is derived from `hb_final`
-    /// plus the forwarded updates) — per-cohort it is the dominant
-    /// super-linear term. Callers that assert Theorem 1's witness (tests,
-    /// the worked example) leave this off. The fast path still emits its
-    /// witness: there it is a cheap concatenation.
-    pub defer_witness: bool,
 }
 
 /// Reusable working memory for repeated merges (the zero-realloc hot
 /// path): precedence-graph id maps and reads-from closure buffers that
 /// would otherwise be reallocated per merge. A caller merging once per
 /// window step holds one `MergeScratch` and threads it through
-/// [`Merger::merge_scratch`]; each merge leaves the buffers grown to the
-/// high-water mark of the histories seen so far, so steady-state merges
+/// [`Merger::merge_traced_scratch`]; each merge leaves the buffers grown to
+/// the high-water mark of the histories seen so far, so steady-state merges
 /// allocate nothing for these structures.
 ///
 /// Reuse is observation-free: a merge through a used scratch is
-/// byte-identical to one through [`MergeScratch::new`] (the
-/// `session_differential` suite pins this).
+/// byte-identical to one through [`MergeScratch::new`].
 #[derive(Default)]
 pub struct MergeScratch {
     /// Flat id→node map reused by [`PrecedenceGraph::build_with_scratch`].
@@ -223,71 +209,25 @@ impl Merger {
         hb: &SerialHistory,
         s0: &DbState,
     ) -> Result<MergeOutcome, CoreError> {
-        self.merge_assisted(arena, hm, hb, s0, MergeAssist::default())
+        self.merge_traced_scratch(
+            arena,
+            hm,
+            hb,
+            s0,
+            MergeAssist::default(),
+            &TracerHandle::noop(),
+            &mut MergeScratch::new(),
+        )
     }
 
-    /// Like [`merge`](Self::merge), but reuses caller-precomputed inputs:
-    /// the epoch's incrementally maintained base-conflict edges and/or the
-    /// base history's final state. The outcome is identical to the
-    /// unassisted merge; only redundant recomputation is skipped. This is
-    /// the entry point of the batched base-tier sync path, where many
-    /// merges in one window share the same growing `hb`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates history-execution, back-out, and pruning errors.
-    pub fn merge_assisted(
-        &self,
-        arena: &TxnArena,
-        hm: &SerialHistory,
-        hb: &SerialHistory,
-        s0: &DbState,
-        assist: MergeAssist<'_>,
-    ) -> Result<MergeOutcome, CoreError> {
-        self.merge_traced(arena, hm, hb, s0, assist, &TracerHandle::noop())
-    }
-
-    /// Like [`merge_assisted`](Self::merge_assisted), but emits trace
-    /// events and per-step wall-clock spans to `tracer`. Tracing is
-    /// observation-only: the outcome is byte-identical to the untraced
-    /// merge, and a disabled tracer costs one branch per step.
-    ///
-    /// # Errors
-    ///
-    /// Propagates history-execution, back-out, and pruning errors.
-    pub fn merge_traced(
-        &self,
-        arena: &TxnArena,
-        hm: &SerialHistory,
-        hb: &SerialHistory,
-        s0: &DbState,
-        assist: MergeAssist<'_>,
-        tracer: &TracerHandle,
-    ) -> Result<MergeOutcome, CoreError> {
-        self.merge_traced_scratch(arena, hm, hb, s0, assist, tracer, &mut MergeScratch::new())
-    }
-
-    /// Like [`merge_assisted`](Self::merge_assisted), but reusing a
-    /// caller-held [`MergeScratch`] so repeated merges stop reallocating
-    /// their graph and closure working memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates history-execution, back-out, and pruning errors.
-    pub fn merge_scratch(
-        &self,
-        arena: &TxnArena,
-        hm: &SerialHistory,
-        hb: &SerialHistory,
-        s0: &DbState,
-        assist: MergeAssist<'_>,
-        scratch: &mut MergeScratch,
-    ) -> Result<MergeOutcome, CoreError> {
-        self.merge_traced_scratch(arena, hm, hb, s0, assist, &TracerHandle::noop(), scratch)
-    }
-
-    /// The full-control entry point: tracing and scratch reuse together.
-    /// Every other merge method delegates here.
+    /// The full-control entry point: [`merge`](Self::merge) with
+    /// caller-precomputed inputs (`assist`), trace events and per-step
+    /// wall-clock spans sent to `tracer`, and working memory reused from
+    /// `scratch`. None of the three changes the outcome: the assist only
+    /// skips recomputation, tracing is observation-only (a disabled tracer
+    /// costs one branch per step), and scratch reuse is observation-free.
+    /// This is the entry point of the batched base-tier sync path, where
+    /// many merges in one window share the same growing `hb`.
     ///
     /// # Errors
     ///
@@ -318,25 +258,24 @@ impl Merger {
         };
         tracer.span_end(Phase::Exec, span);
 
-        // Conflict-free fast-path gate: when the caller allows it and the
-        // epoch edge cache covers ALL of `hb` (its footprint union is only
-        // meaningful at full length), a pending history disjoint from the
-        // whole concurrent base slice draws no rule-3 edge against any
-        // prefix. Both sub-histories are then forward-edge DAGs, so the
-        // graph is acyclic, every back-out strategy returns ∅, and the
-        // entire graph/closure machinery can be skipped — O(words) gate,
-        // O(m²) rule-1 pair count, byte-identical outcome.
-        let fast_path = assist.fastpath
-            && assist.base_edges.is_some_and(|cache| cache.len() == hb.len())
-            && {
+        // Conflict-free fast-path gate: when the epoch edge cache covers
+        // ALL of `hb` (its footprint union is only meaningful at full
+        // length), a pending history disjoint from the whole concurrent
+        // base slice draws no rule-3 edge against any prefix. Both
+        // sub-histories are then forward-edge DAGs, so the graph is
+        // acyclic, every back-out strategy returns ∅, and the entire
+        // graph/closure machinery can be skipped — O(words) gate, O(m²)
+        // rule-1 pair count, byte-identical outcome.
+        let fast_path = assist.base_edges.is_some_and(|cache| {
+            cache.len() == hb.len() && {
                 let mut hm_bits = DenseBits::new();
                 for id in hm.iter() {
                     hm_bits.union_with(arena.read_bits(id));
                     hm_bits.union_with(arena.write_bits(id));
                 }
-                let cache = assist.base_edges.expect("gated above");
                 !hm_bits.intersects(cache.footprint_bits())
-            };
+            }
+        });
 
         // Step 1: the precedence graph. On the fast path the graph is
         // never materialized — only its exact edge count is derived (rule-1
@@ -464,17 +403,6 @@ impl Merger {
 
         let saved = rewritten.saved();
         let backed_out = rewritten.pruned();
-        let removed: BTreeSet<TxnId> = backed_out.iter().copied().collect();
-        // On the fast path the witness history is written down directly:
-        // with no cross edges, Kahn's tie-break (base kind first, then
-        // node index) emits exactly `hb` in order followed by `hm` in
-        // order — the same history the slow path's topological sort
-        // produces on a disjoint graph.
-        let merged_history = match &graph {
-            Some(_) if assist.defer_witness => None,
-            Some(graph) => graph.merged_history_without(&removed),
-            None => Some(SerialHistory::from_order(hb.iter().chain(hm.iter()))),
-        };
 
         Ok(MergeOutcome {
             bad,
@@ -486,7 +414,6 @@ impl Merger {
             forwarded,
             new_master,
             reexecuted,
-            merged_history,
             graph_edges,
             fast_path,
         })
@@ -504,6 +431,18 @@ mod tests {
         VarId::new(i)
     }
 
+    /// Theorem 1's witness for a merge of `hm` into `hb`: the merged
+    /// serial history without the backed-out transactions.
+    fn witness(
+        arena: &TxnArena,
+        hm: &SerialHistory,
+        hb: &SerialHistory,
+        outcome: &MergeOutcome,
+    ) -> Option<SerialHistory> {
+        let removed = outcome.backed_out.iter().copied().collect();
+        PrecedenceGraph::build(arena, hm, hb).merged_history_without(&removed)
+    }
+
     #[test]
     fn example1_end_to_end() {
         let ex = example1();
@@ -515,10 +454,8 @@ mod tests {
         assert_eq!(outcome.saved, vec![ex.m[0], ex.m[1]]);
         assert_eq!(outcome.backed_out, vec![ex.m[2], ex.m[3]]);
         // The merged history of Example 1: Tb1 Tb2 Tm1 Tm2.
-        assert_eq!(
-            outcome.merged_history.as_ref().unwrap().order(),
-            &[ex.b[0], ex.b[1], ex.m[0], ex.m[1]]
-        );
+        let merged = witness(&ex.arena, &ex.hm, &ex.hb, &outcome).unwrap();
+        assert_eq!(merged.order(), &[ex.b[0], ex.b[1], ex.m[0], ex.m[1]]);
         // Both backed-out transactions re-execute fine on the new master.
         assert!(outcome.reexecuted.iter().all(|(_, ok)| *ok));
         assert_eq!(outcome.reexecuted.len(), 2);
@@ -532,7 +469,7 @@ mod tests {
         let ex = example1();
         let outcome =
             Merger::new(MergeConfig::default()).merge(&ex.arena, &ex.hm, &ex.hb, &ex.s0).unwrap();
-        let merged = outcome.merged_history.clone().unwrap();
+        let merged = witness(&ex.arena, &ex.hm, &ex.hb, &outcome).unwrap();
         let replay = AugmentedHistory::execute(&ex.arena, &merged, &ex.s0).unwrap();
         assert_eq!(&outcome.new_master, replay.final_state());
     }
@@ -604,12 +541,18 @@ mod tests {
         cache.sync(&ex.arena, &ex.hb);
         let hb_final =
             AugmentedHistory::execute(&ex.arena, &ex.hb, &ex.s0).unwrap().final_state().clone();
-        let assist = MergeAssist {
-            base_edges: Some(&cache),
-            hb_final: Some(&hb_final),
-            ..MergeAssist::default()
-        };
-        let assisted = merger.merge_assisted(&ex.arena, &ex.hm, &ex.hb, &ex.s0, assist).unwrap();
+        let assist = MergeAssist { base_edges: Some(&cache), hb_final: Some(&hb_final) };
+        let assisted = merger
+            .merge_traced_scratch(
+                &ex.arena,
+                &ex.hm,
+                &ex.hb,
+                &ex.s0,
+                assist,
+                &TracerHandle::noop(),
+                &mut MergeScratch::new(),
+            )
+            .unwrap();
 
         assert_eq!(plain.bad, assisted.bad);
         assert_eq!(plain.affected, assisted.affected);
@@ -619,10 +562,6 @@ mod tests {
         assert_eq!(plain.forwarded, assisted.forwarded);
         assert_eq!(plain.new_master, assisted.new_master);
         assert_eq!(plain.reexecuted, assisted.reexecuted);
-        assert_eq!(
-            plain.merged_history.as_ref().map(|h| h.order().to_vec()),
-            assisted.merged_history.as_ref().map(|h| h.order().to_vec())
-        );
         assert_eq!(plain.graph_edges, assisted.graph_edges);
     }
 
@@ -648,7 +587,7 @@ mod tests {
         // Greedy may back out more than the optimum, but the result must
         // still be conflict-free.
         assert!(!outcome.bad.is_empty());
-        assert!(outcome.merged_history.is_some());
+        assert!(witness(&ex.arena, &ex.hm, &ex.hb, &outcome).is_some());
     }
 
     #[test]
@@ -660,13 +599,14 @@ mod tests {
 
         let sink = std::sync::Arc::new(JsonlSink::new());
         let traced = merger
-            .merge_traced(
+            .merge_traced_scratch(
                 &ex.arena,
                 &ex.hm,
                 &ex.hb,
                 &ex.s0,
                 MergeAssist::default(),
                 &TracerHandle::new(sink.clone()),
+                &mut MergeScratch::new(),
             )
             .unwrap();
 
@@ -713,14 +653,18 @@ mod tests {
             let assist = if round % 2 == 0 {
                 MergeAssist::default()
             } else {
-                MergeAssist {
-                    base_edges: Some(&cache),
-                    hb_final: Some(&hb_final),
-                    ..MergeAssist::default()
-                }
+                MergeAssist { base_edges: Some(&cache), hb_final: Some(&hb_final) }
             };
             let reused = merger
-                .merge_scratch(&ex.arena, &ex.hm, &ex.hb, &ex.s0, assist, &mut scratch)
+                .merge_traced_scratch(
+                    &ex.arena,
+                    &ex.hm,
+                    &ex.hb,
+                    &ex.s0,
+                    assist,
+                    &TracerHandle::noop(),
+                    &mut scratch,
+                )
                 .unwrap();
             assert_eq!(plain.bad, reused.bad, "round {round}");
             assert_eq!(plain.affected, reused.affected, "round {round}");
@@ -731,11 +675,6 @@ mod tests {
             assert_eq!(plain.new_master, reused.new_master, "round {round}");
             assert_eq!(plain.reexecuted, reused.reexecuted, "round {round}");
             assert_eq!(plain.graph_edges, reused.graph_edges, "round {round}");
-            assert_eq!(
-                plain.merged_history.as_ref().map(|h| h.order().to_vec()),
-                reused.merged_history.as_ref().map(|h| h.order().to_vec()),
-                "round {round}"
-            );
         }
     }
 

@@ -13,7 +13,8 @@
 //!
 //! **Theorem 1**: `G(H_m, H_b)` is acyclic iff `H_m` and `H_b` are
 //! serializable, i.e. equivalent to some merged history `H` — which
-//! [`PrecedenceGraph::merged_history`] then produces by topological sort.
+//! [`PrecedenceGraph::merged_history_without`] then produces by
+//! topological sort.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -462,11 +463,6 @@ impl PrecedenceGraph {
         self.topo_order_without(removed).map(SerialHistory::from_order)
     }
 
-    /// If the graph is acyclic, returns an equivalent merged serial history.
-    pub fn merged_history(&self) -> Option<SerialHistory> {
-        self.merged_history_without(&BTreeSet::new())
-    }
-
     /// The strongly connected components with more than one node, or with a
     /// self-loop — i.e. the components containing cycles. Nodes in
     /// `removed` are ignored.
@@ -710,7 +706,7 @@ mod tests {
         );
         assert!(g.is_acyclic());
         assert!(g.edges().is_empty());
-        let merged = g.merged_history().unwrap();
+        let merged = g.merged_history_without(&BTreeSet::new()).unwrap();
         assert_eq!(merged.len(), 2);
         assert_eq!(merged.order()[0], b, "base preferred in ties");
     }
@@ -856,6 +852,6 @@ mod tests {
             &SerialHistory::new(),
         );
         assert!(g.is_acyclic());
-        assert_eq!(g.merged_history().unwrap().order(), &[a, b, c]);
+        assert_eq!(g.merged_history_without(&BTreeSet::new()).unwrap().order(), &[a, b, c]);
     }
 }

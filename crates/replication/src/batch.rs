@@ -26,6 +26,7 @@
 use histmerge_core::merge::{MergeAssist, MergeOutcome, MergeScratch, Merger};
 use histmerge_core::CoreError;
 use histmerge_history::{BaseEdgeCache, DenseBits, SerialHistory, TxnArena};
+use histmerge_obs::TracerHandle;
 use histmerge_txn::{DbState, TxnId, VarSet};
 
 /// How many worker threads the batched sync path may use.
@@ -75,8 +76,8 @@ pub struct BatchJob {
 /// [`histmerge_semantics::SemanticOracle`] and
 /// [`histmerge_history::BackoutStrategy`] require `Send + Sync`.
 ///
-/// The per-job computation is identical to
-/// [`Merger::merge_assisted`] on one thread; parallelism changes only
+/// The per-job computation is [`Merger::merge_traced_scratch`] with `cache`
+/// and `hb_final` as the assist, on one thread; parallelism changes only
 /// wall-clock time, never results.
 #[allow(clippy::too_many_arguments)]
 pub fn merge_batch(
@@ -88,24 +89,15 @@ pub fn merge_batch(
     cache: &BaseEdgeCache,
     make_merger: &(dyn Fn() -> Merger + Sync),
     workers: usize,
-    fastpath: bool,
 ) -> Vec<Result<MergeOutcome, CoreError>> {
-    // The fast-path knob also defers the slow path's witness history:
-    // the install pipeline never reads it, and its topological sort is
-    // the dominant super-linear term at cohort scale.
-    let assist = MergeAssist {
-        base_edges: Some(cache),
-        hb_final: Some(hb_final),
-        fastpath,
-        defer_witness: fastpath,
+    let assist = MergeAssist { base_edges: Some(cache), hb_final: Some(hb_final) };
+    let merge = |merger: &Merger, job: &BatchJob, scratch: &mut MergeScratch| {
+        merger.merge_traced_scratch(arena, &job.hm, hb, s0, assist, &TracerHandle::noop(), scratch)
     };
     if workers <= 1 || jobs.len() <= 1 {
         let merger = make_merger();
         let mut scratch = MergeScratch::new();
-        return jobs
-            .iter()
-            .map(|j| merger.merge_scratch(arena, &j.hm, hb, s0, assist, &mut scratch))
-            .collect();
+        return jobs.iter().map(|j| merge(&merger, j, &mut scratch)).collect();
     }
     let n_workers = workers.min(jobs.len());
     let mut out: Vec<Option<Result<MergeOutcome, CoreError>>> = jobs.iter().map(|_| None).collect();
@@ -121,9 +113,7 @@ pub fn merge_batch(
                         .enumerate()
                         .skip(w)
                         .step_by(n_workers)
-                        .map(|(k, job)| {
-                            (k, merger.merge_scratch(arena, &job.hm, hb, s0, assist, &mut scratch))
-                        })
+                        .map(|(k, job)| (k, merge(&merger, job, &mut scratch)))
                         .collect::<Vec<_>>()
                 })
             })
@@ -240,10 +230,8 @@ mod tests {
         let jobs: Vec<BatchJob> =
             (0..4).map(|mobile| BatchJob { mobile, hm: ex.hm.clone() }).collect();
         let make = || Merger::new(MergeConfig::default());
-        let serial =
-            merge_batch(&ex.arena, &jobs, &ex.hb, &ex.s0, &hb_final, &cache, &make, 1, false);
-        let parallel =
-            merge_batch(&ex.arena, &jobs, &ex.hb, &ex.s0, &hb_final, &cache, &make, 4, false);
+        let serial = merge_batch(&ex.arena, &jobs, &ex.hb, &ex.s0, &hb_final, &cache, &make, 1);
+        let parallel = merge_batch(&ex.arena, &jobs, &ex.hb, &ex.s0, &hb_final, &cache, &make, 4);
         assert_eq!(serial.len(), 4);
         assert_eq!(parallel.len(), 4);
         for (s, p) in serial.iter().zip(parallel.iter()) {
@@ -257,11 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_batch_matches_slow_batch() {
-        // A pending history disjoint from the whole base slice: the
-        // fastpath run must produce a byte-identical outcome while
-        // reporting `fast_path` on every member; a conflicting history
-        // must refuse the fast path.
+    fn fast_path_matches_plain_merges() {
+        // A pending history disjoint from the whole base slice takes the
+        // fast path, a conflicting one keeps the slow path, and both
+        // outcomes equal a plain merge without the edge cache.
         let mut arena = TxnArena::new();
         let b0 = rw_txn(&mut arena, "b0", TxnKind::Base, &[0], &[1]);
         let b1 = rw_txn(&mut arena, "b1", TxnKind::Base, &[1], &[2]);
@@ -277,23 +264,17 @@ mod tests {
             BatchJob { mobile: 1, hm: SerialHistory::from_order([touching]) },
         ];
         let make = || Merger::new(MergeConfig::default());
-        let slow = merge_batch(&arena, &jobs, &hb, &s0, &hb_final, &cache, &make, 1, false);
-        let fast = merge_batch(&arena, &jobs, &hb, &s0, &hb_final, &cache, &make, 1, true);
-        for (s, f) in slow.iter().zip(fast.iter()) {
-            let (s, f) = (s.as_ref().unwrap(), f.as_ref().unwrap());
+        let fast = merge_batch(&arena, &jobs, &hb, &s0, &hb_final, &cache, &make, 1);
+        for (job, f) in jobs.iter().zip(fast.iter()) {
+            let f = f.as_ref().unwrap();
+            let s = make().merge(&arena, &job.hm, &hb, &s0).unwrap();
             assert_eq!(s.saved, f.saved);
             assert_eq!(s.backed_out, f.backed_out);
             assert_eq!(s.forwarded, f.forwarded);
             assert_eq!(s.new_master, f.new_master);
             assert_eq!(s.graph_edges, f.graph_edges);
-            assert!(!s.fast_path);
+            assert!(!s.fast_path, "no edge cache, no fast path");
         }
-        // The fast-path member's cheap concatenation witness equals the
-        // slow path's topological sort; the slow-path member under the
-        // fastpath knob defers its witness instead of sorting.
-        assert_eq!(slow[0].as_ref().unwrap().merged_history, fast[0].as_ref().unwrap().merged_history);
-        assert!(slow[1].as_ref().unwrap().merged_history.is_some());
-        assert!(fast[1].as_ref().unwrap().merged_history.is_none());
         assert!(fast[0].as_ref().unwrap().fast_path, "disjoint member takes the fast path");
         assert!(!fast[1].as_ref().unwrap().fast_path, "conflicting member keeps the slow path");
     }

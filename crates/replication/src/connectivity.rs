@@ -14,8 +14,8 @@
 //! * **cadence shaping** — [`LinkTrace::next_up`] rounds a drawn
 //!   reconnection tick forward to the next tick the mobile's link is up.
 //!   [`ConnectivityModel::AlwaysOn`] is the identity, so the default
-//!   configuration reproduces today's jittered cadence byte-for-byte
-//!   (pinned by the eighth `session_differential` run);
+//!   configuration reproduces the plain jittered cadence byte-for-byte
+//!   (pinned by `session_differential`);
 //! * **trace-conditioned faults** — [`LinkTrace::fault_scale`] multiplies
 //!   the configured fault rates during handoff windows and post-outage
 //!   surges, turning the i.i.d. per-message fault model into correlated

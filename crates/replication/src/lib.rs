@@ -21,11 +21,10 @@
 //! phase; [`metrics`] aggregates counts and Section 7.1 cost reports. The
 //! simulation is a discrete-time loop, deterministic for a given
 //! [`SimConfig`] (seeded RNG) regardless of the configured
-//! [`Parallelism`] — and regardless of the configured [`SchedulerMode`]:
-//! each tick's due mobile work can be found by scanning the fleet or by
-//! popping timestamped events from a deterministic priority queue
-//! ([`sched`]), byte-identically, which is what lets the scale harness
-//! (E19) run million-mobile fleets without paying O(fleet) per tick.
+//! [`Parallelism`]. Each tick's due mobile work is popped as timestamped
+//! events from a deterministic priority queue ([`sched`]), which is what
+//! lets the scale harness (E19) run million-mobile fleets without paying
+//! O(fleet) per tick.
 //!
 //! Reconnections can run through two interchangeable paths
 //! ([`SyncPath`]): the legacy atomic in-process handshake, or the
@@ -71,11 +70,11 @@ pub use fault::{Delivery, FaultKind, FaultPlan, FaultRates, InvalidFaultRate};
 pub use metrics::{CohortStats, CompactionStats, FaultStats, SchedStats, StormStats, WalStats};
 pub use mobile::MobileNode;
 pub use recovery::{recover, recover_traced, Recovered, RecoveryError};
-pub use sched::{fork_rng, Event, EventKind, EventQueue, SchedulerMode};
+pub use sched::{fork_rng, Event, EventKind, EventQueue};
 pub use session::{RetryBackoff, SessionConfig, SessionLedger, SessionRecord, UnackedSession};
 pub use sim::{
-    CohortConfig, ConvergenceReport, DurableReport, Protocol, SimConfig, SimConfigError, SimReport,
-    Simulation, TelemetryConfig,
+    ConvergenceReport, DurableReport, Protocol, SimConfig, SimConfigError, SimReport, Simulation,
+    TelemetryConfig,
 };
 pub use sync::{SyncPath, SyncStrategy};
 pub use wal::{

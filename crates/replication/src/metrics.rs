@@ -72,19 +72,10 @@ pub struct WalStats {
     pub shadow_recoveries: u64,
 }
 
-/// Scheduler counters: how the per-tick mobile work was driven. Purely
-/// mechanical — the two [`SchedulerMode`]s produce byte-identical
-/// simulations and differ only here, so [`Metrics::normalized`] zeroes
-/// the whole block. The scheduler-invariant regression test reads the raw
-/// values: event mode must show zero fleet scans and a live queue.
-///
-/// [`SchedulerMode`]: crate::sched::SchedulerMode
+/// Scheduler counters: how much work the event queue did. Purely
+/// mechanical, so [`Metrics::normalized`] zeroes the whole block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct SchedStats {
-    /// Full-fleet traversals performed (two per tick under the legacy
-    /// tick scan: one generation pass, one connect filter; zero under the
-    /// event queue).
-    pub fleet_scans: u64,
     /// Events scheduled on the event queue.
     pub events_pushed: u64,
     /// Events popped off the event queue.
@@ -106,10 +97,11 @@ pub struct CompactionStats {
     pub runs_squashed: u64,
 }
 
-/// Cohort install-pipeline counters: how the quadratic same-tick install
-/// cost was avoided. Pure mechanism — the fast path and wave
-/// re-speculation produce byte-identical runs (the `cohort_differential`
-/// suite pins this), so [`Metrics::normalized`] zeroes the whole block.
+/// Cohort install-pipeline counters: how much merge work the fast path,
+/// wave re-speculation and the epoch edge cache absorbed. Pure mechanism
+/// — how often each engages depends on the worker count, what the run
+/// commits does not (the `cohort_differential` suite pins this) — so
+/// [`Metrics::normalized`] zeroes the whole block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CohortStats {
     /// Merges that took the conflict-free fast path (pending history
@@ -229,16 +221,14 @@ pub struct Metrics {
     /// excluded from determinism comparisons.
     pub wal: WalStats,
     /// Scheduler counters. Mechanism-only — excluded from determinism
-    /// comparisons (the tick scan and the event queue must produce the
-    /// same simulation while differing exactly here).
+    /// comparisons.
     pub sched: SchedStats,
     /// Pre-merge compaction counters. Planning mechanism only — excluded
     /// from determinism comparisons (a compacted run commits the same
     /// base state while differing exactly here).
     pub compaction: CompactionStats,
     /// Cohort install-pipeline counters. Mechanism-only — excluded from
-    /// determinism comparisons (a fast-path/wave run commits the same
-    /// base state while differing exactly here).
+    /// determinism comparisons.
     pub cohort: CohortStats,
     /// Admission-control and retry-backoff counters. Behavioral (not
     /// mechanism-only): kept by [`Metrics::normalized`], and all zero
@@ -297,10 +287,10 @@ impl Metrics {
 
     /// A copy suitable for byte-for-byte run comparisons:
     /// [`Metrics::parallel_merge_ns`] is wall-clock timing,
-    /// [`Metrics::wal`] is log volume, and [`Metrics::sched`] is
-    /// scheduling mechanism — all orthogonal to the logical outcome of a
-    /// run (a durability-enabled or event-scheduled run must equal the
-    /// legacy run everywhere else) and zeroed out here.
+    /// [`Metrics::wal`] is log volume, and [`Metrics::sched`],
+    /// [`Metrics::compaction`] and [`Metrics::cohort`] are mechanism — all
+    /// orthogonal to the logical outcome of a run (a durability-enabled
+    /// run must equal the plain run everywhere else) and zeroed out here.
     pub fn normalized(&self) -> Metrics {
         let mut normalized = Metrics {
             parallel_merge_ns: 0,
@@ -377,8 +367,8 @@ impl Metrics {
         ));
         let s = &self.sched;
         out.push_str(&format!(
-            ",\"sched\":{{\"fleet_scans\":{},\"events_pushed\":{},\"events_popped\":{}}}",
-            s.fleet_scans, s.events_pushed, s.events_popped
+            ",\"sched\":{{\"events_pushed\":{},\"events_popped\":{}}}",
+            s.events_pushed, s.events_popped
         ));
         let c = &self.compaction;
         out.push_str(&format!(
@@ -560,8 +550,8 @@ mod tests {
 
     #[test]
     fn normalized_strips_cohort_mechanism() {
-        // A fast-path/wave run and a legacy run differ only in the cohort
-        // block; normalization must erase exactly that difference.
+        // Two runs whose pipelines engaged differently differ only in the
+        // cohort block; normalization must erase exactly that difference.
         let legacy = Metrics::default();
         let pipelined = Metrics {
             cohort: CohortStats { fastpath_merges: 9, wave_rounds: 2, edge_cache_appends: 31 },
@@ -589,17 +579,13 @@ mod tests {
 
     #[test]
     fn normalized_strips_scheduler_mechanism() {
-        // A tick-scan run and an event-queue run differ only in the sched
-        // block; normalization must erase exactly that difference.
-        let scanned = Metrics {
-            sched: SchedStats { fleet_scans: 800, events_pushed: 0, events_popped: 0 },
-            ..Metrics::default()
-        };
+        // Queue traffic is mechanism; normalization must erase it.
+        let quiet = Metrics::default();
         let evented = Metrics {
-            sched: SchedStats { fleet_scans: 0, events_pushed: 40, events_popped: 36 },
+            sched: SchedStats { events_pushed: 40, events_popped: 36 },
             ..Metrics::default()
         };
-        assert_ne!(scanned, evented);
-        assert_eq!(scanned.normalized(), evented.normalized());
+        assert_ne!(quiet, evented);
+        assert_eq!(quiet.normalized(), evented.normalized());
     }
 }

@@ -1,35 +1,31 @@
 //! The deterministic event-driven scheduler.
 //!
-//! The original simulation loop owned every mobile inline and rescanned
-//! the whole fleet twice per tick — once for tentative generation, once
-//! for reconnections — making each tick O(fleet) even when nothing
-//! happened. At the ROADMAP's million-mobile scale that scan *is* the
-//! simulation. This module replaces it with a priority queue of
-//! timestamped events: a tick only touches the mobiles that actually act
-//! on it, so per-tick cost is O(events · log queue) instead of O(fleet).
+//! The simulation keeps a priority queue of timestamped events instead of
+//! scanning the fleet every tick: a tick only touches the mobiles that
+//! actually act on it, so per-tick cost is O(events · log queue) instead
+//! of O(fleet) — at million-mobile scale a per-tick scan *is* the
+//! simulation.
 //!
 //! # Determinism contract
 //!
-//! Event-driven scheduling must be **byte-identical** to the tick scan it
-//! replaces (the sixth `session_differential` run pins this). Three
-//! properties carry the proof:
+//! The scheduler decides when work happens, never what it computes. The
+//! golden digests (`tests/golden_digests.rs`, captured while a per-tick
+//! fleet scan still existed as the reference) pin whole runs. Three
+//! properties carry the argument:
 //!
 //! 1. **Total event order.** [`Event`] orders by `(time, kind, mobile)`;
-//!    [`EventKind::Generate`] sorts before [`EventKind::Connect`], so a
-//!    tick's pops reproduce the legacy phase order (generation completes
-//!    for the whole tier before any sync runs), and same-tick reconnects
-//!    pop in mobile-id order — exactly the order the legacy fleet filter
-//!    produced. Ties are impossible to break non-deterministically: the
-//!    order is total.
-//! 2. **Identical RNG draw order.** Reconnect jitter draws happen when a
-//!    batch member is rescheduled, in batch (= mobile-id) order — the
-//!    same stream positions as the legacy loop. The scheduler itself
-//!    never draws.
-//! 3. **Identical accumulator arithmetic.** Tentative generation uses the
-//!    same `acc += rate; while acc >= 1.0` float sequence the per-mobile
-//!    scan ran; because every mobile shares one rate and one starting
-//!    accumulator, the whole fleet shares a single trajectory and one
-//!    [`EventKind::Generate`] event per firing tick replays it exactly.
+//!    [`EventKind::Generate`] sorts before [`EventKind::Connect`], so
+//!    generation completes for the whole tier before any sync runs, and
+//!    same-tick reconnects pop in mobile-id order. Ties are impossible to
+//!    break non-deterministically: the order is total.
+//! 2. **Fixed RNG draw order.** Reconnect jitter draws happen when a
+//!    batch member is rescheduled, in batch (= mobile-id) order. The
+//!    scheduler itself never draws.
+//! 3. **One accumulator for the fleet.** Tentative generation runs the
+//!    `acc += rate; while acc >= 1.0` float sequence once: every mobile
+//!    shares one rate and one starting accumulator, so the whole fleet
+//!    shares a single trajectory and one [`EventKind::Generate`] event
+//!    per firing tick stands for all of it.
 //!
 //! [`fork_rng`] supplies domain-separated RNG streams for harness-level
 //! sweeps (per-shard workers, fault schedules): child streams are
@@ -42,26 +38,11 @@ use std::collections::BinaryHeap;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// Which machinery drives the per-tick mobile work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// The legacy loop: scan the whole fleet every tick. O(fleet)/tick;
-    /// kept as the differential reference for the event queue.
-    TickScan,
-    /// The event-driven scheduler: a deterministic priority queue of
-    /// timestamped events; a tick touches only the mobiles that act on
-    /// it. Byte-identical to [`SchedulerMode::TickScan`] on every
-    /// scenario.
-    #[default]
-    EventQueue,
-}
-
 /// What a scheduled event does when it fires.
 ///
 /// Declaration order is load-bearing: the derived [`Ord`] puts
 /// [`EventKind::Generate`] before [`EventKind::Connect`], which is how
-/// same-tick pops reproduce the legacy generation-before-sync phase
-/// order.
+/// same-tick pops run generation before any sync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
     /// The fleet-wide tentative-generation accumulator crossed 1.0: every
@@ -85,9 +66,7 @@ pub struct Event {
 
 /// A deterministic min-queue of [`Event`]s with push/pop counters.
 ///
-/// The counters feed [`SchedStats`]: the regression suite asserts that in
-/// event mode the queue's pops are the *only* per-tick mobile traversal
-/// (no fleet scans), and that the queue was actually exercised.
+/// The counters feed [`SchedStats`].
 ///
 /// [`SchedStats`]: crate::metrics::SchedStats
 #[derive(Debug, Default)]
@@ -231,10 +210,5 @@ mod tests {
         let mut fork_c = fork_rng(&mut base_c);
         let draws_c: Vec<u64> = (0..8).map(|_| fork_c.gen_range(0..1000)).collect();
         assert_eq!(draws_a, draws_c);
-    }
-
-    #[test]
-    fn default_mode_is_event_queue() {
-        assert_eq!(SchedulerMode::default(), SchedulerMode::EventQueue);
     }
 }

@@ -37,7 +37,7 @@ use crate::fault::{Delivery, FaultPlan, InvalidFaultRate};
 use crate::metrics::{Metrics, SyncRecord};
 use crate::mobile::MobileNode;
 use crate::recovery;
-use crate::sched::{Event, EventKind, EventQueue, SchedulerMode};
+use crate::sched::{Event, EventKind, EventQueue};
 use crate::session::{SessionConfig, SessionLedger, SessionRecord};
 use crate::sync::{SyncPath, SyncStrategy};
 use crate::wal::{DurabilityConfig, Snapshot, VecStorage, Wal, WalRecord};
@@ -147,27 +147,6 @@ pub struct SimConfig {
     /// default is the shared no-op tracer, which skips event construction
     /// entirely.
     pub tracer: TracerHandle,
-    /// When `true`, the simulation holds one [`MergeScratch`] and threads
-    /// it through every serial merge plan, so repeated window merges reuse
-    /// their graph and closure working memory instead of reallocating.
-    /// Observation-free: a run with reuse enabled is byte-identical to the
-    /// same run without it (the `session_differential` suite pins this).
-    pub reuse_merge_scratch: bool,
-    /// How each tick finds the mobiles with due work: the legacy O(fleet)
-    /// scan, or the event-driven scheduler that pops exactly the due
-    /// events from a priority queue. The simulation outcome is
-    /// byte-identical for both (the `session_differential` suite pins
-    /// this); only the per-tick cost changes — the difference between a
-    /// 4-mobile demo and the million-mobile scale harness (E19).
-    pub scheduler: SchedulerMode,
-    /// When `true`, the base tier's commit log keeps transaction ids but
-    /// not per-commit after-states (see
-    /// [`crate::base::BaseNode::with_lean`]) — O(1) instead of O(items)
-    /// memory per commit. Only the Strategy-1 snapshot path and the
-    /// durability layer read historical after-states, so lean logging is
-    /// rejected at construction for those configurations and
-    /// observation-free everywhere else.
-    pub lean_base_log: bool,
     /// The pre-merge semantic compaction pass (off by default): before a
     /// pending history is planned, runs of conflict-clustered tentative
     /// transactions whose cluster is isolated from the concurrent base
@@ -181,9 +160,8 @@ pub struct SimConfig {
     /// trace: reconnections drawn into a down-link epoch slide to the
     /// next up tick, and the model's trace-conditioned factor scales the
     /// fault rates tick by tick (handoff windows, post-outage surges).
-    /// The default [`ConnectivityModel::AlwaysOn`] reproduces the legacy
-    /// jittered cadence byte-for-byte (pinned by the eighth
-    /// `session_differential` run).
+    /// The default [`ConnectivityModel::AlwaysOn`] reproduces the plain
+    /// jittered cadence byte-for-byte (pinned by `session_differential`).
     pub connectivity: ConnectivityModel,
     /// Base-side admission control: the per-tick cap on the reconnect
     /// merge cohort. Excess arrivals are shed into a deterministic FIFO
@@ -194,60 +172,18 @@ pub struct SimConfig {
     /// Fleet telemetry: the optional per-tick time-series collector and
     /// the merge-autopsy switch. Observation-only by the same contract as
     /// the tracer — a telemetry-enabled run commits byte-identical state
-    /// and (normalized) metrics to a plain run; the ninth
-    /// `session_differential` run pins this.
+    /// and (normalized) metrics to a plain run; `session_differential`
+    /// pins this.
     pub telemetry: TelemetryConfig,
-    /// The cohort install pipeline's mechanism knobs: bounded wave
-    /// re-speculation for invalidated cohort remainders and the
-    /// mask-disjoint conflict-free merge fast path. Pure mechanism by
-    /// the usual contract — committed state, sync records and save
-    /// ratios are byte-identical to the legacy
-    /// ([`CohortConfig::legacy`]) pipeline (the `cohort_differential`
-    /// suite and the tenth `session_differential` run pin this); only
-    /// wall-clock and the normalized-away [`crate::CohortStats`]
-    /// counters move.
-    pub cohort: CohortConfig,
 }
 
-/// Cohort install-pipeline knobs ([`SimConfig::cohort`]).
-///
-/// The default ([`CohortConfig::legacy`]) disables both mechanisms and
-/// reproduces the pre-wave pipeline byte-for-byte — including its cost
-/// accounting — which is what the differential suites compare against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct CohortConfig {
-    /// How many wave re-speculation rounds one reconnect cohort may run.
-    /// When a member's speculative merge is found stale at its install
-    /// turn (earlier members appended conflicting base commits), a wave
-    /// re-runs the concurrent merge phase for every still-pending stale
-    /// member against a refreshed snapshot instead of letting each fall
-    /// back to a serial live merge. `0` disables waves.
-    pub max_waves: u32,
-    /// Enables the mask-disjoint merge fast path: when a pending
-    /// history's read∪write footprint is disjoint from the entire
-    /// concurrent base slice (checked word-wise against the epoch edge
-    /// cache's running footprint union), the merge skips precedence-graph
-    /// construction and cycle breaking wholesale — no conflict means no
-    /// rule-3 edge, no cycle, and nothing to back out. The same knob
-    /// defers the slow path's Theorem-1 witness history
-    /// (`MergeOutcome::merged_history`): the install pipeline never reads
-    /// it, and its per-merge topological sort over the whole epoch
-    /// history is the dominant super-linear term of the cohort install
-    /// cost.
-    pub fastpath: bool,
-}
-
-impl CohortConfig {
-    /// The pre-wave pipeline: no waves, no fast path (the default).
-    pub fn legacy() -> CohortConfig {
-        CohortConfig::default()
-    }
-
-    /// The tuned pipeline: bounded waves plus the merge fast path.
-    pub fn tuned() -> CohortConfig {
-        CohortConfig { max_waves: 3, fastpath: true }
-    }
-}
+/// How many wave re-speculation rounds one reconnect cohort may run. When
+/// a member's speculative merge is found stale at its install turn
+/// (earlier members appended conflicting base commits), a wave re-runs the
+/// concurrent merge phase for every still-pending stale member against a
+/// refreshed snapshot instead of letting each fall back to a serial live
+/// merge. Every triggered attempt spends one round.
+const MAX_WAVES: u32 = 3;
 
 /// Fleet-telemetry switches ([`SimConfig::telemetry`]).
 ///
@@ -302,14 +238,10 @@ impl Default for SimConfig {
             durability: DurabilityConfig::default(),
             backlog_sample_every: 10,
             tracer: TracerHandle::noop(),
-            reuse_merge_scratch: false,
-            scheduler: SchedulerMode::default(),
-            lean_base_log: false,
             compaction: CompactionConfig::default(),
             connectivity: ConnectivityModel::AlwaysOn,
             admission: AdmissionConfig::unbounded(),
             telemetry: TelemetryConfig::default(),
-            cohort: CohortConfig::default(),
         }
     }
 }
@@ -323,15 +255,6 @@ pub enum SimConfigError {
     /// A connectivity-model parameter is out of range — see
     /// [`ConnectivityModel::validate`].
     InvalidConnectivity(InvalidConnectivity),
-    /// [`SimConfig::lean_base_log`] with durability enabled: WAL
-    /// checkpoints snapshot the commit log's after-states, which a lean
-    /// log does not keep.
-    LeanLogNeedsNoDurability,
-    /// [`SimConfig::lean_base_log`] under
-    /// [`SyncStrategy::PerDisconnectSnapshot`]: Strategy-1 validity checks
-    /// and retroactive patches replay historical after-states, which a
-    /// lean log does not keep.
-    LeanLogNeedsWindowStrategy,
 }
 
 impl std::fmt::Display for SimConfigError {
@@ -339,13 +262,6 @@ impl std::fmt::Display for SimConfigError {
         match self {
             SimConfigError::InvalidFaultRate(e) => e.fmt(f),
             SimConfigError::InvalidConnectivity(e) => e.fmt(f),
-            SimConfigError::LeanLogNeedsNoDurability => {
-                write!(f, "lean_base_log keeps no after-states — incompatible with durability")
-            }
-            SimConfigError::LeanLogNeedsWindowStrategy => write!(
-                f,
-                "lean_base_log keeps no after-states — incompatible with PerDisconnectSnapshot"
-            ),
         }
     }
 }
@@ -504,14 +420,14 @@ struct Speculative {
     write_bits: DenseBits,
     /// Whether this outcome came from a wave re-speculation round rather
     /// than the cohort's initial merge phase. A rewaved adoption counts
-    /// as a speculative *retry*: in the legacy pipeline the same member
-    /// would have fallen back to a serial live merge (staleness only
-    /// grows), so this keeps the hit/retry counters byte-identical.
+    /// as a speculative *retry*: without the wave the same member would
+    /// have fallen back to a serial live merge (staleness only grows), so
+    /// the hit/retry counters do not depend on whether a wave ran.
     rewaved: bool,
     /// Set when a wave re-merge for this member errored: the stale
-    /// outcome is kept (it still validates exactly like the legacy one)
+    /// outcome is kept (it still validates exactly like an unwaved one)
     /// but barred from further waves, so the member falls to the serial
-    /// path at its turn with legacy error handling and exactly one
+    /// path at its turn with the serial error handling and exactly one
     /// retry increment.
     wave_skip: bool,
 }
@@ -626,7 +542,6 @@ pub struct Simulation {
     metrics: Metrics,
     backlog: f64,
     base_accum: f64,
-    mobile_accum: Vec<f64>,
     /// Incrementally maintained rule-2 edges of `epoch`'s base history.
     base_edge_cache: BaseEdgeCache,
     /// The epoch `base_edge_cache` belongs to (cleared on rollover).
@@ -649,16 +564,14 @@ pub struct Simulation {
     /// The tick the current window opened at, for virtual-clock window
     /// spans ([`TraceEvent::TickSpan`]).
     last_window_tick: u64,
-    /// Reusable merge working memory, threaded through serial merge plans
-    /// when [`SimConfig::reuse_merge_scratch`] is set.
+    /// Reusable merge working memory, threaded through every serial merge
+    /// plan.
     merge_scratch: MergeScratch,
-    /// The event queue driving [`SchedulerMode::EventQueue`] ticks. Empty
-    /// (and untouched) under [`SchedulerMode::TickScan`].
+    /// The event queue that finds each tick's due mobile work.
     events: EventQueue,
-    /// Fleet-shared generation accumulator (event mode). Every mobile's
-    /// legacy accumulator starts at 0.0, adds the same `mobile_rate`, and
-    /// never resets — the trajectories are identical, so ONE accumulator
-    /// (with the exact same per-tick arithmetic) replays all of them.
+    /// The fleet-shared tentative-generation accumulator: every mobile
+    /// generates at the same `mobile_rate` from the same start and never
+    /// resets, so one accumulator stands for the whole fleet.
     gen_acc: f64,
     /// Tentative transactions each mobile generates at the next scheduled
     /// [`EventKind::Generate`] event.
@@ -707,21 +620,11 @@ impl Simulation {
     /// Returns [`SimConfigError`] when [`SimConfig::fault`] carries a rate
     /// that is not a probability (NaN, negative, or above 1.0 — see
     /// [`crate::fault::FaultRates::validate`]), or when
-    /// [`SimConfig::lean_base_log`] is combined with a configuration that
-    /// reads historical after-states (durability, Strategy 1). These used
-    /// to be panics; callers that cannot recover should
-    /// `.expect("valid sim config")`.
+    /// [`SimConfig::connectivity`] has an out-of-range parameter. Callers
+    /// that cannot recover should `.expect("valid sim config")`.
     pub fn new(config: SimConfig) -> Result<Self, SimConfigError> {
         config.fault.rates.validate()?;
         config.connectivity.validate()?;
-        if config.lean_base_log {
-            if config.durability.enabled {
-                return Err(SimConfigError::LeanLogNeedsNoDurability);
-            }
-            if matches!(config.strategy, SyncStrategy::PerDisconnectSnapshot) {
-                return Err(SimConfigError::LeanLogNeedsWindowStrategy);
-            }
-        }
         let source = match &config.canned {
             Some(params) => TxnSource::Canned(Box::new(CannedMix::new(params.clone()))),
             None => TxnSource::Random(Box::new(TxnFactory::new(config.workload.clone()))),
@@ -730,7 +633,12 @@ impl Simulation {
             TxnSource::Canned(mix) => mix.initial_state(),
             TxnSource::Random(_) => histmerge_workload::generator::initial_state(&config.workload),
         };
-        let base = BaseCluster::with_lean(initial.clone(), config.base_nodes, config.lean_base_log);
+        // Only the write-ahead log and Strategy-1 retroactive patches read
+        // historical after-states; every other run keeps an id-only commit
+        // log, O(1) instead of O(items) memory per commit.
+        let lean = !config.durability.enabled
+            && !matches!(config.strategy, SyncStrategy::PerDisconnectSnapshot);
+        let base = BaseCluster::with_lean(initial.clone(), config.base_nodes, lean);
         let mut rng = StdRng::seed_from_u64(config.workload.seed ^ 0x5151_5151);
         let initial_arc = Arc::new(initial.clone());
         let mobiles: Vec<MobileNode> = (0..config.n_mobiles)
@@ -761,7 +669,6 @@ impl Simulation {
             metrics: Metrics::default(),
             backlog: 0.0,
             base_accum: 0.0,
-            mobile_accum: vec![0.0; n],
             base_edge_cache: BaseEdgeCache::new(),
             cache_epoch: 0,
             fault_rng: config.fault.rng(),
@@ -786,16 +693,14 @@ impl Simulation {
             mobiles,
             config,
         };
-        if sim.config.scheduler == SchedulerMode::EventQueue {
-            for i in 0..sim.mobiles.len() {
-                sim.events.push(Event {
-                    time: sim.mobiles[i].next_connect(),
-                    kind: EventKind::Connect,
-                    mobile: i,
-                });
-            }
-            sim.schedule_next_generate(0);
+        for i in 0..sim.mobiles.len() {
+            sim.events.push(Event {
+                time: sim.mobiles[i].next_connect(),
+                kind: EventKind::Connect,
+                mobile: i,
+            });
         }
+        sim.schedule_next_generate(0);
         Ok(sim)
     }
 
@@ -1009,13 +914,8 @@ impl Simulation {
         }
         self.wal_sync_commits();
 
-        // Mobile tier: generation then the tick's reconnect batch, found
-        // either by scanning the fleet or by popping the tick's scheduled
-        // events — same work, same order, different cost.
-        tick_base_work += match self.config.scheduler {
-            SchedulerMode::TickScan => self.step_fleet_scan(tick),
-            SchedulerMode::EventQueue => self.step_events(tick),
-        };
+        // Mobile tier: generation then the tick's reconnect batch.
+        tick_base_work += self.step_events(tick);
 
         // Backlog accounting.
         self.backlog = (self.backlog + tick_base_work - self.config.base_capacity).max(0.0);
@@ -1065,48 +965,14 @@ impl Simulation {
         });
     }
 
-    /// The legacy tick body: two O(fleet) traversals, one for generation
-    /// and one for the reconnect filter. Returns base work units.
-    fn step_fleet_scan(&mut self, tick: u64) -> f64 {
-        // Phase 1: every mobile generates its tentative work. Generation
-        // is completed for the whole tier before any sync runs, so
-        // transaction identities are allocated in one canonical order
-        // regardless of how the sync phase below is scheduled.
-        self.metrics.sched.fleet_scans += 1;
-        for i in 0..self.mobiles.len() {
-            self.mobile_accum[i] += self.config.mobile_rate;
-            while self.mobile_accum[i] >= 1.0 {
-                self.mobile_accum[i] -= 1.0;
-                let id = self.source.next_txn(&mut self.arena, TxnKind::Tentative);
-                self.mobiles[i].run_tentative(&self.arena, id);
-                self.metrics.tentative_generated += 1;
-            }
-        }
-
-        // Phase 2: the tick's reconnect batch, merged (maybe concurrently)
-        // and installed in mobile-id order.
-        self.metrics.sched.fleet_scans += 1;
-        let fresh: Vec<usize> =
-            (0..self.mobiles.len()).filter(|&i| self.mobiles[i].next_connect() == tick).collect();
-        let batch = self.admit_batch(fresh, tick);
-        let mut work = 0.0;
-        if !batch.is_empty() {
-            work += self.sync_batch(&batch, tick);
-            for &i in &batch {
-                let next = self.schedule_reconnect(i, tick);
-                self.mobiles[i].set_next_connect(next);
-            }
-        }
-        work
-    }
-
-    /// The event-driven tick body: pops exactly the events due at `tick` —
-    /// the fleet-wide generation event (if generation fires this tick) and
-    /// the reconnecting mobiles' connect events. The pop order (generation
-    /// before connects, connects in mobile-id order) reproduces the legacy
-    /// scan's phase and id order, so the simulation is byte-identical; the
-    /// cost drops from O(fleet) per tick to O(due events). Returns base
-    /// work units.
+    /// The mobile tier's tick: pops exactly the events due at `tick` — the
+    /// fleet-wide generation event (if generation fires this tick) and the
+    /// reconnecting mobiles' connect events — so a tick costs O(due
+    /// events), not O(fleet). Generation pops before every connect and
+    /// connects pop in mobile-id order, so transaction identities are
+    /// allocated in one canonical order before any sync runs, and the
+    /// reconnect batch installs in mobile-id order. Returns base work
+    /// units.
     fn step_events(&mut self, tick: u64) -> f64 {
         let mut batch: Vec<usize> = Vec::new();
         let mut popped_any = false;
@@ -1116,9 +982,8 @@ impl Simulation {
             popped_any = true;
             match event.kind {
                 EventKind::Generate => {
-                    // One event stands for the whole tier: every legacy
-                    // accumulator follows the same trajectory, so every
-                    // mobile generates the same count on the same ticks.
+                    // One event stands for the whole tier: every mobile
+                    // generates the same count on the same ticks.
                     for i in 0..self.mobiles.len() {
                         for _ in 0..self.gen_count {
                             let id = self.source.next_txn(&mut self.arena, TxnKind::Tentative);
@@ -1150,8 +1015,8 @@ impl Simulation {
     }
 
     /// Advances the shared generation accumulator tick by tick from `from`
-    /// (the exact arithmetic of the legacy per-mobile accumulators) until
-    /// it finds the next tick where generation fires, and schedules that
+    /// (`acc += rate; while acc >= 1.0 { acc -= 1.0 }`) until it finds
+    /// the next tick where generation fires, and schedules that
     /// tick's [`EventKind::Generate`] event carrying the per-mobile count.
     /// Total work across a run is O(duration), independent of fleet size.
     fn schedule_next_generate(&mut self, from: u64) {
@@ -1298,7 +1163,7 @@ impl Simulation {
         // never touch it.)
         let incremental = matches!(self.config.protocol, Protocol::Merging { .. })
             && !matches!(self.config.strategy, SyncStrategy::PerDisconnectSnapshot);
-        let mut wave_budget = self.config.cohort.max_waves;
+        let mut wave_budget = MAX_WAVES;
         let tracer = self.config.tracer.clone();
         let mut work = 0.0;
         for (pos, &i) in batch.iter().enumerate() {
@@ -1316,7 +1181,7 @@ impl Simulation {
                     self.metrics.cohort.wave_rounds += 1;
                 }
                 // Every triggered attempt burns budget, so a cohort runs
-                // at most `max_waves` concurrent re-merge phases.
+                // at most `MAX_WAVES` concurrent re-merge phases.
                 wave_budget -= 1;
             }
             let spec = speculated.remove(&i);
@@ -1399,7 +1264,6 @@ impl Simulation {
             &self.base_edge_cache,
             &make_merger,
             workers,
-            self.config.cohort.fastpath,
         );
         let ns = started.elapsed().as_nanos() as u64;
         self.metrics.parallel_merge_ns += ns;
@@ -1495,7 +1359,6 @@ impl Simulation {
             &self.base_edge_cache,
             &make_merger,
             workers,
-            self.config.cohort.fastpath,
         );
         let ns = started.elapsed().as_nanos() as u64;
         self.metrics.parallel_merge_ns += ns;
@@ -1604,10 +1467,9 @@ impl Simulation {
                 let mut outcome = spec.outcome;
                 outcome.graph_edges += appended_edges;
                 if spec.rewaved {
-                    // The legacy pipeline would have counted this member
-                    // as a retry (its initial speculation was already
-                    // stale when the wave ran, and staleness only
-                    // grows) — keep the counters byte-identical.
+                    // Without the wave this member would have been a
+                    // retry: its initial speculation was already stale
+                    // when the wave ran, and staleness only grows.
                     self.metrics.speculative_retries += 1;
                 } else {
                     self.metrics.speculative_hits += 1;
@@ -1984,27 +1846,19 @@ impl Simulation {
         let hb_final = self.base.base().master().clone();
         self.sync_cache();
         let merger = self.merger(algorithm, fix_mode);
-        let assist = MergeAssist {
-            base_edges: Some(&self.base_edge_cache),
-            hb_final: Some(&hb_final),
-            fastpath: self.config.cohort.fastpath,
-            defer_witness: self.config.cohort.fastpath,
-        };
+        let assist =
+            MergeAssist { base_edges: Some(&self.base_edge_cache), hb_final: Some(&hb_final) };
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
-        let planned = if self.config.reuse_merge_scratch {
-            merger.merge_traced_scratch(
-                &self.arena,
-                &hm,
-                &hb,
-                &s0,
-                assist,
-                &tracer,
-                &mut self.merge_scratch,
-            )
-        } else {
-            merger.merge_traced(&self.arena, &hm, &hb, &s0, assist, &tracer)
-        };
+        let planned = merger.merge_traced_scratch(
+            &self.arena,
+            &hm,
+            &hb,
+            &s0,
+            assist,
+            &tracer,
+            &mut self.merge_scratch,
+        );
         self.last_plan_ns = tracer.span_end(Phase::MergePlan, span);
         match planned {
             Ok(outcome) => {
@@ -2051,19 +1905,15 @@ impl Simulation {
         let merger = self.merger(algorithm, fix_mode);
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
-        let planned = if self.config.reuse_merge_scratch {
-            merger.merge_traced_scratch(
-                &self.arena,
-                &hm,
-                &hb,
-                &s0,
-                MergeAssist::default(),
-                &tracer,
-                &mut self.merge_scratch,
-            )
-        } else {
-            merger.merge_traced(&self.arena, &hm, &hb, &s0, MergeAssist::default(), &tracer)
-        };
+        let planned = merger.merge_traced_scratch(
+            &self.arena,
+            &hm,
+            &hb,
+            &s0,
+            MergeAssist::default(),
+            &tracer,
+            &mut self.merge_scratch,
+        );
         self.last_plan_ns = tracer.span_end(Phase::MergePlan, span);
         match planned {
             Ok(outcome) => SyncDecision::Merge {
@@ -2711,9 +2561,6 @@ mod tests {
             durability: DurabilityConfig::default(),
             backlog_sample_every: 10,
             tracer: TracerHandle::noop(),
-            reuse_merge_scratch: false,
-            scheduler: SchedulerMode::EventQueue,
-            lean_base_log: false,
             compaction: CompactionConfig::default(),
             connectivity: ConnectivityModel::AlwaysOn,
             admission: AdmissionConfig::unbounded(),
@@ -3369,94 +3216,11 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_and_tick_scan_runs_are_byte_identical() {
-        for strategy in [
-            SyncStrategy::WindowStart { window: 100 },
-            SyncStrategy::AdaptiveWindow { max_hb: 20 },
-            SyncStrategy::PerDisconnectSnapshot,
-        ] {
-            let mut event_cfg = config(Protocol::merging_default(), strategy, 71);
-            event_cfg.check_convergence = true;
-            let mut scan_cfg = event_cfg.clone();
-            event_cfg.scheduler = SchedulerMode::EventQueue;
-            scan_cfg.scheduler = SchedulerMode::TickScan;
-            let event = Simulation::new(event_cfg).expect("valid sim config").run();
-            let scan = Simulation::new(scan_cfg).expect("valid sim config").run();
-            assert_eq!(event.final_master, scan.final_master, "{}", strategy.name());
-            assert_eq!(event.base_commits, scan.base_commits);
-            assert_eq!(event.cluster, scan.cluster);
-            assert_eq!(event.metrics.normalized(), scan.metrics.normalized());
-            assert_eq!(event.convergence, scan.convergence);
-        }
-    }
-
-    #[test]
-    fn event_mode_never_scans_the_fleet() {
-        // The tentpole's regression guard: under the event scheduler, the
-        // queue's pops are the ONLY way per-tick mobile work is found — no
-        // code path falls back to an O(fleet) traversal.
+    fn the_event_queue_drives_the_run() {
         let cfg = config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 9);
-        let duration = cfg.duration;
-        let event = Simulation::new(cfg.clone()).expect("valid sim config").run();
-        assert_eq!(event.metrics.sched.fleet_scans, 0, "event mode must not scan the fleet");
-        assert!(event.metrics.sched.events_popped > 0, "the queue drove the run");
-        assert!(
-            event.metrics.sched.events_pushed >= event.metrics.sched.events_popped,
-            "pops never exceed pushes: {:?}",
-            event.metrics.sched
-        );
-
-        let mut scan_cfg = cfg;
-        scan_cfg.scheduler = SchedulerMode::TickScan;
-        let scan = Simulation::new(scan_cfg).expect("valid sim config").run();
-        assert_eq!(
-            scan.metrics.sched.fleet_scans,
-            2 * duration,
-            "legacy mode scans twice per tick (generation + reconnect filter)"
-        );
-        assert_eq!(scan.metrics.sched.events_pushed, 0);
-        assert_eq!(scan.metrics.sched.events_popped, 0);
-    }
-
-    #[test]
-    fn lean_base_log_is_observation_free() {
-        for scheduler in [SchedulerMode::EventQueue, SchedulerMode::TickScan] {
-            let mut full_cfg = config(
-                Protocol::merging_default(),
-                SyncStrategy::AdaptiveWindow { max_hb: 20 },
-                77,
-            );
-            full_cfg.scheduler = scheduler;
-            full_cfg.check_convergence = true;
-            let mut lean_cfg = full_cfg.clone();
-            lean_cfg.lean_base_log = true;
-            let full = Simulation::new(full_cfg).expect("valid sim config").run();
-            let lean = Simulation::new(lean_cfg).expect("valid sim config").run();
-            assert_eq!(full.final_master, lean.final_master);
-            assert_eq!(full.base_commits, lean.base_commits);
-            assert_eq!(full.cluster, lean.cluster);
-            assert_eq!(full.metrics.normalized(), lean.metrics.normalized());
-            // The convergence oracle replays ids only, so it still holds
-            // over a lean log.
-            assert!(lean.convergence.expect("requested").holds());
-        }
-    }
-
-    #[test]
-    fn lean_base_log_rejects_after_state_readers() {
-        let mut durable =
-            config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 5);
-        durable.lean_base_log = true;
-        durable.durability = DurabilityConfig { enabled: true, checkpoint_every: 64 };
-        assert_eq!(Simulation::new(durable).err(), Some(SimConfigError::LeanLogNeedsNoDurability));
-
-        let mut snapshot =
-            config(Protocol::merging_default(), SyncStrategy::PerDisconnectSnapshot, 5);
-        snapshot.lean_base_log = true;
-        assert_eq!(
-            Simulation::new(snapshot).err(),
-            Some(SimConfigError::LeanLogNeedsWindowStrategy)
-        );
+        let sched = Simulation::new(cfg).expect("valid sim config").run().metrics.sched;
+        assert!(sched.events_popped > 0, "the queue drove the run");
+        assert!(sched.events_pushed >= sched.events_popped, "pops never exceed pushes: {sched:?}");
     }
 
     #[test]
@@ -3541,30 +3305,6 @@ mod tests {
         assert!(bounded.convergence.unwrap().holds());
         // Shedding reshapes cohorts, never loses work: same tentative load.
         assert_eq!(bounded.metrics.tentative_generated, unbounded.metrics.tentative_generated);
-    }
-
-    #[test]
-    fn scheduler_modes_agree_under_storm_and_admission() {
-        // The deferred queue is FIFO over the same deterministic arrival
-        // order in both schedulers, so the byte-identity contract between
-        // TickScan and EventQueue survives admission control and storms.
-        let mut cfg =
-            config(Protocol::merging_default(), SyncStrategy::AdaptiveWindow { max_hb: 24 }, 53);
-        cfg.connectivity = ConnectivityModel::OutageStorm {
-            start: 100,
-            outage_ticks: 30,
-            surge_ticks: 20,
-            fault_boost: 4.0,
-        };
-        cfg.admission = AdmissionConfig::bounded(2);
-        cfg.scheduler = SchedulerMode::TickScan;
-        let scan = Simulation::new(cfg.clone()).expect("valid sim config").run();
-        cfg.scheduler = SchedulerMode::EventQueue;
-        let events = Simulation::new(cfg).expect("valid sim config").run();
-        assert_eq!(scan.final_master, events.final_master);
-        assert_eq!(scan.base_commits, events.base_commits);
-        assert_eq!(scan.metrics.normalized(), events.metrics.normalized());
-        assert_eq!(scan.metrics.storm, events.metrics.storm);
     }
 
     #[test]

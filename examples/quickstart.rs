@@ -50,7 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  saved           = {:?}", names(&outcome.saved));
     println!("  backed out      = {:?}", names(&outcome.backed_out));
-    if let Some(merged) = &outcome.merged_history {
+    // Theorem 1's witness: the graph without the backed-out transactions.
+    let removed = outcome.backed_out.iter().copied().collect();
+    if let Some(merged) = graph.merged_history_without(&removed) {
         let ids: Vec<_> = merged.iter().collect();
         println!("  merged history  = {:?}", names(&ids));
     }

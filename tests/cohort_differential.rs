@@ -1,23 +1,29 @@
-//! Differential tests of the PR-10 cohort install pipeline: bounded wave
-//! re-speculation for invalidated cohort remainders and the mask-disjoint
-//! conflict-free merge fast path must both be pure mechanism. Every run
-//! with [`CohortConfig::tuned`] (and each knob alone) is compared against
-//! the legacy pipeline ([`CohortConfig::legacy`], the default) over
-//! generated scenarios spanning protocol × strategy × cohort size, and
-//! must be byte-identical on the final master, the base commit log, every
-//! per-mobile sync record (saved / backed-out / reprocessed), and the full
-//! cost accounting — only the normalized-away cohort counters (fast-path
-//! hits, wave rounds, cache appends) may move.
+//! Differential tests of the cohort install pipeline: a reconnect cohort
+//! merged concurrently must commit exactly what the same cohort merged one
+//! member at a time.
+//!
+//! Under `Parallelism::Serial` no cohort speculates: every member merges
+//! live against the grown epoch history at its install turn. Under
+//! `Parallelism::Threads(4)` the cohort merges concurrently against the
+//! window-start snapshot, each speculative outcome is validated at its
+//! install turn, stale remainders are re-speculated in bounded waves, and
+//! footprint-disjoint members take the merge fast path. Over generated
+//! scenarios spanning protocol × strategy × cohort size the two runs must
+//! agree byte for byte on the final master, the base commit count, the
+//! cluster statistics, every per-sync record, the cost totals and every
+//! behavioural counter except the speculative hit/retry split (a serial
+//! run never speculates). Both runs also check the convergence oracle.
 //!
 //! The deterministic fault-matrix sweep at the bottom runs every fault
-//! kind under bounded admission with waves and the fast path on, holding
-//! the convergence oracle to the same bar as the legacy fault matrix.
+//! kind under bounded admission with the concurrent pipeline engaged,
+//! holding the convergence oracle to the same bar as the fault matrix.
 
 use proptest::prelude::*;
 
+use histmerge::replication::metrics::Metrics;
 use histmerge::replication::{
-    AdmissionConfig, CohortConfig, FaultKind, FaultPlan, FaultRates, Parallelism, Protocol,
-    SimConfig, SimReport, Simulation, SyncPath, SyncStrategy,
+    AdmissionConfig, FaultKind, FaultPlan, FaultRates, Parallelism, Protocol, SimConfig, SimReport,
+    Simulation, SyncPath, SyncStrategy,
 };
 use histmerge::workload::generator::ScenarioParams;
 
@@ -30,9 +36,7 @@ const STRATEGIES: [SyncStrategy; 3] = [
 /// A cohort-heavy scenario: synchronized reconnects put the whole fleet
 /// into one merge cohort, and a hot, conflict-prone workload makes
 /// earlier installs invalidate later members' speculations — the regime
-/// waves exist for. Compaction stays off: the strict byte-identity bar
-/// here includes the cost model (the compacted regime is covered by
-/// `session_differential`'s cost-masked run).
+/// waves exist for. Every mechanism comes from `SimConfig::default()`.
 fn config(
     protocol: Protocol,
     strategy: SyncStrategy,
@@ -61,54 +65,55 @@ fn config(
         base_capacity: 200.0,
         synchronized_reconnects: true,
         // Pin the worker count so the speculative phase engages on any
-        // host; the outcome is parallelism-independent either way.
+        // host.
         parallelism: Parallelism::Threads(4),
+        check_convergence: true,
         ..SimConfig::default()
     }
 }
 
-/// Runs `base` under the legacy pipeline and under `cohort`, asserting
-/// byte-identity on everything the normalization contract keeps. Returns
-/// both reports for mechanism-engagement assertions.
-fn assert_cohort_identity(
-    base: SimConfig,
-    cohort: CohortConfig,
-    label: &str,
-) -> (SimReport, SimReport) {
-    let mut legacy_config = base.clone();
-    legacy_config.cohort = CohortConfig::legacy();
-    let legacy = Simulation::new(legacy_config).expect("valid sim config").run();
-    let mut tuned_config = base;
-    tuned_config.cohort = cohort;
-    tuned_config.check_convergence = true;
-    let tuned = Simulation::new(tuned_config).expect("valid sim config").run();
+/// What a serial and a threaded run must share: everything
+/// `Metrics::normalized` keeps except the speculative hit/retry split.
+fn comparable(m: &Metrics) -> Metrics {
+    Metrics { speculative_hits: 0, speculative_retries: 0, ..m.normalized() }
+}
 
-    assert_eq!(legacy.final_master, tuned.final_master, "{label}: master state diverged");
-    assert_eq!(legacy.base_commits, tuned.base_commits, "{label}: commit count diverged");
-    assert_eq!(legacy.cluster, tuned.cluster, "{label}: cluster stats diverged");
+/// Runs `base` serially and with four workers, asserting both runs commit
+/// the same thing and pass the convergence oracle. Returns
+/// `(serial, threaded)` for mechanism-engagement assertions.
+fn assert_matches_serial(base: SimConfig, label: &str) -> (SimReport, SimReport) {
+    let serial_config = SimConfig { parallelism: Parallelism::Serial, ..base.clone() };
+    let serial = Simulation::new(serial_config).expect("valid sim config").run();
+    let threaded_config = SimConfig { parallelism: Parallelism::Threads(4), ..base };
+    let threaded = Simulation::new(threaded_config).expect("valid sim config").run();
+
+    assert_eq!(serial.final_master, threaded.final_master, "{label}: master state diverged");
+    assert_eq!(serial.base_commits, threaded.base_commits, "{label}: commit count diverged");
+    assert_eq!(serial.cluster, threaded.cluster, "{label}: cluster stats diverged");
     // Per-mobile saved / backed-out / reprocessed, exactly.
-    assert_eq!(legacy.metrics.records, tuned.metrics.records, "{label}: sync records diverged");
-    // Everything else: counters (speculative hits/retries included), cost
-    // totals, backlog trajectory. Only wall clock and the cohort
-    // mechanism counters are normalized away.
+    assert_eq!(serial.metrics.records, threaded.metrics.records, "{label}: sync records diverged");
+    // Everything else: counters, cost totals, backlog trajectory.
     assert_eq!(
-        legacy.metrics.normalized(),
-        tuned.metrics.normalized(),
+        comparable(&serial.metrics),
+        comparable(&threaded.metrics),
         "{label}: metrics diverged"
     );
-    let convergence = tuned.convergence.expect("tuned run checked convergence");
-    assert!(convergence.holds(), "{label}: convergence oracle failed: {convergence:?}");
-    (legacy, tuned)
+    for (report, arm) in [(&serial, "serial"), (&threaded, "threaded")] {
+        let convergence = report.convergence.expect("convergence checked");
+        assert!(convergence.holds(), "{label}/{arm}: convergence oracle failed: {convergence:?}");
+    }
+    (serial, threaded)
 }
 
 proptest! {
     // Whole-simulation differentials: few, fat cases.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The full tuned pipeline (waves + fast path) is byte-identical to
-    /// the legacy pipeline across protocol × strategy × cohort size.
+    /// The concurrent pipeline (speculation, waves, fast path) commits
+    /// exactly what the serial pipeline commits across protocol ×
+    /// strategy × cohort size.
     #[test]
-    fn tuned_pipeline_matches_legacy(
+    fn threaded_pipeline_matches_serial(
         seed in 0u64..10_000,
         strategy_idx in 0usize..3,
         n_mobiles in 2usize..10,
@@ -125,32 +130,14 @@ proptest! {
         let label = format!(
             "{}/{}/x{n_mobiles}/seed {seed}", protocol.name(), strategy.name()
         );
-        assert_cohort_identity(base, CohortConfig::tuned(), &label);
+        assert_matches_serial(base, &label);
     }
 
-    /// Each knob alone holds the same bar: the fast path without waves,
-    /// and waves without the fast path.
-    #[test]
-    fn each_knob_alone_matches_legacy(
-        seed in 0u64..10_000,
-        strategy_idx in 0usize..3,
-        n_mobiles in 2usize..8,
-    ) {
-        let strategy = STRATEGIES[strategy_idx];
-        let base = config(Protocol::merging_default(), strategy, n_mobiles, seed, 0.6);
-        let fastpath_only = CohortConfig { max_waves: 0, fastpath: true };
-        let waves_only = CohortConfig { max_waves: 3, fastpath: false };
-        let label = format!("{}/x{n_mobiles}/seed {seed}", strategy.name());
-        assert_cohort_identity(base.clone(), fastpath_only, &format!("{label}/fastpath-only"));
-        assert_cohort_identity(base, waves_only, &format!("{label}/waves-only"));
-    }
-
-    /// The session path holds the bar too: a tuned session run equals the
-    /// legacy session run on the same terms (waves interact with the
+    /// The session path holds the bar too: waves interact with the
     /// resumable handshake only through the speculation map, which is
-    /// per-reconnect either way).
+    /// per-reconnect either way.
     #[test]
-    fn tuned_session_path_matches_legacy(
+    fn threaded_session_path_matches_serial(
         seed in 0u64..10_000,
         n_mobiles in 2usize..8,
     ) {
@@ -164,54 +151,44 @@ proptest! {
         base.sync_path = SyncPath::Session;
         base.fault = FaultPlan::none();
         let label = format!("session/x{n_mobiles}/seed {seed}");
-        assert_cohort_identity(base, CohortConfig::tuned(), &label);
+        assert_matches_serial(base, &label);
     }
 }
 
-/// The mechanisms actually engage in the regime the differentials sweep:
-/// a hot synchronized cohort drives wave rounds, and a cold disjoint
-/// cohort drives fast-path merges. Guards against the suite silently
-/// comparing two runs that both took the legacy path everywhere.
+/// The mechanisms actually engage under the default configuration: a hot
+/// synchronized cohort drives wave rounds, and a cold disjoint cohort
+/// drives fast-path merges. Guards against the suite silently comparing
+/// two runs that never speculated.
 #[test]
 fn tuned_mechanisms_engage() {
     // Hot workload: earlier installs invalidate later speculations.
-    let hot = config(
-        Protocol::merging_default(),
-        SyncStrategy::WindowStart { window: 120 },
-        8,
-        42,
-        0.9,
-    );
-    let (legacy, tuned) = assert_cohort_identity(hot, CohortConfig::tuned(), "engage/hot");
+    let hot =
+        config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 120 }, 8, 42, 0.9);
+    let (serial, threaded) = assert_matches_serial(hot, "engage/hot");
     assert!(
-        legacy.metrics.speculative_retries > 0,
+        threaded.metrics.speculative_retries > 0,
         "hot scenario produced no invalidations to wave over"
     );
-    assert!(tuned.metrics.cohort.wave_rounds > 0, "no wave ever ran");
-    assert!(tuned.metrics.cohort.edge_cache_appends > 0, "edge cache never appended");
-    assert_eq!(legacy.metrics.cohort.wave_rounds, 0, "legacy pipeline ran a wave");
-    assert_eq!(legacy.metrics.cohort.fastpath_merges, 0, "legacy pipeline took the fast path");
+    assert!(threaded.metrics.cohort.wave_rounds > 0, "no wave ever ran");
+    assert!(threaded.metrics.cohort.edge_cache_appends > 0, "edge cache never appended");
+    let speculated = serial.metrics.speculative_hits + serial.metrics.speculative_retries;
+    assert_eq!(speculated, 0, "the serial run speculated");
+    assert_eq!(serial.metrics.cohort.wave_rounds, 0, "the serial run ran a wave");
 
     // Cold workload: wide keyspace, no hotspot — pending histories are
     // usually disjoint from the concurrent base slice.
-    let mut cold = config(
-        Protocol::merging_default(),
-        SyncStrategy::WindowStart { window: 120 },
-        6,
-        43,
-        0.0,
-    );
+    let mut cold =
+        config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 120 }, 6, 43, 0.0);
     cold.workload.n_vars = 512;
     cold.workload.hot_fraction = 0.0;
-    let (_, tuned) = assert_cohort_identity(cold, CohortConfig::tuned(), "engage/cold");
-    assert!(tuned.metrics.cohort.fastpath_merges > 0, "no merge ever took the fast path");
+    let (_, threaded) = assert_matches_serial(cold, "engage/cold");
+    assert!(threaded.metrics.cohort.fastpath_merges > 0, "no merge ever took the fast path");
 }
 
 /// The fault-matrix row: every fault kind under bounded admission with
-/// waves and the fast path on. The convergence oracle must hold for every
-/// schedule, exactly as the legacy fault matrix demands. `FAULT_SEEDS`
-/// scales the schedules per cell (CI's fault-matrix job runs release with
-/// a large matrix).
+/// the concurrent pipeline engaged. The convergence oracle must hold for
+/// every schedule. `FAULT_SEEDS` scales the schedules per cell (CI's
+/// fault-matrix job runs release with a large matrix).
 #[test]
 fn seed_matrix_convergence_with_waves() {
     let seeds: u64 = std::env::var("FAULT_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(4);
@@ -237,8 +214,6 @@ fn seed_matrix_convergence_with_waves() {
             cfg.sync_path = SyncPath::Session;
             cfg.fault = FaultPlan::seeded(7000 + s, FaultRates::only(kind, rate));
             cfg.admission = AdmissionConfig::bounded(3);
-            cfg.cohort = CohortConfig::tuned();
-            cfg.check_convergence = true;
             let report = Simulation::new(cfg).expect("valid sim config").run();
             let convergence = report.convergence.expect("oracle requested");
             assert!(

@@ -47,7 +47,7 @@ fn populated_metrics() -> Metrics {
             pruned_records: 11,
             shadow_recoveries: 1,
         },
-        sched: SchedStats { fleet_scans: 800, events_pushed: 96, events_popped: 90 },
+        sched: SchedStats { events_pushed: 96, events_popped: 90 },
         compaction: CompactionStats { txns_in: 9, txns_out: 6, runs_squashed: 2 },
         cohort: CohortStats { fastpath_merges: 5, wave_rounds: 1, edge_cache_appends: 33 },
         storm: StormStats {
@@ -114,7 +114,7 @@ fn metrics_json_shape_is_pinned() {
             "\"ledger_gaps\":1},",
             "\"wal\":{\"records\":200,\"bytes\":8192,\"checkpoints\":3,",
             "\"segments_retired\":2,\"pruned_records\":11,\"shadow_recoveries\":1},",
-            "\"sched\":{\"fleet_scans\":800,\"events_pushed\":96,\"events_popped\":90},",
+            "\"sched\":{\"events_pushed\":96,\"events_popped\":90},",
             "\"compaction\":{\"txns_in\":9,\"txns_out\":6,\"runs_squashed\":2},",
             "\"cohort\":{\"fastpath_merges\":5,\"wave_rounds\":1,\"edge_cache_appends\":33},",
             "\"storm\":{\"shed\":7,\"deferred_drained\":7,\"deferred_peak\":4,",
@@ -134,7 +134,7 @@ fn default_metrics_json_is_all_zeroes_and_valid() {
     assert!(json.starts_with("{\"tentative_generated\":0,"));
     assert!(json.contains("\"fault\":{\"dropped\":0,"));
     assert!(json.contains("\"wal\":{\"records\":0,"));
-    assert!(json.contains("\"sched\":{\"fleet_scans\":0,"));
+    assert!(json.contains("\"sched\":{\"events_pushed\":0,"));
     assert!(json.contains("\"compaction\":{\"txns_in\":0,\"txns_out\":0,\"runs_squashed\":0}"));
     assert!(json.contains(
         "\"cohort\":{\"fastpath_merges\":0,\"wave_rounds\":0,\"edge_cache_appends\":0}"
@@ -159,8 +159,8 @@ fn normalized_is_unchanged_when_compaction_is_off() {
 }
 
 /// The cohort block is mechanism accounting (fast-path hits, wave
-/// rounds, cache appends): `normalized()` zeroes it, so wave-enabled
-/// runs stay comparable against legacy-pipeline baselines.
+/// rounds, cache appends): `normalized()` zeroes it, so serial and
+/// threaded runs of one scenario stay comparable.
 #[test]
 fn normalized_strips_cohort_counters() {
     let mut m = populated_metrics();

@@ -57,7 +57,10 @@ proptest! {
         let sc = generate(&params);
         let merger = Merger::new(MergeConfig::default());
         let outcome = merger.merge(&sc.arena, &sc.hm, &sc.hb, &sc.s0).unwrap();
-        let merged = outcome.merged_history.clone().expect("acyclic after back-out");
+        let removed: BTreeSet<_> = outcome.backed_out.iter().copied().collect();
+        let merged = PrecedenceGraph::build(&sc.arena, &sc.hm, &sc.hb)
+            .merged_history_without(&removed)
+            .expect("acyclic after back-out");
         let replay = AugmentedHistory::execute(&sc.arena, &merged, &sc.s0).unwrap();
         // Every item a saved transaction wrote (and every base-written
         // item) must agree; padding items equal s0 in both.

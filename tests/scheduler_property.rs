@@ -15,8 +15,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use histmerge::replication::{
-    fork_rng, Event, EventKind, EventQueue, FaultPlan, FaultRates, Protocol, SchedulerMode,
-    SimConfig, Simulation, SyncPath, SyncStrategy,
+    fork_rng, Event, EventKind, EventQueue, FaultPlan, FaultRates, Protocol, SimConfig, Simulation,
+    SyncPath, SyncStrategy,
 };
 use histmerge::workload::generator::ScenarioParams;
 
@@ -28,7 +28,7 @@ fn arb_event() -> impl Strategy<Value = Event> {
     })
 }
 
-fn sim_config(seed: u64, scheduler: SchedulerMode) -> SimConfig {
+fn sim_config(seed: u64) -> SimConfig {
     SimConfig {
         n_mobiles: 3,
         duration: 160,
@@ -38,7 +38,6 @@ fn sim_config(seed: u64, scheduler: SchedulerMode) -> SimConfig {
         protocol: Protocol::merging_default(),
         strategy: SyncStrategy::WindowStart { window: 80 },
         workload: ScenarioParams { n_vars: 48, seed, ..ScenarioParams::default() },
-        scheduler,
         ..SimConfig::default()
     }
 }
@@ -104,28 +103,26 @@ proptest! {
     /// plan whose rates are all zero (so it draws from the *fault* RNG
     /// stream without ever firing) must not move a single workload,
     /// jitter, or scheduling draw — the run is byte-identical to the
-    /// plan-free run, under both schedulers.
+    /// plan-free run.
     #[test]
     fn inactive_fault_stream_never_shifts_workload_draws(
         seed in 0u64..2000,
         fault_seed in 0u64..2000,
     ) {
-        for scheduler in [SchedulerMode::EventQueue, SchedulerMode::TickScan] {
-            let quiet = sim_config(seed, scheduler);
-            let mut faulted = quiet.clone();
-            faulted.sync_path = SyncPath::Session;
-            faulted.fault = FaultPlan::seeded(fault_seed, FaultRates::zero());
-            let mut clean = quiet.clone();
-            clean.sync_path = SyncPath::Session;
-            clean.fault = FaultPlan::none();
-            let quiet = Simulation::new(quiet).expect("valid sim config").run();
-            let faulted = Simulation::new(faulted).expect("valid sim config").run();
-            let clean = Simulation::new(clean).expect("valid sim config").run();
-            prop_assert_eq!(&faulted.final_master, &quiet.final_master);
-            prop_assert_eq!(&clean.final_master, &quiet.final_master);
-            prop_assert_eq!(faulted.metrics.normalized(), clean.metrics.normalized());
-            prop_assert_eq!(faulted.base_commits, quiet.base_commits);
-        }
+        let quiet = sim_config(seed);
+        let mut faulted = quiet.clone();
+        faulted.sync_path = SyncPath::Session;
+        faulted.fault = FaultPlan::seeded(fault_seed, FaultRates::zero());
+        let mut clean = quiet.clone();
+        clean.sync_path = SyncPath::Session;
+        clean.fault = FaultPlan::none();
+        let quiet = Simulation::new(quiet).expect("valid sim config").run();
+        let faulted = Simulation::new(faulted).expect("valid sim config").run();
+        let clean = Simulation::new(clean).expect("valid sim config").run();
+        prop_assert_eq!(&faulted.final_master, &quiet.final_master);
+        prop_assert_eq!(&clean.final_master, &quiet.final_master);
+        prop_assert_eq!(faulted.metrics.normalized(), clean.metrics.normalized());
+        prop_assert_eq!(faulted.base_commits, quiet.base_commits);
     }
 
     /// `fork_rng` forks are a pure function of the base stream's position:

@@ -3,49 +3,30 @@
 //! with `FaultPlan::none()`, must reproduce the legacy atomic handshake
 //! byte-for-byte — same final master, same commit counts, same per-sync
 //! records, same cost totals. Only `parallel_merge_ns` (wall clock) and
-//! the WAL volume counters are exempt, via `Metrics::normalized`.
+//! the mechanism and WAL volume counters are exempt, via
+//! `Metrics::normalized`.
 //!
-//! Each scenario is additionally run a third time with durability
-//! enabled: write-ahead logging must be observation-only, so the durable
-//! session run must equal the legacy run on exactly the same terms — and a
-//! fourth time with a flight-recorder ring tracer attached, because
-//! tracing must be observation-only on exactly the same terms too. A fifth
-//! run enables `reuse_merge_scratch`, pinning that carrying merge working
-//! memory across windows never changes an outcome. A sixth run flips the
-//! reference's event-driven scheduler back to the legacy per-tick fleet
-//! scan (`SchedulerMode::TickScan`), pinning the PR-6 tentpole claim: how
-//! a tick *finds* its due mobiles (O(fleet) scan vs popping a priority
-//! queue) never changes what the simulation *does*. A seventh run enables
-//! the pre-merge compactor: squashing pending runs into composites
-//! changes what a merge *costs* (fewer, fatter transactions), but not one
-//! committed byte — so that run is compared with the cost-model outputs
-//! (cost totals, backlog trajectory) masked out and everything else held
-//! to the same byte-identity bar. An eighth run pins the PR-8 structured
-//! connectivity layer: an explicit `ConnectivityModel::AlwaysOn` with
-//! unbounded admission AND a saturated duty cycle (`on_ticks == period`,
-//! exercising the non-trivial trace arithmetic) must both be the
-//! identity — the connectivity model adjusts schedules *after* the legacy
-//! cadence draws, it never consumes or adds randomness. A ninth run
-//! turns on the full PR-9 fleet telemetry (the per-tick time-series
-//! collector plus merge autopsies, on top of the flight-recorder ring):
-//! telemetry reads simulation state after the fact, so the fully
-//! instrumented run must hold to the same byte-identity bar while the
-//! series fills and every sync closes an autopsy. A tenth run turns on
-//! the PR-10 tuned cohort pipeline (bounded wave re-speculation plus the
-//! mask-disjoint merge fast path): both are pure mechanism — a conflict
-//! the fast path skips is a conflict that was never there, and a wave
-//! only precomputes exactly the merges the serial fallback would run —
-//! so the tuned run must be byte-identical on every scenario, including
-//! the speculative hit/retry counters.
+//! Each scenario is also re-run on the session path with each
+//! observation-only layer switched on, and every one must equal the
+//! legacy run on the same terms: write-ahead logging; a flight-recorder
+//! ring tracer; the structured connectivity layer spelled out (an
+//! explicit `ConnectivityModel::AlwaysOn` with unbounded admission, and a
+//! saturated duty cycle, `on_ticks == period`, exercising the non-trivial
+//! trace arithmetic — the connectivity model adjusts schedules after the
+//! cadence draws and never consumes or adds randomness); and the full
+//! fleet telemetry (the per-tick time-series collector plus merge
+//! autopsies). A compaction run squashes pending runs into composites:
+//! that changes what a merge *costs* (fewer, fatter transactions) but not
+//! one committed byte, so it is compared with the cost-model outputs (cost
+//! totals, backlog trajectory) masked out.
 
 use std::sync::Arc;
 
 use histmerge::obs::{FlightRecorder, TimeSeries, TracerHandle};
 use histmerge::replication::metrics::Metrics;
 use histmerge::replication::{
-    AdmissionConfig, CohortConfig, ConnectivityModel, DurabilityConfig, FaultPlan, FaultStats,
-    Protocol, SchedulerMode, SimConfig, SimReport, Simulation, SyncPath, SyncStrategy,
-    TelemetryConfig,
+    AdmissionConfig, ConnectivityModel, DurabilityConfig, FaultPlan, FaultStats, Protocol,
+    SimConfig, SimReport, Simulation, SyncPath, SyncStrategy, TelemetryConfig,
 };
 use histmerge::semantics::CompactionConfig;
 use histmerge::workload::cost::CostReport;
@@ -80,24 +61,13 @@ fn config(protocol: Protocol, seed: u64) -> SimConfig {
 }
 
 /// Runs `config` through both paths — and the session path again with
-/// durability enabled, with a flight-recorder ring attached, with
-/// merge-scratch reuse across windows, and with full fleet telemetry
-/// (time-series + autopsies) — plus a run on the legacy tick-scan
-/// scheduler, and asserts the reports are identical.
+/// durability enabled, with a flight-recorder ring attached, with the
+/// connectivity layer spelled out, with full fleet telemetry
+/// (time-series + autopsies), and with compaction — and asserts the
+/// reports are identical.
 fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
     config.sync_path = SyncPath::Legacy;
     let legacy = Simulation::new(config.clone()).expect("valid sim config").run();
-    // Sixth run: the legacy path again, but with the per-tick fleet scan
-    // instead of the (default) event queue. The scheduler is pure
-    // mechanism, so everything but the normalized-away scheduler counters
-    // must match the reference byte-for-byte.
-    let mut tickscan_config = config.clone();
-    tickscan_config.scheduler = SchedulerMode::TickScan;
-    tickscan_config.check_convergence = true;
-    let tickscan = Simulation::new(tickscan_config).expect("valid sim config").run();
-    assert_eq!(tickscan.metrics.sched.events_popped, 0, "{label}: tick scan used the queue");
-    assert!(legacy.metrics.sched.events_popped > 0, "{label}: reference never popped events");
-    assert_eq!(legacy.metrics.sched.fleet_scans, 0, "{label}: event mode scanned the fleet");
     config.sync_path = SyncPath::Session;
     config.fault = FaultPlan::none();
     config.check_convergence = true;
@@ -105,21 +75,15 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
     let mut durable_config = config.clone();
     durable_config.durability = DurabilityConfig { enabled: true, checkpoint_every: 96 };
     let durable = Simulation::new(durable_config).expect("valid sim config").run();
-    // Fifth run: one MergeScratch carried across every window merge.
-    // Scratch reuse is observation-free, so `normalized()` must stay
-    // byte-identical to the fresh-buffers runs.
-    let mut scratch_config = config.clone();
-    scratch_config.reuse_merge_scratch = true;
-    let scratched = Simulation::new(scratch_config).expect("valid sim config").run();
-    // Seventh run: the pre-merge compactor squashes pending histories
+    // Compaction: the pre-merge compactor squashes pending histories
     // before they are planned.
     let mut squash_config = config.clone();
     squash_config.compaction = CompactionConfig::enabled();
     let squashed = Simulation::new(squash_config).expect("valid sim config").run();
-    // Eighth run: the structured connectivity layer spelled out
-    // explicitly — AlwaysOn + unbounded admission (the defaults, made
-    // loud) and a saturated duty cycle whose every `next_up` is the
-    // identity. Neither may move a single byte.
+    // The structured connectivity layer spelled out explicitly —
+    // AlwaysOn + unbounded admission (the defaults, made loud) and a
+    // saturated duty cycle whose every `next_up` is the identity. Neither
+    // may move a single byte.
     let mut explicit_config = config.clone();
     explicit_config.connectivity = ConnectivityModel::AlwaysOn;
     explicit_config.admission = AdmissionConfig::unbounded();
@@ -128,10 +92,10 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
     saturated_config.connectivity =
         ConnectivityModel::DutyCycle { period: 16, on_ticks: 16, seed: 1717 };
     let saturated = Simulation::new(saturated_config).expect("valid sim config").run();
-    // Ninth run: the full PR-9 fleet telemetry — per-tick time-series
-    // collection and merge autopsies on top of the flight-recorder ring.
-    // Telemetry reads simulation state after the fact, so the fully
-    // instrumented run must stay byte-identical too.
+    // The full fleet telemetry — per-tick time-series collection and
+    // merge autopsies on top of the flight-recorder ring. Telemetry reads
+    // simulation state after the fact, so the fully instrumented run must
+    // stay byte-identical too.
     let recorder = Arc::new(FlightRecorder::new(4096));
     let series = Arc::new(TimeSeries::new(1, 1024));
     let mut telemetry_config = config.clone();
@@ -139,14 +103,6 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
     telemetry_config.telemetry = TelemetryConfig { series: Some(series.clone()), autopsy: true };
     let instrumented = Simulation::new(telemetry_config).expect("valid sim config").run();
     assert!(!series.is_empty(), "{label}: the telemetry run sampled nothing");
-    // Tenth run: the tuned cohort install pipeline — wave re-speculation
-    // for invalidated cohort remainders plus the mask-disjoint merge
-    // fast path. Pure mechanism, so `normalized()` (which zeroes the
-    // cohort counters) must stay byte-identical, hit/retry counters
-    // included.
-    let mut waves_config = config.clone();
-    waves_config.cohort = CohortConfig::tuned();
-    let waved = Simulation::new(waves_config).expect("valid sim config").run();
     let autopsies = recorder.autopsies();
     assert!(!autopsies.is_empty(), "{label}: the telemetry run produced no autopsies");
     // Back-outs always lose to a concrete conflict partner; partner-less
@@ -162,9 +118,9 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
             );
         }
     }
-    // Fourth run: same session config with the flight recorder listening.
-    // Tracing is observation-only, so `normalized()` must stay
-    // byte-identical to the untraced runs.
+    // Same session config with the flight recorder listening. Tracing is
+    // observation-only, so `normalized()` must stay byte-identical to the
+    // untraced runs.
     let ring = FlightRecorder::handle(4096);
     config.tracer = ring.clone();
     let traced = Simulation::new(config).expect("valid sim config").run();
@@ -177,12 +133,9 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
         (&session, "session"),
         (&durable, "session+wal"),
         (&traced, "session+trace"),
-        (&scratched, "session+scratch"),
-        (&tickscan, "legacy+tickscan"),
         (&explicit, "session+always-on"),
         (&saturated, "session+saturated-duty"),
         (&instrumented, "session+telemetry"),
-        (&waved, "session+waves"),
     ] {
         assert_eq!(
             legacy.final_master, candidate.final_master,
