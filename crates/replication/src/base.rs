@@ -4,11 +4,11 @@ use std::sync::Arc;
 
 use histmerge_history::{SerialHistory, TxnArena};
 use histmerge_txn::{
-    DbState, Expr, Fix, Program, ProgramBuilder, Statement, Transaction, TxnId, TxnKind,
+    DbState, Expr, Fix, Program, ProgramBuilder, Statement, Transaction, TxnId, TxnKind, VarSet,
 };
 
 /// The (logically centralized) base tier: the master copy of every data
-/// item plus the committed base history with per-commit after states.
+/// item plus the committed base history with per-commit write deltas.
 ///
 /// The paper treats the base nodes as one serializable store ("base
 /// transactions ... involve several base nodes" but produce one master
@@ -16,8 +16,10 @@ use histmerge_txn::{
 #[derive(Debug, Clone)]
 pub struct BaseNode {
     master: DbState,
-    /// Committed history: `(txn, state after commit)`, since the start of
-    /// the simulation.
+    /// Committed history since the start of the simulation: `(txn,
+    /// writes)` per commit, where `writes` holds the committed values of
+    /// the transaction's write set — a redo log, the "final written
+    /// values" protocol step 5 forwards.
     log: Vec<(TxnId, DbState)>,
     /// Index into `log` where the current window (epoch) began, and the
     /// master state at that point — the common start state every merge in
@@ -25,12 +27,10 @@ pub struct BaseNode {
     epoch_start: usize,
     epoch_state: DbState,
     /// When `true`, commits record only transaction ids in the log — the
-    /// per-commit after states stay empty. Scale mode: a million-mobile
-    /// run cannot afford one full-state clone per commit, and nothing in
-    /// the Strategy-2 window protocol reads them (merges need ids and the
-    /// window-start state only). Incompatible with durability (WAL
-    /// snapshots ship after states) and Strategy-1 retro-patching (which
-    /// edits them); [`Simulation::new`] rejects those combinations.
+    /// per-commit write deltas stay empty. Only the write-ahead log reads
+    /// the deltas (merges need ids and the window-start state, Strategy-1
+    /// retro-patching needs ids for its write-set mask), so
+    /// [`Simulation::new`] sets this exactly when durability is off.
     ///
     /// [`Simulation::new`]: crate::Simulation::new
     lean: bool,
@@ -65,11 +65,11 @@ impl BaseNode {
     }
 
     /// Re-appends a recovered commit: the durable log stores each commit's
-    /// after state, so replay restores it directly instead of re-running
-    /// the transaction. Recovery-only.
-    pub(crate) fn restore_commit(&mut self, txn: TxnId, after: DbState) {
-        self.master = after.clone();
-        self.log.push((txn, after));
+    /// write delta, so replay applies it to the master instead of
+    /// re-running the transaction. Recovery-only.
+    pub(crate) fn restore_commit(&mut self, txn: TxnId, writes: DbState) {
+        self.master.apply(&writes);
+        self.log.push((txn, writes));
     }
 
     /// The current master state.
@@ -87,8 +87,9 @@ impl BaseNode {
         self.log.len()
     }
 
-    /// The committed log since simulation start: `(txn, after state)` per
-    /// commit — the durable content a WAL checkpoint snapshots.
+    /// The committed log since simulation start: `(txn, writes)` per
+    /// commit — the durable content a WAL checkpoint snapshots. The write
+    /// deltas are empty in a lean log.
     pub fn log(&self) -> &[(TxnId, DbState)] {
         &self.log
     }
@@ -141,13 +142,6 @@ impl BaseNode {
             .find(|&t| t != txn && !exclude.contains(&t) && arena.conflicts(txn, t))
     }
 
-    /// The after state of the `i`-th committed transaction (0-based), or
-    /// the initial state for `i == log length` counting from the back...
-    /// use [`BaseNode::master`] for the latest state.
-    pub fn state_after(&self, i: usize) -> &DbState {
-        &self.log[i].1
-    }
-
     /// Executes and commits a base transaction on the master.
     ///
     /// # Panics
@@ -159,8 +153,8 @@ impl BaseNode {
         let txn = arena.get(id);
         let out = txn.execute(&self.master, &Fix::empty()).expect("base transaction executes");
         self.master = out.after;
-        let after = if self.lean { DbState::new() } else { self.master.clone() };
-        self.log.push((id, after));
+        let writes = if self.lean { DbState::new() } else { self.master.project(txn.writeset()) };
+        self.log.push((id, writes));
     }
 
     /// Installs forwarded updates (protocol step 5) as a single *install*
@@ -208,17 +202,18 @@ impl BaseNode {
         self.epoch_state = self.master.clone();
     }
 
-    /// Strategy 1 support: patches every recorded state from `from_index`
-    /// onward with the given updates, *except* items later base
-    /// transactions wrote themselves. This models retroactively inserting
-    /// merged tentative updates at their serialization point, which is
-    /// exactly what invalidates other mobiles' snapshots (Section 2.2's
-    /// argument against Strategy 1).
+    /// Strategy 1 support: patches the master with the given updates,
+    /// *except* items base transactions from `from_index` onward wrote
+    /// themselves. This models retroactively inserting merged tentative
+    /// updates at their serialization point, which is exactly what
+    /// invalidates other mobiles' snapshots (Section 2.2's argument
+    /// against Strategy 1). The log is left alone: each entry holds only
+    /// its own transaction's writes, and those items are all masked.
     ///
     /// Fails when `from_index` lies beyond the committed log: such an
-    /// index names a serialization point that does not exist, and the old
-    /// behavior — skipping the log loop but still patching the master —
-    /// silently corrupted the master without any matching history entry.
+    /// index names a serialization point that does not exist, and patching
+    /// the master anyway would change it without any matching history
+    /// entry.
     pub fn retro_patch(
         &mut self,
         arena: &TxnArena,
@@ -228,20 +223,12 @@ impl BaseNode {
         if from_index > self.log.len() {
             return Err(RetroPatchError { from_index, log_len: self.log.len() });
         }
-        let mut masked: std::collections::BTreeSet<histmerge_txn::VarId> = Default::default();
-        for i in from_index..self.log.len() {
-            let (txn, state) = &mut self.log[i];
-            for var in arena.get(*txn).writeset().iter() {
-                masked.insert(var);
-            }
-            for (var, value) in updates.iter() {
-                if !masked.contains(&var) {
-                    state.set(var, value);
-                }
-            }
+        let mut masked = VarSet::new();
+        for (txn, _) in &self.log[from_index..] {
+            masked.extend_from(arena.get(*txn).writeset());
         }
         for (var, value) in updates.iter() {
-            if !masked.contains(&var) {
+            if !masked.contains(var) {
                 self.master.set(var, value);
             }
         }
@@ -321,19 +308,19 @@ mod tests {
         base.commit(&arena, t);
         assert_eq!(base.master().get(v(0)), 5);
         assert_eq!(base.committed(), 1);
-        assert_eq!(base.state_after(0).get(v(0)), 5);
+        assert_eq!(base.log()[0].1, [(v(0), 5)].into_iter().collect(), "log keeps the write delta");
         assert_eq!(base.full_history().order(), &[t]);
     }
 
     #[test]
-    fn lean_log_keeps_ids_but_no_after_states() {
+    fn lean_log_keeps_ids_but_no_write_deltas() {
         let mut arena = TxnArena::new();
         let mut base = BaseNode::with_lean(DbState::uniform(2, 0), true);
         let t = inc(&mut arena, "t", 0, 5);
         base.commit(&arena, t);
         assert_eq!(base.master().get(v(0)), 5, "master still advances");
         assert_eq!(base.full_history().order(), &[t]);
-        assert!(base.state_after(0).is_empty(), "lean log records no after state");
+        assert!(base.log()[0].1.is_empty(), "lean log records no write delta");
         let t2 = inc(&mut arena, "u", 1, 2);
         base.commit(&arena, t2);
         assert_eq!(base.history_suffix(1), vec![t2]);
@@ -402,21 +389,27 @@ mod tests {
     #[test]
     fn retro_patch_skips_overwritten_items() {
         let mut arena = TxnArena::new();
-        let mut base = BaseNode::new(DbState::uniform(2, 0));
+        let mut base = BaseNode::new(DbState::uniform(3, 0));
         let t1 = inc(&mut arena, "a", 0, 1); // writes d0
         base.commit(&arena, t1);
         let t2 = inc(&mut arena, "b", 1, 1); // writes d1
         base.commit(&arena, t2);
-        // Patch from index 0 with d0 := 100, d1... d0 is written by t1 at
-        // index 0 → masked everywhere; d1 written at index 1 → patched at
-        // index 0 only.
-        let updates: DbState = [(v(0), 100), (v(1), 50)].into_iter().collect();
+        let log_before = base.log().to_vec();
+        // Patch from index 1: only t2's d1 is masked, so d0 and d2 take
+        // the patched values while d1 keeps t2's write.
+        let updates: DbState = [(v(0), 100), (v(1), 50), (v(2), 7)].into_iter().collect();
+        base.retro_patch(&arena, 1, &updates).unwrap();
+        assert_eq!(base.log(), &log_before[..], "log entries hold only their own writes");
+        assert_eq!(base.master().get(v(0)), 100);
+        assert_eq!(base.master().get(v(1)), 1); // masked by t2's write
+        assert_eq!(base.master().get(v(2)), 7);
+        // From index 0, t1's d0 is masked as well.
+        let updates: DbState = [(v(0), 200), (v(1), 60), (v(2), 8)].into_iter().collect();
         base.retro_patch(&arena, 0, &updates).unwrap();
-        assert_eq!(base.state_after(0).get(v(0)), 1); // masked by t1's write
-        assert_eq!(base.state_after(0).get(v(1)), 50); // patched
-        assert_eq!(base.state_after(1).get(v(1)), 1); // masked by t2's write
+        assert_eq!(base.log(), &log_before[..]);
+        assert_eq!(base.master().get(v(0)), 100);
         assert_eq!(base.master().get(v(1)), 1);
-        assert_eq!(base.master().get(v(0)), 1);
+        assert_eq!(base.master().get(v(2)), 8);
     }
 
     #[test]
@@ -428,6 +421,7 @@ mod tests {
         let mut base = BaseNode::new(DbState::uniform(2, 0));
         let t = inc(&mut arena, "a", 0, 1);
         base.commit(&arena, t);
+        let log_before = base.log().to_vec();
         let updates: DbState = [(v(1), 50)].into_iter().collect();
         let err = base.retro_patch(&arena, 2, &updates).unwrap_err();
         assert_eq!(err.from_index, 2);
@@ -435,10 +429,11 @@ mod tests {
         assert!(err.to_string().contains("exceeds the committed log"));
         // Nothing changed — neither the log nor the master.
         assert_eq!(base.master().get(v(1)), 0);
-        assert_eq!(base.state_after(0).get(v(1)), 0);
-        // The boundary index (== log length) is legal: it patches nothing
-        // in the log but legitimately extends the final state.
+        assert_eq!(base.log(), &log_before[..]);
+        // The boundary index (== log length) is legal: it masks nothing
+        // and legitimately extends the final state.
         base.retro_patch(&arena, 1, &updates).unwrap();
         assert_eq!(base.master().get(v(1)), 50);
+        assert_eq!(base.log(), &log_before[..]);
     }
 }

@@ -6,8 +6,9 @@
 //! segments — is discarded), locate the **latest checkpoint** in that
 //! prefix, and replay the records after it:
 //!
-//! * [`WalRecord::Commit`] re-appends the commit with its durable after
-//!   state (no re-execution — the log stores states, not programs);
+//! * [`WalRecord::Commit`] re-appends the commit and applies its durable
+//!   write delta to the master (no re-execution — the log stores written
+//!   values, not programs);
 //! * [`WalRecord::WindowStart`] rolls the window and epoch counter;
 //! * [`WalRecord::RetroPatch`] replays a Strategy-1 retroactive install
 //!   (the transaction arena supplies writesets for masking — programs are
@@ -113,35 +114,36 @@ fn recover_inner(arena: &TxnArena, storage: &impl Storage) -> Result<Recovered, 
         .iter()
         .rposition(|r| matches!(r, WalRecord::Checkpoint(_)))
         .ok_or(RecoveryError::NoCheckpoint)?;
-    let snapshot = match &records[checkpoint_at] {
-        WalRecord::Checkpoint(snapshot) => snapshot.as_ref(),
-        _ => unreachable!("rposition matched a checkpoint"),
+    let mut replay = records.split_off(checkpoint_at).into_iter();
+    let Some(WalRecord::Checkpoint(snapshot)) = replay.next() else {
+        unreachable!("rposition matched a checkpoint")
     };
+    let snapshot = *snapshot;
 
     let mut base = BaseNode::from_parts(
-        snapshot.master.clone(),
-        snapshot.log.clone(),
+        snapshot.master,
+        snapshot.log,
         snapshot.epoch_start as usize,
-        snapshot.epoch_state.clone(),
+        snapshot.epoch_state,
     );
     let mut epoch = snapshot.epoch;
     let mut ledger = SessionLedger::new();
-    for (mobile, seq, record) in &snapshot.ledger {
-        ledger.insert(*mobile as usize, *seq, record.clone());
+    for (mobile, seq, record) in snapshot.ledger {
+        ledger.insert(mobile as usize, seq, record);
     }
 
     let mut records_applied = 0usize;
-    for record in &records[checkpoint_at + 1..] {
+    for record in replay {
         match record {
-            WalRecord::Commit { txn, after } => {
-                base.restore_commit(*txn, after.clone());
+            WalRecord::Commit { txn, writes } => {
+                base.restore_commit(txn, writes);
             }
             WalRecord::WindowStart => {
                 base.start_window();
                 epoch += 1;
             }
             WalRecord::RetroPatch { from_index, updates } => {
-                if base.retro_patch(arena, *from_index as usize, updates).is_err() {
+                if base.retro_patch(arena, from_index as usize, &updates).is_err() {
                     // A patch that no longer fits the recovered log is
                     // semantic corruption the CRC cannot see; stop at the
                     // last coherent record, as with a torn frame.
@@ -150,22 +152,22 @@ fn recover_inner(arena: &TxnArena, storage: &impl Storage) -> Result<Recovered, 
                 }
             }
             WalRecord::SessionInstall { mobile, seq, record } => {
-                ledger.insert(*mobile as usize, *seq, record.clone());
+                ledger.insert(mobile as usize, seq, record);
             }
             WalRecord::ReexecAdvance { mobile, seq, done } => {
-                if let Some(rec) = ledger.get_mut(*mobile as usize, *seq) {
-                    rec.reexec_done = *done as usize;
+                if let Some(rec) = ledger.get_mut(mobile as usize, seq) {
+                    rec.reexec_done = done as usize;
                 }
             }
             WalRecord::SessionComplete { mobile, seq } => {
-                if let Some(rec) = ledger.get_mut(*mobile as usize, *seq) {
+                if let Some(rec) = ledger.get_mut(mobile as usize, seq) {
                     rec.completed = true;
                 }
             }
             WalRecord::SessionPrune { mobile, upto_seq } => {
-                ledger.prune_acked(*mobile as usize, *upto_seq);
+                ledger.prune_acked(mobile as usize, upto_seq);
             }
-            WalRecord::Checkpoint(_) => unreachable!("checkpoint_at is the last checkpoint"),
+            WalRecord::Checkpoint(_) => unreachable!("the replay starts at the last checkpoint"),
         }
         records_applied += 1;
     }
@@ -192,9 +194,9 @@ mod tests {
     fn wal_with_two_commits() -> Wal<VecStorage> {
         let genesis = Snapshot::genesis(state(&[(0, 0), (1, 0)]));
         let mut wal = Wal::new(VecStorage::new(), &genesis);
-        wal.append(&WalRecord::Commit { txn: TxnId::new(0), after: state(&[(0, 1), (1, 0)]) });
+        wal.append(&WalRecord::Commit { txn: TxnId::new(0), writes: state(&[(0, 1)]) });
         wal.append(&WalRecord::WindowStart);
-        wal.append(&WalRecord::Commit { txn: TxnId::new(1), after: state(&[(0, 1), (1, 5)]) });
+        wal.append(&WalRecord::Commit { txn: TxnId::new(1), writes: state(&[(1, 5)]) });
         wal
     }
 
@@ -255,7 +257,7 @@ mod tests {
             ledger: Vec::new(),
         };
         wal.checkpoint(snap);
-        wal.append(&WalRecord::Commit { txn: TxnId::new(2), after: state(&[(0, 9), (1, 5)]) });
+        wal.append(&WalRecord::Commit { txn: TxnId::new(2), writes: state(&[(0, 9)]) });
 
         let arena = TxnArena::new();
         let r = recover(&arena, wal.storage()).expect("recovers");
@@ -267,7 +269,7 @@ mod tests {
     }
 
     fn wal_log(_wal: &Wal<VecStorage>) -> Vec<(TxnId, DbState)> {
-        vec![(TxnId::new(0), state(&[(0, 1), (1, 0)])), (TxnId::new(1), state(&[(0, 1), (1, 5)]))]
+        vec![(TxnId::new(0), state(&[(0, 1)])), (TxnId::new(1), state(&[(1, 5)]))]
     }
 
     #[test]

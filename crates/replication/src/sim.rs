@@ -311,7 +311,8 @@ pub struct SimReport {
 pub struct DurableReport {
     /// The WAL's backing storage, journal included.
     pub storage: VecStorage,
-    /// The live committed log at the end of the run.
+    /// The live committed log at the end of the run: `(txn, writes)` per
+    /// commit, the redo log the WAL's commit records carry.
     pub log: Vec<(TxnId, DbState)>,
     /// The live window counter at the end of the run.
     pub epoch: u64,
@@ -633,11 +634,9 @@ impl Simulation {
             TxnSource::Canned(mix) => mix.initial_state(),
             TxnSource::Random(_) => histmerge_workload::generator::initial_state(&config.workload),
         };
-        // Only the write-ahead log and Strategy-1 retroactive patches read
-        // historical after-states; every other run keeps an id-only commit
-        // log, O(1) instead of O(items) memory per commit.
-        let lean = !config.durability.enabled
-            && !matches!(config.strategy, SyncStrategy::PerDisconnectSnapshot);
+        // Only the write-ahead log reads the per-commit write deltas;
+        // every other run keeps an id-only commit log.
+        let lean = !config.durability.enabled;
         let base = BaseCluster::with_lean(initial.clone(), config.base_nodes, lean);
         let mut rng = StdRng::seed_from_u64(config.workload.seed ^ 0x5151_5151);
         let initial_arc = Arc::new(initial.clone());
@@ -751,8 +750,8 @@ impl Simulation {
 
     /// Replays the recorded commit order through the serial path from the
     /// initial state and compares against the master — the convergence
-    /// oracle. Inapplicable when retroactive installs edited recorded
-    /// after-states in place (Strategy-1 merges).
+    /// oracle. Inapplicable when retroactive installs patched the master
+    /// outside the committed history (Strategy-1 merges).
     fn convergence_report(&self) -> ConvergenceReport {
         let applicable = self.metrics.retro_patches == 0;
         let full = self.base.base().full_history();
@@ -791,8 +790,8 @@ impl Simulation {
             return;
         };
         let log = self.base.base().log();
-        for (txn, after) in &log[self.logged_commits..] {
-            wal.append(&WalRecord::Commit { txn: *txn, after: after.clone() });
+        for (txn, writes) in &log[self.logged_commits..] {
+            wal.append(&WalRecord::Commit { txn: *txn, writes: writes.clone() });
         }
         self.logged_commits = log.len();
     }
@@ -842,28 +841,24 @@ impl Simulation {
         let recovered = recovery::recover_traced(&self.arena, wal.storage(), &self.config.tracer)
             .expect("open WAL has a checkpoint");
         let base = self.base.base();
-        let diverged = recovered.torn
-            || recovered.base.log() != base.log()
-            || recovered.base.master() != base.master()
-            || recovered.base.epoch_start() != base.epoch_start()
-            || recovered.base.epoch_state() != base.epoch_state()
-            || recovered.epoch != self.epoch
-            || recovered.ledger != self.ledger;
-        if diverged {
-            // Dump the flight recorder before the asserts below abort the
-            // run: the last events are the forensic record of how the
-            // durable and live states drifted apart.
+        let checks = [
+            ("torn tail", !recovered.torn),
+            ("log", recovered.base.log() == base.log()),
+            ("master", recovered.base.master() == base.master()),
+            ("window start", recovered.base.epoch_start() == base.epoch_start()),
+            ("window state", recovered.base.epoch_state() == base.epoch_state()),
+            ("epoch", recovered.epoch == self.epoch),
+            ("ledger", recovered.ledger == self.ledger),
+        ];
+        if let Some((field, _)) = checks.iter().find(|(_, ok)| !ok) {
+            // Dump the flight recorder before aborting the run: the last
+            // events are the forensic record of how the durable and live
+            // states drifted apart.
             if let Some(path) = self.config.tracer.dump_to_dir("shadow-recovery-divergence") {
                 eprintln!("shadow recovery diverged; flight recorder at {}", path.display());
             }
+            panic!("shadow recovery diverged from the live state: {field}");
         }
-        assert!(!recovered.torn, "live WAL has no torn tail");
-        assert_eq!(recovered.base.log(), base.log(), "recovered log != live log");
-        assert_eq!(recovered.base.master(), base.master(), "recovered master != live master");
-        assert_eq!(recovered.base.epoch_start(), base.epoch_start());
-        assert_eq!(recovered.base.epoch_state(), base.epoch_state());
-        assert_eq!(recovered.epoch, self.epoch, "recovered epoch != live epoch");
-        assert_eq!(recovered.ledger, self.ledger, "recovered ledger != live ledger");
         self.metrics.wal.shadow_recoveries += 1;
     }
 

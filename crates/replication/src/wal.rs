@@ -279,11 +279,11 @@ fn read_session_record(r: &mut Reader<'_>) -> Option<SessionRecord> {
 /// checkpoint record, sufficient to recover without any earlier segment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// The committed base log since simulation start: `(txn, after
-    /// state)` per commit.
+    /// The committed base log since simulation start: `(txn, writes)` per
+    /// commit, each entry the values the commit wrote.
     pub log: Vec<(TxnId, DbState)>,
-    /// The master state (equals the last log entry's after state, except
-    /// after retroactive patches, which may touch the master directly).
+    /// The master state (the initial state with every logged write delta
+    /// applied in order, plus any retroactive patches).
     pub master: DbState,
     /// Index into `log` where the current window began.
     pub epoch_start: u64,
@@ -314,18 +314,20 @@ impl Snapshot {
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A base transaction committed (own load, an install transaction, or
-    /// a re-execution), appending `(txn, after)` to the base log.
+    /// a re-execution), appending `(txn, writes)` to the base log.
     Commit {
         /// The committed transaction.
         txn: TxnId,
-        /// The master state after the commit.
-        after: DbState,
+        /// The committed values of the transaction's write set; replay
+        /// applies them to the master.
+        writes: DbState,
     },
     /// A window rollover: the epoch counter advanced and the current
     /// master became the shared window-start state.
     WindowStart,
-    /// A Strategy-1 retroactive install patched recorded after-states in
-    /// place from `from_index` (masking items later writes own).
+    /// A Strategy-1 retroactive install patched the master with updates
+    /// serialized at `from_index`, masking items that commits from that
+    /// index onward wrote.
     RetroPatch {
         /// The base-log index the patch applied from.
         from_index: u64,
@@ -404,10 +406,10 @@ impl WalRecord {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            WalRecord::Commit { txn, after } => {
+            WalRecord::Commit { txn, writes } => {
                 out.push(TAG_COMMIT);
                 put_u32(&mut out, txn.index());
-                put_state(&mut out, after);
+                put_state(&mut out, writes);
             }
             WalRecord::WindowStart => out.push(TAG_WINDOW_START),
             WalRecord::RetroPatch { from_index, updates } => {
@@ -465,7 +467,7 @@ impl WalRecord {
     pub fn decode(payload: &[u8]) -> Option<WalRecord> {
         let mut r = Reader::new(payload);
         let record = match r.u8()? {
-            TAG_COMMIT => WalRecord::Commit { txn: TxnId::new(r.u32()?), after: r.state()? },
+            TAG_COMMIT => WalRecord::Commit { txn: TxnId::new(r.u32()?), writes: r.state()? },
             TAG_WINDOW_START => WalRecord::WindowStart,
             TAG_RETRO_PATCH => WalRecord::RetroPatch { from_index: r.u64()?, updates: r.state()? },
             TAG_SESSION_INSTALL => WalRecord::SessionInstall {
@@ -480,8 +482,9 @@ impl WalRecord {
             TAG_SESSION_PRUNE => WalRecord::SessionPrune { mobile: r.u64()?, upto_seq: r.u64()? },
             TAG_CHECKPOINT => {
                 let n = r.u32()? as usize;
-                // Each log entry is at least 16 bytes.
-                if n > payload.len() / 16 {
+                // Each log entry is at least 8 bytes: a transaction id and
+                // an item count (a read-only commit writes nothing).
+                if n > payload.len() / 8 {
                     return None;
                 }
                 let mut log = Vec::with_capacity(n);
@@ -923,7 +926,7 @@ mod tests {
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
-            WalRecord::Commit { txn: TxnId::new(3), after: state(&[(0, 1), (1, -9)]) },
+            WalRecord::Commit { txn: TxnId::new(3), writes: state(&[(1, -9)]) },
             WalRecord::WindowStart,
             WalRecord::RetroPatch { from_index: 2, updates: state(&[(5, 100)]) },
             WalRecord::SessionInstall { mobile: 1, seq: 4, record: sample_session_record() },
@@ -955,6 +958,18 @@ mod tests {
             let decoded = WalRecord::decode(&encoded).expect("decodes");
             assert_eq!(decoded, record);
         }
+    }
+
+    #[test]
+    fn checkpoint_of_read_only_commits_round_trips() {
+        // A read-only commit logs an empty write delta: 8 bytes per log
+        // entry, the smallest the checkpoint decoder must accept.
+        let snap = Snapshot {
+            log: (0..64).map(|i| (TxnId::new(i), DbState::new())).collect(),
+            ..Snapshot::genesis(DbState::new())
+        };
+        let record = WalRecord::Checkpoint(Box::new(snap));
+        assert_eq!(WalRecord::decode(&record.encode()), Some(record));
     }
 
     #[test]

@@ -15,18 +15,23 @@
 //! * a crash *after* the final write recovers the live end state exactly
 //!   — log, master, epoch, window state, and session ledger;
 //! * a torn or bit-flipped in-flight write recovers the same state as a
-//!   crash just before it (the damage is discarded, flagged `torn`).
+//!   crash just before it (the damage is discarded, flagged `torn`);
+//! * the durable log is a redo log: every commit record carries only
+//!   values of its transaction's write set, and folding those deltas over
+//!   the initial state reproduces the final master.
 //!
 //! `CRASH_SEEDS` scales the number of workload seeds per cell; CI's
 //! crash-recovery matrix runs the release build with a larger value.
 
 use histmerge::history::AugmentedHistory;
 use histmerge::obs::{dump_on_failure, FlightRecorder, TracerHandle};
-use histmerge::replication::wal::StorageOp;
+use histmerge::replication::wal::{decode_stream, StorageOp};
 use histmerge::replication::{
     recover, DurabilityConfig, DurableReport, FaultPlan, FaultRates, Protocol, Recovered,
-    RecoveryError, SimConfig, Simulation, SyncPath, SyncStrategy, Tear, TornStorage,
+    RecoveryError, SimConfig, Simulation, SyncPath, SyncStrategy, Tail, Tear, TornStorage,
+    WalRecord,
 };
+use histmerge::txn::{DbState, TxnId};
 use histmerge::workload::generator::ScenarioParams;
 
 fn crash_seeds() -> u64 {
@@ -102,11 +107,11 @@ fn assert_full_recovery_is_exact(durable: &DurableReport, label: &str) {
     assert_eq!(r.ledger, durable.ledger, "{label}: session ledger diverged");
 }
 
-/// The matrix core: crash cleanly at every journal boundary. With
-/// `append_only` (Strategy 2 — no retroactive patching) the recovered log
-/// must be a byte-exact prefix of the final log and the serial-replay
-/// oracle must hold at every point.
-fn torture_clean_boundaries(durable: &DurableReport, append_only: bool, label: &str) {
+/// The matrix core: crash cleanly at every journal boundary. The
+/// recovered log must be an exact prefix of the final log; with
+/// `replayable` (Strategy 2 — no retroactive patching) the serial-replay
+/// oracle must hold at every point too.
+fn torture_clean_boundaries(durable: &DurableReport, replayable: bool, label: &str) {
     let ops = durable.storage.op_count();
     assert!(ops > 0, "{label}: durable run journaled nothing");
     let mut prev_commits = 0usize;
@@ -125,12 +130,12 @@ fn torture_clean_boundaries(durable: &DurableReport, append_only: bool, label: &
                 );
                 prev_commits = committed;
                 assert!(committed <= durable.log.len(), "{label}@{k}: phantom commits");
-                if append_only {
-                    assert_eq!(
-                        r.base.log(),
-                        &durable.log[..committed],
-                        "{label}@{k}: recovered log is not the durable prefix"
-                    );
+                assert_eq!(
+                    r.base.log(),
+                    &durable.log[..committed],
+                    "{label}@{k}: recovered log is not the durable prefix"
+                );
+                if replayable {
                     assert_recovered_converges(durable, &r, &format!("{label}@{k}"));
                 }
             }
@@ -204,11 +209,12 @@ fn crash_point_matrix_window_start() {
     }
 }
 
-/// Strategy 1 (per-disconnect snapshots): retroactive patches edit
-/// recorded after-states in place, so prefix bytes may be rewritten later
-/// and serial replay is inapplicable (as in the live oracle). Recovery
-/// must still never panic, never regress, and reproduce the live end
-/// state from the full log.
+/// Strategy 1 (per-disconnect snapshots): retroactive patches change the
+/// master outside the committed history, so serial replay is inapplicable
+/// (as in the live oracle). The log itself stays append-only — a patch
+/// never edits recorded write deltas — so every crash point still
+/// recovers an exact prefix, never regresses, and the full log
+/// reproduces the live end state.
 #[test]
 fn crash_point_matrix_per_disconnect_snapshot() {
     for seed in 0..crash_seeds() {
@@ -242,4 +248,63 @@ fn compaction_never_loses_durable_commits() {
         torture_clean_boundaries(&durable, true, "compaction");
         assert_full_recovery_is_exact(&durable, "compaction");
     });
+}
+
+/// Asserts a log entry carries only values of its transaction's static
+/// write set.
+fn assert_write_delta(durable: &DurableReport, txn: TxnId, writes: &DbState, label: &str) {
+    assert!(
+        writes.vars().is_subset(durable.arena.get(txn).writeset()),
+        "{label}: {txn:?} logged items outside its write set: {writes}"
+    );
+}
+
+/// The durable base log is a redo log of write deltas, not of after
+/// states. On a faulted durable session run, every decoded commit record
+/// and every checkpointed log entry holds a subset of its transaction's
+/// static write set, each commit is logged exactly once, and — with no
+/// retroactive patches — folding the live log's deltas over the initial
+/// state reproduces the final master.
+#[test]
+fn durable_log_records_write_deltas() {
+    for seed in 0..crash_seeds() {
+        let label = format!("redo-log/seed{seed}");
+        let tracer = FlightRecorder::handle(512);
+        let fault = FaultPlan::seeded(seed, FaultRates::uniform(0.15));
+        let mut cfg = config(seed, SyncStrategy::WindowStart { window: 80 }, fault);
+        cfg.tracer = tracer.clone();
+        let report = Simulation::new(cfg).expect("valid sim config").run();
+        assert_eq!(report.metrics.retro_patches, 0, "{label}: Strategy 2 never retro-patches");
+        let durable = report.durable.expect("durability enabled");
+        dump_on_failure(&tracer, &format!("redo-log-seed{seed}"), || {
+            let mut commit_records = 0usize;
+            for op in durable.storage.ops() {
+                let StorageOp::Append(_, bytes) = op else { continue };
+                let (records, tail) = decode_stream(bytes);
+                assert_eq!(tail, Tail::Clean, "{label}: journaled append does not decode");
+                for record in records {
+                    match record {
+                        WalRecord::Commit { txn, writes } => {
+                            assert_write_delta(&durable, txn, &writes, &label);
+                            commit_records += 1;
+                        }
+                        WalRecord::Checkpoint(snapshot) => {
+                            for (txn, writes) in &snapshot.log {
+                                assert_write_delta(&durable, *txn, writes, &label);
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            assert!(commit_records > 0, "{label}: run committed nothing");
+            assert_eq!(commit_records, durable.log.len(), "{label}: commits not logged once");
+            let mut state = durable.initial.clone();
+            for (txn, writes) in &durable.log {
+                assert_write_delta(&durable, *txn, writes, &label);
+                state.apply(writes);
+            }
+            assert_eq!(state, report.final_master, "{label}: redo log does not rebuild the master");
+        });
+    }
 }

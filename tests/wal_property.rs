@@ -60,7 +60,7 @@ fn session_record(seed: u64) -> SessionRecord {
 
 fn snapshot(seed: u64) -> Snapshot {
     Snapshot {
-        log: (0..seed % 4).map(|i| (TxnId::new((seed + i) as u32), state(seed + i, 2))).collect(),
+        log: (0..seed % 4).map(|i| (TxnId::new((seed + i) as u32), state(seed + i, 1))).collect(),
         master: state(seed, 3),
         epoch_start: seed % 3,
         epoch_state: state(seed / 2, 2),
@@ -73,7 +73,7 @@ fn snapshot(seed: u64) -> Snapshot {
 /// the taxonomy (including nested snapshots) gets exercised.
 fn record(seed: u64) -> WalRecord {
     match seed % 8 {
-        0 => WalRecord::Commit { txn: TxnId::new((seed / 8) as u32), after: state(seed, 3) },
+        0 => WalRecord::Commit { txn: TxnId::new((seed / 8) as u32), writes: state(seed, 1) },
         1 => WalRecord::WindowStart,
         2 => WalRecord::RetroPatch { from_index: seed / 8, updates: state(seed, 2) },
         3 => WalRecord::SessionInstall {
