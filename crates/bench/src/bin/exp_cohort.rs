@@ -5,9 +5,9 @@
 //! at its install turn, stale remainders re-merge concurrently in bounded
 //! waves, and members whose footprint is disjoint from the whole
 //! concurrent base slice skip precedence-graph construction (DESIGN.md
-//! §18). This experiment records how that pipeline's wall clock grows
-//! with cohort size — 64, 256 and 1024 members — on E19's `merge_regime`
-//! scenario with the worker count pinned to 4.
+//! §17). This experiment records how that pipeline's wall clock grows
+//! with cohort size — 64, 256 and 1024 members — on the synchronized
+//! reconnect merging scenario with the worker count pinned to 4.
 //!
 //! The curve is super-linear: every member that is not footprint-disjoint
 //! still builds a precedence graph linear in the grown epoch history. It
@@ -21,9 +21,9 @@ use histmerge_replication::{
 };
 use histmerge_workload::generator::ScenarioParams;
 
-/// E19's `merge_config` with the worker count pinned: synchronized
-/// reconnects turn every cadence tick into a fleet-sized batch, and the
-/// window rollover at tick 100 forces a reprocessing share.
+/// Synchronized reconnects turn every cadence tick into a fleet-sized
+/// batch, and the window rollover at tick 100 forces a reprocessing
+/// share. The worker count is pinned.
 fn cohort_config(fleet: usize) -> SimConfig {
     SimConfig {
         n_mobiles: fleet,

@@ -7,24 +7,14 @@
 //! its *due* events — this experiment sweeps the fleet from 10k to 1M
 //! mobiles and reports the throughput the harness actually sustains.
 //!
-//! Two tables, two regimes:
-//!
-//! * `scale` — the headline sweep, under the linear **reprocessing**
-//!   protocol. Per-tick scheduler cost is protocol-independent, and
-//!   reprocessing resolves each pending transaction in O(program), so
-//!   this table isolates what the harness itself scales like: ticks/sec,
-//!   syncs/sec, the queue's pushed/popped totals (events, not fleet
-//!   scans), and the peak-RSS proxy (`VmHWM` from `/proc/self/status`,
-//!   0 where unavailable).
-//! * `merge_regime` — the **merging** protocol with synchronized
-//!   reconnects: whole fleet-sized batches hit the strided parallel
-//!   merge pipeline, window rollovers force a reprocessing share, and
-//!   the save ratio is exercised for real. Batch sizes here are bounded
-//!   on purpose — every install lands in the shared window epoch, so
-//!   same-tick cohorts pay for each other's installs (delta validation
-//!   plus re-merges against the grown epoch history), which is
-//!   quadratic in the cohort and the honest reason the saving regime
-//!   does not extend to million-mobile reconnect storms.
+//! The `scale` table is the sweep, under the linear **reprocessing**
+//! protocol. Per-tick scheduler cost is protocol-independent, and
+//! reprocessing resolves each pending transaction in O(program), so the
+//! table isolates what the harness itself scales like: ticks/sec,
+//! syncs/sec, the queue's pushed/popped totals (events, not fleet scans),
+//! and the peak-RSS proxy (`VmHWM` from `/proc/self/status`, 0 where
+//! unavailable). The merging protocol under synchronized reconnects is
+//! E23's cohort-size curve (`exp_cohort`).
 //!
 //! Every `scale` row is a **multi-seed** measurement: the sweep runs
 //! three workload seeds per fleet size, reports the per-seed minimum
@@ -37,9 +27,7 @@
 //! Run: `cargo run --release -p histmerge-bench --bin exp_scale`
 
 use histmerge_bench::{artifact_json, fmt, timed, write_artifact, Table};
-use histmerge_replication::{
-    Parallelism, Protocol, SimConfig, SimReport, Simulation, SyncStrategy,
-};
+use histmerge_replication::{Protocol, SimConfig, SimReport, Simulation, SyncStrategy};
 use histmerge_workload::generator::ScenarioParams;
 
 /// The process's peak resident set in kilobytes (`VmHWM`), or 0 where
@@ -74,10 +62,6 @@ fn workload_seeded(seed: u64) -> ScenarioParams {
     }
 }
 
-fn workload() -> ScenarioParams {
-    workload_seeded(SEEDS[0])
-}
-
 /// The headline sweep: short horizon, one generation burst per mobile,
 /// lean base log, linear reprocessing. Everything here is O(due events)
 /// per tick — the fleet size only shows up in init, the generation burst,
@@ -98,51 +82,6 @@ fn scale_config(fleet: usize, seed: u64) -> SimConfig {
         backlog_sample_every: 0,
         ..SimConfig::default()
     }
-}
-
-/// The merge-regime sweep: synchronized reconnects turn every cadence
-/// tick into a fleet-sized batch for the strided parallel merge pipeline,
-/// and the window rollovers at ticks 100 and 200 force a reprocessing
-/// share.
-fn merge_config(fleet: usize) -> SimConfig {
-    SimConfig {
-        n_mobiles: fleet,
-        duration: 200,
-        base_rate: 0.2,
-        mobile_rate: 0.05,
-        connect_every: 25,
-        protocol: Protocol::merging_default(),
-        strategy: SyncStrategy::WindowStart { window: 100 },
-        workload: workload(),
-        base_capacity: 10_000.0,
-        parallelism: Parallelism::Auto,
-        synchronized_reconnects: true,
-        backlog_sample_every: 0,
-        ..SimConfig::default()
-    }
-}
-
-/// Runs `config` at least three times and keeps the fastest wall clock
-/// (the same min-of-reps discipline as E18 — the runs are deterministic,
-/// so the reports are identical and only the timing varies). Short runs
-/// keep repeating (up to 12 reps) until ~750ms of samples have been
-/// taken: the cross-seed spread assertion compares these minima, and a
-/// 66ms fleet would otherwise measure scheduler jitter, not workload.
-fn run(config: SimConfig) -> (SimReport, f64) {
-    let mut best: Option<(SimReport, f64)> = None;
-    let mut total = 0.0;
-    for rep in 0..12 {
-        if rep >= 3 && total >= 750.0 {
-            break;
-        }
-        let (report, ms) =
-            timed(|| Simulation::new(config.clone()).expect("valid sim config").run());
-        total += ms;
-        if best.as_ref().is_none_or(|(_, b)| ms < *b) {
-            best = Some((report, ms));
-        }
-    }
-    best.expect("at least one rep ran")
 }
 
 fn main() {
@@ -238,51 +177,14 @@ fn main() {
     }
     scale.print();
 
-    println!("\nmerge regime (synchronized reconnects, window 100):\n");
-    let mut merge_regime = Table::new(&[
-        "mobiles",
-        "tentative",
-        "syncs",
-        "saved",
-        "reprocessed",
-        "save_ratio",
-        "merges_per_sec",
-        "batch_max",
-        "wall_ms",
-    ]);
-    for &fleet in &[64usize, 256] {
-        let (report, ms) = run(merge_config(fleet));
-        let m = &report.metrics;
-        let secs = ms / 1e3;
-        assert!(m.saved > 0, "merging never engaged at {fleet} mobiles");
-        merge_regime.row_owned(vec![
-            fleet.to_string(),
-            m.tentative_generated.to_string(),
-            m.syncs.to_string(),
-            m.saved.to_string(),
-            m.reprocessed.to_string(),
-            fmt(m.save_ratio(), 3),
-            fmt(m.syncs as f64 / secs, 1),
-            m.batch_sizes.iter().max().copied().unwrap_or(0).to_string(),
-            fmt(ms, 0),
-        ]);
-    }
-    merge_regime.print();
-
     println!(
         "\nThe sweep is the point the ROADMAP's million-user north star needs: per-tick\n\
          cost tracks due events, not fleet size, so the harness sustains fleets three\n\
-         orders of magnitude past E6's. The split between the tables is the honest\n\
-         finding: the scale rows run the linear reprocessing protocol, because under\n\
-         merging a same-tick reconnect cohort pays quadratically for its own installs\n\
-         (each member's delta validation and re-merge sees every earlier member's\n\
-         appended base transactions) — so the saving regime lives at bounded batch\n\
-         sizes, measured in the merge-regime rows, while fleet scale itself is now a\n\
-         scheduler-and-memory question, not a tick-loop one."
+         orders of magnitude past E6's. The rows run the linear reprocessing protocol:\n\
+         under merging, a same-tick reconnect cohort pays for its own installs, so the\n\
+         saving regime lives at bounded cohort sizes (E23, exp_cohort), while fleet\n\
+         scale itself is a scheduler-and-memory question, not a tick-loop one."
     );
-    let path = write_artifact(
-        "BENCH_scale",
-        &artifact_json("exp_scale", &[("scale", &scale), ("merge_regime", &merge_regime)]),
-    );
+    let path = write_artifact("BENCH_scale", &artifact_json("exp_scale", &[("scale", &scale)]));
     println!("\nartifact: {}", path.display());
 }

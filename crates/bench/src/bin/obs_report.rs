@@ -183,7 +183,6 @@ fn assemble_autopsies(events: &[JsonVal]) -> String {
                     "backed_out",
                     "reprocessed",
                     "clusters",
-                    "squashed",
                     "plan_ns",
                 ] {
                     push_num(&mut out, key, field_u64(event, key));

@@ -82,7 +82,7 @@ impl AutopsyEdge {
 
 /// One synchronization's assembled autopsy: the per-sync summary plus
 /// every conflict edge charged against a transaction that was not saved.
-/// Counts are in original-transaction units, matching `Metrics`.
+/// Counts match `Metrics`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergeAutopsy {
     /// Simulation tick of the sync.
@@ -99,8 +99,6 @@ pub struct MergeAutopsy {
     pub reprocessed: usize,
     /// Precedence clusters the planner saw (0 when no merge ran).
     pub clusters: usize,
-    /// Composites the pre-merge compactor squashed into the plan.
-    pub squashed: usize,
     /// Merge-plan span nanoseconds (0 when no plan was computed).
     pub plan_ns: u64,
     /// One edge per backed-out or reprocessed transaction.
@@ -130,7 +128,6 @@ impl MergeAutopsy {
         push_num(&mut out, "backed_out", self.backed_out as u64);
         push_num(&mut out, "reprocessed", self.reprocessed as u64);
         push_num(&mut out, "clusters", self.clusters as u64);
-        push_num(&mut out, "squashed", self.squashed as u64);
         push_num(&mut out, "plan_ns", self.plan_ns);
         out.push_str(",\"edges\":[");
         for (i, e) in self.edges.iter().enumerate() {
@@ -181,7 +178,6 @@ mod tests {
             backed_out: 1,
             reprocessed: 1,
             clusters: 2,
-            squashed: 0,
             plan_ns: 999,
             edges: vec![
                 AutopsyEdge::from_backout(7, 2, "mobile-read-base", 0b11, 0b10, 4),
@@ -208,7 +204,7 @@ mod tests {
         assert_eq!(
             json,
             "{\"tick\":40,\"mobile\":1,\"pending\":5,\"saved\":3,\"backed_out\":1,\
-             \"reprocessed\":1,\"clusters\":2,\"squashed\":0,\"plan_ns\":999,\"edges\":[\
+             \"reprocessed\":1,\"clusters\":2,\"plan_ns\":999,\"edges\":[\
              {\"txn\":7,\"cause\":\"backed-out\",\"lost_to\":2,\"rule\":\"mobile-read-base\",\
              \"txn_mask\":3,\"other_mask\":2,\"weight\":4},\
              {\"txn\":9,\"cause\":\"merge-failed\",\"lost_to\":null,\"rule\":\"none\",\

@@ -39,14 +39,11 @@ pub enum Phase {
     /// Draining the event queue and dispatching a tick's scheduled mobile
     /// work (event-driven scheduler only).
     Scheduler,
-    /// The pre-merge semantic compaction pass over a pending tentative
-    /// history (enabled runs only).
-    Compact,
 }
 
 impl Phase {
     /// Every phase, in report order.
-    pub const ALL: [Phase; 16] = [
+    pub const ALL: [Phase; 15] = [
         Phase::Exec,
         Phase::GraphBuild,
         Phase::Backout,
@@ -62,7 +59,6 @@ impl Phase {
         Phase::Recovery,
         Phase::Window,
         Phase::Scheduler,
-        Phase::Compact,
     ];
 
     /// Stable snake-case name, used as the JSONL `phase` field and the
@@ -84,7 +80,6 @@ impl Phase {
             Phase::Recovery => "recovery",
             Phase::Window => "window",
             Phase::Scheduler => "scheduler",
-            Phase::Compact => "compact",
         }
     }
 
@@ -289,8 +284,7 @@ pub enum TraceEvent {
     },
     /// Merge autopsy: the per-sync summary closing the preceding
     /// [`TraceEvent::BackoutEdge`]/[`TraceEvent::ReprocessCause`] run.
-    /// Counts are in original-transaction units (composites expanded),
-    /// matching `Metrics`.
+    /// Counts match `Metrics`.
     MergeSummary {
         /// Simulation tick.
         tick: u64,
@@ -306,8 +300,6 @@ pub enum TraceEvent {
         reprocessed: usize,
         /// Precedence clusters the planner saw (0 when no merge ran).
         clusters: usize,
-        /// Composite transactions the pre-merge compactor squashed in.
-        squashed: usize,
         /// Wall-clock nanoseconds of the merge-plan span (0 when no plan
         /// was computed — speculative hits and plain reprocessing).
         plan_ns: u64,
@@ -457,7 +449,6 @@ impl TraceEvent {
                 backed_out,
                 reprocessed,
                 clusters,
-                squashed,
                 plan_ns,
             } => {
                 push_field_u64(&mut out, "tick", *tick);
@@ -467,7 +458,6 @@ impl TraceEvent {
                 push_field_u64(&mut out, "backed_out", *backed_out as u64);
                 push_field_u64(&mut out, "reprocessed", *reprocessed as u64);
                 push_field_u64(&mut out, "clusters", *clusters as u64);
-                push_field_u64(&mut out, "squashed", *squashed as u64);
                 push_field_u64(&mut out, "plan_ns", *plan_ns);
             }
             TraceEvent::Span { phase, ns } => {
@@ -546,7 +536,6 @@ mod tests {
                 backed_out: 2,
                 reprocessed: 0,
                 clusters: 3,
-                squashed: 1,
                 plan_ns: 4321,
             },
             TraceEvent::Span { phase: Phase::Install, ns: 1234 },
@@ -637,12 +626,11 @@ mod tests {
                 backed_out: 1,
                 reprocessed: 1,
                 clusters: 2,
-                squashed: 0,
                 plan_ns: 77,
             }
             .to_jsonl(),
             "{\"type\":\"merge_summary\",\"tick\":9,\"mobile\":4,\"pending\":5,\"saved\":3,\
-             \"backed_out\":1,\"reprocessed\":1,\"clusters\":2,\"squashed\":0,\"plan_ns\":77}"
+             \"backed_out\":1,\"reprocessed\":1,\"clusters\":2,\"plan_ns\":77}"
         );
     }
 

@@ -388,6 +388,6 @@ histmerge_phase_p99_bound{phase=\"sync\"} 8
         let order = phase_order();
         assert_eq!(order.len(), Phase::ALL.len());
         assert_eq!(order[0], "exec");
-        assert_eq!(order[order.len() - 1], "compact");
+        assert_eq!(order[order.len() - 1], "scheduler");
     }
 }

@@ -115,7 +115,6 @@ impl Tracer for FlightRecorder {
                 backed_out,
                 reprocessed,
                 clusters,
-                squashed,
                 plan_ns,
             } => {
                 let edges = std::mem::take(&mut ring.pending_edges);
@@ -130,7 +129,6 @@ impl Tracer for FlightRecorder {
                     backed_out,
                     reprocessed,
                     clusters,
-                    squashed,
                     plan_ns,
                     edges,
                 });
@@ -248,7 +246,6 @@ mod tests {
             backed_out: 1,
             reprocessed: 1,
             clusters: 2,
-            squashed: 0,
             plan_ns: 11,
         });
         // A second, edge-free sync closes with an empty autopsy.
@@ -260,7 +257,6 @@ mod tests {
             backed_out: 0,
             reprocessed: 0,
             clusters: 1,
-            squashed: 0,
             plan_ns: 7,
         });
         let autopsies = recorder.autopsies();
@@ -288,7 +284,6 @@ mod tests {
                 backed_out: 0,
                 reprocessed: 0,
                 clusters: 1,
-                squashed: 0,
                 plan_ns: 0,
             });
         }

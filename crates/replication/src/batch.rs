@@ -27,7 +27,7 @@ use histmerge_core::merge::{MergeAssist, MergeOutcome, MergeScratch, Merger};
 use histmerge_core::CoreError;
 use histmerge_history::{BaseEdgeCache, DenseBits, SerialHistory, TxnArena};
 use histmerge_obs::TracerHandle;
-use histmerge_txn::{DbState, TxnId, VarSet};
+use histmerge_txn::{DbState, TxnId};
 
 /// How many worker threads the batched sync path may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,19 +125,6 @@ pub fn merge_batch(
         }
     });
     out.into_iter().map(|slot| slot.expect("every job merged")).collect()
-}
-
-/// The read and write footprint of a tentative history, for delta
-/// validation.
-pub fn history_footprint(arena: &TxnArena, hm: &SerialHistory) -> (VarSet, VarSet) {
-    let mut reads = VarSet::new();
-    let mut writes = VarSet::new();
-    for id in hm.iter() {
-        let t = arena.get(id);
-        reads.extend_from(t.readset());
-        writes.extend_from(t.writeset());
-    }
-    (reads, writes)
 }
 
 /// The read and write footprint of a tentative history as dense bitset
@@ -284,14 +271,14 @@ mod tests {
         let mut arena = TxnArena::new();
         let m = rw_txn(&mut arena, "m", TxnKind::Tentative, &[0], &[1]);
         let hm = SerialHistory::from_order([m]);
-        let (reads, writes) = history_footprint(&arena, &hm);
-        // The footprint: reads {0, 1} (writes imply reads here), writes {1}.
-        assert!(reads.contains(VarId::new(0)));
-        assert!(writes.contains(VarId::new(1)));
         let (read_bits, write_bits) = history_bits(&arena, &hm);
-        // The bitset unions agree with the VarSet walk.
-        assert_eq!(read_bits, arena.bits_of(&reads));
-        assert_eq!(write_bits, arena.bits_of(&writes));
+        // The unions of a one-member history are its own footprint:
+        // reads {0, 1} (writes imply reads here), writes {1}.
+        let t = arena.get(m);
+        assert!(t.readset().contains(VarId::new(0)));
+        assert!(t.writeset().contains(VarId::new(1)));
+        assert_eq!(read_bits, arena.bits_of(t.readset()));
+        assert_eq!(write_bits, arena.bits_of(t.writeset()));
 
         // Delta writing an item the history read: invalidates.
         let d1 = rw_txn(&mut arena, "d1", TxnKind::Base, &[], &[0]);

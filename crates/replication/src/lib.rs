@@ -67,7 +67,7 @@ pub use batch::{merge_batch, BatchJob, Parallelism};
 pub use cluster::{BaseCluster, ClusterStats};
 pub use connectivity::{AdmissionConfig, ConnectivityModel, InvalidConnectivity, LinkTrace};
 pub use fault::{Delivery, FaultKind, FaultPlan, FaultRates, InvalidFaultRate};
-pub use metrics::{CohortStats, CompactionStats, FaultStats, SchedStats, StormStats, WalStats};
+pub use metrics::{CohortStats, FaultStats, SchedStats, StormStats, WalStats};
 pub use mobile::MobileNode;
 pub use recovery::{recover, recover_traced, Recovered, RecoveryError};
 pub use sched::{fork_rng, Event, EventKind, EventQueue};

@@ -82,21 +82,6 @@ pub struct SchedStats {
     pub events_popped: u64,
 }
 
-/// Pre-merge compaction counters: how much of each pending history the
-/// semantic squash pass collapsed before the merge ran. Planning
-/// mechanism only — a compacted run commits the same base state as the
-/// uncompacted run (the `session_differential` suite pins this), so
-/// [`Metrics::normalized`] zeroes the whole block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct CompactionStats {
-    /// Tentative transactions entering the compaction pass.
-    pub txns_in: u64,
-    /// Transactions leaving the pass (composites count once).
-    pub txns_out: u64,
-    /// Runs of two or more transactions squashed into a composite.
-    pub runs_squashed: u64,
-}
-
 /// Cohort install-pipeline counters: how much merge work the fast path,
 /// wave re-speculation and the epoch edge cache absorbed. Pure mechanism
 /// — how often each engages depends on the worker count, what the run
@@ -223,10 +208,6 @@ pub struct Metrics {
     /// Scheduler counters. Mechanism-only — excluded from determinism
     /// comparisons.
     pub sched: SchedStats,
-    /// Pre-merge compaction counters. Planning mechanism only — excluded
-    /// from determinism comparisons (a compacted run commits the same
-    /// base state while differing exactly here).
-    pub compaction: CompactionStats,
     /// Cohort install-pipeline counters. Mechanism-only — excluded from
     /// determinism comparisons.
     pub cohort: CohortStats,
@@ -287,8 +268,8 @@ impl Metrics {
 
     /// A copy suitable for byte-for-byte run comparisons:
     /// [`Metrics::parallel_merge_ns`] is wall-clock timing,
-    /// [`Metrics::wal`] is log volume, and [`Metrics::sched`],
-    /// [`Metrics::compaction`] and [`Metrics::cohort`] are mechanism — all
+    /// [`Metrics::wal`] is log volume, and [`Metrics::sched`] and
+    /// [`Metrics::cohort`] are mechanism — all
     /// orthogonal to the logical outcome of a run (a durability-enabled
     /// run must equal the plain run everywhere else) and zeroed out here.
     pub fn normalized(&self) -> Metrics {
@@ -296,7 +277,6 @@ impl Metrics {
             parallel_merge_ns: 0,
             wal: WalStats::default(),
             sched: SchedStats::default(),
-            compaction: CompactionStats::default(),
             cohort: CohortStats::default(),
             ..self.clone()
         };
@@ -369,11 +349,6 @@ impl Metrics {
         out.push_str(&format!(
             ",\"sched\":{{\"events_pushed\":{},\"events_popped\":{}}}",
             s.events_pushed, s.events_popped
-        ));
-        let c = &self.compaction;
-        out.push_str(&format!(
-            ",\"compaction\":{{\"txns_in\":{},\"txns_out\":{},\"runs_squashed\":{}}}",
-            c.txns_in, c.txns_out, c.runs_squashed
         ));
         let co = &self.cohort;
         out.push_str(&format!(
@@ -531,21 +506,6 @@ mod tests {
         };
         assert_ne!(legacy, durable);
         assert_eq!(legacy.normalized(), durable.normalized());
-    }
-
-    #[test]
-    fn normalized_strips_compaction_mechanism() {
-        // A compaction-enabled run and a plain run differ only in the
-        // compaction block; normalization must erase exactly that
-        // difference.
-        let plain = Metrics::default();
-        let compacted = Metrics {
-            compaction: CompactionStats { txns_in: 40, txns_out: 25, runs_squashed: 6 },
-            ..Metrics::default()
-        };
-        assert_ne!(plain, compacted);
-        assert_eq!(plain.normalized(), compacted.normalized());
-        assert!(compacted.to_json().contains("\"compaction\":{\"txns_in\":40"));
     }
 
     #[test]

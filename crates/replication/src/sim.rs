@@ -20,7 +20,7 @@ use histmerge_history::{
 use histmerge_obs::{
     Phase, SessionStepKind, TickSample, TimeSeries, TraceEvent, TracerHandle, NO_PARTNER,
 };
-use histmerge_semantics::{compact, CompactionConfig, OracleStack, SemanticOracle, StaticAnalyzer};
+use histmerge_semantics::{OracleStack, SemanticOracle, StaticAnalyzer};
 use histmerge_txn::{DbState, TxnId, TxnKind};
 use histmerge_workload::canned_mix::{CannedMix, CannedMixParams};
 use histmerge_workload::cost::{
@@ -28,9 +28,7 @@ use histmerge_workload::cost::{
 };
 use histmerge_workload::generator::{ScenarioParams, TxnFactory};
 
-use crate::batch::{
-    delta_invalidates, history_bits, history_footprint, merge_batch, BatchJob, Parallelism,
-};
+use crate::batch::{delta_invalidates, history_bits, merge_batch, BatchJob, Parallelism};
 use crate::cluster::BaseCluster;
 use crate::connectivity::{AdmissionConfig, ConnectivityModel, InvalidConnectivity, LinkTrace};
 use crate::fault::{Delivery, FaultPlan, InvalidFaultRate};
@@ -119,11 +117,13 @@ pub struct SimConfig {
     /// the regime the parallel merge pipeline targets.
     pub synchronized_reconnects: bool,
     /// Which reconnection machinery runs: the legacy atomic handshake or
-    /// the resumable session protocol. With [`FaultPlan::none`] the two
-    /// are byte-identical.
+    /// the resumable session protocol. Without faults the two are
+    /// byte-identical; only the session path can carry an active
+    /// [`SimConfig::fault`] plan.
     pub sync_path: SyncPath,
-    /// The fault schedule injected into session handshakes (ignored on the
-    /// legacy path, which cannot represent faults).
+    /// The fault schedule injected into session handshakes. An active plan
+    /// requires [`SyncPath::Session`]: [`Simulation::new`] rejects it on
+    /// the legacy path, which cannot represent faults.
     pub fault: FaultPlan,
     /// Session-protocol knobs (retry budget).
     pub session: SessionConfig,
@@ -147,15 +147,6 @@ pub struct SimConfig {
     /// default is the shared no-op tracer, which skips event construction
     /// entirely.
     pub tracer: TracerHandle,
-    /// The pre-merge semantic compaction pass (off by default): before a
-    /// pending history is planned, runs of conflict-clustered tentative
-    /// transactions whose cluster is isolated from the concurrent base
-    /// history are squashed into composite transactions, shrinking the
-    /// merge's input. Planning-time only — the mobile's own history and
-    /// every reprocessing path stay uncompacted, and an enabled run
-    /// commits the same base state as the plain run (the
-    /// `session_differential` suite pins this byte-identity).
-    pub compaction: CompactionConfig,
     /// The structured connectivity model shaping each mobile's link
     /// trace: reconnections drawn into a down-link epoch slide to the
     /// next up tick, and the model's trace-conditioned factor scales the
@@ -238,7 +229,6 @@ impl Default for SimConfig {
             durability: DurabilityConfig::default(),
             backlog_sample_every: 10,
             tracer: TracerHandle::noop(),
-            compaction: CompactionConfig::default(),
             connectivity: ConnectivityModel::AlwaysOn,
             admission: AdmissionConfig::unbounded(),
             telemetry: TelemetryConfig::default(),
@@ -255,6 +245,9 @@ pub enum SimConfigError {
     /// A connectivity-model parameter is out of range — see
     /// [`ConnectivityModel::validate`].
     InvalidConnectivity(InvalidConnectivity),
+    /// An active [`SimConfig::fault`] plan on [`SyncPath::Legacy`], whose
+    /// atomic handshake cannot inject faults.
+    FaultsOnLegacyPath,
 }
 
 impl std::fmt::Display for SimConfigError {
@@ -262,6 +255,9 @@ impl std::fmt::Display for SimConfigError {
         match self {
             SimConfigError::InvalidFaultRate(e) => e.fmt(f),
             SimConfigError::InvalidConnectivity(e) => e.fmt(f),
+            SimConfigError::FaultsOnLegacyPath => {
+                f.write_str("an active fault plan needs the session sync path")
+            }
         }
     }
 }
@@ -580,11 +576,6 @@ pub struct Simulation {
     /// The current window-start state, shared with every Strategy-2 mobile
     /// resynchronized in this window (refreshed at each window rollover).
     epoch_state_arc: Arc<DbState>,
-    /// Composite transactions minted by the pre-merge compaction pass,
-    /// mapped to their constituent ids. Metrics and resolution tracking
-    /// expand through this registry so every externally visible count
-    /// stays in original-transaction units.
-    composites: BTreeMap<TxnId, Vec<TxnId>>,
     /// Reconnects shed by admission control, as `(mobile, arrival_tick)`
     /// in arrival order. Drained FIFO ahead of fresh arrivals each tick,
     /// so every deferred mobile is admitted within
@@ -620,11 +611,15 @@ impl Simulation {
     ///
     /// Returns [`SimConfigError`] when [`SimConfig::fault`] carries a rate
     /// that is not a probability (NaN, negative, or above 1.0 — see
-    /// [`crate::fault::FaultRates::validate`]), or when
+    /// [`crate::fault::FaultRates::validate`]), when an active fault plan
+    /// is paired with [`SyncPath::Legacy`], or when
     /// [`SimConfig::connectivity`] has an out-of-range parameter. Callers
     /// that cannot recover should `.expect("valid sim config")`.
     pub fn new(config: SimConfig) -> Result<Self, SimConfigError> {
         config.fault.rates.validate()?;
+        if config.fault.active() && config.sync_path == SyncPath::Legacy {
+            return Err(SimConfigError::FaultsOnLegacyPath);
+        }
         config.connectivity.validate()?;
         let source = match &config.canned {
             Some(params) => TxnSource::Canned(Box::new(CannedMix::new(params.clone()))),
@@ -682,7 +677,6 @@ impl Simulation {
             gen_acc: 0.0,
             gen_count: 0,
             epoch_state_arc: initial_arc,
-            composites: BTreeMap::new(),
             deferred: VecDeque::new(),
             backoff_level: vec![0; n],
             backoff_rng: StdRng::seed_from_u64(config.workload.seed ^ 0xBAC0_0FF5_BAC0_0FF5),
@@ -774,10 +768,11 @@ impl Simulation {
     // when durability is disabled, keeping the paths byte-identical.
     // ------------------------------------------------------------------
 
-    /// Appends one record to the WAL, if one is open.
-    fn wal_append(&mut self, record: &WalRecord) {
+    /// Appends one record to the WAL, if one is open. The record is built
+    /// only then, so a run without durability never clones its payload.
+    fn wal_append(&mut self, record: impl FnOnce() -> WalRecord) {
         if let Some(wal) = self.wal.as_mut() {
-            wal.append(record);
+            wal.append(&record());
         }
     }
 
@@ -868,7 +863,7 @@ impl Simulation {
         let pruned = self.ledger.prune_acked(i, seq);
         if pruned > 0 {
             self.metrics.wal.pruned_records += pruned as u64;
-            self.wal_append(&WalRecord::SessionPrune { mobile: i as u64, upto_seq: seq });
+            self.wal_append(|| WalRecord::SessionPrune { mobile: i as u64, upto_seq: seq });
         }
     }
 
@@ -888,7 +883,7 @@ impl Simulation {
             self.base.base_mut().start_window();
             self.epoch_state_arc = Arc::new(self.base.base().epoch_state().clone());
             self.epoch += 1;
-            self.wal_append(&WalRecord::WindowStart);
+            self.wal_append(|| WalRecord::WindowStart);
             let last = self.last_window_tick;
             self.config
                 .tracer
@@ -1223,8 +1218,7 @@ impl Simulation {
             .iter()
             .copied()
             .filter(|i| {
-                speculated.get(i).is_some_and(|s| !s.wave_skip)
-                    && self.spec_stale(&speculated[i])
+                speculated.get(i).is_some_and(|s| !s.wave_skip) && self.spec_stale(&speculated[i])
             })
             .collect();
         let workers = self.config.parallelism.workers(stale.len());
@@ -1239,13 +1233,7 @@ impl Simulation {
         let hb_len = hb.len();
         let jobs: Vec<BatchJob> = stale
             .iter()
-            .map(|&i| {
-                // Compaction re-runs against the refreshed base slice —
-                // exactly what the serial fallback at this member's turn
-                // would see.
-                let hm = self.compact_pending(self.mobiles[i].history().clone(), &hb);
-                BatchJob { mobile: i, hm }
-            })
+            .map(|&i| BatchJob { mobile: i, hm: self.mobiles[i].history().clone() })
             .collect();
         let source = &self.source;
         let make_merger = move || build_merger(source, algorithm, fix_mode);
@@ -1334,12 +1322,7 @@ impl Simulation {
         let hb_len = hb.len();
         let jobs: Vec<BatchJob> = eligible
             .iter()
-            .map(|&i| {
-                // Compaction runs serially before the concurrent merge
-                // phase (it allocates composites into the shared arena).
-                let hm = self.compact_pending(self.mobiles[i].history().clone(), &hb);
-                BatchJob { mobile: i, hm }
-            })
+            .map(|&i| BatchJob { mobile: i, hm: self.mobiles[i].history().clone() })
             .collect();
 
         let source = &self.source;
@@ -1612,10 +1595,9 @@ impl Simulation {
             });
         }
         let clusters = self.count_clusters(hm, &hb);
-        let squashed = hm.iter().filter(|id| self.composites.contains_key(id)).count();
-        let pending = self.original_len(hm);
-        let saved = self.original_count(&outcome.saved);
-        let backed_out = self.original_count(&outcome.backed_out);
+        let pending = hm.len();
+        let saved = outcome.saved.len();
+        let backed_out = outcome.backed_out.len();
         let plan_ns = self.last_plan_ns;
         tracer.emit(|| TraceEvent::MergeSummary {
             tick,
@@ -1625,7 +1607,6 @@ impl Simulation {
             backed_out,
             reprocessed: 0,
             clusters,
-            squashed,
             plan_ns,
         });
     }
@@ -1737,7 +1718,6 @@ impl Simulation {
             backed_out: 0,
             reprocessed: pending.len(),
             clusters: 0,
-            squashed: 0,
             plan_ns,
         });
     }
@@ -1759,50 +1739,6 @@ impl Simulation {
         }
         self.metrics.cohort.edge_cache_appends += suffix.len() as u64;
         self.base_edge_cache.extend(&self.arena, suffix.iter().copied());
-    }
-
-    /// Runs the pre-merge compaction pass over a pending history when
-    /// enabled, registering any composites it mints. Returns the (possibly
-    /// compacted) history the merge plans against. Planning-time only:
-    /// the mobile's persisted log and every reprocessing path stay
-    /// uncompacted. The simulation always compacts with the mask-only
-    /// oracle (`compact` passes no semantic back-end), the regime where a
-    /// compacted merge is byte-identical to the plain one.
-    fn compact_pending(&mut self, hm: SerialHistory, hb: &SerialHistory) -> SerialHistory {
-        if !self.config.compaction.enabled || hm.len() < 2 {
-            return hm;
-        }
-        let tracer = self.config.tracer.clone();
-        let span = tracer.span_start();
-        let (hb_reads, hb_writes) = history_footprint(&self.arena, hb);
-        let outcome = compact(&mut self.arena, &hm, &hb_reads, &hb_writes, &self.config.compaction);
-        tracer.span_end(Phase::Compact, span);
-        self.metrics.compaction.txns_in += outcome.txns_in as u64;
-        self.metrics.compaction.txns_out += outcome.txns_out as u64;
-        self.metrics.compaction.runs_squashed += outcome.runs_squashed as u64;
-        for (composite, members) in outcome.composites {
-            self.composites.insert(composite, members);
-        }
-        outcome.history
-    }
-
-    /// The number of original transactions behind `id`: composites count
-    /// their constituents, everything else counts itself.
-    fn original_units(&self, id: TxnId) -> usize {
-        self.composites.get(&id).map_or(1, Vec::len)
-    }
-
-    /// Sums [`Simulation::original_units`] over a resolved set, so sync
-    /// records report saved/backed-out work in original-transaction units
-    /// whether or not the planned history was compacted.
-    fn original_count(&self, ids: &[TxnId]) -> usize {
-        ids.iter().map(|id| self.original_units(*id)).sum()
-    }
-
-    /// A (possibly compacted) history's length in original-transaction
-    /// units.
-    fn original_len(&self, hm: &SerialHistory) -> usize {
-        hm.iter().map(|id| self.original_units(id)).sum()
     }
 
     /// Synchronizes mobile `i` through the legacy atomic handshake;
@@ -1836,7 +1772,7 @@ impl Simulation {
         fix_mode: FixMode,
     ) -> SyncDecision {
         let hb = self.base.base().epoch_history();
-        let hm = self.compact_pending(self.mobiles[i].history().clone(), &hb);
+        let hm = self.mobiles[i].history().clone();
         let s0 = self.base.base().epoch_state().clone();
         let hb_final = self.base.base().master().clone();
         self.sync_cache();
@@ -1896,7 +1832,6 @@ impl Simulation {
         if !valid {
             return SyncDecision::Reprocess { cause: ReprocessReason::MergeFailed };
         }
-        let hm = self.compact_pending(hm, &hb);
         let merger = self.merger(algorithm, fix_mode);
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
@@ -1942,7 +1877,7 @@ impl Simulation {
                 .retro_patch(&self.arena, from, &outcome.forwarded)
                 .expect("snapshot origin index lies within the base log");
             self.metrics.retro_patches += 1;
-            self.wal_append(&WalRecord::RetroPatch {
+            self.wal_append(|| WalRecord::RetroPatch {
                 from_index: from as u64,
                 updates: outcome.forwarded.clone(),
             });
@@ -1971,10 +1906,10 @@ impl Simulation {
             SyncRecord {
                 tick,
                 mobile: i,
-                pending: self.original_len(hm),
+                pending: hm.len(),
                 hb_len,
-                saved: self.original_count(&outcome.saved),
-                backed_out: self.original_count(&outcome.backed_out),
+                saved: outcome.saved.len(),
+                backed_out: outcome.backed_out.len(),
                 reprocessed: 0,
                 merge_failed: false,
                 sync_ns: 0,
@@ -2077,17 +2012,6 @@ impl Simulation {
     /// re-execution); a second resolution of the same id is the
     /// idempotence violation the convergence oracle reports.
     fn mark_resolved(&mut self, id: TxnId) {
-        // A composite resolves its constituents: the double-resolution
-        // guard must keep firing if a fault path ever re-executes an
-        // original transaction whose work a composite already installed.
-        if let Some(members) = self.composites.get(&id) {
-            for member in members.clone() {
-                if !self.resolved.insert(member) {
-                    self.metrics.fault.double_resolutions += 1;
-                }
-            }
-            return;
-        }
         if !self.resolved.insert(id) {
             self.metrics.fault.double_resolutions += 1;
         }
@@ -2344,7 +2268,7 @@ impl Simulation {
                 entry.reexec_done = idx + 1;
             }
             self.wal_sync_commits();
-            self.wal_append(&WalRecord::ReexecAdvance {
+            self.wal_append(|| WalRecord::ReexecAdvance {
                 mobile: i as u64,
                 seq,
                 done: (idx + 1) as u64,
@@ -2359,7 +2283,7 @@ impl Simulation {
         if let Some(entry) = self.ledger.get_mut(i, seq) {
             entry.completed = true;
         }
-        self.wal_append(&WalRecord::SessionComplete { mobile: i as u64, seq });
+        self.wal_append(|| WalRecord::SessionComplete { mobile: i as u64, seq });
         tracer.span_end(Phase::Reexecute, span);
         let mut sync = record.sync;
         sync.tick = tick;
@@ -2412,10 +2336,10 @@ impl Simulation {
                     sync: SyncRecord {
                         tick: 0, // filled at emission
                         mobile: i,
-                        pending: self.original_len(&hm),
+                        pending: hm.len(),
                         hb_len,
-                        saved: self.original_count(&outcome.saved),
-                        backed_out: self.original_count(&outcome.backed_out),
+                        saved: outcome.saved.len(),
+                        backed_out: outcome.backed_out.len(),
                         reprocessed: 0,
                         merge_failed: false,
                         sync_ns: 0,
@@ -2473,7 +2397,7 @@ impl Simulation {
                 .retro_patch(&self.arena, from, &record.plan.forwarded)
                 .expect("snapshot origin index lies within the base log");
             self.metrics.retro_patches += 1;
-            self.wal_append(&WalRecord::RetroPatch {
+            self.wal_append(|| WalRecord::RetroPatch {
                 from_index: from as u64,
                 updates: record.plan.forwarded.clone(),
             });
@@ -2484,7 +2408,7 @@ impl Simulation {
         for idx in 0..record.plan.saved.len() {
             self.mark_resolved(record.plan.saved[idx]);
         }
-        self.wal_append(&WalRecord::SessionInstall {
+        self.wal_append(|| WalRecord::SessionInstall {
             mobile: i as u64,
             seq,
             record: record.clone(),
@@ -2556,7 +2480,6 @@ mod tests {
             durability: DurabilityConfig::default(),
             backlog_sample_every: 10,
             tracer: TracerHandle::noop(),
-            compaction: CompactionConfig::default(),
             connectivity: ConnectivityModel::AlwaysOn,
             admission: AdmissionConfig::unbounded(),
             telemetry: TelemetryConfig::default(),
@@ -2755,43 +2678,6 @@ mod tests {
         assert_eq!(m.merge_failures, 0);
         let again = Simulation::new(make()).expect("valid sim config").run();
         assert_eq!(report.final_master, again.final_master);
-    }
-
-    #[test]
-    fn compaction_squashes_without_changing_the_committed_state() {
-        use crate::metrics::CompactionStats;
-        use histmerge_workload::canned_mix::CannedMixParams;
-        let canned =
-            CannedMixParams { n_accounts: 24, n_prices: 6, seed: 41, ..Default::default() };
-        let make = |enabled: bool| {
-            let mut cfg =
-                config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 200 }, 41);
-            cfg.canned = Some(canned.clone());
-            cfg.mobile_rate = 0.4; // longer pending runs, more squash room
-            if enabled {
-                cfg.compaction = CompactionConfig::enabled();
-            }
-            cfg
-        };
-        let plain = Simulation::new(make(false)).expect("valid sim config").run();
-        let squashed = Simulation::new(make(true)).expect("valid sim config").run();
-        // The committed outcome is byte-identical; only the planning
-        // mechanism (and its cost accounting) changed.
-        assert_eq!(plain.final_master, squashed.final_master);
-        assert_eq!(plain.base_commits, squashed.base_commits);
-        let c = squashed.metrics.compaction;
-        assert!(c.runs_squashed > 0, "canned banking squashed nothing: {c:?}");
-        assert!(c.txns_out < c.txns_in, "no shrink: {c:?}");
-        assert_eq!(plain.metrics.compaction, CompactionStats::default());
-        // Sync records stay in original-transaction units.
-        for (a, b) in plain.metrics.records.iter().zip(&squashed.metrics.records) {
-            assert_eq!((a.tick, a.mobile, a.pending), (b.tick, b.mobile, b.pending));
-            assert_eq!(
-                (a.saved, a.backed_out, a.reprocessed),
-                (b.saved, b.backed_out, b.reprocessed)
-            );
-        }
-        assert_eq!(plain.metrics.records.len(), squashed.metrics.records.len());
     }
 
     #[test]
@@ -3062,6 +2948,21 @@ mod tests {
         let message = err.to_string();
         assert!(message.contains("drop"), "names the offending rate: {message}");
         assert!(message.contains("must be a probability"), "{message}");
+    }
+
+    #[test]
+    fn faults_on_the_legacy_path_are_rejected_at_construction() {
+        let mut cfg =
+            config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 3);
+        cfg.sync_path = SyncPath::Legacy;
+        cfg.fault = FaultPlan::seeded(3, FaultRates::uniform(0.1));
+        assert!(matches!(Simulation::new(cfg.clone()), Err(SimConfigError::FaultsOnLegacyPath)));
+        // A seeded plan whose rates are all zero injects nothing: allowed.
+        cfg.fault = FaultPlan::seeded(3, FaultRates::zero());
+        assert!(Simulation::new(cfg.clone()).is_ok());
+        cfg.fault = FaultPlan::seeded(3, FaultRates::uniform(0.1));
+        cfg.sync_path = SyncPath::Session;
+        assert!(Simulation::new(cfg).is_ok());
     }
 
     #[test]

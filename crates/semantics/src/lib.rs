@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod canfollow;
-pub mod compact;
 mod declared;
 mod oracle;
 mod property1;
@@ -41,9 +40,6 @@ mod static_analyzer;
 pub mod summary;
 pub mod validate;
 
-pub use compact::{
-    compact, compact_with_oracle, CompactionConfig, CompactionMode, CompactionOutcome,
-};
 pub use declared::{CanPrecedePolicy, DeclaredTable};
 pub use oracle::{OracleStack, SemanticOracle};
 pub use property1::satisfies_property1;

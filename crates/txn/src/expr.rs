@@ -158,31 +158,6 @@ impl Expr {
         }
     }
 
-    /// The same expression with every parameter index shifted up by
-    /// `offset` — the renumbering used when programs are sequenced into a
-    /// composite whose parameter vector is the concatenation of its
-    /// constituents' vectors.
-    #[must_use]
-    pub fn shift_params(&self, offset: usize) -> Expr {
-        if offset == 0 {
-            return self.clone();
-        }
-        let s = |e: &Expr| Box::new(e.shift_params(offset));
-        match self {
-            Expr::Const(v) => Expr::Const(*v),
-            Expr::Var(v) => Expr::Var(*v),
-            Expr::Param(i) => Expr::Param(i + offset),
-            Expr::Add(a, b) => Expr::Add(s(a), s(b)),
-            Expr::Sub(a, b) => Expr::Sub(s(a), s(b)),
-            Expr::Mul(a, b) => Expr::Mul(s(a), s(b)),
-            Expr::Div(a, b) => Expr::Div(s(a), s(b)),
-            Expr::Mod(a, b) => Expr::Mod(s(a), s(b)),
-            Expr::Min(a, b) => Expr::Min(s(a), s(b)),
-            Expr::Max(a, b) => Expr::Max(s(a), s(b)),
-            Expr::Neg(a) => Expr::Neg(s(a)),
-        }
-    }
-
     /// Evaluates the expression.
     ///
     /// `lookup` supplies the value of each data item (the interpreter passes
@@ -408,26 +383,6 @@ impl Pred {
         }
     }
 
-    /// The same predicate with every parameter index shifted up by
-    /// `offset` (see [`Expr::shift_params`]).
-    #[must_use]
-    pub fn shift_params(&self, offset: usize) -> Pred {
-        if offset == 0 {
-            return self.clone();
-        }
-        match self {
-            Pred::True => Pred::True,
-            Pred::Cmp(op, a, b) => Pred::Cmp(*op, a.shift_params(offset), b.shift_params(offset)),
-            Pred::And(a, b) => {
-                Pred::And(Box::new(a.shift_params(offset)), Box::new(b.shift_params(offset)))
-            }
-            Pred::Or(a, b) => {
-                Pred::Or(Box::new(a.shift_params(offset)), Box::new(b.shift_params(offset)))
-            }
-            Pred::Not(a) => Pred::Not(Box::new(a.shift_params(offset))),
-        }
-    }
-
     /// Evaluates the predicate. See [`Expr::eval_with`] for the contract of
     /// `lookup`.
     ///
@@ -559,21 +514,6 @@ mod tests {
         ] {
             assert_eq!(op.apply(1, 2), expect, "{op}");
         }
-    }
-
-    #[test]
-    fn shift_params_renumbers_only_params() {
-        let e = (Expr::var(v(1)) + Expr::param(0)).min(Expr::param(2) - Expr::konst(4));
-        let shifted = e.shift_params(3);
-        assert_eq!(shifted.max_param(), Some(5));
-        assert_eq!(shifted.vars(), e.vars());
-        assert_eq!(e.shift_params(0), e);
-        // Evaluation against a padded parameter vector matches the original.
-        let padded = [9, 9, 9, 7, 0, 11];
-        assert_eq!(eval(&shifted, &[(1, 5)], &padded), eval(&e, &[(1, 5)], &[7, 0, 11]));
-        let p = Expr::param(1).gt(Expr::var(v(0))).and(Pred::True.not());
-        assert_eq!(p.shift_params(2).max_param(), Some(3));
-        assert_eq!(p.shift_params(0), p);
     }
 
     #[test]

@@ -45,26 +45,6 @@ pub enum Statement {
 }
 
 impl Statement {
-    /// The same statement with every parameter index shifted up by
-    /// `offset` (see [`Expr::shift_params`]).
-    #[must_use]
-    pub fn shift_params(&self, offset: usize) -> Statement {
-        if offset == 0 {
-            return self.clone();
-        }
-        match self {
-            Statement::Read(v) => Statement::Read(*v),
-            Statement::Update { target, expr } => {
-                Statement::Update { target: *target, expr: expr.shift_params(offset) }
-            }
-            Statement::If { cond, then_branch, else_branch } => Statement::If {
-                cond: cond.shift_params(offset),
-                then_branch: then_branch.iter().map(|s| s.shift_params(offset)).collect(),
-                else_branch: else_branch.iter().map(|s| s.shift_params(offset)).collect(),
-            },
-        }
-    }
-
     fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         let pad = "  ".repeat(depth);
         match self {
@@ -178,75 +158,6 @@ impl Program {
                 .sum()
         }
         count(&self.stmts)
-    }
-
-    /// Sequential composition of `parts`: a program whose execution is
-    /// exactly "run each part in order", with each part's parameter
-    /// references shifted so the composite's parameter vector is the
-    /// concatenation of its constituents' vectors.
-    ///
-    /// A composite legitimately violates the *per-transaction* builder
-    /// invariants — two constituents may update the same item, and a later
-    /// constituent re-reads items an earlier one wrote — so it is
-    /// constructed directly here rather than through
-    /// [`ProgramBuilder::build`]. What survives by construction: every part
-    /// individually validated, the interpreter's read environment persists
-    /// across the concatenated statements (a read of an already-available
-    /// item is a no-op), so the composite's effect on any state equals the
-    /// constituents' sequential effect. Its static sets are the unions of
-    /// the constituents' sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty.
-    pub fn sequenced(name: impl Into<String>, parts: &[&Program]) -> Program {
-        let mut offset = 0usize;
-        let placed: Vec<(&Program, usize)> = parts
-            .iter()
-            .map(|p| {
-                let at = offset;
-                offset += p.n_params;
-                (*p, at)
-            })
-            .collect();
-        Program::sequenced_with_offsets(name, &placed)
-    }
-
-    /// [`Program::sequenced`] with an explicit parameter offset per part.
-    ///
-    /// Needed when the execution order differs from the parameter layout —
-    /// a composite's *inverse* runs the constituents' inverses in reverse
-    /// order, but each inverse must still read its slice of the forward
-    /// parameter vector at the constituent's forward offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty.
-    pub fn sequenced_with_offsets(name: impl Into<String>, parts: &[(&Program, usize)]) -> Program {
-        assert!(!parts.is_empty(), "sequenced composite needs at least one part");
-        let mut stmts = Vec::new();
-        let mut readset = VarSet::new();
-        let mut writeset = VarSet::new();
-        let mut n_params = 0usize;
-        for (part, offset) in parts {
-            stmts.extend(part.stmts.iter().map(|s| s.shift_params(*offset)));
-            readset.extend_from(&part.readset);
-            writeset.extend_from(&part.writeset);
-            n_params = n_params.max(offset + part.n_params);
-        }
-        let footprint = readset.union(&writeset);
-        let read_mask = VarMask::from_set(&readset);
-        let write_mask = VarMask::from_set(&writeset);
-        Program {
-            name: name.into(),
-            stmts,
-            readset,
-            writeset,
-            footprint,
-            read_mask,
-            write_mask,
-            n_params,
-        }
     }
 
     /// Executes the program against `state` with the given parameters and
@@ -709,94 +620,6 @@ mod tests {
         assert!(p.read_mask().contains(v(2)));
         assert!(!p.write_mask().contains(v(0)));
         assert!(p.read_mask().intersects(p.write_mask()));
-    }
-
-    #[test]
-    fn sequenced_composite_equals_sequential_execution() {
-        use crate::fix::Fix;
-        // p1: x := x + p0 ;  p2: if x > p0 then y := y + x.
-        let p1 = ProgramBuilder::new("p1")
-            .read(v(0))
-            .update(v(0), Expr::var(v(0)) + Expr::param(0))
-            .build()
-            .unwrap();
-        let p2 = ProgramBuilder::new("p2")
-            .read(v(0))
-            .read(v(1))
-            .branch(
-                Expr::var(v(0)).gt(Expr::param(0)),
-                |b| b.update(v(1), Expr::var(v(1)) + Expr::var(v(0))),
-                |b| b,
-            )
-            .build()
-            .unwrap();
-        let seq = Program::sequenced("p1+p2", &[&p1, &p2]);
-        assert_eq!(seq.n_params(), 2);
-        assert_eq!(seq.readset(), &p1.readset().union(p2.readset()));
-        assert_eq!(seq.writeset(), &p1.writeset().union(p2.writeset()));
-        assert_eq!(seq.footprint(), &seq.readset().union(seq.writeset()));
-        assert_eq!(seq.read_mask(), &VarMask::from_set(seq.readset()));
-        assert_eq!(seq.write_mask(), &VarMask::from_set(seq.writeset()));
-
-        let mut s = DbState::new();
-        s.set(v(0), 5);
-        s.set(v(1), 100);
-        // Composite params = concat([10], [3]).
-        let composed = seq.execute(&[10, 3], &s, &Fix::empty()).unwrap().after;
-        let mid = p1.execute(&[10], &s, &Fix::empty()).unwrap().after;
-        let sequential = p2.execute(&[3], &mid, &Fix::empty()).unwrap().after;
-        assert_eq!(composed, sequential);
-    }
-
-    #[test]
-    fn sequenced_tolerates_duplicate_updates_across_parts() {
-        use crate::fix::Fix;
-        // Two copies of the same increment: illegal in one builder-validated
-        // program (duplicate update), legal as a composite.
-        let inc = ProgramBuilder::new("inc")
-            .read(v(0))
-            .update(v(0), Expr::var(v(0)) + Expr::konst(1))
-            .build()
-            .unwrap();
-        let twice = Program::sequenced("inc;inc", &[&inc, &inc]);
-        assert_eq!(twice.n_params(), 0);
-        let s: DbState = [(v(0), 7)].into_iter().collect();
-        assert_eq!(twice.execute(&[], &s, &Fix::empty()).unwrap().after.get(v(0)), 9);
-        // The second copy observes the first copy's write, not the initial
-        // state — exact sequential composition, not a parallel union.
-        let dbl = ProgramBuilder::new("dbl")
-            .read(v(0))
-            .update(v(0), Expr::var(v(0)) * Expr::konst(2))
-            .build()
-            .unwrap();
-        let chain = Program::sequenced("inc;dbl", &[&inc, &dbl]);
-        assert_eq!(chain.execute(&[], &s, &Fix::empty()).unwrap().after.get(v(0)), 16);
-    }
-
-    #[test]
-    fn sequenced_with_offsets_supports_reversed_inverses() {
-        use crate::fix::Fix;
-        // add: x += p0 / scale: x *= p0 — inverses sub / (integer) unscale.
-        let add = ProgramBuilder::new("add")
-            .read(v(0))
-            .update(v(0), Expr::var(v(0)) + Expr::param(0))
-            .build()
-            .unwrap();
-        let sub = ProgramBuilder::new("sub")
-            .read(v(0))
-            .update(v(0), Expr::var(v(0)) - Expr::param(0))
-            .build()
-            .unwrap();
-        // Forward composite: add(p0); add(p1). Inverse runs the parts in
-        // reverse order but keeps each part's forward parameter offset.
-        let inv = Program::sequenced_with_offsets("inv", &[(&sub, 1), (&sub, 0)]);
-        assert_eq!(inv.n_params(), 2);
-        let fwd = Program::sequenced("fwd", &[&add, &add]);
-        let s: DbState = [(v(0), 100)].into_iter().collect();
-        let params = [7, 30];
-        let after = fwd.execute(&params, &s, &Fix::empty()).unwrap().after;
-        assert_eq!(after.get(v(0)), 137);
-        assert_eq!(inv.execute(&params, &after, &Fix::empty()).unwrap().after, s);
     }
 
     #[test]

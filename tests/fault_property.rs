@@ -22,7 +22,6 @@ use histmerge::replication::{
     AdmissionConfig, ConnectivityModel, FaultKind, FaultPlan, FaultRates, FaultStats, Protocol,
     RetryBackoff, SimConfig, Simulation, SyncPath, SyncStrategy,
 };
-use histmerge::semantics::CompactionConfig;
 use histmerge::workload::canned_mix::{CannedFlavor, CannedMixParams};
 use histmerge::workload::generator::ScenarioParams;
 
@@ -166,64 +165,6 @@ fn seed_matrix_convergence_oracle() {
         }
     }
     assert_eq!(schedules, FaultKind::ALL.len() * strategies.len() * seeds as usize);
-}
-
-/// The compaction row of the matrix: every fault kind against sessions
-/// whose pending histories were squashed by the pre-merge compactor. Two
-/// oracles per cell: the faulted compacted run must converge with zero
-/// double resolutions (a composite install is idempotent under the
-/// `(mobile, seq)` ledger key exactly like a plain install), and it must
-/// commit the byte-identical base state the faulted *uncompacted* run
-/// commits — compaction draws no randomness, so the fault schedule and
-/// every committed value line up one-to-one.
-#[test]
-fn compaction_fault_matrix_converges() {
-    let seeds: u64 = std::env::var("FAULT_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(4);
-    const RATES: [f64; 3] = [0.05, 0.15, 0.3];
-    let strategies =
-        [SyncStrategy::WindowStart { window: 120 }, SyncStrategy::PerDisconnectSnapshot];
-    for kind in FaultKind::ALL {
-        for strategy in strategies {
-            for seed in 0..seeds {
-                let rate = RATES[(seed % RATES.len() as u64) as usize];
-                let tracer = FlightRecorder::handle(512);
-                let make = |compacted: bool| {
-                    let fault = FaultPlan::seeded(seed, FaultRates::only(kind, rate));
-                    let mut cfg = config(seed, strategy, fault);
-                    if compacted {
-                        cfg.compaction = CompactionConfig::enabled();
-                        cfg.tracer = tracer.clone();
-                    }
-                    cfg
-                };
-                let label = format!(
-                    "compaction-fault-matrix-{}-{}-seed{seed}",
-                    kind.name(),
-                    strategy.name()
-                );
-                dump_on_failure(&tracer, &label, || {
-                    let squashed = Simulation::new(make(true)).expect("valid sim config").run();
-                    let convergence = squashed.convergence.expect("oracle requested");
-                    assert!(
-                        convergence.holds(),
-                        "compacted oracle failed: kind {} strategy {} seed {seed} rate {rate}: \
-                         {convergence:?}",
-                        kind.name(),
-                        strategy.name()
-                    );
-                    assert_eq!(squashed.metrics.fault.double_resolutions, 0);
-                    let plain = Simulation::new(make(false)).expect("valid sim config").run();
-                    assert_eq!(
-                        plain.final_master, squashed.final_master,
-                        "committed state drifted"
-                    );
-                    assert_eq!(plain.base_commits, squashed.base_commits);
-                    assert_eq!(plain.metrics.saved, squashed.metrics.saved);
-                    assert_eq!(plain.metrics.reprocessed, squashed.metrics.reprocessed);
-                });
-            }
-        }
-    }
 }
 
 /// The inventory row of the matrix: the compensation-heavy canned

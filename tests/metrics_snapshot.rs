@@ -7,9 +7,7 @@
 
 use histmerge::obs::validate_json_line;
 use histmerge::replication::metrics::{Metrics, SyncRecord};
-use histmerge::replication::{
-    CohortStats, CompactionStats, FaultStats, SchedStats, StormStats, WalStats,
-};
+use histmerge::replication::{CohortStats, FaultStats, SchedStats, StormStats, WalStats};
 use histmerge::workload::cost::CostReport;
 
 fn populated_metrics() -> Metrics {
@@ -48,7 +46,6 @@ fn populated_metrics() -> Metrics {
             shadow_recoveries: 1,
         },
         sched: SchedStats { events_pushed: 96, events_popped: 90 },
-        compaction: CompactionStats { txns_in: 9, txns_out: 6, runs_squashed: 2 },
         cohort: CohortStats { fastpath_merges: 5, wave_rounds: 1, edge_cache_appends: 33 },
         storm: StormStats {
             shed: 7,
@@ -115,7 +112,6 @@ fn metrics_json_shape_is_pinned() {
             "\"wal\":{\"records\":200,\"bytes\":8192,\"checkpoints\":3,",
             "\"segments_retired\":2,\"pruned_records\":11,\"shadow_recoveries\":1},",
             "\"sched\":{\"events_pushed\":96,\"events_popped\":90},",
-            "\"compaction\":{\"txns_in\":9,\"txns_out\":6,\"runs_squashed\":2},",
             "\"cohort\":{\"fastpath_merges\":5,\"wave_rounds\":1,\"edge_cache_appends\":33},",
             "\"storm\":{\"shed\":7,\"deferred_drained\":7,\"deferred_peak\":4,",
             "\"defer_wait_ticks\":12,\"defer_wait_max\":3,",
@@ -135,27 +131,14 @@ fn default_metrics_json_is_all_zeroes_and_valid() {
     assert!(json.contains("\"fault\":{\"dropped\":0,"));
     assert!(json.contains("\"wal\":{\"records\":0,"));
     assert!(json.contains("\"sched\":{\"events_pushed\":0,"));
-    assert!(json.contains("\"compaction\":{\"txns_in\":0,\"txns_out\":0,\"runs_squashed\":0}"));
-    assert!(json.contains(
-        "\"cohort\":{\"fastpath_merges\":0,\"wave_rounds\":0,\"edge_cache_appends\":0}"
-    ));
+    assert!(json
+        .contains("\"cohort\":{\"fastpath_merges\":0,\"wave_rounds\":0,\"edge_cache_appends\":0}"));
     assert!(json.ends_with(
         "\"storm\":{\"shed\":0,\"deferred_drained\":0,\"deferred_peak\":0,\
          \"defer_wait_ticks\":0,\"defer_wait_max\":0,\
          \"backoff_reschedules\":0,\"backoff_delay_ticks\":0},\
          \"defer_waits\":{\"count\":0,\"p50\":0,\"p99\":0}}"
     ));
-}
-
-/// `normalized()` is unchanged when compaction is off: a run with the
-/// knob disabled carries an all-zero block, so pre-compaction comparison
-/// baselines keep working untouched.
-#[test]
-fn normalized_is_unchanged_when_compaction_is_off() {
-    let mut m = populated_metrics();
-    m.compaction = CompactionStats::default();
-    assert_eq!(m.normalized(), populated_metrics().normalized());
-    assert_eq!(m.normalized().compaction, CompactionStats::default());
 }
 
 /// The cohort block is mechanism accounting (fast-path hits, wave

@@ -15,21 +15,15 @@
 //! trace arithmetic — the connectivity model adjusts schedules after the
 //! cadence draws and never consumes or adds randomness); and the full
 //! fleet telemetry (the per-tick time-series collector plus merge
-//! autopsies). A compaction run squashes pending runs into composites:
-//! that changes what a merge *costs* (fewer, fatter transactions) but not
-//! one committed byte, so it is compared with the cost-model outputs (cost
-//! totals, backlog trajectory) masked out.
+//! autopsies).
 
 use std::sync::Arc;
 
 use histmerge::obs::{FlightRecorder, TimeSeries, TracerHandle};
-use histmerge::replication::metrics::Metrics;
 use histmerge::replication::{
     AdmissionConfig, ConnectivityModel, DurabilityConfig, FaultPlan, FaultStats, Protocol,
     SimConfig, SimReport, Simulation, SyncPath, SyncStrategy, TelemetryConfig,
 };
-use histmerge::semantics::CompactionConfig;
-use histmerge::workload::cost::CostReport;
 use histmerge::workload::generator::ScenarioParams;
 
 fn workload(seed: u64) -> ScenarioParams {
@@ -63,8 +57,7 @@ fn config(protocol: Protocol, seed: u64) -> SimConfig {
 /// Runs `config` through both paths — and the session path again with
 /// durability enabled, with a flight-recorder ring attached, with the
 /// connectivity layer spelled out, with full fleet telemetry
-/// (time-series + autopsies), and with compaction — and asserts the
-/// reports are identical.
+/// (time-series + autopsies) — and asserts the reports are identical.
 fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
     config.sync_path = SyncPath::Legacy;
     let legacy = Simulation::new(config.clone()).expect("valid sim config").run();
@@ -75,11 +68,6 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
     let mut durable_config = config.clone();
     durable_config.durability = DurabilityConfig { enabled: true, checkpoint_every: 96 };
     let durable = Simulation::new(durable_config).expect("valid sim config").run();
-    // Compaction: the pre-merge compactor squashes pending histories
-    // before they are planned.
-    let mut squash_config = config.clone();
-    squash_config.compaction = CompactionConfig::enabled();
-    let squashed = Simulation::new(squash_config).expect("valid sim config").run();
     // The structured connectivity layer spelled out explicitly —
     // AlwaysOn + unbounded admission (the defaults, made loud) and a
     // saturated duty cycle whose every `next_up` is the identity. Neither
@@ -162,28 +150,6 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
         let convergence = candidate.convergence.expect("session run checked convergence");
         assert!(convergence.holds(), "{label}/{path}: convergence oracle failed: {convergence:?}");
     }
-    // The compacted run holds to the same bar with the cost model masked
-    // out: planning against squashed histories legitimately changes cost
-    // totals and the backlog trajectory derived from them, but must not
-    // change one committed byte, a single per-sync record (kept in
-    // original-transaction units), or any other counter.
-    assert_eq!(legacy.final_master, squashed.final_master, "{label}/compaction: master diverged");
-    assert_eq!(legacy.base_commits, squashed.base_commits, "{label}/compaction: commits diverged");
-    assert_eq!(legacy.cluster, squashed.cluster, "{label}/compaction: cluster stats diverged");
-    let mask_cost = |m: &Metrics| {
-        let mut m = m.normalized();
-        m.cost = CostReport::default();
-        m.peak_backlog = 0.0;
-        m.backlog_series.clear();
-        m
-    };
-    assert_eq!(
-        mask_cost(&legacy.metrics),
-        mask_cost(&squashed.metrics),
-        "{label}/compaction: metrics diverged beyond the cost model"
-    );
-    let convergence = squashed.convergence.expect("compacted run checked convergence");
-    assert!(convergence.holds(), "{label}/compaction: convergence oracle failed: {convergence:?}");
     // The durable run actually logged, and every acked session's ledger
     // record was pruned (the fault-free run acks everything).
     assert!(durable.metrics.wal.records > 0, "{label}: WAL never written");
