@@ -54,8 +54,8 @@ fn cohort_config(fleet: usize) -> SimConfig {
     }
 }
 
-/// Min-of-`reps` wall clock, the E18/E19/E21 discipline: deterministic
-/// runs, identical reports, only the timing varies.
+/// Min-of-`reps` wall clock, as in E21: deterministic runs, identical
+/// reports, only the timing varies.
 fn run(config: SimConfig, reps: usize) -> (SimReport, f64) {
     (0..reps)
         .map(|_| timed(|| Simulation::new(config.clone()).expect("valid sim config").run()))

@@ -6,7 +6,7 @@
 //! thundering herd: a reconnect cohort approaching the whole fleet in a
 //! single tick. Under the merging protocol that cohort is the worst
 //! input the base can see — same-tick installs pay for each other's
-//! delta validation quadratically (E19's honest finding).
+//! delta validation quadratically.
 //!
 //! The sweep crosses outage length with admission policy:
 //!
@@ -84,10 +84,10 @@ fn config(fleet: usize, outage: u64, admission: AdmissionConfig) -> SimConfig {
     }
 }
 
-/// Min-of-`reps` wall clock, same discipline as E18/E19: the runs are
-/// deterministic, so the reports are identical and only timing varies.
-/// The uncapped herd cells cost tens of seconds each, so the full sweep
-/// uses two reps (smoke mode one) rather than E19's three.
+/// Min-of-`reps` wall clock: the runs are deterministic, so the reports
+/// are identical and only timing varies. The uncapped herd cells cost
+/// tens of seconds each, so the full sweep uses two reps (smoke mode
+/// one).
 fn run(config: SimConfig, reps: usize) -> (SimReport, f64) {
     let mut best: Option<(SimReport, f64)> = None;
     for _ in 0..reps {

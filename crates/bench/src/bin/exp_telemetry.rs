@@ -3,8 +3,8 @@
 //! Two questions about the PR-9 telemetry layer (per-tick time series,
 //! merge autopsies, exporters):
 //!
-//! 1. **What does the collector cost?** The E17 durable-session harness
-//!    is timed under the no-op tracer (telemetry off) and with the full
+//! 1. **What does the collector cost?** A small durable session run (six
+//!    mobiles, checkpointed WAL, convergence audit) is timed under the no-op tracer (telemetry off) and with the full
 //!    telemetry stack enabled — flight-recorder ring, per-tick
 //!    `TimeSeries`, and autopsy emission. Two independent no-op batches
 //!    bound the measurement noise; the acceptance bar is telemetry
@@ -16,9 +16,8 @@
 //!    conflict edge — a named partner transaction — in its autopsy.
 //!    Asserted over the full population, not sampled.
 //!
-//! Every telemetry-enabled run is audited the E17 way:
-//! `Metrics::normalized()` must be byte-identical to the plain run —
-//! telemetry is observation-only.
+//! Every telemetry-enabled run is audited: `Metrics::normalized()` must
+//! be byte-identical to the plain run — telemetry is observation-only.
 //!
 //! Artifacts: the usual `exp_telemetry.json` tables, plus the storm
 //! run's raw telemetry for `obs_report` and CI uploads — the ring dump
@@ -53,7 +52,7 @@ fn smoke() -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Part 1: collector overhead on the E17 durable-session harness.
+// Part 1: collector overhead on a small durable session run.
 // ---------------------------------------------------------------------
 
 fn overhead_config(seed: u64, tracer: TracerHandle, telemetry: TelemetryConfig) -> SimConfig {
@@ -120,8 +119,10 @@ struct ModeStats {
 }
 
 /// Wall-clock milliseconds and batch CPU totals per mode, measured
-/// interleaved with a rotating start mode and two warmups — the same
-/// discipline as E17 (see `exp_observability` for the rationale).
+/// interleaved with a rotating start mode and two warmups. Rotating the
+/// start mode each round spreads the position effect (allocator and
+/// cache state left by the previous run) over every mode equally, and
+/// the median absorbs one-off spikes and monotone host drift.
 fn measure(modes: &[(&str, ModeFactory)]) -> Vec<ModeStats> {
     let n = modes.len();
     let mut samples: Vec<Vec<f64>> = modes.iter().map(|_| Vec::new()).collect();

@@ -24,7 +24,7 @@
 
 use std::process::exit;
 
-use histmerge_bench::json::{parse, JsonVal};
+use histmerge_obs::json::{parse, push_escaped, JsonVal};
 use histmerge_obs::{export, validate_json_line, NO_PARTNER};
 
 fn usage() -> ! {
@@ -113,14 +113,7 @@ fn field_str<'a>(event: &'a JsonVal, key: &str) -> &'a str {
 
 fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    push_escaped(out, s);
     out.push('"');
 }
 

@@ -3,8 +3,9 @@
 use std::collections::BTreeSet;
 
 use histmerge_history::{
-    run_to_final, AugmentedHistory, BackoutStrategy, BaseEdgeCache, ClosureScratch, ClosureTable,
-    DenseBits, GraphScratch, PrecedenceGraph, SerialHistory, TwoCycleOptimal, TxnArena,
+    rule1_edge_count, run_to_final, AugmentedHistory, BackoutStrategy, BaseEdgeCache,
+    ClosureScratch, ClosureTable, DenseBits, GraphScratch, PrecedenceGraph, SerialHistory,
+    TwoCycleOptimal, TxnArena,
 };
 use histmerge_obs::{Phase, TraceEvent, TracerHandle};
 use histmerge_semantics::{OracleStack, SemanticOracle, StaticAnalyzer};
@@ -299,17 +300,8 @@ impl Merger {
         let graph_edges = match &graph {
             Some(graph) => graph.edges().len(),
             None => {
-                let hm_order: Vec<TxnId> = hm.iter().collect();
-                let mut edges =
-                    assist.base_edges.map_or(0, |cache| cache.edge_count(hb.len()));
-                for (i, &ti) in hm_order.iter().enumerate() {
-                    for &tj in &hm_order[i + 1..] {
-                        if arena.conflicts(ti, tj) {
-                            edges += 1;
-                        }
-                    }
-                }
-                edges
+                rule1_edge_count(arena, hm)
+                    + assist.base_edges.map_or(0, |cache| cache.edge_count(hb.len()))
             }
         };
         tracer.span_end(Phase::GraphBuild, span);

@@ -598,6 +598,19 @@ impl fmt::Display for PrecedenceGraph {
     }
 }
 
+/// The number of rule-1 edges of `G(H_m, H_b)`: pairs `T_i`, `T_j` of
+/// conflicting tentative transactions with `T_i` before `T_j` in `hm`.
+/// Rule 1 does not look at `H_b`, so this equals the edge count of
+/// `PrecedenceGraph::build(arena, hm, ∅)` without building the graph.
+pub fn rule1_edge_count(arena: &TxnArena, hm: &SerialHistory) -> usize {
+    let order = hm.order();
+    order
+        .iter()
+        .enumerate()
+        .map(|(i, &ti)| order[i + 1..].iter().filter(|&&tj| arena.conflicts(ti, tj)).count())
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -853,5 +866,29 @@ mod tests {
         );
         assert!(g.is_acyclic());
         assert_eq!(g.merged_history_without(&BTreeSet::new()).unwrap().order(), &[a, b, c]);
+    }
+
+    #[test]
+    fn rule1_edge_count_matches_a_built_graph() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut edges_seen = 0;
+        for _ in 0..50 {
+            let mut arena = TxnArena::new();
+            let len = rng.gen_range(0..12);
+            let order: Vec<TxnId> = (0..len)
+                .map(|k| {
+                    let reads: Vec<u32> = (0..8).filter(|_| rng.gen_bool(0.2)).collect();
+                    let writes: Vec<u32> = (0..8).filter(|_| rng.gen_bool(0.15)).collect();
+                    rw_txn(&mut arena, &format!("t{k}"), TxnKind::Tentative, &reads, &writes)
+                })
+                .collect();
+            let hm = SerialHistory::from_order(order);
+            let built = PrecedenceGraph::build(&arena, &hm, &SerialHistory::new());
+            assert_eq!(rule1_edge_count(&arena, &hm), built.edges().len());
+            edges_seen += built.edges().len();
+        }
+        assert!(edges_seen > 0, "the generated histories must conflict somewhere");
     }
 }

@@ -1,10 +1,19 @@
-//! Minimal JSON helpers: escaping for the renderer and a strict
-//! validator for tests asserting that flight-recorder dumps are
-//! well-formed JSONL (the workspace vendors a no-op serde, so validation
-//! is hand-rolled too).
+//! The workspace's one JSON reader and string escaper.
+//!
+//! The vendored `serde` is a no-op stub (the build environment has no
+//! registry access), so JSON is written by hand-rolled string assembly
+//! and read back by the small recursive-descent parser here: [`parse`]
+//! turns a document into a [`JsonVal`] tree, [`validate_json_line`]
+//! checks that a flight-recorder or export dump line is exactly one
+//! well-formed value, and [`push_escaped`] is the escaper every writer
+//! shares.
+//!
+//! Object member order is preserved (members are a `Vec`, not a map):
+//! artifact rows put their key column first.
 
-/// Appends `s` to `out` with JSON string escaping.
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` with JSON string escaping (no surrounding
+/// quotes).
+pub fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -22,167 +31,270 @@ pub(crate) fn push_escaped(out: &mut String, s: &str) {
 
 /// Validates that `line` is exactly one well-formed JSON value (object,
 /// array, string, number, boolean, or null) with nothing trailing.
-/// Returns a position-tagged error on malformed input. Strict enough for
-/// dump tests; not a general-purpose parser (no deserialization).
+/// Returns a position-tagged error on malformed input.
 pub fn validate_json_line(line: &str) -> Result<(), String> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at {pos}"));
-    }
-    Ok(())
+    parse(line).map(|_| ())
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-        *pos += 1;
-    }
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonVal {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number.
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<JsonVal>),
+    /// An object, in source member order.
+    Obj(Vec<(String, JsonVal)>),
 }
 
-fn value(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    match bytes.get(*pos) {
-        Some(b'{') => object(bytes, pos),
-        Some(b'[') => array(bytes, pos),
-        Some(b'"') => string(bytes, pos),
-        Some(b't') => literal(bytes, pos, b"true"),
-        Some(b'f') => literal(bytes, pos, b"false"),
-        Some(b'n') => literal(bytes, pos, b"null"),
-        Some(b'-' | b'0'..=b'9') => number(bytes, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}")),
-        None => Err(format!("unexpected end of input at {pos}")),
+impl JsonVal {
+    /// Looks up `key` in an object (first match); `None` for non-objects.
+    pub fn get(&self, key: &str) -> Option<&JsonVal> {
+        match self {
+            JsonVal::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
-}
 
-fn object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume '{'
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonVal::Str(s) => Some(s),
+            _ => None,
+        }
     }
-    loop {
-        skip_ws(bytes, pos);
-        string(bytes, pos).map_err(|e| format!("object key: {e}"))?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        skip_ws(bytes, pos);
-        value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at {pos}")),
+
+    /// The array elements, if this is an array.
+    pub fn as_arr(&self) -> Option<&[JsonVal]> {
+        match self {
+            JsonVal::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The object members in source order, if this is an object.
+    pub fn as_obj(&self) -> Option<&[(String, JsonVal)]> {
+        match self {
+            JsonVal::Obj(members) => Some(members),
+            _ => None,
         }
     }
 }
 
-fn array(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume '['
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
+/// Parses a JSON document. Errors carry the byte offset of the problem.
+pub fn parse(input: &str) -> Result<JsonVal, String> {
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    p.skip_ws();
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing input at byte {}", p.pos));
     }
-    loop {
-        skip_ws(bytes, pos);
-        value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at {pos}")),
-        }
-    }
+    Ok(value)
 }
 
-fn string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(bytes, pos, b'"')?;
-    while let Some(&c) = bytes.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        if self.peek() == Some(byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected '{}' at byte {}", byte as char, self.pos))
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: JsonVal) -> Result<JsonVal, String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn value(&mut self) -> Result<JsonVal, String> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(JsonVal::Str(self.string()?)),
+            Some(b't') => self.literal("true", JsonVal::Bool(true)),
+            Some(b'f') => self.literal("false", JsonVal::Bool(false)),
+            Some(b'n') => self.literal("null", JsonVal::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(format!("unexpected input at byte {}", self.pos)),
+        }
+    }
+
+    fn object(&mut self) -> Result<JsonVal, String> {
+        self.expect(b'{')?;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(JsonVal::Obj(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            members.push((key, self.value()?));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonVal::Obj(members));
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match bytes.get(*pos) {
-                                Some(h) if h.is_ascii_hexdigit() => *pos += 1,
-                                _ => return Err(format!("bad \\u escape at {pos}")),
-                            }
+        }
+    }
+
+    fn array(&mut self) -> Result<JsonVal, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonVal::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonVal::Arr(items));
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let escape = self.peek().ok_or("unterminated escape")?;
+                    self.pos += 1;
+                    match escape {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                            let hex = std::str::from_utf8(hex).expect("ASCII hex digits");
+                            let code = u32::from_str_radix(hex, 16).expect("four hex digits");
+                            self.pos += 4;
+                            // Surrogates never appear in the ASCII-ish
+                            // artifacts this reads; map them to U+FFFD
+                            // rather than implementing pairing.
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        }
+                        other => {
+                            return Err(format!("bad escape '\\{}'", other as char));
                         }
                     }
-                    _ => return Err(format!("bad escape at {pos}")),
+                }
+                Some(0x00..=0x1f) => {
+                    return Err(format!("unescaped control byte at byte {}", self.pos));
+                }
+                Some(_) => {
+                    // Consume one UTF-8 scalar (the input is a &str, so
+                    // slicing at char boundaries is safe to find).
+                    let rest = &self.bytes[self.pos..];
+                    let len = match rest[0] {
+                        b if b < 0x80 => 1,
+                        b if b >= 0xf0 => 4,
+                        b if b >= 0xe0 => 3,
+                        _ => 2,
+                    };
+                    out.push_str(std::str::from_utf8(&rest[..len]).map_err(|_| "bad UTF-8")?);
+                    self.pos += len;
                 }
             }
-            0x00..=0x1f => return Err(format!("unescaped control byte at {pos}")),
-            _ => *pos += 1,
         }
     }
-    Err("unterminated string".to_string())
-}
 
-fn number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |bytes: &[u8], pos: &mut usize| {
-        let from = *pos;
-        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
+    /// Consumes a run of ASCII digits; `false` when there was none.
+    fn digits(&mut self) -> bool {
+        let from = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
         }
-        *pos > from
-    };
-    if !digits(bytes, pos) {
-        return Err(format!("expected digits at {start}"));
+        self.pos > from
     }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(bytes, pos) {
-            return Err(format!("expected fraction digits at {pos}"));
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(bytes, pos) {
-            return Err(format!("expected exponent digits at {pos}"));
-        }
-    }
-    Ok(())
-}
 
-fn literal(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if bytes[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at {pos}"))
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at {pos}", c as char))
+    /// `-? digits (. digits)? ([eE] [+-]? digits)?` — the JSON number
+    /// grammar, so forms `f64::from_str` would also take (`1.`, `-.5`,
+    /// `1e`) are rejected.
+    fn number(&mut self) -> Result<JsonVal, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        if !self.digits() {
+            return Err(format!("expected digits at byte {}", self.pos));
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !self.digits() {
+                return Err(format!("expected fraction digits at byte {}", self.pos));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !self.digits() {
+                return Err(format!("expected exponent digits at byte {}", self.pos));
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
+        text.parse::<f64>().map(JsonVal::Num).map_err(|_| format!("bad number at byte {start}"))
     }
 }
 
@@ -229,5 +341,16 @@ mod tests {
         push_escaped(&mut out, "quote\" slash\\ nl\n tab\t ctrl\u{1} done");
         out.push_str("\"}");
         validate_json_line(&out).unwrap();
+    }
+
+    #[test]
+    fn parser_holds_the_grammar_where_rust_parsing_is_looser() {
+        // `f64::from_str` and `u32::from_str_radix` accept these; JSON
+        // does not.
+        for bad in ["1.", "-.5", "1e", "1e+", "--1", "\"\\u+abc\"", "\"raw\ttab\""] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+        assert_eq!(parse("-0.5E+2").unwrap(), JsonVal::Num(-50.0));
+        assert_eq!(parse("\"\\u00e9\"").unwrap().as_str(), Some("\u{e9}"));
     }
 }

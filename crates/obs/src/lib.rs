@@ -31,7 +31,9 @@
 //!   conflict edge doomed each backed-out or reprocessed transaction),
 //!   reassembled by the flight recorder from autopsy trace events;
 //! * [`export`] — Prometheus text-format and registry-JSON dumps plus a
-//!   self-contained single-file HTML run report.
+//!   self-contained single-file HTML run report;
+//! * [`json`] — the workspace's one JSON escaper and reader, which
+//!   dump tests and the benchmark's result sets parse through.
 //!
 //! Instrumentation is observation-only by contract: tracers never touch
 //! simulation RNG streams, metrics counters, or control flow, so a traced
@@ -43,7 +45,7 @@
 mod autopsy;
 mod event;
 pub mod export;
-mod json;
+pub mod json;
 mod registry;
 mod ring;
 mod timeseries;

@@ -146,11 +146,6 @@ impl RegistrySnapshot {
     pub fn phase(&self, phase: Phase) -> Option<&PhaseSnapshot> {
         self.phases.iter().find(|p| p.phase == phase)
     }
-
-    /// Sum of all phase totals (the denominator of share breakdowns).
-    pub fn grand_total(&self) -> u64 {
-        self.phases.iter().map(|p| p.total).sum()
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +167,6 @@ mod tests {
         assert!((install.mean() - 200.0).abs() < 1e-9);
         assert_eq!(snap.phase(Phase::WalAppend).unwrap().count, 1);
         assert!(snap.phase(Phase::Rewrite).is_none());
-        assert_eq!(snap.grand_total(), 407);
     }
 
     #[test]

@@ -55,8 +55,9 @@ impl Tracer for NoopTracer {
 }
 
 /// An unbounded JSONL sink: retains every event (rendered eagerly) plus
-/// a span registry. The heavyweight end of the overhead spectrum —
-/// experiment E17 measures it against the ring and the noop.
+/// a span registry. The heavyweight end of the overhead spectrum: it
+/// keeps every event, where the ring keeps a bounded tail and the noop
+/// keeps nothing.
 #[derive(Debug, Default)]
 pub struct JsonlSink {
     lines: Mutex<Vec<String>>,

@@ -55,11 +55,11 @@ impl Parallelism {
 
 /// One member of a merge batch: a reconnecting mobile's pending history.
 #[derive(Debug, Clone)]
-pub struct BatchJob {
+pub(crate) struct BatchJob {
     /// The mobile's id — the deterministic install-order key.
-    pub mobile: usize,
+    pub(crate) mobile: usize,
     /// Its pending tentative history.
-    pub hm: SerialHistory,
+    pub(crate) hm: SerialHistory,
 }
 
 /// Runs the pure merge phase for every job against the shared snapshot
@@ -80,7 +80,7 @@ pub struct BatchJob {
 /// and `hb_final` as the assist, on one thread; parallelism changes only
 /// wall-clock time, never results.
 #[allow(clippy::too_many_arguments)]
-pub fn merge_batch(
+pub(crate) fn merge_batch(
     arena: &TxnArena,
     jobs: &[BatchJob],
     hb: &SerialHistory,
@@ -132,7 +132,7 @@ pub fn merge_batch(
 /// re-interning. This is the speculation-time form: the unions are
 /// computed once per batch job and every subsequent delta validation is
 /// a handful of word-wise ANDs.
-pub fn history_bits(arena: &TxnArena, hm: &SerialHistory) -> (DenseBits, DenseBits) {
+pub(crate) fn history_bits(arena: &TxnArena, hm: &SerialHistory) -> (DenseBits, DenseBits) {
     let mut reads = DenseBits::new();
     let mut writes = DenseBits::new();
     for id in hm.iter() {
@@ -157,7 +157,7 @@ pub fn history_bits(arena: &TxnArena, hm: &SerialHistory) -> (DenseBits, DenseBi
 /// The footprints are the precomputed [`history_bits`] unions, so each
 /// delta transaction costs two word-wise ANDs against its admission-time
 /// bitsets — O(words), not O(txns × footprint).
-pub fn delta_invalidates(
+pub(crate) fn delta_invalidates(
     arena: &TxnArena,
     delta: &[TxnId],
     read_bits: &DenseBits,

@@ -247,9 +247,9 @@ impl std::fmt::Display for InvalidConnectivity {
 impl std::error::Error for InvalidConnectivity {}
 
 /// Base-side admission control: the cap on how many reconnecting mobiles
-/// the base merges in one tick. E19's scale finding — a same-tick merge
-/// cohort pays quadratically for its own installs into the shared epoch —
-/// makes an unbounded reconnect storm a latent availability bug; the cap
+/// the base merges in one tick. A same-tick merge cohort pays
+/// quadratically for its own installs into the shared epoch, which makes
+/// an unbounded reconnect storm a latent availability bug; the cap
 /// turns it into bounded per-tick work plus a deterministic deferred
 /// queue (drained FIFO, ahead of fresh arrivals, so no mobile starves).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]

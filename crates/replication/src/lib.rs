@@ -15,16 +15,15 @@
 //!
 //! [`sync`] implements the two multi-history synchronization strategies of
 //! Section 2.2 (per-disconnect snapshots vs shared window-start states with
-//! periodic resynchronization); [`batch`] runs the merges of mobiles
-//! reconnecting in the same tick concurrently against the shared
-//! window-start state, with a deterministic mobile-id-ordered install
-//! phase; [`metrics`] aggregates counts and Section 7.1 cost reports. The
-//! simulation is a discrete-time loop, deterministic for a given
-//! [`SimConfig`] (seeded RNG) regardless of the configured
-//! [`Parallelism`]. Each tick's due mobile work is popped as timestamped
-//! events from a deterministic priority queue ([`sched`]), which is what
-//! lets the scale harness (E19) run million-mobile fleets without paying
-//! O(fleet) per tick.
+//! periodic resynchronization); the merges of mobiles reconnecting in the
+//! same tick run concurrently against the shared window-start state, with
+//! a deterministic mobile-id-ordered install phase; [`metrics`] aggregates
+//! counts and Section 7.1 cost reports. The simulation is a discrete-time
+//! loop, deterministic for a given [`SimConfig`] (seeded RNG) regardless
+//! of the configured [`Parallelism`]. Each tick's due mobile work is
+//! popped as timestamped events from a deterministic priority queue
+//! ([`sched`]), so a tick costs time in the mobiles due in it rather than
+//! in the fleet size, and million-mobile fleets stay affordable.
 //!
 //! Reconnections can run through two interchangeable paths
 //! ([`SyncPath`]): the legacy atomic in-process handshake, or the
@@ -48,11 +47,11 @@
 #![warn(missing_docs)]
 
 mod base;
+mod batch;
 mod cluster;
 mod mobile;
 mod sim;
 
-pub mod batch;
 pub mod connectivity;
 pub mod fault;
 pub mod metrics;
@@ -63,7 +62,7 @@ pub mod sync;
 pub mod wal;
 
 pub use base::{BaseNode, RetroPatchError};
-pub use batch::{merge_batch, BatchJob, Parallelism};
+pub use batch::Parallelism;
 pub use cluster::{BaseCluster, ClusterStats};
 pub use connectivity::{AdmissionConfig, ConnectivityModel, InvalidConnectivity, LinkTrace};
 pub use fault::{Delivery, FaultKind, FaultPlan, FaultRates, InvalidFaultRate};

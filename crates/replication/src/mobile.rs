@@ -16,8 +16,7 @@ use crate::session::UnackedSession;
 /// window-start state) plus a sparse patch of the items the node's own
 /// tentative transactions wrote. A fleet of a million mostly-idle mobiles
 /// costs a million `Arc` pointers and their (tiny) write patches, not a
-/// million full database clones — the representation the scale harness
-/// (E19) depends on.
+/// million full database clones.
 #[derive(Debug, Clone)]
 pub struct MobileNode {
     /// Stable identifier (index in the simulation).

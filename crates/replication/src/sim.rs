@@ -14,7 +14,7 @@ use histmerge_core::merge::{
 use histmerge_core::prune::PruneMethod;
 use histmerge_core::rewrite::{FixMode, RewriteAlgorithm};
 use histmerge_history::{
-    closure_weights_for, BaseEdgeCache, DenseBits, EdgeKind, PrecedenceGraph, SerialHistory,
+    closure_weights_for, rule1_edge_count, BaseEdgeCache, DenseBits, EdgeKind, SerialHistory,
     TwoCycleOptimal, TxnArena,
 };
 use histmerge_obs::{
@@ -1225,56 +1225,13 @@ impl Simulation {
         if stale.len() < 2 || workers < 2 {
             return false; // Nothing to overlap: the serial path is no worse.
         }
-        self.sync_cache();
-        let hb = self.base.base().epoch_history();
-        let s0 = self.base.base().epoch_state().clone();
-        let hb_final = self.base.base().master().clone();
-        let log_len = self.base.base().committed();
-        let hb_len = hb.len();
-        let jobs: Vec<BatchJob> = stale
-            .iter()
-            .map(|&i| BatchJob { mobile: i, hm: self.mobiles[i].history().clone() })
-            .collect();
-        let source = &self.source;
-        let make_merger = move || build_merger(source, algorithm, fix_mode);
-        let started = Instant::now();
-        let results = merge_batch(
-            &self.arena,
-            &jobs,
-            &hb,
-            &s0,
-            &hb_final,
-            &self.base_edge_cache,
-            &make_merger,
-            workers,
-        );
-        let ns = started.elapsed().as_nanos() as u64;
-        self.metrics.parallel_merge_ns += ns;
-        self.config.tracer.emit(|| TraceEvent::Span { phase: Phase::ParallelMerge, ns });
-        self.push_anchor(log_len);
-        for (job, result) in jobs.into_iter().zip(results) {
-            match result {
-                Ok(outcome) => {
-                    if outcome.fast_path {
-                        self.metrics.cohort.fastpath_merges += 1;
-                    }
-                    let (read_bits, write_bits) = history_bits(&self.arena, &job.hm);
-                    speculated.insert(
-                        job.mobile,
-                        Speculative {
-                            hm: job.hm,
-                            hb_len,
-                            log_len,
-                            outcome,
-                            read_bits,
-                            write_bits,
-                            rewaved: true,
-                            wave_skip: false,
-                        },
-                    );
+        for (mobile, spec) in self.speculate(&stale, workers, algorithm, fix_mode, true) {
+            match spec {
+                Some(spec) => {
+                    speculated.insert(mobile, spec);
                 }
-                Err(_) => {
-                    if let Some(old) = speculated.get_mut(&job.mobile) {
+                None => {
+                    if let Some(old) = speculated.get_mut(&mobile) {
                         old.wave_skip = true;
                     }
                 }
@@ -1288,12 +1245,11 @@ impl Simulation {
     /// the returned map (ineligible, or whose merge errored) take the live
     /// serial path, which reproduces serial error handling exactly.
     fn speculate_batch(&mut self, batch: &[usize]) -> BTreeMap<usize, Speculative> {
-        let mut out = BTreeMap::new();
         let Protocol::Merging { algorithm, fix_mode } = self.config.protocol else {
-            return out;
+            return BTreeMap::new();
         };
         if matches!(self.config.strategy, SyncStrategy::PerDisconnectSnapshot) {
-            return out; // Strategy 1 merges have per-mobile start states.
+            return BTreeMap::new(); // Strategy 1 merges have per-mobile start states.
         }
         // Mobiles with an unresolved prior session (or a trimmed, dirty
         // log) must run recovery before their pending set is known, so
@@ -1311,16 +1267,33 @@ impl Simulation {
             .collect();
         let workers = self.config.parallelism.workers(eligible.len());
         if eligible.len() < 2 || workers < 2 {
-            return out; // Nothing to overlap: merge live, one at a time.
+            return BTreeMap::new(); // Nothing to overlap: merge live, one at a time.
         }
+        self.speculate(&eligible, workers, algorithm, fix_mode, false)
+            .into_iter()
+            .filter_map(|(mobile, spec)| Some((mobile, spec?)))
+            .collect()
+    }
 
+    /// Merges every member's pending history concurrently against a fresh
+    /// snapshot of the epoch, with `workers` threads. Returns each
+    /// member's speculation in member order, `None` where its merge
+    /// errored; `rewaved` marks the outcomes of a wave round.
+    fn speculate(
+        &mut self,
+        members: &[usize],
+        workers: usize,
+        algorithm: RewriteAlgorithm,
+        fix_mode: FixMode,
+        rewaved: bool,
+    ) -> Vec<(usize, Option<Speculative>)> {
         self.sync_cache();
         let hb = self.base.base().epoch_history();
         let s0 = self.base.base().epoch_state().clone();
         let hb_final = self.base.base().master().clone();
         let log_len = self.base.base().committed();
         let hb_len = hb.len();
-        let jobs: Vec<BatchJob> = eligible
+        let jobs: Vec<BatchJob> = members
             .iter()
             .map(|&i| BatchJob { mobile: i, hm: self.mobiles[i].history().clone() })
             .collect();
@@ -1343,17 +1316,17 @@ impl Simulation {
         self.config.tracer.emit(|| TraceEvent::Span { phase: Phase::ParallelMerge, ns });
 
         self.push_anchor(log_len);
-        for (job, result) in jobs.into_iter().zip(results) {
-            if let Ok(outcome) = result {
-                if outcome.fast_path {
-                    self.metrics.cohort.fastpath_merges += 1;
-                }
-                // The footprint union comes from the arena's interned
-                // admission-time masks — a word-wise OR per transaction,
-                // not a per-item set rebuild.
-                let (read_bits, write_bits) = history_bits(&self.arena, &job.hm);
-                out.insert(
-                    job.mobile,
+        jobs.into_iter()
+            .zip(results)
+            .map(|(job, result)| {
+                let spec = result.ok().map(|outcome| {
+                    if outcome.fast_path {
+                        self.metrics.cohort.fastpath_merges += 1;
+                    }
+                    // The footprint union comes from the arena's interned
+                    // admission-time masks — a word-wise OR per
+                    // transaction, not a per-item set rebuild.
+                    let (read_bits, write_bits) = history_bits(&self.arena, &job.hm);
                     Speculative {
                         hm: job.hm,
                         hb_len,
@@ -1361,13 +1334,13 @@ impl Simulation {
                         outcome,
                         read_bits,
                         write_bits,
-                        rewaved: false,
+                        rewaved,
                         wave_skip: false,
-                    },
-                );
-            }
-        }
-        out
+                    }
+                });
+                (job.mobile, spec)
+            })
+            .collect()
     }
 
     /// Registers a fresh delta anchor for a speculation snapshot taken at
@@ -1934,13 +1907,11 @@ impl Simulation {
                 t.readset().len() + t.writeset().len()
             })
             .sum();
-        let graph_edges =
-            PrecedenceGraph::build(&self.arena, hm, &SerialHistory::new()).edges().len();
         MergeStats {
             hm_len: hm.len(),
             hb_len,
             rw_entries,
-            graph_edges,
+            graph_edges: rule1_edge_count(&self.arena, hm),
             full_graph_edges: outcome.graph_edges,
             n_saved: outcome.saved.len(),
             n_backed_out: outcome.backed_out.len(),
