@@ -9,9 +9,12 @@
 //! with cohort size — 64, 256 and 1024 members — on the synchronized
 //! reconnect merging scenario with the worker count pinned to 4.
 //!
-//! The curve is super-linear: every member that is not footprint-disjoint
-//! still builds a precedence graph linear in the grown epoch history. It
-//! is the baseline a conflict-subgraph merge has to flatten.
+//! Every other member builds and breaks only the conflict slice of the
+//! precedence graph: its own history and the base transactions it shares
+//! a rule-3 edge with, with rule-2 paths read from the epoch's
+//! reachability summary (DESIGN.md §9). What still grows with the epoch
+//! is a word-wise scan of it per merge and the edge cache's append-time
+//! comparisons.
 //!
 //! Run: `cargo run --release -p histmerge-bench --bin exp_cohort`
 
@@ -54,10 +57,10 @@ fn cohort_config(fleet: usize) -> SimConfig {
     }
 }
 
-/// Min-of-`reps` wall clock, as in E21: deterministic runs, identical
+/// Min-of-2 wall clock, as in E21: deterministic runs, identical
 /// reports, only the timing varies.
-fn run(config: SimConfig, reps: usize) -> (SimReport, f64) {
-    (0..reps)
+fn run(config: SimConfig) -> (SimReport, f64) {
+    (0..2)
         .map(|_| timed(|| Simulation::new(config.clone()).expect("valid sim config").run()))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .expect("at least one rep ran")
@@ -78,10 +81,7 @@ fn main() {
         "merges_per_sec",
     ]);
     for fleet in [64, 256, 1024] {
-        // The 1024 row is over a minute of wall on its own; one rep is
-        // enough there (min-of-reps matters at millisecond scale).
-        let reps = if fleet >= 1024 { 1 } else { 2 };
-        let (report, ms) = run(cohort_config(fleet), reps);
+        let (report, ms) = run(cohort_config(fleet));
         let verdict = report.convergence.expect("oracle requested");
         assert!(verdict.holds(), "x{fleet}: convergence oracle failed: {verdict:?}");
         let m = &report.metrics;
@@ -110,9 +110,12 @@ fn main() {
     cohort.print();
 
     println!(
-        "\nEvery member that is not footprint-disjoint from the concurrent base\n\
-         slice still builds a precedence graph linear in the grown epoch, so the\n\
-         curve stays super-linear in cohort size."
+        "\nMembers that are not footprint-disjoint from the concurrent base slice\n\
+         build only their conflict slice of the precedence graph. The curve is\n\
+         still super-linear: the epoch grows with the cohort, each merge scans\n\
+         it once (two word-wise intersections per base transaction) to select\n\
+         its slice, and the edge cache compares every appended transaction with\n\
+         the whole epoch."
     );
 
     let json = artifact_json("exp_cohort", &[("cohort", &cohort)]);

@@ -4,8 +4,8 @@ use std::collections::BTreeSet;
 
 use histmerge_history::{
     rule1_edge_count, run_to_final, AugmentedHistory, BackoutStrategy, BaseEdgeCache,
-    ClosureScratch, ClosureTable, DenseBits, GraphScratch, PrecedenceGraph, SerialHistory,
-    TwoCycleOptimal, TxnArena,
+    ClosureScratch, ClosureTable, DenseBits, PrecedenceGraph, SerialHistory, TwoCycleOptimal,
+    TxnArena,
 };
 use histmerge_obs::{Phase, TraceEvent, TracerHandle};
 use histmerge_semantics::{OracleStack, SemanticOracle, StaticAnalyzer};
@@ -87,9 +87,9 @@ pub struct MergeOutcome {
     /// new master state, in execution order: `(txn, succeeded)`.
     pub reexecuted: Vec<(TxnId, bool)>,
     /// Number of edges in the full precedence graph `G(H_m, H_b)` (cost
-    /// accounting input). Exact even on the fast path: rule-1 pairs are
-    /// counted directly and rule-2 edges read from the cache; a disjoint
-    /// merge has no rule-3 edges by definition.
+    /// accounting input), although only its conflict slice is built: rule-2
+    /// edges are counted by the base-edge cache, and a disjoint merge on
+    /// the fast path has no rule-3 edges by definition.
     pub graph_edges: usize,
     /// `true` if the merge took the conflict-free fast path (pending
     /// history disjoint from the entire concurrent base slice): graph and
@@ -140,12 +140,14 @@ impl MergeOutcome {
 /// and `s0`, exactly like [`Merger::merge`].
 #[derive(Default, Clone, Copy)]
 pub struct MergeAssist<'a> {
-    /// Incrementally maintained rule-2 edges of the epoch's base history.
-    /// Must cover `hb` (see [`PrecedenceGraph::build_with_base_cache`]).
-    /// When it holds exactly `hb`, its footprint union also gates the
-    /// conflict-free fast path: a pending history disjoint from it skips
-    /// precedence-graph and closure construction, with a byte-identical
-    /// outcome.
+    /// The epoch's incrementally maintained rule-2 edge counts and
+    /// reachability summary, from which the merge builds the conflict
+    /// slice of `G(H_m, H_b)`. Must cover `hb` (see
+    /// [`PrecedenceGraph::conflict_slice`]); without it the merge builds a
+    /// cache of `hb` itself, at `O(|H_b|²)`. When it holds exactly `hb`,
+    /// its footprint union also gates the conflict-free fast path: a
+    /// pending history disjoint from it skips slice and closure
+    /// construction, with a byte-identical outcome.
     pub base_edges: Option<&'a BaseEdgeCache>,
     /// The final state of executing `hb` from `s0`. Base nodes already
     /// hold this (it is the current master), so re-executing the whole
@@ -154,19 +156,17 @@ pub struct MergeAssist<'a> {
 }
 
 /// Reusable working memory for repeated merges (the zero-realloc hot
-/// path): precedence-graph id maps and reads-from closure buffers that
-/// would otherwise be reallocated per merge. A caller merging once per
-/// window step holds one `MergeScratch` and threads it through
-/// [`Merger::merge_traced_scratch`]; each merge leaves the buffers grown to
-/// the high-water mark of the histories seen so far, so steady-state merges
-/// allocate nothing for these structures.
+/// path): reads-from closure buffers that would otherwise be reallocated
+/// per merge. A caller merging once per window step holds one
+/// `MergeScratch` and threads it through [`Merger::merge_traced_scratch`];
+/// each merge leaves the buffers grown to the high-water mark of the
+/// histories seen so far, so steady-state merges allocate nothing for
+/// these structures.
 ///
 /// Reuse is observation-free: a merge through a used scratch is
 /// byte-identical to one through [`MergeScratch::new`].
 #[derive(Default)]
 pub struct MergeScratch {
-    /// Flat id→node map reused by [`PrecedenceGraph::build_with_scratch`].
-    pub graph: GraphScratch,
     /// Last-writer and row buffers reused by
     /// [`ClosureTable::build_with_scratch`].
     pub closure: ClosureScratch,
@@ -278,27 +278,29 @@ impl Merger {
             }
         });
 
-        // Step 1: the precedence graph. On the fast path the graph is
-        // never materialized — only its exact edge count is derived (rule-1
-        // pairs counted directly, rule-2 read from the cache, rule-3 zero
-        // by disjointness), because `graph_edges` feeds the cost model.
+        // Step 1: the conflict slice of the precedence graph — `H_m`, the
+        // base transactions with a rule-3 edge to it, and rule-2
+        // reachability between those — which holds every cycle. On the
+        // fast path not even the slice is built. Either way `graph_edges`
+        // counts the whole `G(H_m, H_b)` (rule-1 pairs counted directly,
+        // rule-2 read from the cache, rule-3 zero by disjointness on the
+        // fast path), because it feeds the cost model.
         let span = tracer.span_start();
         let graph = if fast_path {
             None
         } else {
-            Some(match assist.base_edges {
-                Some(cache) => PrecedenceGraph::build_with_base_cache_scratch(
-                    arena,
-                    hm,
-                    hb,
-                    cache,
-                    &mut scratch.graph,
-                ),
-                None => PrecedenceGraph::build_with_scratch(arena, hm, hb, &mut scratch.graph),
-            })
+            let local;
+            let cache = match assist.base_edges {
+                Some(cache) => cache,
+                None => {
+                    local = BaseEdgeCache::of_history(arena, hb);
+                    &local
+                }
+            };
+            Some(PrecedenceGraph::conflict_slice(arena, hm, hb, cache))
         };
         let graph_edges = match &graph {
-            Some(graph) => graph.edges().len(),
+            Some(graph) => graph.full_edge_count(),
             None => {
                 rule1_edge_count(arena, hm)
                     + assist.base_edges.map_or(0, |cache| cache.edge_count(hb.len()))
@@ -317,7 +319,9 @@ impl Merger {
         // per transaction for the weights and then again for AG. On the
         // fast path the graph is acyclic by construction, so B = AG = ∅
         // without consulting any strategy (all built-ins return ∅ on
-        // acyclic graphs) and the closure table is never built.
+        // acyclic graphs) and the closure table is never built. Back-out
+        // on the slice returns the `B` it would on the whole graph (see
+        // `PrecedenceGraph::conflict_slice`).
         let span = tracer.span_start();
         let (bad, affected) = match &graph {
             Some(graph) => {

@@ -97,14 +97,21 @@ fn tentative_members(graph: &PrecedenceGraph, scc: &[TxnId]) -> Vec<TxnId> {
 }
 
 /// Greedy pass: while cycles remain, remove the tentative node with the
-/// highest degree-to-weight ratio inside some cyclic SCC.
+/// highest degree-to-weight ratio inside some cyclic SCC. With `within`
+/// (a sorted SCC), only the cycles inside it are broken.
 fn greedy_break(
     graph: &PrecedenceGraph,
     weight: &dyn Fn(TxnId) -> u64,
     removed: &mut BTreeSet<TxnId>,
+    within: Option<&[TxnId]>,
 ) -> Result<(), BackoutError> {
     loop {
-        let sccs = graph.cyclic_sccs(removed);
+        let mut sccs = graph.cyclic_sccs(removed);
+        if let Some(scope) = within {
+            // Removals only split SCCs, so each cyclic SCC now lies wholly
+            // inside or wholly outside `scope`.
+            sccs.retain(|scc| scope.binary_search(&scc[0]).is_ok());
+        }
         if sccs.is_empty() {
             return Ok(());
         }
@@ -160,7 +167,10 @@ impl BackoutStrategy for ExactMinimum {
         weight: &dyn Fn(TxnId) -> u64,
     ) -> Result<BTreeSet<TxnId>, BackoutError> {
         let mut removed = BTreeSet::new();
-        // SCCs are independent: a cycle never spans two SCCs.
+        // SCCs are independent: a cycle never spans two SCCs. Each is
+        // settled on its own, exactly or (above the budget) greedily, so
+        // `B` does not depend on the order the SCCs are listed in — which
+        // differs between a graph and its conflict slice.
         loop {
             let sccs = graph.cyclic_sccs(&removed);
             if sccs.is_empty() {
@@ -172,7 +182,7 @@ impl BackoutStrategy for ExactMinimum {
                     return Err(BackoutError::UnbreakableCycle { scc: scc.clone() });
                 }
                 if candidates.len() > self.node_budget {
-                    greedy_break(graph, weight, &mut removed)?;
+                    greedy_break(graph, weight, &mut removed, Some(scc))?;
                     continue;
                 }
                 let best = best_subset(graph, scc, &candidates, weight, &removed)
@@ -319,7 +329,7 @@ impl BackoutStrategy for TwoCycleOptimal {
         }
 
         // Residual (longer) cycles: greedy.
-        greedy_break(graph, weight, &mut removed)?;
+        greedy_break(graph, weight, &mut removed, None)?;
         Ok(removed)
     }
 
@@ -375,7 +385,7 @@ impl BackoutStrategy for GreedyScc {
         weight: &dyn Fn(TxnId) -> u64,
     ) -> Result<BTreeSet<TxnId>, BackoutError> {
         let mut removed = BTreeSet::new();
-        greedy_break(graph, weight, &mut removed)?;
+        greedy_break(graph, weight, &mut removed, None)?;
         Ok(removed)
     }
 
@@ -501,6 +511,42 @@ mod tests {
         );
         let out = TwoCycleOptimal::new().compute(&g, &unit).unwrap();
         assert_eq!(out, [m].into_iter().collect());
+    }
+
+    #[test]
+    fn over_budget_scc_leaves_the_others_exact() {
+        use histmerge_txn::{Expr, ProgramBuilder, Transaction, VarId};
+        use std::sync::Arc;
+        let mut arena = crate::TxnArena::new();
+        let mut txn = |name: &str, kind: TxnKind, reads: &[u32], writes: &[u32]| {
+            let mut b = ProgramBuilder::new(name);
+            for r in reads.iter().chain(writes) {
+                b = b.read(VarId::new(*r));
+            }
+            for w in writes {
+                b = b.update(VarId::new(*w), Expr::var(VarId::new(*w)) + Expr::konst(1));
+            }
+            let prog = Arc::new(b.build().unwrap());
+            arena.alloc(|id| Transaction::new(id, name, kind, prog, vec![]))
+        };
+        // SCC A: three tentatives each in a 2-cycle with base `c` on d0.
+        let a: Vec<TxnId> =
+            (0..3).map(|k| txn(&format!("a{k}"), TxnKind::Tentative, &[], &[0])).collect();
+        let c = txn("c", TxnKind::Base, &[], &[0]);
+        // SCC B: t1 → t2 ↔ b → t1. Backing out t2 alone breaks it; greedy
+        // takes the cheaper t1 first and then still needs t2.
+        let t1 = txn("t1", TxnKind::Tentative, &[], &[1, 2]);
+        let t2 = txn("t2", TxnKind::Tentative, &[1], &[3]);
+        let b = txn("b", TxnKind::Base, &[2], &[3]);
+        let weight = move |id: TxnId| if id == t2 { 3 } else { 1 };
+        let exact = ExactMinimum { node_budget: 2 };
+        let expected: BTreeSet<TxnId> = a.iter().copied().chain([t2]).collect();
+        let hb = crate::SerialHistory::from_order([c, b]);
+        for hm in [[a[0], a[1], a[2], t1, t2], [t1, t2, a[0], a[1], a[2]]] {
+            let g = PrecedenceGraph::build(&arena, &crate::SerialHistory::from_order(hm), &hb);
+            assert_eq!(g.cyclic_sccs(&BTreeSet::new()).len(), 2);
+            assert_eq!(exact.compute(&g, &weight).unwrap(), expected);
+        }
     }
 
     #[test]

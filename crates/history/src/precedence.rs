@@ -15,8 +15,15 @@
 //! serializable, i.e. equivalent to some merged history `H` — which
 //! [`PrecedenceGraph::merged_history_without`] then produces by
 //! topological sort.
+//!
+//! [`PrecedenceGraph::build`] materializes the whole graph; Figure 1, the
+//! Theorem-1 witness and the oracles use it. The merger only needs the
+//! cycles, and every cycle passes through `H_m` and the base transactions
+//! sharing a rule-3 edge with it, so it builds the **conflict slice**
+//! ([`PrecedenceGraph::conflict_slice`]) over those nodes, with rule-2
+//! paths summarized by a per-epoch [`BaseEdgeCache`].
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use histmerge_txn::{TxnId, TxnKind};
@@ -59,73 +66,39 @@ impl fmt::Display for EdgeKind {
     }
 }
 
-/// Reusable scratch for repeated graph builds: the id → node-index map as
-/// a generation-stamped flat vector, so back-to-back merges over one arena
-/// stop allocating (and rebalancing) a `BTreeMap` per build.
-#[derive(Debug, Clone, Default)]
-pub struct GraphScratch {
-    /// `TxnId` slot → node index, valid only when the stamp matches the
-    /// current generation.
-    index: Vec<u32>,
-    stamp: Vec<u32>,
-    generation: u32,
-}
-
-impl GraphScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        GraphScratch::default()
-    }
-
-    /// Starts a new build over an arena with `arena_len` transactions.
-    fn begin(&mut self, arena_len: usize) {
-        if self.index.len() < arena_len {
-            self.index.resize(arena_len, 0);
-            self.stamp.resize(arena_len, 0);
-        }
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Generation counter wrapped: old stamps could collide, so
-            // reset them all once.
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.generation = 1;
-        }
-    }
-
-    fn record(&mut self, id: TxnId, node: usize) {
-        let slot = id.index() as usize;
-        self.index[slot] = node as u32;
-        self.stamp[slot] = self.generation;
-    }
-
-    fn index_of(&self, id: TxnId) -> usize {
-        let slot = id.index() as usize;
-        debug_assert_eq!(self.stamp[slot], self.generation, "node present");
-        self.index[slot] as usize
-    }
-}
-
-/// Incrementally maintained rule-2 (base-conflict) edges of one epoch's
+/// Incrementally maintained rule-2 (base-conflict) summary of one epoch's
 /// base history.
 ///
-/// [`PrecedenceGraph::build`] recomputes the `O(|H_b|²)` pairwise base
-/// conflicts on every merge, even though within a window `H_b` only ever
-/// *grows*. A `BaseEdgeCache` is kept per epoch: appending a suffix of `k`
-/// new base transactions costs `O(k · |H_b|)` comparisons once, and every
-/// merge in the window (serial or batched) then reads its rule-2 edges —
-/// for any prefix of the cached history — in `O(edges)`.
+/// Within a window `H_b` only ever *grows*. A `BaseEdgeCache` is kept per
+/// epoch: appending a base transaction compares it once against every
+/// earlier cached one, and every merge in the window (serial or batched)
+/// then reads, for any prefix of the cached history,
 ///
-/// Edge counts are tracked cumulatively per prefix, so graphs built from
-/// the cache report byte-identical edge sets to the from-scratch build.
-#[derive(Debug, Clone, Default)]
+/// * the exact number of rule-2 edges ([`edge_count`](Self::edge_count)),
+///   which the §7.1 cost model charges for, and
+/// * rule-2 *reachability*: whether an earlier base transaction reaches a
+///   later one along rule-2 edges. The conflict slice
+///   ([`PrecedenceGraph::conflict_slice`]) needs only this, never the
+///   edges themselves.
+///
+/// Rule-2 edges only run forward in `H_b`, so both answers for a prefix
+/// stay the same as the history grows.
+///
+/// The reachability summary holds, for each position `j`, the bitset of
+/// the earlier positions that reach `j`: `⌈j/64⌉` words, so
+/// O(|H_b|²/64) words in all (about `|H_b|²/128`). [`clear`](Self::clear)
+/// drops it at window rollover, so it is bounded by one window's base
+/// history.
+#[derive(Debug, Clone)]
 pub struct BaseEdgeCache {
     txns: Vec<TxnId>,
-    /// Conflicting index pairs `(i, j)` with `i < j`, grouped by `j` in
-    /// append order (so the pairs among any prefix form a prefix of this
-    /// vector).
-    pairs: Vec<(usize, usize)>,
-    /// `edges_upto[k]` = number of pairs whose later member is `< k`.
+    /// `edges_upto[k]` = number of rule-2 edges among the first `k`
+    /// cached transactions.
     edges_upto: Vec<usize>,
+    /// The reachability summary: row `j` starts at word `rows[j]` and
+    /// holds bit `i` for every `i < j` that reaches `j` along rule-2 edges.
+    ancestors: Vec<u64>,
+    rows: Vec<usize>,
     /// Union of every cached transaction's read∪write bitset — the whole
     /// epoch slice's footprint. A pending history disjoint from this union
     /// cannot draw a single cross edge against *any* cached prefix, which
@@ -133,15 +106,31 @@ pub struct BaseEdgeCache {
     footprint: DenseBits,
 }
 
+impl Default for BaseEdgeCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl BaseEdgeCache {
     /// Creates an empty cache (start of a window).
     pub fn new() -> Self {
         BaseEdgeCache {
             txns: Vec::new(),
-            pairs: Vec::new(),
             edges_upto: vec![0],
+            ancestors: Vec::new(),
+            rows: Vec::new(),
             footprint: DenseBits::new(),
         }
+    }
+
+    /// A cache holding exactly `hb`: what a merge without an epoch cache
+    /// builds for itself, at the `O(|H_b|²)` cost of the pairwise rule-2
+    /// comparisons.
+    pub fn of_history(arena: &TxnArena, hb: &SerialHistory) -> Self {
+        let mut cache = BaseEdgeCache::new();
+        cache.extend(arena, hb.iter());
+        cache
     }
 
     /// Number of base transactions cached.
@@ -154,12 +143,14 @@ impl BaseEdgeCache {
         self.txns.is_empty()
     }
 
-    /// Drops all cached state (window rollover).
+    /// Drops all cached state, the reachability summary included (window
+    /// rollover).
     pub fn clear(&mut self) {
         self.txns.clear();
-        self.pairs.clear();
         self.edges_upto.clear();
         self.edges_upto.push(0);
+        self.ancestors.clear();
+        self.rows.clear();
         self.footprint.clear();
     }
 
@@ -168,13 +159,31 @@ impl BaseEdgeCache {
     pub fn extend(&mut self, arena: &TxnArena, suffix: impl IntoIterator<Item = TxnId>) {
         for id in suffix {
             let j = self.txns.len();
-            self.txns.push(id);
-            for (i, &earlier) in self.txns[..j].iter().enumerate() {
-                if arena.conflicts(earlier, id) {
-                    self.pairs.push((i, j));
+            let row = self.ancestors.len();
+            self.ancestors.resize(row + j.div_ceil(64), 0);
+            let (earlier, ancestors) = self.ancestors.split_at_mut(row);
+            let mut edges = 0;
+            // Latest first: a conflicting `i` already in the row reaches `j`
+            // through a later conflict whose row was merged, and its own
+            // ancestors came with that row — only its edge is new.
+            for i in (0..j).rev() {
+                if !arena.conflicts(self.txns[i], id) {
+                    continue;
+                }
+                edges += 1;
+                let bit = 1u64 << (i % 64);
+                if ancestors[i / 64] & bit == 0 {
+                    ancestors[i / 64] |= bit;
+                    let from = self.rows[i];
+                    let row_i = &earlier[from..from + i.div_ceil(64)];
+                    for (word, src) in ancestors.iter_mut().zip(row_i) {
+                        *word |= *src;
+                    }
                 }
             }
-            self.edges_upto.push(self.pairs.len());
+            self.txns.push(id);
+            self.rows.push(row);
+            self.edges_upto.push(self.edges_upto[j] + edges);
             self.footprint.union_with(arena.read_bits(id));
             self.footprint.union_with(arena.write_bits(id));
         }
@@ -205,35 +214,33 @@ impl BaseEdgeCache {
         &self.footprint
     }
 
-    /// The conflicting pairs among the first `prefix` transactions, in the
-    /// `(i asc, j asc)` order the from-scratch build emits them.
-    fn pairs_upto(&self, prefix: usize) -> Vec<(usize, usize)> {
-        let mut pairs = self.pairs[..self.edge_count(prefix)].to_vec();
-        pairs.sort_unstable();
-        pairs
+    /// Does cached position `i` reach position `j > i` along rule-2 edges?
+    fn reaches(&self, i: usize, j: usize) -> bool {
+        self.ancestors[self.rows[j] + i / 64] & (1u64 << (i % 64)) != 0
     }
 }
 
-/// How a [`PrecedenceGraph`] build obtains the rule-2 (base-conflict)
-/// edges.
-enum Rule2<'a> {
-    /// Pairwise comparison over `H_b` (the from-scratch path).
-    Compute,
-    /// Read them from a [`BaseEdgeCache`] whose prefix matches `H_b`.
-    Cached(&'a BaseEdgeCache),
-}
-
-/// The precedence graph over the transactions of `H_m ∪ H_b`.
+/// The precedence graph over the transactions of `H_m ∪ H_b`, or over its
+/// conflict slice (see [`PrecedenceGraph::conflict_slice`]).
 #[derive(Debug, Clone)]
 pub struct PrecedenceGraph {
     /// Node order: `H_m` transactions first, then `H_b` transactions.
     nodes: Vec<TxnId>,
     kinds: Vec<TxnKind>,
-    /// Adjacency: `succs[i]` holds the node indices `i` points to, sorted
-    /// ascending after the build (membership tests binary-search).
-    succs: Vec<Vec<usize>>,
-    /// Every edge with its reason, for diagnostics and Figure 1 rendering.
+    /// `TxnId` → node index.
+    index: HashMap<TxnId, usize>,
+    /// Adjacency in compressed rows: node `i`'s successors are
+    /// `succ[succ_at[i]..succ_at[i + 1]]`, ascending (membership tests
+    /// binary-search). `pred_at`/`pred` hold the transpose the same way.
+    succ_at: Vec<usize>,
+    succ: Vec<usize>,
+    pred_at: Vec<usize>,
+    pred: Vec<usize>,
+    /// Every materialized edge with its reason, for diagnostics and
+    /// Figure 1 rendering.
     edges: Vec<(TxnId, TxnId, EdgeKind)>,
+    /// Edge count of the whole `G(H_m, H_b)` this graph stands for.
+    full_edges: usize,
 }
 
 impl PrecedenceGraph {
@@ -243,160 +250,153 @@ impl PrecedenceGraph {
     /// transactions conflict on an item if both access it and at least one
     /// writes it.
     pub fn build(arena: &TxnArena, hm: &SerialHistory, hb: &SerialHistory) -> Self {
-        Self::build_inner(arena, hm, hb, Rule2::Compute, &mut GraphScratch::new())
+        let hb = hb.order();
+        let mut graph = Builder::new(arena, hm.iter().chain(hb.iter().copied()).collect());
+        let m = hm.len();
+        graph.rule1(m);
+
+        // Rule 2: order of conflicting base transactions in H_b.
+        for (i, &ti) in hb.iter().enumerate() {
+            for (j, &tj) in hb.iter().enumerate().skip(i + 1) {
+                if arena.conflicts(ti, tj) {
+                    graph.edge(m + i, m + j, EdgeKind::BaseConflict);
+                }
+            }
+        }
+
+        graph.rule3(m);
+        let full_edges = graph.edges.len();
+        graph.finish(full_edges)
     }
 
-    /// Like [`build`](Self::build), but reusing a caller-held
-    /// [`GraphScratch`] across builds (e.g. one merge per window step).
-    pub fn build_with_scratch(
-        arena: &TxnArena,
-        hm: &SerialHistory,
-        hb: &SerialHistory,
-        scratch: &mut GraphScratch,
-    ) -> Self {
-        Self::build_inner(arena, hm, hb, Rule2::Compute, scratch)
-    }
-
-    /// Builds the graph like [`build`](Self::build), but takes the rule-2
-    /// base-conflict edges from an incrementally maintained
-    /// [`BaseEdgeCache`] instead of recomputing the `O(|H_b|²)` pairwise
-    /// comparisons. The cache must cover `hb` — i.e. `hb` must equal a
-    /// prefix of the cached history.
+    /// Builds the **conflict slice** of `G(H_m, H_b)`: the part a cycle can
+    /// pass through. The merger runs back-out on it instead of the whole
+    /// graph.
     ///
-    /// The resulting graph is identical to the from-scratch build, edge
-    /// order included.
-    pub fn build_with_base_cache(
+    /// * Nodes: `H_m`, then — in `H_b` order — the base transactions with a
+    ///   rule-3 edge to `H_m`, i.e. those whose writes meet `H_m`'s read
+    ///   union or whose reads meet its write union.
+    /// * Edges: rules 1 and 3 as in [`build`](Self::build). Base-to-base
+    ///   paths are summarized by adjacency entries carrying rule-2
+    ///   reachability ([`BaseEdgeCache`] keeps it): `T_b → T_b'` when
+    ///   `T_b` reaches `T_b'` and no other slice base transaction lies on
+    ///   a path between them (the transitive reduction, so a hot item
+    ///   shared by the whole slice costs a chain, not a clique). These
+    ///   summary entries are not in [`edges`](Self::edges).
+    ///
+    /// A cycle of `G` runs through a tentative node, and each maximal base
+    /// run on it enters and leaves by a rule-3 edge, so both its ends are
+    /// slice nodes joined by a path of summary entries. Hence reachability
+    /// among slice nodes is that of `G`: cyclic SCCs restricted to the slice,
+    /// 2-cycles and every tentative node's degree are those of `G`, and the
+    /// back-out strategies return the same `B` on both.
+    /// [`full_edge_count`](Self::full_edge_count) stays exact: the cache
+    /// counts rule 2 without materializing it.
+    ///
+    /// `cache` must cover `hb`: `hb` must equal a prefix of the cached
+    /// history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache holds fewer transactions than `hb`.
+    pub fn conflict_slice(
         arena: &TxnArena,
         hm: &SerialHistory,
         hb: &SerialHistory,
         cache: &BaseEdgeCache,
-    ) -> Self {
-        Self::build_with_base_cache_scratch(arena, hm, hb, cache, &mut GraphScratch::new())
-    }
-
-    /// [`build_with_base_cache`](Self::build_with_base_cache) with a
-    /// caller-held [`GraphScratch`].
-    pub fn build_with_base_cache_scratch(
-        arena: &TxnArena,
-        hm: &SerialHistory,
-        hb: &SerialHistory,
-        cache: &BaseEdgeCache,
-        scratch: &mut GraphScratch,
     ) -> Self {
         assert!(cache.len() >= hb.len(), "base-edge cache is behind the base history");
         debug_assert!(
-            hb.iter().eq(cache.txns[..hb.len()].iter().copied()),
+            hb.order() == &cache.txns[..hb.len()],
             "base-edge cache prefix does not match the base history"
         );
-        Self::build_inner(arena, hm, hb, Rule2::Cached(cache), scratch)
-    }
-
-    fn build_inner(
-        arena: &TxnArena,
-        hm: &SerialHistory,
-        hb: &SerialHistory,
-        rule2: Rule2,
-        scratch: &mut GraphScratch,
-    ) -> Self {
-        let nodes: Vec<TxnId> = hm.iter().chain(hb.iter()).collect();
-        let kinds: Vec<TxnKind> = nodes.iter().map(|id| arena.get(*id).kind()).collect();
-        scratch.begin(arena.len());
-        for (i, id) in nodes.iter().enumerate() {
-            scratch.record(*id, i);
+        let mut reads = DenseBits::new();
+        let mut writes = DenseBits::new();
+        for id in hm.iter() {
+            reads.union_with(arena.read_bits(id));
+            writes.union_with(arena.write_bits(id));
         }
-        let index_of = |id: TxnId| scratch.index_of(id);
+        let positions: Vec<usize> = (0..hb.len())
+            .filter(|&p| {
+                let tb = cache.txns[p];
+                arena.write_bits(tb).intersects(&reads) || arena.read_bits(tb).intersects(&writes)
+            })
+            .collect();
 
-        let mut graph = PrecedenceGraph {
-            succs: vec![Vec::new(); nodes.len()],
-            edges: Vec::new(),
-            nodes,
-            kinds,
-        };
+        let m = hm.len();
+        let nodes = hm.iter().chain(positions.iter().map(|&p| cache.txns[p])).collect();
+        let mut graph = Builder::new(arena, nodes);
+        graph.rule1(m);
+        graph.rule3(m);
+        let full_edges = graph.edges.len() + cache.edge_count(hb.len());
 
-        // Rule 1: order of conflicting tentative transactions in H_m.
-        // Conflicts are word-wise bitset tests over the arena's interned
-        // footprints — identical answers to the VarSet intersections.
-        let hm_order: Vec<TxnId> = hm.iter().collect();
-        for (i, &ti) in hm_order.iter().enumerate() {
-            for &tj in &hm_order[i + 1..] {
-                if arena.conflicts(ti, tj) {
-                    graph.add_edge(index_of(ti), index_of(tj), EdgeKind::MobileConflict);
-                }
-            }
-        }
-
-        // Rule 2: order of conflicting base transactions in H_b.
-        let hb_order: Vec<TxnId> = hb.iter().collect();
-        let base_offset = hm_order.len();
-        match rule2 {
-            Rule2::Compute => {
-                for (i, &ti) in hb_order.iter().enumerate() {
-                    for &tj in &hb_order[i + 1..] {
-                        if arena.conflicts(ti, tj) {
-                            graph.add_edge(index_of(ti), index_of(tj), EdgeKind::BaseConflict);
-                        }
+        // Base to base: the transitive reduction of rule-2 reachability
+        // among the slice's base transactions. Latest first, `reach` row
+        // `a` collects every slice index after `a` that `a` reaches; a
+        // reachable index not yet in the row has no slice node on its
+        // paths from `a`, so it gets an entry and brings its own row.
+        let k = positions.len();
+        let words = k.div_ceil(64);
+        let mut reach = vec![0u64; k * words];
+        for a in (0..k).rev() {
+            let (upto, later) = reach.split_at_mut((a + 1) * words);
+            let row = &mut upto[a * words..];
+            for c in a + 1..k {
+                if row[c / 64] & (1u64 << (c % 64)) == 0
+                    && cache.reaches(positions[a], positions[c])
+                {
+                    graph.arcs.push((m + a, m + c));
+                    row[c / 64] |= 1u64 << (c % 64);
+                    let from = (c - a - 1) * words;
+                    for (word, src) in row.iter_mut().zip(&later[from..from + words]) {
+                        *word |= *src;
                     }
                 }
             }
-            Rule2::Cached(cache) => {
-                for (i, j) in cache.pairs_upto(hb_order.len()) {
-                    graph.add_edge(base_offset + i, base_offset + j, EdgeKind::BaseConflict);
-                }
-            }
         }
-
-        // Rule 3: cross edges. Both histories started from the same state,
-        // so a tentative read of an item some base transaction wrote must
-        // have observed the pre-base value (and vice versa).
-        for &tm in &hm_order {
-            for &tb in &hb_order {
-                if arena.reads_overlap_writes(tm, tb) {
-                    graph.add_edge(index_of(tm), index_of(tb), EdgeKind::MobileReadBase);
-                }
-                if arena.reads_overlap_writes(tb, tm) {
-                    graph.add_edge(index_of(tb), index_of(tm), EdgeKind::BaseReadMobile);
-                }
-            }
-        }
-
-        // Sort adjacency ascending (rule-3 targets arrive out of order for
-        // base nodes) so membership binary-searches and iteration matches
-        // the former BTreeSet order.
-        for succs in &mut graph.succs {
-            succs.sort_unstable();
-        }
-
-        graph
+        graph.finish(full_edges)
     }
 
-    fn add_edge(&mut self, from: usize, to: usize, kind: EdgeKind) {
-        if !self.succs[from].contains(&to) {
-            self.succs[from].push(to);
-            self.edges.push((self.nodes[from], self.nodes[to], kind));
-        }
+    fn succs(&self, i: usize) -> &[usize] {
+        &self.succ[self.succ_at[i]..self.succ_at[i + 1]]
     }
 
-    /// The transactions in the graph (tentative first, then base).
+    fn preds(&self, i: usize) -> &[usize] {
+        &self.pred[self.pred_at[i]..self.pred_at[i + 1]]
+    }
+
+    /// The transactions in the graph (tentative first, then base). For a
+    /// conflict slice, only the base transactions in the slice.
     pub fn nodes(&self) -> &[TxnId] {
         &self.nodes
     }
 
-    /// Every edge as `(from, to, kind)`, in insertion order.
+    /// Every materialized edge as `(from, to, kind)`, in insertion order.
+    /// For a conflict slice these are its rule-1 and rule-3 edges.
     pub fn edges(&self) -> &[(TxnId, TxnId, EdgeKind)] {
         &self.edges
     }
 
-    /// Returns `true` if there is an edge `from → to`.
+    /// The number of edges of the whole `G(H_m, H_b)`: `edges().len()` for
+    /// a [`build`](Self::build), and rule 1 + rule 2 + rule 3 for a
+    /// [`conflict_slice`](Self::conflict_slice), whose rule-2 edges are
+    /// counted by the cache and never materialized.
+    pub fn full_edge_count(&self) -> usize {
+        self.full_edges
+    }
+
+    /// Returns `true` if there is an edge `from → to` (in a conflict slice,
+    /// base-to-base entries mean rule-2 reachability).
     pub fn has_edge(&self, from: TxnId, to: TxnId) -> bool {
         match (self.index(from), self.index(to)) {
-            (Some(f), Some(t)) => self.succs[f].binary_search(&t).is_ok(),
+            (Some(f), Some(t)) => self.succs(f).binary_search(&t).is_ok(),
             _ => false,
         }
     }
 
     /// The node index of `id`, if present.
     fn index(&self, id: TxnId) -> Option<usize> {
-        self.nodes.iter().position(|n| *n == id)
+        self.index.get(&id).copied()
     }
 
     /// The kind (base/tentative) of a node.
@@ -427,11 +427,11 @@ impl PrecedenceGraph {
         let n = self.nodes.len();
         let alive: Vec<bool> = self.nodes.iter().map(|id| !removed.contains(id)).collect();
         let mut indegree = vec![0usize; n];
-        for (from, succs) in self.succs.iter().enumerate() {
+        for from in 0..n {
             if !alive[from] {
                 continue;
             }
-            for &to in succs {
+            for &to in self.succs(from) {
                 if alive[to] {
                     indegree[to] += 1;
                 }
@@ -448,7 +448,7 @@ impl PrecedenceGraph {
             let Some(i) = next else { break };
             emitted[i] = true;
             order.push(self.nodes[i]);
-            for &to in &self.succs[i] {
+            for &to in self.succs(i) {
                 if alive[to] && !emitted[to] {
                     indegree[to] -= 1;
                 }
@@ -459,6 +459,8 @@ impl PrecedenceGraph {
 
     /// If the graph (minus `removed`) is acyclic, returns an equivalent
     /// merged serial history over the remaining transactions (Theorem 1).
+    /// Only a [`build`](Self::build) holds every transaction; a conflict
+    /// slice yields a history over its own nodes.
     pub fn merged_history_without(&self, removed: &BTreeSet<TxnId>) -> Option<SerialHistory> {
         self.topo_order_without(removed).map(SerialHistory::from_order)
     }
@@ -472,7 +474,7 @@ impl PrecedenceGraph {
             .filter(|scc| {
                 scc.len() > 1 || {
                     let i = self.index(scc[0]).expect("scc node");
-                    self.succs[i].binary_search(&i).is_ok()
+                    self.succs(i).binary_search(&i).is_ok()
                 }
             })
             .collect()
@@ -484,14 +486,14 @@ impl PrecedenceGraph {
     /// back-out strategy.
     pub fn two_cycles(&self, removed: &BTreeSet<TxnId>) -> Vec<(TxnId, TxnId)> {
         let mut out = Vec::new();
-        for (i, succs) in self.succs.iter().enumerate() {
+        for i in 0..self.nodes.len() {
             if removed.contains(&self.nodes[i]) {
                 continue;
             }
-            for &j in succs {
+            for &j in self.succs(i) {
                 if j > i
                     && !removed.contains(&self.nodes[j])
-                    && self.succs[j].binary_search(&i).is_ok()
+                    && self.succs(j).binary_search(&i).is_ok()
                 {
                     out.push((self.nodes[i], self.nodes[j]));
                 }
@@ -509,26 +511,28 @@ impl PrecedenceGraph {
         let mut lowlink = vec![0usize; n];
         let mut on_stack = vec![false; n];
         let mut stack: Vec<usize> = Vec::new();
+        // Explicit DFS stack: (node, position in its successor list).
+        let mut call_stack: Vec<(usize, usize)> = Vec::new();
         let mut next_index = 0usize;
         let mut sccs: Vec<Vec<TxnId>> = Vec::new();
 
-        // Explicit DFS stack: (node, iterator position over succs).
         for start in 0..n {
             if !alive[start] || index[start] != usize::MAX {
                 continue;
             }
-            let mut call_stack: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-            let succs_of = |v: usize| -> Vec<usize> {
-                self.succs[v].iter().copied().filter(|&w| alive[w]).collect()
-            };
             index[start] = next_index;
             lowlink[start] = next_index;
             next_index += 1;
             stack.push(start);
             on_stack[start] = true;
-            call_stack.push((start, succs_of(start), 0));
+            call_stack.push((start, 0));
 
-            while let Some((v, succs, pos)) = call_stack.last_mut() {
+            while let Some((v, pos)) = call_stack.last_mut() {
+                let v = *v;
+                let succs = self.succs(v);
+                while *pos < succs.len() && !alive[succs[*pos]] {
+                    *pos += 1;
+                }
                 if *pos < succs.len() {
                     let w = succs[*pos];
                     *pos += 1;
@@ -538,15 +542,13 @@ impl PrecedenceGraph {
                         next_index += 1;
                         stack.push(w);
                         on_stack[w] = true;
-                        call_stack.push((w, succs_of(w), 0));
+                        call_stack.push((w, 0));
                     } else if on_stack[w] {
-                        let v = *v;
                         lowlink[v] = lowlink[v].min(index[w]);
                     }
                 } else {
-                    let v = *v;
                     call_stack.pop();
-                    if let Some((parent, _, _)) = call_stack.last() {
+                    if let Some((parent, _)) = call_stack.last() {
                         lowlink[*parent] = lowlink[*parent].min(lowlink[v]);
                     }
                     if lowlink[v] == index[v] {
@@ -575,17 +577,104 @@ impl PrecedenceGraph {
         if removed.contains(&id) {
             return 0;
         }
-        let out = self.succs[i].iter().filter(|&&j| !removed.contains(&self.nodes[j])).count();
-        let inn = self
-            .succs
-            .iter()
-            .enumerate()
-            .filter(|(j, succs)| {
-                !removed.contains(&self.nodes[*j]) && succs.binary_search(&i).is_ok()
-            })
-            .count();
-        out + inn
+        let live = |j: &&usize| !removed.contains(&self.nodes[**j]);
+        self.succs(i).iter().filter(live).count() + self.preds(i).iter().filter(live).count()
     }
+}
+
+/// A [`PrecedenceGraph`] under construction: its nodes, the arcs added
+/// so far, and the reasoned edges among them.
+struct Builder<'a> {
+    arena: &'a TxnArena,
+    nodes: Vec<TxnId>,
+    arcs: Vec<(usize, usize)>,
+    edges: Vec<(TxnId, TxnId, EdgeKind)>,
+}
+
+impl<'a> Builder<'a> {
+    fn new(arena: &'a TxnArena, nodes: Vec<TxnId>) -> Self {
+        Builder { arena, nodes, arcs: Vec::new(), edges: Vec::new() }
+    }
+
+    /// Rule 1: order of conflicting tentative transactions (the first `m`
+    /// nodes) in H_m. Conflicts are word-wise bitset tests over the
+    /// arena's interned footprints — identical answers to the VarSet
+    /// intersections.
+    fn rule1(&mut self, m: usize) {
+        for i in 0..m {
+            for j in i + 1..m {
+                if self.arena.conflicts(self.nodes[i], self.nodes[j]) {
+                    self.edge(i, j, EdgeKind::MobileConflict);
+                }
+            }
+        }
+    }
+
+    /// Rule 3: cross edges between the first `m` (tentative) nodes and the
+    /// rest (base). Both histories started from the same state, so a
+    /// tentative read of an item some base transaction wrote must have
+    /// observed the pre-base value (and vice versa).
+    fn rule3(&mut self, m: usize) {
+        for a in 0..m {
+            for b in m..self.nodes.len() {
+                let (tm, tb) = (self.nodes[a], self.nodes[b]);
+                if self.arena.reads_overlap_writes(tm, tb) {
+                    self.edge(a, b, EdgeKind::MobileReadBase);
+                }
+                if self.arena.reads_overlap_writes(tb, tm) {
+                    self.edge(b, a, EdgeKind::BaseReadMobile);
+                }
+            }
+        }
+    }
+
+    /// Every rule adds each ordered node pair at most once, so edges are
+    /// pushed without a membership test.
+    fn edge(&mut self, from: usize, to: usize, kind: EdgeKind) {
+        self.arcs.push((from, to));
+        self.edges.push((self.nodes[from], self.nodes[to], kind));
+    }
+
+    /// Lays the arcs out as ascending compressed rows (rule-3 targets
+    /// arrive out of order), so membership binary-searches and iteration
+    /// matches the former `BTreeSet` order, and fills the transpose.
+    fn finish(self, full_edges: usize) -> PrecedenceGraph {
+        let n = self.nodes.len();
+        let mut arcs = self.arcs;
+        arcs.sort_unstable();
+        let succ_at = row_offsets(n, arcs.iter().map(|arc| arc.0));
+        let pred_at = row_offsets(n, arcs.iter().map(|arc| arc.1));
+        let mut pred = vec![0; arcs.len()];
+        let mut next = pred_at.clone();
+        for &(from, to) in &arcs {
+            pred[next[to]] = from;
+            next[to] += 1;
+        }
+        PrecedenceGraph {
+            kinds: self.nodes.iter().map(|id| self.arena.get(*id).kind()).collect(),
+            index: self.nodes.iter().enumerate().map(|(i, id)| (*id, i)).collect(),
+            nodes: self.nodes,
+            succ_at,
+            succ: arcs.into_iter().map(|arc| arc.1).collect(),
+            pred_at,
+            pred,
+            edges: self.edges,
+            full_edges,
+        }
+    }
+}
+
+/// Start offsets of `n` compressed rows holding one entry per item of
+/// `rows` (each item names its row), plus the total at the end.
+fn row_offsets(n: usize, rows: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut at = vec![0; n + 1];
+    for row in rows {
+        at[row + 1] += 1;
+    }
+    for i in 0..n {
+        at[i + 1] += at[i];
+    }
+    at
 }
 
 impl fmt::Display for PrecedenceGraph {
@@ -762,85 +851,209 @@ mod tests {
         assert!(text.contains("mobile-read-base"));
     }
 
+    /// `Tm' → Tm → Tb1 → Tb2 → Tb3 → Tm'`, where `Tb2` has no rule-3 edge
+    /// to `H_m`: the cycle leaves the conflict slice and comes back.
+    /// Returns the arena, `H_m = [Tm', Tm]`, `H_b = [Tb1, Tb2, Tb3]`.
+    fn untouched_bridge() -> (TxnArena, SerialHistory, SerialHistory) {
+        let mut arena = TxnArena::new();
+        let tm2 = rw_txn(&mut arena, "Tm'", TxnKind::Tentative, &[], &[3, 4]);
+        let tm = rw_txn(&mut arena, "Tm", TxnKind::Tentative, &[0, 4], &[]);
+        let tb1 = rw_txn(&mut arena, "Tb1", TxnKind::Base, &[], &[0, 1]);
+        let tb2 = rw_txn(&mut arena, "Tb2", TxnKind::Base, &[], &[1, 2]);
+        let tb3 = rw_txn(&mut arena, "Tb3", TxnKind::Base, &[2, 3], &[]);
+        (arena, SerialHistory::from_order([tm2, tm]), SerialHistory::from_order([tb1, tb2, tb3]))
+    }
+
+    fn materialized(g: &PrecedenceGraph) -> usize {
+        g.succ.len()
+    }
+
+    fn cache_history(ids: &[TxnId]) -> SerialHistory {
+        SerialHistory::from_order(ids.iter().copied())
+    }
+
     #[test]
-    fn cached_build_matches_from_scratch() {
+    fn slice_of_example1_keeps_the_cycle_and_counts_every_edge() {
         let ex = crate::fixtures::example1();
-        let mut cache = BaseEdgeCache::new();
-        cache.sync(&ex.arena, &ex.hb);
-        assert_eq!(cache.len(), ex.hb.len());
-        let scratch = PrecedenceGraph::build(&ex.arena, &ex.hm, &ex.hb);
-        let cached = PrecedenceGraph::build_with_base_cache(&ex.arena, &ex.hm, &ex.hb, &cache);
-        assert_eq!(scratch.nodes(), cached.nodes());
-        assert_eq!(scratch.edges(), cached.edges());
+        let cache = BaseEdgeCache::of_history(&ex.arena, &ex.hb);
+        let full = PrecedenceGraph::build(&ex.arena, &ex.hm, &ex.hb);
+        let slice = PrecedenceGraph::conflict_slice(&ex.arena, &ex.hm, &ex.hb, &cache);
         assert_eq!(cache.edge_count(ex.hb.len()), 1); // Tb1 -> Tb2 on d5
         assert_eq!(cache.edge_count(0), 0);
+        // Both base transactions draw rule-3 edges, so the slice is the
+        // whole graph, minus the materialized rule-2 edge.
+        assert_eq!(slice.nodes(), full.nodes());
+        assert_eq!(slice.edges().len() + 1, full.edges().len());
+        assert_eq!(slice.full_edge_count(), full.edges().len());
+        assert_eq!(full.full_edge_count(), full.edges().len());
+        assert!(slice.has_edge(ex.b[0], ex.b[1]), "Tb1 reaches Tb2");
+        assert!(!slice.is_acyclic());
+        let removed: BTreeSet<TxnId> = [ex.m[2]].into_iter().collect();
+        assert!(slice.is_acyclic_without(&removed));
+        assert_eq!(slice.cyclic_sccs(&BTreeSet::new()), full.cyclic_sccs(&BTreeSet::new()));
+        for id in ex.m {
+            assert_eq!(slice.degree_without(id, &removed), full.degree_without(id, &removed));
+        }
+    }
+
+    #[test]
+    fn reachability_bridges_an_untouched_base_transaction() {
+        let (arena, hm, hb) = untouched_bridge();
+        let [tb1, tb2, tb3] = [hb.order()[0], hb.order()[1], hb.order()[2]];
+        let full = PrecedenceGraph::build(&arena, &hm, &hb);
+        assert!(!full.is_acyclic());
+        let cache = BaseEdgeCache::of_history(&arena, &hb);
+        let slice = PrecedenceGraph::conflict_slice(&arena, &hm, &hb, &cache);
+        assert_eq!(slice.nodes(), &[hm.order()[0], hm.order()[1], tb1, tb3]);
+        assert!(!slice.nodes().contains(&tb2));
+        assert!(slice.has_edge(tb1, tb3), "Tb1 reaches Tb3 through Tb2");
+        assert!(!slice.is_acyclic());
+        let mut expected = full.cyclic_sccs(&BTreeSet::new());
+        expected[0].retain(|id| *id != tb2);
+        assert_eq!(slice.cyclic_sccs(&BTreeSet::new()), expected);
+        assert_eq!(slice.full_edge_count(), full.edges().len());
     }
 
     #[test]
     fn cache_grows_incrementally_and_serves_prefixes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
         let mut arena = TxnArena::new();
-        let ids: Vec<TxnId> = (0..6)
-            .map(|i| rw_txn(&mut arena, &format!("b{i}"), TxnKind::Base, &[i % 2], &[i % 2]))
+        // Sparse random footprints, so reachability runs through chains
+        // longer than one edge and across word boundaries of the summary.
+        let ids: Vec<TxnId> = (0..150)
+            .map(|k| {
+                let reads: Vec<u32> = (0..40).filter(|_| rng.gen_bool(0.02)).collect();
+                let writes: Vec<u32> = (0..40).filter(|_| rng.gen_bool(0.02)).collect();
+                rw_txn(&mut arena, &format!("b{k}"), TxnKind::Base, &reads, &writes)
+            })
             .collect();
-        let m = rw_txn(&mut arena, "m", TxnKind::Tentative, &[0], &[0]);
+        let m = rw_txn(&mut arena, "m", TxnKind::Tentative, &[0, 1], &[2]);
         let hm = SerialHistory::from_order([m]);
 
+        // Grow the epoch in steps; each prefix must count the from-scratch
+        // graph's edges exactly, and earlier prefixes must keep working
+        // after later extensions.
         let mut cache = BaseEdgeCache::new();
-        // Grow the epoch two transactions at a time; each prefix must match
-        // the from-scratch build exactly, including edge order, and earlier
-        // prefixes must keep working after later extensions.
-        for step in [2usize, 4, 6] {
-            let hb = SerialHistory::from_order(ids[..step].iter().copied());
-            cache.sync(&arena, &hb);
-            for prefix in (2..=step).step_by(2) {
-                let hb_pre = SerialHistory::from_order(ids[..prefix].iter().copied());
-                let scratch = PrecedenceGraph::build(&arena, &hm, &hb_pre);
-                let cached = PrecedenceGraph::build_with_base_cache(&arena, &hm, &hb_pre, &cache);
-                assert_eq!(scratch.edges(), cached.edges(), "prefix {prefix} of {step}");
+        for step in [1usize, 70, 150] {
+            cache.sync(&arena, &SerialHistory::from_order(ids[..step].iter().copied()));
+            for prefix in [0, step / 2, step] {
+                let hb = SerialHistory::from_order(ids[..prefix].iter().copied());
+                let full = PrecedenceGraph::build(&arena, &hm, &hb);
+                let slice = PrecedenceGraph::conflict_slice(&arena, &hm, &hb, &cache);
+                assert_eq!(
+                    slice.full_edge_count(),
+                    full.edges().len(),
+                    "prefix {prefix} of {step}"
+                );
                 assert_eq!(
                     cache.edge_count(prefix),
-                    scratch.edges().iter().filter(|(_, _, k)| *k == EdgeKind::BaseConflict).count()
+                    full.edges().iter().filter(|(_, _, k)| *k == EdgeKind::BaseConflict).count()
                 );
             }
         }
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.edge_count(6), 0);
+
+        // The summary is the transitive closure of the rule-2 edges:
+        // `reach[j][i]` iff `i` reaches `j`.
+        let n = ids.len();
+        let full = PrecedenceGraph::build(&arena, &SerialHistory::new(), &cache_history(&ids));
+        let mut reach = vec![vec![false; n]; n];
+        for j in 0..n {
+            for k in 0..j {
+                if full.has_edge(ids[k], ids[j]) {
+                    let via = reach[k].clone();
+                    reach[j][k] = true;
+                    for (r, v) in reach[j].iter_mut().zip(via) {
+                        *r |= v;
+                    }
+                }
+            }
+        }
+        let mut chains = 0;
+        for j in 0..n {
+            for i in 0..j {
+                assert_eq!(cache.reaches(i, j), reach[j][i], "{i} reaches {j}");
+                chains += usize::from(reach[j][i] && !full.has_edge(ids[i], ids[j]));
+            }
+        }
+        assert!(chains > 0, "some reachability must need more than one edge");
+    }
+
+    /// ROADMAP gate for conflict-local merging, asserted on counts so it
+    /// holds on any host: at fixed conflicts with `H_m`, appending base
+    /// transactions that conflict only among themselves grows `G`'s edge
+    /// count but not the slice.
+    #[test]
+    fn slice_stays_flat_as_the_epoch_grows() {
+        let (mut arena, hm, conflicting) = untouched_bridge();
+        let fillers: Vec<TxnId> = (0..1024u32)
+            .map(|k| rw_txn(&mut arena, &format!("f{k}"), TxnKind::Base, &[], &[10 + k % 4]))
+            .collect();
+        let mut shape = None;
+        let mut last_full = 0;
+        for len in [0usize, 64, 256, 1024] {
+            let hb =
+                SerialHistory::from_order(conflicting.iter().chain(fillers[..len].iter().copied()));
+            let cache = BaseEdgeCache::of_history(&arena, &hb);
+            let slice = PrecedenceGraph::conflict_slice(&arena, &hm, &hb, &cache);
+            let counts = (slice.nodes().len(), materialized(&slice), slice.edges().len());
+            assert_eq!(*shape.get_or_insert(counts), counts, "slice grew at |H_b| = {}", hb.len());
+            assert!(len == 0 || slice.full_edge_count() > last_full, "G grows with the epoch");
+            last_full = slice.full_edge_count();
+            if len <= 64 {
+                let full = PrecedenceGraph::build(&arena, &hm, &hb);
+                assert_eq!(slice.full_edge_count(), full.edges().len());
+                assert!(materialized(&full) > materialized(&slice));
+            }
+        }
+        // Tm', Tm, Tb1, Tb3; rule 1, two rule-3 edges and Tb1 → Tb3.
+        assert_eq!(shape, Some((4, 4, 3)));
     }
 
     #[test]
-    fn scratch_reuse_matches_fresh_builds() {
-        let ex = crate::fixtures::example1();
-        let mut cache = BaseEdgeCache::new();
-        cache.sync(&ex.arena, &ex.hb);
-        let mut scratch = GraphScratch::new();
-        // Reuse one scratch across from-scratch, cached, and shrunk builds;
-        // every graph must match its fresh-scratch twin edge-for-edge.
-        for _ in 0..3 {
-            let fresh = PrecedenceGraph::build(&ex.arena, &ex.hm, &ex.hb);
-            let reused =
-                PrecedenceGraph::build_with_scratch(&ex.arena, &ex.hm, &ex.hb, &mut scratch);
-            assert_eq!(fresh.edges(), reused.edges());
-            assert_eq!(fresh.nodes(), reused.nodes());
-            let cached = PrecedenceGraph::build_with_base_cache_scratch(
-                &ex.arena,
-                &ex.hm,
-                &ex.hb,
-                &cache,
-                &mut scratch,
-            );
-            assert_eq!(fresh.edges(), cached.edges());
-            // A smaller build right after must not see stale entries.
-            let small = PrecedenceGraph::build_with_scratch(
-                &ex.arena,
-                &SerialHistory::from_order([ex.m[0]]),
-                &SerialHistory::new(),
-                &mut scratch,
-            );
-            assert!(small.edges().is_empty());
-            assert_eq!(small.nodes(), &[ex.m[0]]);
-        }
+    fn clear_drops_the_reachability_summary() {
+        let mut arena = TxnArena::new();
+        let ids: Vec<TxnId> = (0..200u32)
+            .map(|k| rw_txn(&mut arena, &format!("b{k}"), TxnKind::Base, &[], &[k % 3]))
+            .collect();
+        let words = |len: usize| (0..len).map(|j| j.div_ceil(64)).sum::<usize>();
+        let mut cache = BaseEdgeCache::of_history(&arena, &cache_history(&ids));
+        assert_eq!(cache.ancestors.len(), words(200));
+        cache.clear();
+        assert!(cache.is_empty());
+        assert!(cache.ancestors.is_empty() && cache.rows.is_empty());
+        assert_eq!(cache.edge_count(200), 0);
+        // The next window's summary is sized by that window alone.
+        cache.sync(&arena, &cache_history(&ids[..10]));
+        assert_eq!(cache.ancestors.len(), words(10));
+        // Items 0, 1, 2 are written by 4, 3 and 3 of the ten: C(4,2) + 2·C(3,2).
+        assert_eq!(cache.edge_count(10), 12);
+    }
+
+    #[test]
+    fn a_hot_item_shared_by_the_slice_costs_a_chain() {
+        let mut arena = TxnArena::new();
+        let m = rw_txn(&mut arena, "m", TxnKind::Tentative, &[], &[0]);
+        let hb: Vec<TxnId> = (0..50)
+            .map(|k| rw_txn(&mut arena, &format!("b{k}"), TxnKind::Base, &[], &[0]))
+            .collect();
+        let (hm, hb) = (SerialHistory::from_order([m]), cache_history(&hb));
+        let full = PrecedenceGraph::build(&arena, &hm, &hb);
+        let slice = PrecedenceGraph::conflict_slice(
+            &arena,
+            &hm,
+            &hb,
+            &BaseEdgeCache::of_history(&arena, &hb),
+        );
+        // Rule 2 is a 50-clique in G; the slice keeps 49 reachability
+        // entries beside its 100 rule-3 edges.
+        assert_eq!(full.edges().len(), 50 * 49 / 2 + 100);
+        assert_eq!(slice.full_edge_count(), full.edges().len());
+        assert_eq!(materialized(&slice), 49 + 100);
+        assert_eq!(slice.cyclic_sccs(&BTreeSet::new()), full.cyclic_sccs(&BTreeSet::new()));
+        let removed: BTreeSet<TxnId> = [m].into_iter().collect();
+        assert!(slice.is_acyclic_without(&removed));
     }
 
     #[test]
@@ -848,7 +1061,18 @@ mod tests {
     fn stale_cache_is_rejected() {
         let ex = crate::fixtures::example1();
         let cache = BaseEdgeCache::new();
-        let _ = PrecedenceGraph::build_with_base_cache(&ex.arena, &ex.hm, &ex.hb, &cache);
+        let _ = PrecedenceGraph::conflict_slice(&ex.arena, &ex.hm, &ex.hb, &cache);
+    }
+
+    #[test]
+    fn lookups_miss_cleanly_for_absent_transactions() {
+        let ex = crate::fixtures::example1();
+        let g = PrecedenceGraph::build(&ex.arena, &ex.hm, &SerialHistory::new());
+        let none = BTreeSet::new();
+        assert_eq!(g.kind(ex.b[0]), None);
+        assert!(!g.has_edge(ex.m[0], ex.b[0]));
+        assert_eq!(g.degree_without(ex.b[0], &none), 0);
+        assert_eq!(g.kind(ex.m[0]), Some(TxnKind::Tentative));
     }
 
     #[test]

@@ -148,11 +148,14 @@ pub(crate) fn history_bits(arena: &TxnArena, hm: &SerialHistory) -> (DenseBits, 
 /// New precedence-graph edges incident to the tentative history appear
 /// exactly when some delta transaction writes an item the history read
 /// (rule 3, `T_m → T_b`) or reads an item the history wrote (rule 3,
-/// `T_b → T_m`). Absent both, the delta contributes only forward
-/// base-internal edges — appended base transactions have no edges back
-/// into the snapshot — so back-out, rewrite, prune, and the forwarded
-/// values are untouched (write-write overlap does not add cross edges; see
-/// [`histmerge_history::PrecedenceGraph::build`]).
+/// `T_b → T_m`); write-write overlap adds no cross edge. Absent both, no
+/// delta transaction joins the merge's conflict slice (see
+/// [`histmerge_history::PrecedenceGraph::conflict_slice`]), and appended
+/// base transactions have no edges back into the snapshot, so rule-2
+/// reachability among the slice's base transactions is unchanged too. The
+/// slice is the same, and so are back-out, rewrite, prune and the forwarded
+/// values; only the rule-2 edge count in `graph_edges` grows, which the
+/// install turn adds from the epoch cache.
 ///
 /// The footprints are the precomputed [`history_bits`] unions, so each
 /// delta transaction costs two word-wise ANDs against its admission-time

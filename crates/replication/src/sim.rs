@@ -539,7 +539,8 @@ pub struct Simulation {
     metrics: Metrics,
     backlog: f64,
     base_accum: f64,
-    /// Incrementally maintained rule-2 edges of `epoch`'s base history.
+    /// Incrementally maintained rule-2 edge counts and reachability of
+    /// `epoch`'s base history.
     base_edge_cache: BaseEdgeCache,
     /// The epoch `base_edge_cache` belongs to (cleared on rollover).
     cache_epoch: u64,
@@ -1735,9 +1736,9 @@ impl Simulation {
 
     /// Strategy 2 merge decision: against the window's base sub-history,
     /// from the shared window-start state. Reuses the epoch's base-edge
-    /// cache and the current master (the state after `H_b`), so per-merge
-    /// work is linear in the history growth instead of quadratic in
-    /// `|H_b|`.
+    /// cache and the current master (the state after `H_b`), so a merge
+    /// pays for the history growth since the last sync and for its own
+    /// conflict slice, not for all of `|H_b|`.
     fn plan_merge_window(
         &mut self,
         i: usize,
@@ -1782,7 +1783,8 @@ impl Simulation {
 
     /// Strategy 1 merge decision: against the base log suffix from the
     /// mobile's own snapshot, if that snapshot is still a valid cut of the
-    /// base history.
+    /// base history. No epoch cache covers that suffix, so the merger
+    /// builds a base-edge cache of it for the conflict slice.
     fn plan_merge_snapshot(
         &mut self,
         i: usize,

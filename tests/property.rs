@@ -5,17 +5,18 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use histmerge::core::merge::{MergeConfig, Merger};
+use histmerge::core::merge::{MergeAssist, MergeConfig, MergeScratch, Merger};
 use histmerge::core::prune::{undo, PruneMethod};
 use histmerge::core::rewrite::{rewrite, FixMode, RewriteAlgorithm};
 use histmerge::history::backout::affected_weight;
 use histmerge::history::readsfrom::affected_set;
 use histmerge::history::{
-    AugmentedHistory, BackoutStrategy, ExactMinimum, GreedyScc, PrecedenceGraph, SerialHistory,
-    TwoCycleOptimal, TxnArena,
+    run_to_final, AugmentedHistory, BackoutStrategy, BaseEdgeCache, ExactMinimum, GreedyScc,
+    PrecedenceGraph, SerialHistory, TwoCycleOptimal, TxnArena,
 };
+use histmerge::obs::TracerHandle;
 use histmerge::semantics::{satisfies_property1, RandomizedTester, SemanticOracle, StaticAnalyzer};
-use histmerge::txn::{TxnKind, VarSet};
+use histmerge::txn::{Expr, ProgramBuilder, Transaction, TxnId, TxnKind, VarId, VarSet};
 use histmerge::workload::generator::{generate, ScenarioParams};
 
 fn arb_params() -> impl Strategy<Value = ScenarioParams> {
@@ -46,8 +47,141 @@ fn arb_params() -> impl Strategy<Value = ScenarioParams> {
         })
 }
 
+/// Few tentatives against a longer base history over a wide item space,
+/// so base transactions often conflict with one another without touching
+/// `H_m` — the shape whose paths leave the conflict slice and come back.
+fn arb_slice_params() -> impl Strategy<Value = ScenarioParams> {
+    (0u64..5000, 4u32..48, 1usize..8, 0usize..24, 0.0f64..0.6, 0.1f64..0.9).prop_map(
+        |(seed, n_vars, n_tentative, n_base, cf, hot_prob)| ScenarioParams {
+            n_vars,
+            n_tentative,
+            n_base,
+            commutative_fraction: cf,
+            guarded_fraction: 0.2 * (1.0 - cf),
+            read_only_fraction: 0.1 * (1.0 - cf),
+            hot_fraction: 0.2,
+            hot_prob,
+            reads_per_txn: 2,
+            writes_per_txn: 2,
+            seed,
+        },
+    )
+}
+
+/// The merger breaks cycles on the conflict slice; the paper's step 2 runs
+/// on the whole `G(H_m, H_b)`. For every prefix of `hb`, read from one
+/// cache of all of `hb`, the two must agree on each strategy's `B` (under
+/// the merger's closure weights and under unit weights) and on
+/// acyclicity, and the slice must count `G`'s edges exactly.
+fn assert_slice_matches_build(arena: &TxnArena, hm: &SerialHistory, hb: &SerialHistory) {
+    let cache = BaseEdgeCache::of_history(arena, hb);
+    let closure = affected_weight(arena, hm);
+    let unit = |_: TxnId| 1u64;
+    let weights: [&dyn Fn(TxnId) -> u64; 2] = [&closure, &unit];
+    let strategies: [Box<dyn BackoutStrategy>; 3] = [
+        Box::new(ExactMinimum::new()),
+        Box::new(TwoCycleOptimal::new()),
+        Box::new(GreedyScc::new()),
+    ];
+    for prefix in 0..=hb.len() {
+        let hb = hb.prefix(prefix);
+        let full = PrecedenceGraph::build(arena, hm, &hb);
+        let slice = PrecedenceGraph::conflict_slice(arena, hm, &hb, &cache);
+        assert_eq!(slice.full_edge_count(), full.edges().len(), "edge count, prefix {prefix}");
+        assert_eq!(slice.is_acyclic(), full.is_acyclic(), "acyclicity, prefix {prefix}");
+        for s in &strategies {
+            for weight in weights {
+                assert_eq!(
+                    s.compute(&slice, weight).unwrap(),
+                    s.compute(&full, weight).unwrap(),
+                    "{} on prefix {prefix}",
+                    s.name()
+                );
+            }
+        }
+    }
+}
+
+fn rw_txn(arena: &mut TxnArena, name: &str, kind: TxnKind, reads: &[u32], writes: &[u32]) -> TxnId {
+    let mut b = ProgramBuilder::new(name);
+    for r in reads.iter().chain(writes) {
+        b = b.read(VarId::new(*r));
+    }
+    for w in writes {
+        b = b.update(VarId::new(*w), Expr::var(VarId::new(*w)) + Expr::konst(1));
+    }
+    let prog = std::sync::Arc::new(b.build().unwrap());
+    arena.alloc(|id| Transaction::new(id, name, kind, prog, vec![]))
+}
+
+/// `Tm' → Tm → Tb1 → Tb2 → Tb3 → Tm'`, with `Tb2` outside the conflict
+/// slice: only rule-2 reachability from `Tb1` to `Tb3` keeps the cycle in
+/// the slice.
+#[test]
+fn slice_keeps_cycles_through_untouched_base_transactions() {
+    let mut arena = TxnArena::new();
+    let tm2 = rw_txn(&mut arena, "Tm'", TxnKind::Tentative, &[], &[3, 4]);
+    let tm = rw_txn(&mut arena, "Tm", TxnKind::Tentative, &[0, 4], &[]);
+    let tb1 = rw_txn(&mut arena, "Tb1", TxnKind::Base, &[], &[0, 1]);
+    let tb2 = rw_txn(&mut arena, "Tb2", TxnKind::Base, &[], &[1, 2]);
+    let tb3 = rw_txn(&mut arena, "Tb3", TxnKind::Base, &[2, 3], &[]);
+    let hm = SerialHistory::from_order([tm2, tm]);
+    let hb = SerialHistory::from_order([tb1, tb2, tb3]);
+    assert!(!PrecedenceGraph::build(&arena, &hm, &hb).is_acyclic());
+    assert_slice_matches_build(&arena, &hm, &hb);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The conflict slice answers back-out, acyclicity and the edge count
+    /// exactly as the whole precedence graph does, on every cached prefix.
+    #[test]
+    fn conflict_slice_matches_the_full_graph(params in arb_slice_params()) {
+        let sc = generate(&params);
+        assert_slice_matches_build(&sc.arena, &sc.hm, &sc.hb);
+    }
+
+    /// A merge lent the epoch's cache (covering all of `hb`, while the
+    /// merge may see a prefix) and the base final state equals a plain
+    /// merge, and both back out what two-cycle-optimal back-out picks on
+    /// the whole graph.
+    #[test]
+    fn assisted_merge_matches_unassisted(params in arb_slice_params()) {
+        let sc = generate(&params);
+        let merger = Merger::new(MergeConfig::default());
+        let cache = BaseEdgeCache::of_history(&sc.arena, &sc.hb);
+        for prefix in [sc.hb.len() / 2, sc.hb.len()] {
+            let hb = sc.hb.prefix(prefix);
+            let hb_final = run_to_final(&sc.arena, &hb, &sc.s0).unwrap();
+            let plain = merger.merge(&sc.arena, &sc.hm, &hb, &sc.s0).unwrap();
+            let assisted = merger
+                .merge_traced_scratch(
+                    &sc.arena,
+                    &sc.hm,
+                    &hb,
+                    &sc.s0,
+                    MergeAssist { base_edges: Some(&cache), hb_final: Some(&hb_final) },
+                    &TracerHandle::noop(),
+                    &mut MergeScratch::new(),
+                )
+                .unwrap();
+            prop_assert_eq!(&plain.bad, &assisted.bad);
+            prop_assert_eq!(&plain.affected, &assisted.affected);
+            prop_assert_eq!(&plain.saved, &assisted.saved);
+            prop_assert_eq!(&plain.backed_out, &assisted.backed_out);
+            prop_assert_eq!(&plain.repaired_state, &assisted.repaired_state);
+            prop_assert_eq!(&plain.forwarded, &assisted.forwarded);
+            prop_assert_eq!(&plain.new_master, &assisted.new_master);
+            prop_assert_eq!(&plain.reexecuted, &assisted.reexecuted);
+            prop_assert_eq!(plain.graph_edges, assisted.graph_edges);
+
+            let full = PrecedenceGraph::build(&sc.arena, &sc.hm, &hb);
+            prop_assert_eq!(plain.graph_edges, full.edges().len());
+            let weight = affected_weight(&sc.arena, &sc.hm);
+            prop_assert_eq!(&plain.bad, &TwoCycleOptimal::new().compute(&full, &weight).unwrap());
+        }
+    }
 
     /// The full merge pipeline upholds its central invariant on arbitrary
     /// workloads: the new master state equals replaying the merged
