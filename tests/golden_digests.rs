@@ -11,12 +11,13 @@
 //! - the Section 7.1 cost totals;
 //! - the behavioural counters: generation, saved / backed-out /
 //!   reprocessed totals, syncs, merge failures, window misses, the backlog
-//!   trajectory, batch sizes, speculative hits and retries, retro-patches,
-//!   the fault and storm counters, and the deferral waits.
+//!   trajectory, batch sizes, retro-patches, the fault and storm
+//!   counters, and the deferral waits.
 //!
-//! Mechanism counters (`Metrics::sched`, `Metrics::cohort`), WAL volume
-//! and wall-clock timings are left out: they describe how a run was
-//! computed, not what it committed. The table was captured while the
+//! Mechanism counters (`Metrics::sched`, `Metrics::cohort`, the
+//! speculative hit and retry counts), WAL volume and wall-clock timings
+//! are left out: they describe how a run was computed, not what it
+//! committed. The table was captured while the
 //! scheduler, cohort pipeline, merge scratch and base-log retention each
 //! still had a selectable legacy path, so it keeps checking equality
 //! against those paths after they are gone. A digest that moves means a
@@ -99,8 +100,6 @@ fn digest(report: &SimReport) -> u64 {
         m.syncs,
         m.merge_failures,
         m.window_misses,
-        m.speculative_hits,
-        m.speculative_retries,
         m.retro_patches,
     ] {
         h.usize(count);
@@ -296,24 +295,24 @@ fn scenarios() -> Vec<(String, SimConfig)> {
 
 /// The pinned digests, in [`scenarios`] order.
 const GOLDEN: &[(&str, u64)] = &[
-    ("family/reprocessing/seed5", 0xb7e63cd143949a17),
-    ("family/reprocessing/seed6", 0xd7fe30eb6e624e07),
-    ("family/reprocessing/seed7", 0x243a167401514bb6),
-    ("family/reprocessing/seed8/x4", 0x137a611441d86705),
-    ("family/reprocessing/seed8/x8", 0xc490b4a14c46619e),
-    ("family/reprocessing/hot-window", 0x175e842dee819d1a),
-    ("family/merging/seed5", 0x7af5a06d1f2592bd),
-    ("family/merging/seed6", 0x2b5e23983d54d70f),
-    ("family/merging/seed7", 0xd8b64ed686d362cd),
-    ("family/merging/seed8/x4", 0xe777f2d2ae537b44),
-    ("family/merging/seed8/x8", 0x4dd17225c225bb16),
-    ("family/merging/hot-window", 0xac6ac40a2aa49125),
-    ("strategy1/hot", 0xd32a0ed50f8544d9),
-    ("cohort/hot", 0x5b551120bcf729dd),
-    ("cohort/hot/session", 0x5b551120bcf729dd),
-    ("cohort/cold", 0x1071f9dbbf4998e1),
-    ("storm/durable", 0x00ff540ac860518f),
-    ("canned/inventory", 0x5b5df2a52465f0a6),
+    ("family/reprocessing/seed5", 0xb2cacf51470e6817),
+    ("family/reprocessing/seed6", 0x17e59be8d1335c07),
+    ("family/reprocessing/seed7", 0x512d494026497176),
+    ("family/reprocessing/seed8/x4", 0xad980a49ae7ab5c5),
+    ("family/reprocessing/seed8/x8", 0xb87b3fb06e0f5f1e),
+    ("family/reprocessing/hot-window", 0x39b98ce356ce921a),
+    ("family/merging/seed5", 0x476dfe451e3b20fd),
+    ("family/merging/seed6", 0x962fe3e83019646f),
+    ("family/merging/seed7", 0xc0c54e3f82106d6d),
+    ("family/merging/seed8/x4", 0xf13cfe3fe0b30044),
+    ("family/merging/seed8/x8", 0xe0be455337dc7476),
+    ("family/merging/hot-window", 0xa565e6ff5d359e85),
+    ("strategy1/hot", 0xc1a374c85a0b4199),
+    ("cohort/hot", 0x7317e62ff4f44a23),
+    ("cohort/hot/session", 0x7317e62ff4f44a23),
+    ("cohort/cold", 0xb75f12f5fdd3ae09),
+    ("storm/durable", 0x1087b111138f3721),
+    ("canned/inventory", 0xfdcd8a950e43e226),
 ];
 
 #[test]
