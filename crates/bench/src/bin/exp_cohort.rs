@@ -1,13 +1,12 @@
 //! E23 — the cohort install pipeline's cohort-size curve.
 //!
-//! A same-tick reconnect cohort merges concurrently against the
-//! window-start snapshot, each member's speculative outcome is validated
-//! at its install turn, stale remainders re-merge concurrently in bounded
-//! waves, and members whose footprint is disjoint from the whole
-//! concurrent base slice skip precedence-graph construction (DESIGN.md
-//! §17). This experiment records how that pipeline's wall clock grows
-//! with cohort size — 64, 256 and 1024 members — on the synchronized
-//! reconnect merging scenario with the worker count pinned to 4.
+//! A same-tick reconnect cohort merges one member at a time, in mobile-id
+//! order: each member plans live against the epoch history its
+//! predecessors grew, then installs. Members whose footprint is disjoint
+//! from the whole concurrent base slice skip precedence-graph
+//! construction (DESIGN.md §17). This experiment records how the install
+//! path's wall clock grows with cohort size — 64, 256 and 1024 members —
+//! on the synchronized reconnect merging scenario.
 //!
 //! Every other member builds and breaks only the conflict slice of the
 //! precedence graph: its own history and the base transactions it shares
@@ -19,14 +18,12 @@
 //! Run: `cargo run --release -p histmerge-bench --bin exp_cohort`
 
 use histmerge_bench::{artifact_json, fmt, timed, write_artifact, Table};
-use histmerge_replication::{
-    Parallelism, Protocol, SimConfig, SimReport, Simulation, SyncStrategy,
-};
+use histmerge_replication::{Protocol, SimConfig, SimReport, Simulation, SyncStrategy};
 use histmerge_workload::generator::ScenarioParams;
 
 /// Synchronized reconnects turn every cadence tick into a fleet-sized
 /// batch, and the window rollover at tick 100 forces a reprocessing
-/// share. The worker count is pinned.
+/// share.
 fn cohort_config(fleet: usize) -> SimConfig {
     SimConfig {
         n_mobiles: fleet,
@@ -47,9 +44,6 @@ fn cohort_config(fleet: usize) -> SimConfig {
             ..ScenarioParams::default()
         },
         base_capacity: 10_000.0,
-        // Pinned (not `Auto`) so the speculative phase engages with the
-        // same worker count on any host.
-        parallelism: Parallelism::Threads(4),
         synchronized_reconnects: true,
         backlog_sample_every: 0,
         check_convergence: true,
@@ -75,7 +69,6 @@ fn main() {
         "saved",
         "save_ratio",
         "batch_max",
-        "wave_rounds",
         "fastpath",
         "wall_ms",
         "merges_per_sec",
@@ -86,22 +79,13 @@ fn main() {
         assert!(verdict.holds(), "x{fleet}: convergence oracle failed: {verdict:?}");
         let m = &report.metrics;
         assert!(m.saved > 0, "merging never engaged at {fleet} mobiles");
-        assert!(
-            m.cohort.wave_rounds > 0 || m.speculative_retries == 0,
-            "x{fleet}: invalidations occurred but no wave ever ran"
-        );
-        eprintln!(
-            "  [x{fleet}] {ms:.0} ms (parallel merge {:.0} ms, retries {})",
-            m.parallel_merge_ns as f64 / 1e6,
-            m.speculative_retries,
-        );
+        eprintln!("  [x{fleet}] {ms:.0} ms");
         cohort.row_owned(vec![
             fleet.to_string(),
             m.syncs.to_string(),
             m.saved.to_string(),
             fmt(m.save_ratio(), 3),
             m.batch_sizes.iter().max().copied().unwrap_or(0).to_string(),
-            m.cohort.wave_rounds.to_string(),
             m.cohort.fastpath_merges.to_string(),
             fmt(ms, 0),
             fmt(m.syncs as f64 / (ms / 1e3), 1),

@@ -57,9 +57,9 @@ impl std::error::Error for BackoutError {}
 /// plain counts, or the size of its reads-from closure to model Davidson's
 /// weighted variants); strategies prefer low-weight sets.
 ///
-/// Strategies run concurrently in the parallel merge pipeline, so
-/// implementations must be `Send + Sync` (the bundled strategies are plain
-/// configuration structs).
+/// Implementations must be `Send + Sync`, so a merger holding one can be
+/// shared across threads (the bundled strategies are plain configuration
+/// structs).
 pub trait BackoutStrategy: Send + Sync {
     /// Computes a set `B` of tentative transactions such that the graph
     /// minus `B` is acyclic.

@@ -4,8 +4,8 @@
 //! static read/write set touches into a dense index (first-seen order at
 //! allocation) and keeps each transaction's footprint as a [`DenseBits`]
 //! word vector over that index. The merge hot path — precedence rules
-//! 1/2/3, the base-edge cache, the reads-from closure, batch delta
-//! validation — then answers every "do these sets overlap?" question with
+//! 1/2/3, the base-edge cache, the reads-from closure, the conflict
+//! slice — then answers every "do these sets overlap?" question with
 //! word-wise ANDs instead of `BTreeSet` walks.
 //!
 //! `VarSet` stays the public vocabulary type; the bitsets are the

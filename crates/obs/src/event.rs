@@ -26,7 +26,8 @@ pub enum Phase {
     Reexecute,
     /// One whole synchronization (a reconnection, any path).
     Sync,
-    /// The concurrent merge phase of a reconnect batch.
+    /// Never emitted: reconnect cohorts merge one member at a time inside
+    /// [`Phase::Sync`]. Kept so span reports keep their row set.
     ParallelMerge,
     /// Framing and appending one WAL record.
     WalAppend,
@@ -301,7 +302,7 @@ pub enum TraceEvent {
         /// Precedence clusters the planner saw (0 when no merge ran).
         clusters: usize,
         /// Wall-clock nanoseconds of the merge-plan span (0 when no plan
-        /// was computed — speculative hits and plain reprocessing).
+        /// was computed — plain reprocessing).
         plan_ns: u64,
     },
     /// A wall-clock span: `phase` took `ns` nanoseconds.

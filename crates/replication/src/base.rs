@@ -116,7 +116,7 @@ impl BaseNode {
     }
 
     /// The committed transaction ids from log index `from` to the end —
-    /// the delta a speculative merge is validated against. O(suffix),
+    /// the commits the epoch edge cache has not seen yet. O(suffix),
     /// where materializing [`BaseNode::full_history`] and slicing it was
     /// O(total log) per sync (quadratic over a run).
     pub fn history_suffix(&self, from: usize) -> Vec<TxnId> {

@@ -15,15 +15,14 @@
 //!
 //! [`sync`] implements the two multi-history synchronization strategies of
 //! Section 2.2 (per-disconnect snapshots vs shared window-start states with
-//! periodic resynchronization); the merges of mobiles reconnecting in the
-//! same tick run concurrently against the shared window-start state, with
-//! a deterministic mobile-id-ordered install phase; [`metrics`] aggregates
-//! counts and Section 7.1 cost reports. The simulation is a discrete-time
-//! loop, deterministic for a given [`SimConfig`] (seeded RNG) regardless
-//! of the configured [`Parallelism`]. Each tick's due mobile work is
-//! popped as timestamped events from a deterministic priority queue
-//! ([`sched`]), so a tick costs time in the mobiles due in it rather than
-//! in the fleet size, and million-mobile fleets stay affordable.
+//! periodic resynchronization); mobiles reconnecting in the same tick
+//! merge and install one at a time, in mobile-id order; [`metrics`]
+//! aggregates counts and Section 7.1 cost reports. The simulation is a
+//! discrete-time loop, deterministic for a given [`SimConfig`] (seeded
+//! RNG). Each tick's due mobile work is popped as timestamped events from
+//! a deterministic priority queue ([`sched`]), so a tick costs time in the
+//! mobiles due in it rather than in the fleet size, and million-mobile
+//! fleets stay affordable.
 //!
 //! Reconnections can run through two interchangeable paths
 //! ([`SyncPath`]): the legacy atomic in-process handshake, or the
@@ -47,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod base;
-mod batch;
 mod cluster;
 mod mobile;
 mod sim;
@@ -62,7 +60,6 @@ pub mod sync;
 pub mod wal;
 
 pub use base::{BaseNode, RetroPatchError};
-pub use batch::Parallelism;
 pub use cluster::{BaseCluster, ClusterStats};
 pub use connectivity::{AdmissionConfig, ConnectivityModel, InvalidConnectivity, LinkTrace};
 pub use fault::{Delivery, FaultKind, FaultPlan, FaultRates, InvalidFaultRate};

@@ -82,21 +82,22 @@ pub struct SchedStats {
     pub events_popped: u64,
 }
 
-/// Cohort install-pipeline counters: how much merge work the fast path,
-/// wave re-speculation and the epoch edge cache absorbed. Pure mechanism
-/// — how often each engages depends on the worker count, what the run
-/// commits does not (the `cohort_differential` suite pins this) — so
-/// [`Metrics::normalized`] zeroes the whole block.
+/// Cohort install counters: how much merge work the fast path and the
+/// epoch edge cache absorbed. Pure mechanism — they describe how a run
+/// was computed, not what it committed — so [`Metrics::normalized`]
+/// zeroes the whole block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CohortStats {
     /// Merges that took the conflict-free fast path (pending history
     /// footprint-disjoint from the entire concurrent base slice — graph
     /// and closure construction skipped).
     pub fastpath_merges: u64,
-    /// Wave re-speculation rounds run for invalidated cohort remainders.
+    /// Always 0: cohort members merge live in install order, so no
+    /// speculative outcome goes stale and no wave re-merges one. Kept so
+    /// the metrics JSON and the benchmark's per-layer rows keep their
+    /// shape.
     pub wave_rounds: u64,
-    /// Base transactions appended to the epoch edge cache incrementally
-    /// (per-install and per-wave syncs included).
+    /// Base transactions appended to the epoch edge cache incrementally.
     pub edge_cache_appends: u64,
 }
 
@@ -187,14 +188,15 @@ pub struct Metrics {
     /// Size of each reconnect batch (mobiles syncing in the same tick), in
     /// time order.
     pub batch_sizes: Vec<usize>,
-    /// Wall-clock nanoseconds spent in the concurrent merge phase of
-    /// batched syncs. Timing only — excluded from determinism comparisons.
+    /// Always 0: every merge is planned live on the simulation thread, so
+    /// no concurrent merge phase runs. Kept, like the two speculation
+    /// counters below, so the metrics JSON and the benchmark's per-layer
+    /// rows keep their shape. Timing only — zeroed by
+    /// [`Metrics::normalized`].
     pub parallel_merge_ns: u64,
-    /// Speculative batch merges whose outcome survived delta validation
-    /// and was installed as-is.
+    /// Always 0: no cohort member merges speculatively.
     pub speculative_hits: usize,
-    /// Speculative batch merges invalidated by earlier batch members'
-    /// installs (re-merged serially during the install phase).
+    /// Always 0: no cohort member merges speculatively.
     pub speculative_retries: usize,
     /// Strategy-1 retroactive installs performed (each edits recorded
     /// after-states in place, so replay-based convergence checks do not

@@ -1,8 +1,7 @@
 //! The discrete-time two-tier replication simulation.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,8 +13,8 @@ use histmerge_core::merge::{
 use histmerge_core::prune::PruneMethod;
 use histmerge_core::rewrite::{FixMode, RewriteAlgorithm};
 use histmerge_history::{
-    closure_weights_for, rule1_edge_count, BaseEdgeCache, DenseBits, EdgeKind, SerialHistory,
-    TwoCycleOptimal, TxnArena,
+    closure_weights_for, rule1_edge_count, BaseEdgeCache, EdgeKind, SerialHistory, TwoCycleOptimal,
+    TxnArena,
 };
 use histmerge_obs::{
     Phase, SessionStepKind, TickSample, TimeSeries, TraceEvent, TracerHandle, NO_PARTNER,
@@ -28,7 +27,6 @@ use histmerge_workload::cost::{
 };
 use histmerge_workload::generator::{ScenarioParams, TxnFactory};
 
-use crate::batch::{delta_invalidates, history_bits, merge_batch, BatchJob, Parallelism};
 use crate::cluster::BaseCluster;
 use crate::connectivity::{AdmissionConfig, ConnectivityModel, InvalidConnectivity, LinkTrace};
 use crate::fault::{Delivery, FaultPlan, InvalidFaultRate};
@@ -108,13 +106,9 @@ pub struct SimConfig {
     /// simulation knobs; the item space and initial state come from the
     /// mix.
     pub canned: Option<CannedMixParams>,
-    /// Worker threads for batched Strategy-2 merges when several mobiles
-    /// reconnect in the same tick. The simulation outcome is identical for
-    /// every setting — parallelism only changes wall-clock time.
-    pub parallelism: Parallelism,
     /// When `true`, every mobile reconnects on the same fixed cadence
     /// (`connect_every`, no jitter), so reconnections arrive in batches —
-    /// the regime the parallel merge pipeline targets.
+    /// whole-fleet merge cohorts installed in mobile-id order.
     pub synchronized_reconnects: bool,
     /// Which reconnection machinery runs: the legacy atomic handshake or
     /// the resumable session protocol. Without faults the two are
@@ -168,14 +162,6 @@ pub struct SimConfig {
     pub telemetry: TelemetryConfig,
 }
 
-/// How many wave re-speculation rounds one reconnect cohort may run. When
-/// a member's speculative merge is found stale at its install turn
-/// (earlier members appended conflicting base commits), a wave re-runs the
-/// concurrent merge phase for every still-pending stale member against a
-/// refreshed snapshot instead of letting each fall back to a serial live
-/// merge. Every triggered attempt spends one round.
-const MAX_WAVES: u32 = 3;
-
 /// Fleet-telemetry switches ([`SimConfig::telemetry`]).
 ///
 /// Both pieces are off by default and strictly observation-only: they
@@ -220,7 +206,6 @@ impl Default for SimConfig {
             base_capacity: 200.0,
             base_nodes: 1,
             canned: None,
-            parallelism: Parallelism::Auto,
             synchronized_reconnects: false,
             sync_path: SyncPath::Legacy,
             fault: FaultPlan::none(),
@@ -373,8 +358,7 @@ impl TxnSource {
 
 /// Builds a merger for the configured workload: the canned system gets the
 /// static analyzer plus the libraries' declared tables, the random
-/// workload the static analyzer alone. A free function (not a method) so
-/// batch workers can each build their own from a shared `&TxnSource`.
+/// workload the static analyzer alone.
 fn build_merger(source: &TxnSource, algorithm: RewriteAlgorithm, fix_mode: FixMode) -> Merger {
     let oracle: Box<dyn SemanticOracle> = match source {
         TxnSource::Canned(mix) => Box::new(mix.oracle()),
@@ -396,53 +380,6 @@ fn build_merger(source: &TxnSource, algorithm: RewriteAlgorithm, fix_mode: FixMo
 /// underflow for jitters exceeding `tick + every`.
 fn jittered_next_connect(tick: u64, every: u64, jitter: u64, draw: u64) -> u64 {
     tick.saturating_add(every).saturating_add(draw).saturating_sub(jitter).max(tick + 1)
-}
-
-/// A batch member's merge, computed concurrently against the pre-batch
-/// snapshot and awaiting delta validation at install time.
-struct Speculative {
-    /// The pending history the merge consumed.
-    hm: SerialHistory,
-    /// Epoch-history length at the snapshot.
-    hb_len: usize,
-    /// Full base-log length at the snapshot (where the delta begins).
-    log_len: usize,
-    /// The speculative merge outcome.
-    outcome: MergeOutcome,
-    /// Word-wise union of the items the pending history read (validation
-    /// footprint: one `intersects` per delta transaction, no per-item
-    /// set probes).
-    read_bits: DenseBits,
-    /// Word-wise union of the items the pending history wrote.
-    write_bits: DenseBits,
-    /// Whether this outcome came from a wave re-speculation round rather
-    /// than the cohort's initial merge phase. A rewaved adoption counts
-    /// as a speculative *retry*: without the wave the same member would
-    /// have fallen back to a serial live merge (staleness only grows), so
-    /// the hit/retry counters do not depend on whether a wave ran.
-    rewaved: bool,
-    /// Set when a wave re-merge for this member errored: the stale
-    /// outcome is kept (it still validates exactly like an unwaved one)
-    /// but barred from further waves, so the member falls to the serial
-    /// path at its turn with the serial error handling and exactly one
-    /// retry increment.
-    wave_skip: bool,
-}
-
-/// A running footprint union of the base commits appended since a
-/// speculation snapshot, keyed by the full-log index the snapshot was
-/// taken at. Folding each installed member's commits in once makes a
-/// staleness check O(words) instead of O(delta × words) — the piece
-/// that made validating a c-member cohort quadratic in c.
-struct DeltaAnchor {
-    /// Full-log index the union starts at (the speculation snapshot).
-    from: usize,
-    /// Full-log index the union covers up to (exclusive).
-    upto: usize,
-    /// Union of the covered commits' write sets.
-    writes: DenseBits,
-    /// Union of the covered commits' read sets.
-    reads: DenseBits,
 }
 
 /// What a reconnection decided to do, computed by [`Simulation::plan_sync`]
@@ -535,6 +472,11 @@ pub struct Simulation {
     epoch: u64,
     mobile_epochs: Vec<u64>,
     source: TxnSource,
+    /// The one merger every plan runs, built at construction: the
+    /// protocol and the transaction source never change, so neither does
+    /// the oracle stack or the back-out strategy. `None` under the
+    /// reprocessing baseline, which never merges.
+    merger: Option<Merger>,
     rng: StdRng,
     metrics: Metrics,
     backlog: f64,
@@ -562,8 +504,7 @@ pub struct Simulation {
     /// The tick the current window opened at, for virtual-clock window
     /// spans ([`TraceEvent::TickSpan`]).
     last_window_tick: u64,
-    /// Reusable merge working memory, threaded through every serial merge
-    /// plan.
+    /// Reusable merge working memory, threaded through every merge plan.
     merge_scratch: MergeScratch,
     /// The event queue that finds each tick's due mobile work.
     events: EventQueue,
@@ -598,11 +539,6 @@ pub struct Simulation {
     /// Mobiles admitted to the merge cohort this tick. Telemetry-only:
     /// sampled as the `cohort` gauge, reset each tick.
     tick_cohort: u64,
-    /// Per-snapshot delta footprint unions for the current cohort's
-    /// speculative outcomes (one per speculation round: the initial
-    /// merge phase plus each wave). Cleared at every batch start —
-    /// specs never outlive their batch.
-    delta_anchors: Vec<DeltaAnchor>,
 }
 
 impl Simulation {
@@ -629,6 +565,12 @@ impl Simulation {
         let initial = match &source {
             TxnSource::Canned(mix) => mix.initial_state(),
             TxnSource::Random(_) => histmerge_workload::generator::initial_state(&config.workload),
+        };
+        let merger = match config.protocol {
+            Protocol::Reprocessing => None,
+            Protocol::Merging { algorithm, fix_mode } => {
+                Some(build_merger(&source, algorithm, fix_mode))
+            }
         };
         // Only the write-ahead log reads the per-commit write deltas;
         // every other run keeps an id-only commit log.
@@ -660,6 +602,7 @@ impl Simulation {
             mobile_epochs: vec![0; n],
             epoch: 0,
             source,
+            merger,
             rng,
             metrics: Metrics::default(),
             backlog: 0.0,
@@ -683,7 +626,6 @@ impl Simulation {
             backoff_rng: StdRng::seed_from_u64(config.workload.seed ^ 0xBAC0_0FF5_BAC0_0FF5),
             last_plan_ns: 0,
             tick_cohort: 0,
-            delta_anchors: Vec::new(),
             mobiles,
             config,
         };
@@ -1138,49 +1080,21 @@ impl Simulation {
         }
     }
 
-    /// Synchronizes every member of a reconnect batch, installing results
-    /// in mobile-id order. When the configuration allows, the merge phase
-    /// of eligible Strategy-2 members runs concurrently against the
-    /// pre-batch snapshot; each speculative outcome is validated against
-    /// the base transactions earlier members appended, and invalidated
-    /// members fall back to the live serial path. Returns base work units.
+    /// Synchronizes every member of a reconnect batch, one at a time in
+    /// mobile-id order: each member plans its merge live against the
+    /// epoch history its predecessors grew, then installs before the next
+    /// member plans. Returns base work units.
     fn sync_batch(&mut self, batch: &[usize], tick: u64) -> f64 {
         self.metrics.batch_sizes.push(batch.len());
         self.tick_cohort += batch.len() as u64;
-        self.delta_anchors.clear();
-        let mut speculated = self.speculate_batch(batch);
-        // Incremental edge maintenance only matters where the cache is
-        // read: windowed-strategy merging. (Strategy 1 and reprocessing
-        // never touch it.)
-        let incremental = matches!(self.config.protocol, Protocol::Merging { .. })
-            && !matches!(self.config.strategy, SyncStrategy::PerDisconnectSnapshot);
-        let mut wave_budget = MAX_WAVES;
         let tracer = self.config.tracer.clone();
         let mut work = 0.0;
-        for (pos, &i) in batch.iter().enumerate() {
-            // Wave re-speculation: when this member's speculative merge
-            // went stale (earlier installs appended conflicting base
-            // commits), re-run the concurrent merge phase for the whole
-            // still-pending stale remainder against a refreshed snapshot
-            // instead of letting each member pay a serial live merge.
-            // Bounded by the wave budget; install order is untouched.
-            if wave_budget > 0
-                && speculated.get(&i).is_some_and(|s| !s.wave_skip)
-                && self.spec_stale(&speculated[&i])
-            {
-                if self.respeculate_wave(&batch[pos..], &mut speculated) {
-                    self.metrics.cohort.wave_rounds += 1;
-                }
-                // Every triggered attempt burns budget, so a cohort runs
-                // at most `MAX_WAVES` concurrent re-merge phases.
-                wave_budget -= 1;
-            }
-            let spec = speculated.remove(&i);
+        for &i in batch {
             let before = self.metrics.records.len();
             let span = tracer.span_start();
             work += match self.config.sync_path {
-                SyncPath::Legacy => self.sync_mobile(i, tick, spec),
-                SyncPath::Session => self.sync_session(i, tick, spec),
+                SyncPath::Legacy => self.sync_mobile(i, tick),
+                SyncPath::Session => self.sync_session(i, tick),
             };
             let ns = tracer.span_end(Phase::Sync, span);
             if ns > 0 {
@@ -1190,202 +1104,8 @@ impl Simulation {
                     record.sync_ns = ns;
                 }
             }
-            // Fold whatever this member just committed into the epoch
-            // edge cache immediately (O(appended)), so later members'
-            // validation, waves, and serial fallbacks never re-pay an
-            // epoch-wide scan.
-            if incremental {
-                self.sync_cache();
-            }
         }
         work
-    }
-
-    /// Re-runs the concurrent merge phase for the still-pending batch
-    /// members whose speculative outcomes have gone stale, against a
-    /// freshly refreshed snapshot. Returns `true` when a wave actually
-    /// ran. Members whose re-merge errors keep their stale outcome and
-    /// are barred from further waves ([`Speculative::wave_skip`]), so
-    /// they reach the serial path with legacy error handling.
-    fn respeculate_wave(
-        &mut self,
-        rest: &[usize],
-        speculated: &mut BTreeMap<usize, Speculative>,
-    ) -> bool {
-        let Protocol::Merging { algorithm, fix_mode } = self.config.protocol else {
-            return false;
-        };
-        let stale: Vec<usize> = rest
-            .iter()
-            .copied()
-            .filter(|i| {
-                speculated.get(i).is_some_and(|s| !s.wave_skip) && self.spec_stale(&speculated[i])
-            })
-            .collect();
-        let workers = self.config.parallelism.workers(stale.len());
-        if stale.len() < 2 || workers < 2 {
-            return false; // Nothing to overlap: the serial path is no worse.
-        }
-        for (mobile, spec) in self.speculate(&stale, workers, algorithm, fix_mode, true) {
-            match spec {
-                Some(spec) => {
-                    speculated.insert(mobile, spec);
-                }
-                None => {
-                    if let Some(old) = speculated.get_mut(&mobile) {
-                        old.wave_skip = true;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Runs the concurrent merge phase for the batch members that can
-    /// merge against the shared window-start snapshot. Members left out of
-    /// the returned map (ineligible, or whose merge errored) take the live
-    /// serial path, which reproduces serial error handling exactly.
-    fn speculate_batch(&mut self, batch: &[usize]) -> BTreeMap<usize, Speculative> {
-        let Protocol::Merging { algorithm, fix_mode } = self.config.protocol else {
-            return BTreeMap::new();
-        };
-        if matches!(self.config.strategy, SyncStrategy::PerDisconnectSnapshot) {
-            return BTreeMap::new(); // Strategy 1 merges have per-mobile start states.
-        }
-        // Mobiles with an unresolved prior session (or a trimmed, dirty
-        // log) must run recovery before their pending set is known, so
-        // they cannot speculate against a pre-batch clone of it. Both
-        // conditions are always false on the legacy path.
-        let eligible: Vec<usize> = batch
-            .iter()
-            .copied()
-            .filter(|&i| {
-                self.mobiles[i].pending() > 0
-                    && self.mobile_epochs[i] == self.epoch
-                    && self.mobiles[i].unacked().is_none()
-                    && !self.mobiles[i].dirty_origin()
-            })
-            .collect();
-        let workers = self.config.parallelism.workers(eligible.len());
-        if eligible.len() < 2 || workers < 2 {
-            return BTreeMap::new(); // Nothing to overlap: merge live, one at a time.
-        }
-        self.speculate(&eligible, workers, algorithm, fix_mode, false)
-            .into_iter()
-            .filter_map(|(mobile, spec)| Some((mobile, spec?)))
-            .collect()
-    }
-
-    /// Merges every member's pending history concurrently against a fresh
-    /// snapshot of the epoch, with `workers` threads. Returns each
-    /// member's speculation in member order, `None` where its merge
-    /// errored; `rewaved` marks the outcomes of a wave round.
-    fn speculate(
-        &mut self,
-        members: &[usize],
-        workers: usize,
-        algorithm: RewriteAlgorithm,
-        fix_mode: FixMode,
-        rewaved: bool,
-    ) -> Vec<(usize, Option<Speculative>)> {
-        self.sync_cache();
-        let hb = self.base.base().epoch_history();
-        let s0 = self.base.base().epoch_state().clone();
-        let hb_final = self.base.base().master().clone();
-        let log_len = self.base.base().committed();
-        let hb_len = hb.len();
-        let jobs: Vec<BatchJob> = members
-            .iter()
-            .map(|&i| BatchJob { mobile: i, hm: self.mobiles[i].history().clone() })
-            .collect();
-
-        let source = &self.source;
-        let make_merger = move || build_merger(source, algorithm, fix_mode);
-        let started = Instant::now();
-        let results = merge_batch(
-            &self.arena,
-            &jobs,
-            &hb,
-            &s0,
-            &hb_final,
-            &self.base_edge_cache,
-            &make_merger,
-            workers,
-        );
-        let ns = started.elapsed().as_nanos() as u64;
-        self.metrics.parallel_merge_ns += ns;
-        self.config.tracer.emit(|| TraceEvent::Span { phase: Phase::ParallelMerge, ns });
-
-        self.push_anchor(log_len);
-        jobs.into_iter()
-            .zip(results)
-            .map(|(job, result)| {
-                let spec = result.ok().map(|outcome| {
-                    if outcome.fast_path {
-                        self.metrics.cohort.fastpath_merges += 1;
-                    }
-                    // The footprint union comes from the arena's interned
-                    // admission-time masks — a word-wise OR per
-                    // transaction, not a per-item set rebuild.
-                    let (read_bits, write_bits) = history_bits(&self.arena, &job.hm);
-                    Speculative {
-                        hm: job.hm,
-                        hb_len,
-                        log_len,
-                        outcome,
-                        read_bits,
-                        write_bits,
-                        rewaved,
-                        wave_skip: false,
-                    }
-                });
-                (job.mobile, spec)
-            })
-            .collect()
-    }
-
-    /// Registers a fresh delta anchor for a speculation snapshot taken at
-    /// full-log index `from` (no-op when that snapshot already has one —
-    /// a wave taken before any install appends shares the initial
-    /// anchor).
-    fn push_anchor(&mut self, from: usize) {
-        if self.delta_anchors.iter().any(|a| a.from == from) {
-            return;
-        }
-        self.delta_anchors.push(DeltaAnchor {
-            from,
-            upto: from,
-            writes: DenseBits::new(),
-            reads: DenseBits::new(),
-        });
-    }
-
-    /// Whether base commits appended since `spec`'s snapshot invalidate
-    /// it (a delta write hits a speculative read or vice versa —
-    /// rule-3-only, matching `delta_invalidates`). Snapshots with a
-    /// delta anchor fold the new commits into the anchor's running union
-    /// once and answer in O(words); anchor-less snapshots (wave-skipped
-    /// members whose wave replaced the cohort anchor) fall back to the
-    /// per-transaction scan.
-    fn spec_stale(&mut self, spec: &Speculative) -> bool {
-        let committed = self.base.base().committed();
-        let anchored = self.delta_anchors.iter().position(|a| a.from == spec.log_len);
-        if let Some(idx) = anchored {
-            if self.delta_anchors[idx].upto < committed {
-                let suffix = self.base.base().history_suffix(self.delta_anchors[idx].upto);
-                let anchor = &mut self.delta_anchors[idx];
-                for id in suffix {
-                    anchor.writes.union_with(self.arena.write_bits(id));
-                    anchor.reads.union_with(self.arena.read_bits(id));
-                }
-                anchor.upto = committed;
-            }
-            let anchor = &self.delta_anchors[idx];
-            return anchor.writes.intersects(&spec.read_bits)
-                || anchor.reads.intersects(&spec.write_bits);
-        }
-        let delta: Vec<TxnId> = self.base.base().history_suffix(spec.log_len);
-        delta_invalidates(&self.arena, &delta, &spec.read_bits, &spec.write_bits)
     }
 
     /// Decides what this reconnection does, without applying anything,
@@ -1394,46 +1114,16 @@ impl Simulation {
     /// session is later abandoned is re-planned (and re-explained) at the
     /// next reconnect, so in faulted runs plans can outnumber
     /// resolutions.
-    fn plan_sync(&mut self, i: usize, tick: u64, spec: Option<Speculative>) -> SyncDecision {
+    fn plan_sync(&mut self, i: usize, tick: u64) -> SyncDecision {
         self.last_plan_ns = 0;
-        let decision = self.plan_sync_inner(i, spec);
+        let decision = self.plan_sync_inner(i);
         self.emit_autopsy(i, tick, &decision);
         decision
     }
 
-    /// The decision body: validates any speculative outcome against the
-    /// base transactions appended since its snapshot (an invalidated
-    /// member falls through to the live serial decision), then plans.
-    fn plan_sync_inner(&mut self, i: usize, spec: Option<Speculative>) -> SyncDecision {
-        if let Some(spec) = spec {
-            if self.spec_stale(&spec) {
-                self.metrics.speculative_retries += 1;
-            } else {
-                // The delta only appends base-internal edges to the
-                // precedence graph; fold them into the outcome's edge
-                // count so cost accounting matches the live merge exactly.
-                let live_hb_len = self.base.base().epoch_len();
-                self.sync_cache();
-                let appended_edges = self.base_edge_cache.edge_count(live_hb_len)
-                    - self.base_edge_cache.edge_count(spec.hb_len);
-                let mut outcome = spec.outcome;
-                outcome.graph_edges += appended_edges;
-                if spec.rewaved {
-                    // Without the wave this member would have been a
-                    // retry: its initial speculation was already stale
-                    // when the wave ran, and staleness only grows.
-                    self.metrics.speculative_retries += 1;
-                } else {
-                    self.metrics.speculative_hits += 1;
-                }
-                return SyncDecision::Merge {
-                    hm: spec.hm,
-                    hb_len: live_hb_len,
-                    outcome: Box::new(outcome),
-                    retroactive: false,
-                };
-            }
-        }
+    /// The decision body: refresh, merge, or reprocess mobile `i`'s
+    /// pending history.
+    fn plan_sync_inner(&mut self, i: usize) -> SyncDecision {
         if self.mobiles[i].pending() == 0 {
             return SyncDecision::Refresh;
         }
@@ -1447,7 +1137,7 @@ impl Simulation {
             Protocol::Reprocessing => {
                 SyncDecision::Reprocess { cause: ReprocessReason::ProtocolBaseline }
             }
-            Protocol::Merging { algorithm, fix_mode } => match self.config.strategy {
+            Protocol::Merging { .. } => match self.config.strategy {
                 SyncStrategy::WindowStart { .. } | SyncStrategy::AdaptiveWindow { .. } => {
                     if self.mobile_epochs[i] != self.epoch {
                         // Reconnected after its window closed: the history
@@ -1456,12 +1146,10 @@ impl Simulation {
                         self.metrics.window_misses += 1;
                         SyncDecision::Reprocess { cause: ReprocessReason::WindowMiss }
                     } else {
-                        self.plan_merge_window(i, algorithm, fix_mode)
+                        self.plan_merge_window(i)
                     }
                 }
-                SyncStrategy::PerDisconnectSnapshot => {
-                    self.plan_merge_snapshot(i, algorithm, fix_mode)
-                }
+                SyncStrategy::PerDisconnectSnapshot => self.plan_merge_snapshot(i),
             },
         }
     }
@@ -1717,8 +1405,8 @@ impl Simulation {
 
     /// Synchronizes mobile `i` through the legacy atomic handshake;
     /// returns the base-side work units incurred.
-    fn sync_mobile(&mut self, i: usize, tick: u64, spec: Option<Speculative>) -> f64 {
-        match self.plan_sync(i, tick, spec) {
+    fn sync_mobile(&mut self, i: usize, tick: u64) -> f64 {
+        match self.plan_sync(i, tick) {
             SyncDecision::Refresh => {
                 self.refresh_origin(i);
                 0.0
@@ -1730,36 +1418,28 @@ impl Simulation {
         }
     }
 
-    fn merger(&self, algorithm: RewriteAlgorithm, fix_mode: FixMode) -> Merger {
-        build_merger(&self.source, algorithm, fix_mode)
-    }
-
     /// Strategy 2 merge decision: against the window's base sub-history,
     /// from the shared window-start state. Reuses the epoch's base-edge
     /// cache and the current master (the state after `H_b`), so a merge
     /// pays for the history growth since the last sync and for its own
     /// conflict slice, not for all of `|H_b|`.
-    fn plan_merge_window(
-        &mut self,
-        i: usize,
-        algorithm: RewriteAlgorithm,
-        fix_mode: FixMode,
-    ) -> SyncDecision {
-        let hb = self.base.base().epoch_history();
-        let hm = self.mobiles[i].history().clone();
-        let s0 = self.base.base().epoch_state().clone();
-        let hb_final = self.base.base().master().clone();
+    fn plan_merge_window(&mut self, i: usize) -> SyncDecision {
         self.sync_cache();
-        let merger = self.merger(algorithm, fix_mode);
+        let Some(merger) = &self.merger else {
+            return SyncDecision::Reprocess { cause: ReprocessReason::ProtocolBaseline };
+        };
+        let base = self.base.base();
+        let hb = base.epoch_history();
+        let hm = self.mobiles[i].history().clone();
         let assist =
-            MergeAssist { base_edges: Some(&self.base_edge_cache), hb_final: Some(&hb_final) };
+            MergeAssist { base_edges: Some(&self.base_edge_cache), hb_final: Some(base.master()) };
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
         let planned = merger.merge_traced_scratch(
             &self.arena,
             &hm,
             &hb,
-            &s0,
+            base.epoch_state(),
             assist,
             &tracer,
             &mut self.merge_scratch,
@@ -1785,12 +1465,7 @@ impl Simulation {
     /// mobile's own snapshot, if that snapshot is still a valid cut of the
     /// base history. No epoch cache covers that suffix, so the merger
     /// builds a base-edge cache of it for the conflict slice.
-    fn plan_merge_snapshot(
-        &mut self,
-        i: usize,
-        algorithm: RewriteAlgorithm,
-        fix_mode: FixMode,
-    ) -> SyncDecision {
+    fn plan_merge_snapshot(&mut self, i: usize) -> SyncDecision {
         let origin_index = self.mobiles[i].origin_index();
         let hm = self.mobiles[i].history().clone();
         let s0 = self.mobiles[i].origin().clone();
@@ -1807,7 +1482,9 @@ impl Simulation {
         if !valid {
             return SyncDecision::Reprocess { cause: ReprocessReason::MergeFailed };
         }
-        let merger = self.merger(algorithm, fix_mode);
+        let Some(merger) = &self.merger else {
+            return SyncDecision::Reprocess { cause: ReprocessReason::ProtocolBaseline };
+        };
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
         let planned = merger.merge_traced_scratch(
@@ -2051,7 +1728,7 @@ impl Simulation {
     /// within one bounded budget. With [`FaultPlan::none`] this composes
     /// exactly the legacy path's primitives in the legacy order, so
     /// fault-free runs are byte-identical.
-    fn sync_session(&mut self, i: usize, tick: u64, spec: Option<Speculative>) -> f64 {
+    fn sync_session(&mut self, i: usize, tick: u64) -> f64 {
         let mut work = 0.0;
         let mut retries: u32 = 0;
         if !self.recover_unacked(i, tick, &mut retries, &mut work) {
@@ -2061,7 +1738,6 @@ impl Simulation {
         }
         let seq = self.mobiles[i].begin_session();
         let mut decision: Option<SyncDecision> = None;
-        let mut spec = spec;
         loop {
             // Offer (mobile → base), retransmitted on loss.
             let offer = self.roll_delivery(i, tick);
@@ -2092,7 +1768,7 @@ impl Simulation {
                 work += self.resume_or_degrade(i, seq, tick);
             } else {
                 if decision.is_none() {
-                    decision = Some(self.plan_sync(i, tick, spec.take()));
+                    decision = Some(self.plan_sync(i, tick));
                     self.config.tracer.emit(|| TraceEvent::SessionStep {
                         tick,
                         mobile: i,
@@ -2444,7 +2120,6 @@ mod tests {
             base_capacity: 100.0,
             base_nodes: 1,
             canned: None,
-            parallelism: Parallelism::Auto,
             synchronized_reconnects: false,
             sync_path: SyncPath::Legacy,
             fault: FaultPlan::none(),
@@ -2714,8 +2389,6 @@ mod tests {
         let mut cfg =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 200 }, 23);
         cfg.synchronized_reconnects = true;
-        // Force a real worker pool: Auto degrades to serial on one CPU.
-        cfg.parallelism = Parallelism::Threads(4);
         cfg.n_mobiles = 6;
         cfg.connect_every = 25;
         cfg.duration = 200;
@@ -2726,31 +2399,6 @@ mod tests {
             "synchronized mobiles should reconnect together: {:?}",
             m.batch_sizes
         );
-        assert!(m.speculative_hits > 0, "batched merges should speculate: {m:?}");
-    }
-
-    #[test]
-    fn parallel_and_serial_runs_are_identical() {
-        // The core tentpole claim, exercised at unit scope (the full
-        // matrix lives in tests/parallel_determinism.rs): any Parallelism
-        // setting produces the same simulation, byte for byte.
-        let mut serial_cfg =
-            config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 200 }, 29);
-        serial_cfg.synchronized_reconnects = true;
-        serial_cfg.n_mobiles = 5;
-        serial_cfg.connect_every = 30;
-        let mut parallel_cfg = serial_cfg.clone();
-        serial_cfg.parallelism = Parallelism::Serial;
-        parallel_cfg.parallelism = Parallelism::Threads(4);
-        let serial = Simulation::new(serial_cfg).expect("valid sim config").run();
-        let parallel = Simulation::new(parallel_cfg).expect("valid sim config").run();
-        assert_eq!(serial.final_master, parallel.final_master);
-        assert_eq!(serial.metrics.saved, parallel.metrics.saved);
-        assert_eq!(serial.metrics.cost.total(), parallel.metrics.cost.total());
-        assert_eq!(serial.metrics.records.len(), parallel.metrics.records.len());
-        // The parallel run actually took the speculative path.
-        assert!(parallel.metrics.speculative_hits > 0);
-        assert_eq!(serial.metrics.speculative_hits, 0);
     }
 
     #[test]

@@ -10,9 +10,9 @@ use histmerge_txn::{Transaction, VarSet};
 /// opportunity. The purely syntactic *can follow* relation needs no oracle
 /// (see [`canfollow`](crate::canfollow)).
 ///
-/// Oracles are consulted concurrently by the parallel merge pipeline, so
-/// implementations must be `Send + Sync` (all relations are pure functions
-/// of their arguments; interior mutability would need its own locking).
+/// Implementations must be `Send + Sync`, so a merger holding one can be
+/// shared across threads (all relations are pure functions of their
+/// arguments; interior mutability would need its own locking).
 pub trait SemanticOracle: Send + Sync {
     /// Does `t2` commute backward through `t1`? (`T2(T1(s)) = T1(T2(s))`
     /// for every state `s` on which `T1 T2` is defined.)

@@ -1,29 +1,24 @@
-//! Differential tests of the cohort install pipeline: a reconnect cohort
-//! merged concurrently must commit exactly what the same cohort merged one
-//! member at a time.
+//! Oracle tests of the cohort install path: every member of a reconnect
+//! cohort plans its merge live against the epoch history its predecessors
+//! grew, then installs, in mobile-id order.
 //!
-//! Under `Parallelism::Serial` no cohort speculates: every member merges
-//! live against the grown epoch history at its install turn. Under
-//! `Parallelism::Threads(4)` the cohort merges concurrently against the
-//! window-start snapshot, each speculative outcome is validated at its
-//! install turn, stale remainders are re-speculated in bounded waves, and
-//! footprint-disjoint members take the merge fast path. Over generated
-//! scenarios spanning protocol × strategy × cohort size the two runs must
-//! agree byte for byte on the final master, the base commit count, the
-//! cluster statistics, every per-sync record, the cost totals and every
-//! behavioural counter except the speculative hit/retry split (a serial
-//! run never speculates). Both runs also check the convergence oracle.
+//! Each run is checked against the paper's reference semantics rather
+//! than against another implementation: the convergence oracle replays
+//! the committed history serially and must reproduce the final master,
+//! no tentative transaction may be resolved twice, and every per-sync
+//! record must account for each pending transaction exactly once (saved,
+//! backed out or reprocessed). Scenarios are generated over protocol ×
+//! strategy × cohort size, on both sync paths.
 //!
 //! The deterministic fault-matrix sweep at the bottom runs every fault
-//! kind under bounded admission with the concurrent pipeline engaged,
-//! holding the convergence oracle to the same bar as the fault matrix.
+//! kind under bounded admission, holding the convergence oracle to the
+//! same bar as the fault matrix.
 
 use proptest::prelude::*;
 
-use histmerge::replication::metrics::Metrics;
 use histmerge::replication::{
-    AdmissionConfig, FaultKind, FaultPlan, FaultRates, Parallelism, Protocol, SimConfig, SimReport,
-    Simulation, SyncPath, SyncStrategy,
+    AdmissionConfig, FaultKind, FaultPlan, FaultRates, Protocol, SimConfig, SimReport, Simulation,
+    SyncPath, SyncStrategy,
 };
 use histmerge::workload::generator::ScenarioParams;
 
@@ -35,8 +30,8 @@ const STRATEGIES: [SyncStrategy; 3] = [
 
 /// A cohort-heavy scenario: synchronized reconnects put the whole fleet
 /// into one merge cohort, and a hot, conflict-prone workload makes
-/// earlier installs invalidate later members' speculations — the regime
-/// waves exist for. Every mechanism comes from `SimConfig::default()`.
+/// earlier installs conflict with later members' pending histories.
+/// Every mechanism comes from `SimConfig::default()`.
 fn config(
     protocol: Protocol,
     strategy: SyncStrategy,
@@ -64,56 +59,41 @@ fn config(
         },
         base_capacity: 200.0,
         synchronized_reconnects: true,
-        // Pin the worker count so the speculative phase engages on any
-        // host.
-        parallelism: Parallelism::Threads(4),
         check_convergence: true,
         ..SimConfig::default()
     }
 }
 
-/// What a serial and a threaded run must share: everything
-/// `Metrics::normalized` keeps except the speculative hit/retry split.
-fn comparable(m: &Metrics) -> Metrics {
-    Metrics { speculative_hits: 0, speculative_retries: 0, ..m.normalized() }
-}
-
-/// Runs `base` serially and with four workers, asserting both runs commit
-/// the same thing and pass the convergence oracle. Returns
-/// `(serial, threaded)` for mechanism-engagement assertions.
-fn assert_matches_serial(base: SimConfig, label: &str) -> (SimReport, SimReport) {
-    let serial_config = SimConfig { parallelism: Parallelism::Serial, ..base.clone() };
-    let serial = Simulation::new(serial_config).expect("valid sim config").run();
-    let threaded_config = SimConfig { parallelism: Parallelism::Threads(4), ..base };
-    let threaded = Simulation::new(threaded_config).expect("valid sim config").run();
-
-    assert_eq!(serial.final_master, threaded.final_master, "{label}: master state diverged");
-    assert_eq!(serial.base_commits, threaded.base_commits, "{label}: commit count diverged");
-    assert_eq!(serial.cluster, threaded.cluster, "{label}: cluster stats diverged");
-    // Per-mobile saved / backed-out / reprocessed, exactly.
-    assert_eq!(serial.metrics.records, threaded.metrics.records, "{label}: sync records diverged");
-    // Everything else: counters, cost totals, backlog trajectory.
-    assert_eq!(
-        comparable(&serial.metrics),
-        comparable(&threaded.metrics),
-        "{label}: metrics diverged"
-    );
-    for (report, arm) in [(&serial, "serial"), (&threaded, "threaded")] {
-        let convergence = report.convergence.expect("convergence checked");
-        assert!(convergence.holds(), "{label}/{arm}: convergence oracle failed: {convergence:?}");
+/// Runs `config` and checks it against the oracles: convergence with zero
+/// double resolutions, and per-sync accounting. Returns the report for
+/// mechanism-engagement assertions.
+fn run_checked(config: SimConfig, label: &str) -> SimReport {
+    let report = Simulation::new(config).expect("valid sim config").run();
+    let convergence = report.convergence.expect("convergence checked");
+    assert_eq!(convergence.double_resolutions, 0, "{label}: a transaction resolved twice");
+    assert!(convergence.holds(), "{label}: convergence oracle failed: {convergence:?}");
+    let m = &report.metrics;
+    for r in &m.records {
+        assert_eq!(
+            r.pending,
+            r.saved + r.backed_out + r.reprocessed,
+            "{label}: sync record does not account for its pending set: {r:?}"
+        );
     }
-    (serial, threaded)
+    assert!(
+        m.saved + m.backed_out + m.reprocessed <= m.tentative_generated,
+        "{label}: more transactions resolved than generated"
+    );
+    report
 }
 
 proptest! {
-    // Whole-simulation differentials: few, fat cases.
+    // Whole-simulation runs: few, fat cases.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The concurrent pipeline (speculation, waves, fast path) commits
-    /// exactly what the serial pipeline commits across protocol ×
-    /// strategy × cohort size.
+    /// Cohorts converge across protocol × strategy × cohort size.
     #[test]
-    fn threaded_pipeline_matches_serial(
+    fn cohort_scenarios_converge(
         seed in 0u64..10_000,
         strategy_idx in 0usize..3,
         n_mobiles in 2usize..10,
@@ -130,14 +110,12 @@ proptest! {
         let label = format!(
             "{}/{}/x{n_mobiles}/seed {seed}", protocol.name(), strategy.name()
         );
-        assert_matches_serial(base, &label);
+        run_checked(base, &label);
     }
 
-    /// The session path holds the bar too: waves interact with the
-    /// resumable handshake only through the speculation map, which is
-    /// per-reconnect either way.
+    /// The resumable session path converges on fault-free cohorts too.
     #[test]
-    fn threaded_session_path_matches_serial(
+    fn session_cohorts_converge(
         seed in 0u64..10_000,
         n_mobiles in 2usize..8,
     ) {
@@ -151,29 +129,26 @@ proptest! {
         base.sync_path = SyncPath::Session;
         base.fault = FaultPlan::none();
         let label = format!("session/x{n_mobiles}/seed {seed}");
-        assert_matches_serial(base, &label);
+        run_checked(base, &label);
     }
 }
 
 /// The mechanisms actually engage under the default configuration: a hot
-/// synchronized cohort drives wave rounds, and a cold disjoint cohort
-/// drives fast-path merges. Guards against the suite silently comparing
-/// two runs that never speculated.
+/// synchronized cohort installs as one batch whose later members back out
+/// work against earlier installs, and a cold disjoint cohort drives
+/// fast-path merges. Guards against the suite silently checking runs that
+/// never merged a cohort.
 #[test]
 fn tuned_mechanisms_engage() {
-    // Hot workload: earlier installs invalidate later speculations.
     let hot =
         config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 120 }, 8, 42, 0.9);
-    let (serial, threaded) = assert_matches_serial(hot, "engage/hot");
-    assert!(
-        threaded.metrics.speculative_retries > 0,
-        "hot scenario produced no invalidations to wave over"
-    );
-    assert!(threaded.metrics.cohort.wave_rounds > 0, "no wave ever ran");
-    assert!(threaded.metrics.cohort.edge_cache_appends > 0, "edge cache never appended");
-    let speculated = serial.metrics.speculative_hits + serial.metrics.speculative_retries;
-    assert_eq!(speculated, 0, "the serial run speculated");
-    assert_eq!(serial.metrics.cohort.wave_rounds, 0, "the serial run ran a wave");
+    let m = run_checked(hot, "engage/hot").metrics;
+    assert!(m.batch_sizes.contains(&8), "the fleet never reconnected as one cohort");
+    assert!(m.saved > 0 && m.backed_out > 0, "hot cohort neither saved nor backed out: {m:?}");
+    assert!(m.cohort.edge_cache_appends > 0, "edge cache never appended");
+    // Nothing speculates: the counters kept for the metrics shape stay 0.
+    assert_eq!(m.speculative_hits + m.speculative_retries, 0);
+    assert_eq!(m.cohort.wave_rounds, 0);
 
     // Cold workload: wide keyspace, no hotspot — pending histories are
     // usually disjoint from the concurrent base slice.
@@ -181,16 +156,16 @@ fn tuned_mechanisms_engage() {
         config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 120 }, 6, 43, 0.0);
     cold.workload.n_vars = 512;
     cold.workload.hot_fraction = 0.0;
-    let (_, threaded) = assert_matches_serial(cold, "engage/cold");
-    assert!(threaded.metrics.cohort.fastpath_merges > 0, "no merge ever took the fast path");
+    let m = run_checked(cold, "engage/cold").metrics;
+    assert!(m.cohort.fastpath_merges > 0, "no merge ever took the fast path");
 }
 
-/// The fault-matrix row: every fault kind under bounded admission with
-/// the concurrent pipeline engaged. The convergence oracle must hold for
-/// every schedule. `FAULT_SEEDS` scales the schedules per cell (CI's
-/// fault-matrix job runs release with a large matrix).
+/// The fault-matrix row: every fault kind under bounded admission. The
+/// convergence oracle must hold for every schedule. `FAULT_SEEDS` scales
+/// the schedules per cell (CI's fault-matrix job runs release with a
+/// large matrix).
 #[test]
-fn seed_matrix_convergence_with_waves() {
+fn seed_matrix_convergence_under_admission() {
     let seeds: u64 = std::env::var("FAULT_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(4);
     const RATES: [f64; 2] = [0.1, 0.25];
     let kinds = [
@@ -214,12 +189,7 @@ fn seed_matrix_convergence_with_waves() {
             cfg.sync_path = SyncPath::Session;
             cfg.fault = FaultPlan::seeded(7000 + s, FaultRates::only(kind, rate));
             cfg.admission = AdmissionConfig::bounded(3);
-            let report = Simulation::new(cfg).expect("valid sim config").run();
-            let convergence = report.convergence.expect("oracle requested");
-            assert!(
-                convergence.holds(),
-                "oracle failed for {kind:?} seed {s} rate {rate}: {convergence:?}"
-            );
+            run_checked(cfg, &format!("{kind:?} seed {s} rate {rate}"));
             schedules += 1;
         }
     }

@@ -24,13 +24,14 @@
 //! behaviour change; update the table only for a change meant to alter
 //! what runs commit.
 //!
-//! Every scenario pins `Parallelism::Threads(4)`: speculation, waves and
-//! the merge fast path engage, and no digest depends on the host's core
-//! count.
+//! The table was last recomputed under a four-worker speculative cohort
+//! pipeline, and the same table held with that pipeline switched off, so
+//! it also checks that the serial cohort install commits what speculation
+//! did.
 
 use histmerge::replication::{
-    AdmissionConfig, ConnectivityModel, DurabilityConfig, FaultPlan, FaultRates, Parallelism,
-    Protocol, RetryBackoff, SimConfig, SimReport, Simulation, SyncPath, SyncStrategy,
+    AdmissionConfig, ConnectivityModel, DurabilityConfig, FaultPlan, FaultRates, Protocol,
+    RetryBackoff, SimConfig, SimReport, Simulation, SyncPath, SyncStrategy,
 };
 use histmerge::workload::canned_mix::{CannedFlavor, CannedMixParams};
 use histmerge::workload::generator::ScenarioParams;
@@ -173,7 +174,6 @@ fn family(protocol: Protocol, seed: u64) -> SimConfig {
             ..ScenarioParams::default()
         },
         base_capacity: 120.0,
-        parallelism: Parallelism::Threads(4),
         ..SimConfig::default()
     }
 }
@@ -209,7 +209,6 @@ fn cohort(n_mobiles: usize, seed: u64, hot_prob: f64) -> SimConfig {
         },
         base_capacity: 200.0,
         synchronized_reconnects: true,
-        parallelism: Parallelism::Threads(4),
         ..SimConfig::default()
     }
 }
@@ -231,7 +230,6 @@ fn durable_storm() -> SimConfig {
             seed: 11,
             ..ScenarioParams::default()
         },
-        parallelism: Parallelism::Threads(4),
         sync_path: SyncPath::Session,
         fault: FaultPlan::seeded(0x5EED, FaultRates::uniform(0.05)),
         durability: DurabilityConfig { enabled: true, checkpoint_every: 128 },

@@ -2,8 +2,8 @@
 //! scenario from `tests/simulation.rs`, re-run through `SyncPath::Session`
 //! with `FaultPlan::none()`, must reproduce the legacy atomic handshake
 //! byte-for-byte — same final master, same commit counts, same per-sync
-//! records, same cost totals. Only `parallel_merge_ns` (wall clock) and
-//! the mechanism and WAL volume counters are exempt, via
+//! records, same cost totals. Only wall-clock timings and the mechanism
+//! and WAL volume counters are exempt, via
 //! `Metrics::normalized`.
 //!
 //! Each scenario is also re-run on the session path with each
