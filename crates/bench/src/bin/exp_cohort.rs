@@ -96,10 +96,10 @@ fn main() {
     println!(
         "\nMembers that are not footprint-disjoint from the concurrent base slice\n\
          build only their conflict slice of the precedence graph. The curve is\n\
-         still super-linear: the epoch grows with the cohort, each merge scans\n\
-         it once (two word-wise intersections per base transaction) to select\n\
-         its slice, and the edge cache compares every appended transaction with\n\
-         the whole epoch."
+         still super-linear: the epoch grows with the cohort, and each merge\n\
+         scans it once (two word-wise intersections per base transaction) to\n\
+         select its slice. The edge cache finds an appended transaction's\n\
+         conflicts through its per-item index, not by scanning the epoch."
     );
 
     let json = artifact_json("exp_cohort", &[("cohort", &cohort)]);

@@ -90,6 +90,8 @@ fn main() {
             ms[0] += t0;
             ms[1] += t1;
             ms[2] += t2;
+            // Both prunes return write deltas over s0.
+            let (by_undo, by_comp) = (s0.patched(&by_undo), s0.patched(&by_comp));
             agree &= by_undo == by_comp && by_comp == by_reexec;
         }
         table.row_owned(vec![

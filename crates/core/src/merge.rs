@@ -1,6 +1,8 @@
 //! The merging protocol (Section 2.1): steps 1–6 behind one call.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use histmerge_history::{
     rule1_edge_count, run_to_final, AugmentedHistory, BackoutStrategy, BaseEdgeCache,
@@ -9,7 +11,7 @@ use histmerge_history::{
 };
 use histmerge_obs::{Phase, TraceEvent, TracerHandle};
 use histmerge_semantics::{OracleStack, SemanticOracle, StaticAnalyzer};
-use histmerge_txn::{DbState, Fix, OverlayState, TxnId, VarSet};
+use histmerge_txn::{DbState, Fix, OverlayState, TxnId, VarSet, WriteDelta};
 
 use crate::error::CoreError;
 use crate::prune::{compensate, undo, PruneMethod};
@@ -62,6 +64,11 @@ impl std::fmt::Debug for MergeConfig {
 /// outcome: the install path never reads it. Callers that check Theorem 1
 /// build it with `PrecedenceGraph::build(arena, hm, hb)
 /// .merged_history_without(&backed_out)`.
+///
+/// The outcome holds no full database state: the repaired state and the
+/// new master are derived on request from the state they start from
+/// ([`MergeOutcome::repaired_state`], [`MergeOutcome::new_master`]), so a
+/// merge costs O(footprint) however large the database is.
 #[derive(Debug)]
 pub struct MergeOutcome {
     /// Step 2's back-out set `B` (undesirable transactions).
@@ -75,14 +82,12 @@ pub struct MergeOutcome {
     /// Tentative transactions backed out (to be re-executed), in original
     /// order.
     pub backed_out: Vec<TxnId>,
-    /// The repaired history's final state (after pruning).
-    pub repaired_state: DbState,
+    /// The repaired history's final state (after pruning), as a write
+    /// delta over the merge's start state `s0`.
+    pub repaired_writes: WriteDelta,
     /// The values forwarded to the base nodes (step 5): for each item
     /// modified by a saved transaction, its value in the repaired state.
     pub forwarded: DbState,
-    /// The master state after installing the forwarded updates on the base
-    /// history's final state.
-    pub new_master: DbState,
     /// Results of re-executing the backed-out transactions (step 6) on the
     /// new master state, in execution order: `(txn, succeeded)`.
     pub reexecuted: Vec<(TxnId, bool)>,
@@ -107,7 +112,7 @@ pub struct MergeOutcome {
 /// progress is tracked alongside the plan (see `replication::session`).
 ///
 /// Unlike the full outcome (which owns the rewritten history and the
-/// repaired states), the plan is small, cloneable, and comparable — the
+/// repaired writes), the plan is small, cloneable, and comparable — the
 /// shape a recovering node can dedupe retransmissions against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstallPlan {
@@ -122,6 +127,21 @@ pub struct InstallPlan {
 }
 
 impl MergeOutcome {
+    /// The repaired history's final state (after pruning): `s0`, the
+    /// state the merged histories started from, with the repaired writes
+    /// applied.
+    pub fn repaired_state(&self, s0: &DbState) -> DbState {
+        s0.patched(&self.repaired_writes)
+    }
+
+    /// The master state after installing the forwarded updates on
+    /// `hb_final`, the base history's final state.
+    pub fn new_master(&self, hb_final: &DbState) -> DbState {
+        let mut master = hb_final.clone();
+        master.apply(&self.forwarded);
+        master
+    }
+
     /// Extracts the durable install plan from this outcome.
     pub fn install_plan(&self) -> InstallPlan {
         InstallPlan {
@@ -214,7 +234,7 @@ impl Merger {
             arena,
             hm,
             hb,
-            s0,
+            &Arc::new(s0.clone()),
             MergeAssist::default(),
             &TracerHandle::noop(),
             &mut MergeScratch::new(),
@@ -228,7 +248,9 @@ impl Merger {
     /// skips recomputation, tracing is observation-only (a disabled tracer
     /// costs one branch per step), and scratch reuse is observation-free.
     /// This is the entry point of the batched base-tier sync path, where
-    /// many merges in one window share the same growing `hb`.
+    /// many merges in one window share the same growing `hb` and the same
+    /// window-start state `s0`, which the merge borrows instead of
+    /// copying.
     ///
     /// # Errors
     ///
@@ -239,7 +261,7 @@ impl Merger {
         arena: &TxnArena,
         hm: &SerialHistory,
         hb: &SerialHistory,
-        s0: &DbState,
+        s0: &Arc<DbState>,
         assist: MergeAssist<'_>,
         tracer: &TracerHandle,
         scratch: &mut MergeScratch,
@@ -252,10 +274,10 @@ impl Merger {
         // log-free: a merge only needs `hb`'s FINAL state, never its
         // per-step images, so `run_to_final` skips the augmented log.
         let span = tracer.span_start();
-        let hm_aug = AugmentedHistory::execute(arena, hm, s0)?;
+        let hm_aug = AugmentedHistory::execute_shared(arena, hm, s0)?;
         let hb_final = match assist.hb_final {
-            Some(state) => state.clone(),
-            None => run_to_final(arena, hb, s0)?,
+            Some(state) => Cow::Borrowed(state),
+            None => Cow::Owned(run_to_final(arena, hb, s0)?),
         };
         tracer.span_end(Phase::Exec, span);
 
@@ -353,9 +375,9 @@ impl Merger {
             backed_out: rewritten.suffix().len(),
         });
 
-        // Step 4: prune.
+        // Step 4: prune, to the repaired state's write delta over `s0`.
         let span = tracer.span_start();
-        let repaired_state = match self.config.prune {
+        let repaired_writes = match self.config.prune {
             PruneMethod::Undo => undo(arena, &hm_aug, &rewritten, &affected)?,
             PruneMethod::Compensate => compensate(arena, &hm_aug, &rewritten)?,
         };
@@ -368,21 +390,25 @@ impl Merger {
         for (id, _) in rewritten.prefix() {
             saved_writes.extend_from(arena.get(*id).writeset());
         }
-        let forwarded = repaired_state.project(&saved_writes);
-        let mut new_master = hb_final;
-        new_master.apply(&forwarded);
+        let repaired = OverlayState::with_writes(s0, repaired_writes);
+        let forwarded = repaired.project(&saved_writes);
+        let repaired_writes = repaired.into_writes();
 
         // Step 6: re-execute backed-out transactions on the new master
-        // state, in their original order. "Failed reexecutions will be
-        // informed to the users together with the corresponding reasons":
-        // a re-execution fails when the transaction's declared
-        // precondition does not hold on the state it now runs against
-        // (e.g. a withdrawal that no longer clears), or when it cannot run
-        // at all. Only the per-transaction verdicts escape this loop, so
-        // the chain runs on an overlay over the master — no state clone.
+        // state (`hb_final` plus the forwarded values), in their original
+        // order. "Failed reexecutions will be informed to the users
+        // together with the corresponding reasons": a re-execution fails
+        // when the transaction's declared precondition does not hold on
+        // the state it now runs against (e.g. a withdrawal that no longer
+        // clears), or when it cannot run at all. Only the per-transaction
+        // verdicts escape this loop, so the chain runs on an overlay over
+        // `hb_final` — no state clone.
         let span = tracer.span_start();
         let mut reexecuted = Vec::new();
-        let mut view = OverlayState::new(&new_master);
+        let mut view = OverlayState::new(&hb_final);
+        for (var, value) in forwarded.iter() {
+            view.set(var, value);
+        }
         for (id, _) in rewritten.suffix() {
             let txn = arena.get(*id);
             let precondition_ok = txn.check_precondition_on(&view, &Fix::empty()).unwrap_or(false);
@@ -406,9 +432,8 @@ impl Merger {
             rewritten,
             saved,
             backed_out,
-            repaired_state,
+            repaired_writes,
             forwarded,
-            new_master,
             reexecuted,
             graph_edges,
             fast_path,
@@ -425,6 +450,12 @@ mod tests {
 
     fn d(i: u32) -> VarId {
         VarId::new(i)
+    }
+
+    /// The final state of Example 1's base history: what the new master
+    /// is derived from.
+    fn hb_final(ex: &histmerge_history::fixtures::Example1) -> DbState {
+        run_to_final(&ex.arena, &ex.hb, &ex.s0).unwrap()
     }
 
     /// Theorem 1's witness for a merge of `hm` into `hb`: the merged
@@ -467,7 +498,7 @@ mod tests {
             Merger::new(MergeConfig::default()).merge(&ex.arena, &ex.hm, &ex.hb, &ex.s0).unwrap();
         let merged = witness(&ex.arena, &ex.hm, &ex.hb, &outcome).unwrap();
         let replay = AugmentedHistory::execute(&ex.arena, &merged, &ex.s0).unwrap();
-        assert_eq!(&outcome.new_master, replay.final_state());
+        assert_eq!(&outcome.new_master(&hb_final(&ex)), replay.final_state());
     }
 
     #[test]
@@ -496,7 +527,7 @@ mod tests {
         assert_eq!(outcome.saved.len(), 4);
         // New master = repaired state = full tentative execution.
         let hm_aug = AugmentedHistory::execute(&ex.arena, &ex.hm, &ex.s0).unwrap();
-        assert_eq!(&outcome.new_master, hm_aug.final_state());
+        assert_eq!(&outcome.new_master(&ex.s0), hm_aug.final_state());
     }
 
     #[test]
@@ -521,7 +552,7 @@ mod tests {
                 };
                 let outcome = Merger::new(config).merge(&ex.arena, &ex.hm, &ex.hb, &ex.s0).unwrap();
                 assert_eq!(outcome.saved.len(), 2, "{}", algorithm.name());
-                masters.push(outcome.new_master);
+                masters.push(outcome.new_master(&hb_final(&ex)));
             }
         }
         assert!(masters.windows(2).all(|w| w[0] == w[1]));
@@ -543,7 +574,7 @@ mod tests {
                 &ex.arena,
                 &ex.hm,
                 &ex.hb,
-                &ex.s0,
+                &Arc::new(ex.s0.clone()),
                 assist,
                 &TracerHandle::noop(),
                 &mut MergeScratch::new(),
@@ -554,9 +585,9 @@ mod tests {
         assert_eq!(plain.affected, assisted.affected);
         assert_eq!(plain.saved, assisted.saved);
         assert_eq!(plain.backed_out, assisted.backed_out);
-        assert_eq!(plain.repaired_state, assisted.repaired_state);
+        assert_eq!(plain.repaired_state(&ex.s0), assisted.repaired_state(&ex.s0));
         assert_eq!(plain.forwarded, assisted.forwarded);
-        assert_eq!(plain.new_master, assisted.new_master);
+        assert_eq!(plain.new_master(&hb_final), assisted.new_master(&hb_final));
         assert_eq!(plain.reexecuted, assisted.reexecuted);
         assert_eq!(plain.graph_edges, assisted.graph_edges);
     }
@@ -599,7 +630,7 @@ mod tests {
                 &ex.arena,
                 &ex.hm,
                 &ex.hb,
-                &ex.s0,
+                &Arc::new(ex.s0.clone()),
                 MergeAssist::default(),
                 &TracerHandle::new(sink.clone()),
                 &mut MergeScratch::new(),
@@ -610,7 +641,8 @@ mod tests {
         assert_eq!(plain.bad, traced.bad);
         assert_eq!(plain.saved, traced.saved);
         assert_eq!(plain.backed_out, traced.backed_out);
-        assert_eq!(plain.new_master, traced.new_master);
+        let hb_final = hb_final(&ex);
+        assert_eq!(plain.new_master(&hb_final), traced.new_master(&hb_final));
         assert_eq!(plain.reexecuted, traced.reexecuted);
         assert_eq!(plain.graph_edges, traced.graph_edges);
 
@@ -656,7 +688,7 @@ mod tests {
                     &ex.arena,
                     &ex.hm,
                     &ex.hb,
-                    &ex.s0,
+                    &Arc::new(ex.s0.clone()),
                     assist,
                     &TracerHandle::noop(),
                     &mut scratch,
@@ -666,9 +698,13 @@ mod tests {
             assert_eq!(plain.affected, reused.affected, "round {round}");
             assert_eq!(plain.saved, reused.saved, "round {round}");
             assert_eq!(plain.backed_out, reused.backed_out, "round {round}");
-            assert_eq!(plain.repaired_state, reused.repaired_state, "round {round}");
+            assert_eq!(
+                plain.repaired_state(&ex.s0),
+                reused.repaired_state(&ex.s0),
+                "round {round}"
+            );
             assert_eq!(plain.forwarded, reused.forwarded, "round {round}");
-            assert_eq!(plain.new_master, reused.new_master, "round {round}");
+            assert_eq!(plain.new_master(&hb_final), reused.new_master(&hb_final), "round {round}");
             assert_eq!(plain.reexecuted, reused.reexecuted, "round {round}");
             assert_eq!(plain.graph_edges, reused.graph_edges, "round {round}");
         }

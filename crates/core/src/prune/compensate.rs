@@ -1,7 +1,7 @@
 //! The compensation approach (Section 6.1).
 
 use histmerge_history::{AugmentedHistory, TxnArena};
-use histmerge_txn::{DbState, OverlayState};
+use histmerge_txn::{OverlayState, WriteDelta};
 
 use crate::error::CoreError;
 use crate::rewrite::RewrittenHistory;
@@ -13,6 +13,8 @@ use crate::rewrite::RewrittenHistory;
 /// Because the rewritten history is final-state equivalent to the original
 /// and suffix transactions keep their relative order (Theorem 2), this
 /// unwinds the suffix exactly, leaving the state of the repaired prefix.
+/// That state is returned as a write delta over `original`'s initial
+/// state, like [`undo`](crate::prune::undo)'s.
 ///
 /// # Errors
 ///
@@ -27,8 +29,9 @@ pub fn compensate(
     arena: &TxnArena,
     original: &AugmentedHistory,
     rewritten: &RewrittenHistory,
-) -> Result<DbState, CoreError> {
-    let mut view = OverlayState::new(original.final_state());
+) -> Result<WriteDelta, CoreError> {
+    let mut view =
+        OverlayState::with_writes(original.initial_state(), original.final_writes().clone());
     for (id, fix) in rewritten.suffix().iter().rev() {
         let txn = arena.get(*id);
         // Read-only transactions change no state: nothing to compensate.
@@ -47,7 +50,7 @@ pub fn compensate(
             .map_err(|source| CoreError::Execution { txn: *id, source })?;
         view.apply_writes(&delta.writes);
     }
-    Ok(view.materialize())
+    Ok(view.into_writes())
 }
 
 #[cfg(test)]
@@ -56,7 +59,9 @@ mod tests {
     use crate::rewrite::{rewrite, FixMode, RewriteAlgorithm};
     use histmerge_history::SerialHistory;
     use histmerge_semantics::OracleStack;
-    use histmerge_txn::{Expr, Fix, Program, ProgramBuilder, Transaction, TxnId, TxnKind, VarId};
+    use histmerge_txn::{
+        DbState, Expr, Fix, Program, ProgramBuilder, Transaction, TxnId, TxnKind, VarId,
+    };
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
@@ -140,7 +145,7 @@ mod tests {
         // follow `g1`? can_follow(bad, g1): bad.writeset {d0} ∩ g1.readset
         // {d0} ≠ ∅ → g1 stays. g2 moves.
         assert_eq!(rw.saved(), vec![g2]);
-        let pruned_state = compensate(&arena, &h, &rw).unwrap();
+        let pruned_state = s0.patched(&compensate(&arena, &h, &rw).unwrap());
         // Repaired state: only g2 applied.
         let expect = AugmentedHistory::execute(&arena, &rw.repaired_history(), &s0).unwrap();
         assert_eq!(&pruned_state, expect.final_state());
@@ -213,7 +218,7 @@ mod tests {
             FixMode::Lemma1,
             &OracleStack::new(),
         );
-        let state = compensate(&arena, &h, &rw).unwrap();
+        let state = s0.patched(&compensate(&arena, &h, &rw).unwrap());
         assert_eq!(&state, h.final_state());
     }
 }

@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 use histmerge_history::{AugmentedHistory, TxnArena};
 use histmerge_txn::{
     DbState, Expr, OverlayState, Pred, Program, ProgramBuilder, Statement, TxnId, Value, VarId,
-    VarSet,
+    VarSet, WriteDelta,
 };
 
 use crate::error::CoreError;
@@ -36,6 +36,10 @@ use crate::rewrite::RewrittenHistory;
 /// Prunes `rewritten` by the undo approach: restores before-images of every
 /// suffix transaction (reverse order), then executes the undo-repair
 /// actions of the affected transactions saved in the prefix (prefix order).
+///
+/// Returns the repaired state as a write delta over `original`'s initial
+/// state: `original.initial_state().patched(&delta)` is the state of the
+/// repaired prefix.
 ///
 /// `affected` is the full affected set `AG` computed from the back-out set;
 /// only its members appearing in the repaired prefix get repair actions
@@ -50,11 +54,12 @@ pub fn undo(
     original: &AugmentedHistory,
     rewritten: &RewrittenHistory,
     affected: &BTreeSet<TxnId>,
-) -> Result<DbState, CoreError> {
-    // One copy-on-write overlay over the final state: restores and repairs
-    // write O(touched items) and materialize once at the end, instead of
-    // cloning the full state per repair execution.
-    let mut view = OverlayState::new(original.final_state());
+) -> Result<WriteDelta, CoreError> {
+    // One copy-on-write overlay over the initial state, seeded with the
+    // history's write delta (the final state): restores and repairs write
+    // O(touched items), and no full state is ever copied.
+    let mut view =
+        OverlayState::with_writes(original.initial_state(), original.final_writes().clone());
     let undone: BTreeSet<TxnId> = rewritten.suffix().iter().map(|(t, _)| *t).collect();
 
     // Phase 1: restore before-images in reverse original order. The suffix
@@ -86,7 +91,7 @@ pub fn undo(
             view.apply_writes(&delta.writes);
         }
     }
-    Ok(view.materialize())
+    Ok(view.into_writes())
 }
 
 /// Builds the undo-repair action for affected transaction `ag_k`
@@ -385,7 +390,7 @@ mod tests {
         let oracle = StaticAnalyzer::new();
         let rw = rewrite(arena, &h, bad, alg, FixMode::Lemma1, &oracle);
         let ag = affected_set(arena, &h.order(), bad);
-        let pruned = undo(arena, &h, &rw, &ag).unwrap();
+        let pruned = h.initial_state().patched(&undo(arena, &h, &rw, &ag).unwrap());
         let expect = AugmentedHistory::execute(arena, &rw.repaired_history(), s0).unwrap();
         assert_eq!(&pruned, expect.final_state(), "Theorem 5 violated for {}", alg.name());
         (rw.saved(), pruned)
@@ -773,7 +778,7 @@ mod tests {
         assert!(!ura.writeset().contains(z), "z survived the undo untouched");
 
         // Full undo pruning yields the cumulative effect of G2 G3.
-        let pruned = undo(&arena, &h, &rw, &ag).unwrap();
+        let pruned = h.initial_state().patched(&undo(&arena, &h, &rw, &ag).unwrap());
         let g2g3 =
             AugmentedHistory::execute(&arena, &SerialHistory::from_order([g2, g3]), &s0).unwrap();
         assert_eq!(&pruned, g2g3.final_state());
@@ -802,7 +807,7 @@ mod tests {
             &OracleStack::new(),
         );
         let ag = affected_set(&arena, &h.order(), &bads);
-        let pruned = undo(&arena, &h, &rw, &ag).unwrap();
+        let pruned = h.initial_state().patched(&undo(&arena, &h, &rw, &ag).unwrap());
         let expect = AugmentedHistory::execute(&arena, &rw.repaired_history(), &s0).unwrap();
         assert_eq!(&pruned, expect.final_state());
         assert_eq!(pruned.get(v(0)), 3);
@@ -823,7 +828,7 @@ mod tests {
             FixMode::Lemma1,
             &OracleStack::new(),
         );
-        let state = undo(&arena, &h, &rw, &BTreeSet::new()).unwrap();
+        let state = h.initial_state().patched(&undo(&arena, &h, &rw, &BTreeSet::new()).unwrap());
         assert_eq!(&state, h.final_state());
     }
 }

@@ -4,17 +4,23 @@
 //! *semantics* of an augmented history, not its storage. Executing an
 //! `n`-transaction history used to clone a full [`DbState`] per step —
 //! O(n · |database|) — which dominated the merge hot path. The history now
-//! executes through one copy-on-write [`OverlayState`], stores the initial
-//! and final states plus a per-step [`StepRecord`] (observed reads/writes
-//! and before/after images over each transaction's static footprint), and
-//! *derives* any intermediate state on demand from a per-variable write
-//! index. Outcomes are byte-identical to the clone-per-step execution;
-//! `tests/footprint_differential.rs` holds that contract.
+//! executes through one copy-on-write [`OverlayState`], shares the initial
+//! state with its caller, keeps the final state as a write delta over it
+//! plus a per-step [`StepRecord`] (observed reads/writes and before/after
+//! images over each transaction's static footprint), and *derives* any
+//! state on demand — the final one from the delta, intermediate ones from
+//! a per-variable write index. Executing a history therefore costs
+//! O(footprint), not O(|database|). Outcomes are byte-identical to the
+//! clone-per-step execution; `tests/footprint_differential.rs` holds that
+//! contract.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use histmerge_txn::{DbState, Fix, OverlayState, TxnError, TxnId, Value, VarId, VarSet};
+use histmerge_txn::{
+    DbState, Fix, OverlayState, TxnError, TxnId, Value, VarId, VarSet, WriteDelta,
+};
 
 use crate::arena::TxnArena;
 use crate::schedule::SerialHistory;
@@ -86,10 +92,12 @@ impl StepRecord {
 ///
 /// Each entry pairs a transaction with the [`Fix`] it executed under (the
 /// empty fix for an original history) and records its [`StepRecord`] —
-/// observed reads/writes and before/after images. Intermediate states are
-/// derived on demand (see [`AugmentedHistory::before_state`] and the
-/// cheaper [`AugmentedHistory::value_before`]); only the initial and
-/// final states are stored whole.
+/// observed reads/writes and before/after images. States are derived on
+/// demand (see [`AugmentedHistory::before_state`] and the cheaper
+/// [`AugmentedHistory::value_before`]); only the initial state is stored
+/// whole, and it is shared with the caller. The final state is kept as
+/// the history's write delta ([`AugmentedHistory::final_writes`]) and
+/// materialized on the first [`AugmentedHistory::final_state`] call.
 ///
 /// # Example
 ///
@@ -115,8 +123,11 @@ impl StepRecord {
 #[derive(Debug, Clone)]
 pub struct AugmentedHistory {
     entries: Vec<(TxnId, Fix)>,
-    initial: DbState,
-    final_state: DbState,
+    initial: Arc<DbState>,
+    /// Every item the history wrote, with its final value.
+    final_writes: WriteDelta,
+    /// `initial` patched with `final_writes`, built on first use.
+    final_state: OnceLock<DbState>,
     steps: Vec<StepRecord>,
     /// Per-variable change index: ascending `(step, value written)` pairs.
     /// `value_before(i, var)` is a binary search here instead of a stored
@@ -138,8 +149,23 @@ impl AugmentedHistory {
         history: &SerialHistory,
         initial: &DbState,
     ) -> Result<Self, HistoryError> {
+        Self::execute_shared(arena, history, &Arc::new(initial.clone()))
+    }
+
+    /// [`AugmentedHistory::execute`] from a shared initial state: the
+    /// history keeps a handle to `initial` instead of copying it, so
+    /// execution costs O(footprint) however large the database is.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HistoryError::Execution`] if any transaction fails.
+    pub fn execute_shared(
+        arena: &TxnArena,
+        history: &SerialHistory,
+        initial: &Arc<DbState>,
+    ) -> Result<Self, HistoryError> {
         let entries: Vec<(TxnId, Fix)> = history.iter().map(|id| (id, Fix::empty())).collect();
-        Self::execute_with_fixes(arena, &entries, initial)
+        Self::run(arena, entries, Arc::clone(initial))
     }
 
     /// Executes a sequence of `(transaction, fix)` entries from `initial`.
@@ -158,9 +184,17 @@ impl AugmentedHistory {
         entries: &[(TxnId, Fix)],
         initial: &DbState,
     ) -> Result<Self, HistoryError> {
+        Self::run(arena, entries.to_vec(), Arc::new(initial.clone()))
+    }
+
+    fn run(
+        arena: &TxnArena,
+        entries: Vec<(TxnId, Fix)>,
+        initial: Arc<DbState>,
+    ) -> Result<Self, HistoryError> {
         let mut steps = Vec::with_capacity(entries.len());
         let mut writes_at: BTreeMap<VarId, Vec<(u32, Value)>> = BTreeMap::new();
-        let mut view = OverlayState::new(initial);
+        let mut view = OverlayState::new(&initial);
         for (i, (id, fix)) in entries.iter().enumerate() {
             let txn = arena.get(*id);
             let footprint = txn.footprint();
@@ -182,10 +216,12 @@ impl AugmentedHistory {
                 after_image,
             });
         }
+        let final_writes = view.into_writes();
         Ok(AugmentedHistory {
-            entries: entries.to_vec(),
-            initial: initial.clone(),
-            final_state: view.materialize(),
+            entries,
+            initial,
+            final_writes,
+            final_state: OnceLock::new(),
             steps,
             writes_at,
         })
@@ -228,7 +264,7 @@ impl AugmentedHistory {
     /// Materializes the *before state* of the `i`-th transaction (the
     /// initial state with every write at steps `< i` applied).
     pub fn before_state(&self, i: usize) -> DbState {
-        let mut state = self.initial.clone();
+        let mut state = (*self.initial).clone();
         for (var, changes) in &self.writes_at {
             let upto = changes.partition_point(|(step, _)| (*step as usize) < i);
             if upto > 0 {
@@ -248,9 +284,18 @@ impl AugmentedHistory {
         &self.initial
     }
 
-    /// The final state of the history.
+    /// The final state of the history, materialized from the initial
+    /// state and [`AugmentedHistory::final_writes`] on the first call.
     pub fn final_state(&self) -> &DbState {
-        &self.final_state
+        self.final_state.get_or_init(|| self.initial.patched(&self.final_writes))
+    }
+
+    /// The history's write delta: every item some step wrote, with its
+    /// value in the final state. The final state is the initial state
+    /// patched with it; [`OverlayState::with_writes`] reads it without
+    /// copying the initial state.
+    pub fn final_writes(&self) -> &WriteDelta {
+        &self.final_writes
     }
 
     /// The execution record of the `i`-th transaction.
@@ -399,6 +444,23 @@ mod tests {
         }
         assert_eq!(&h.after_state(h.len() - 1), h.final_state());
         assert_eq!(h.value_before(0, v(9)), None);
+    }
+
+    #[test]
+    fn final_state_is_the_initial_state_patched_with_the_final_writes() {
+        let (arena, b1, g2, s0) = section3();
+        let order = SerialHistory::from_order([b1, g2, b1]);
+        let shared = Arc::new(s0.clone());
+        let h = AugmentedHistory::execute_shared(&arena, &order, &shared).unwrap();
+        assert!(std::ptr::eq(h.initial_state(), &*shared), "the caller's state is shared");
+        assert_eq!(h.final_state(), &run_to_final(&arena, &order, &s0).unwrap());
+        assert_eq!(&s0.patched(h.final_writes()), h.final_state());
+        // Only written items are in the delta: z is never written.
+        assert!(!h.final_writes().contains_key(&v(2)));
+        // The copying entry point agrees.
+        let copied = AugmentedHistory::execute(&arena, &order, &s0).unwrap();
+        assert!(!std::ptr::eq(copied.initial_state(), &*shared));
+        assert_eq!(copied.final_state(), h.final_state());
     }
 
     #[test]

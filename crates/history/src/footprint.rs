@@ -79,9 +79,15 @@ impl DenseBits {
 
     /// Iterates the indices of the set bits in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, w)| {
-            let w = *w;
-            (0..64).filter(move |b| w & (1u64 << b) != 0).map(move |b| (wi as u32) * 64 + b)
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    (wi as u32) * 64 + b
+                })
+            })
         })
     }
 

@@ -70,9 +70,9 @@ impl fmt::Display for EdgeKind {
 /// base history.
 ///
 /// Within a window `H_b` only ever *grows*. A `BaseEdgeCache` is kept per
-/// epoch: appending a base transaction compares it once against every
-/// earlier cached one, and every merge in the window (serial or batched)
-/// then reads, for any prefix of the cached history,
+/// epoch: appending a base transaction finds the earlier cached ones it
+/// conflicts with through a per-item index, and every merge in the window
+/// (serial or batched) then reads, for any prefix of the cached history,
 ///
 /// * the exact number of rule-2 edges ([`edge_count`](Self::edge_count)),
 ///   which the §7.1 cost model charges for, and
@@ -89,6 +89,12 @@ impl fmt::Display for EdgeKind {
 /// O(|H_b|²/64) words in all (about `|H_b|²/128`). [`clear`](Self::clear)
 /// drops it at window rollover, so it is bounded by one window's base
 /// history.
+///
+/// The per-item index lists, for each interned item, the cached positions
+/// that read it and those that write it. An append ORs the lists of its
+/// footprint into a `⌈j/64⌉`-word conflict row, so it costs the
+/// footprint's list lengths plus the row, instead of one conflict test
+/// against every earlier position.
 #[derive(Debug, Clone)]
 pub struct BaseEdgeCache {
     txns: Vec<TxnId>,
@@ -104,6 +110,13 @@ pub struct BaseEdgeCache {
     /// cannot draw a single cross edge against *any* cached prefix, which
     /// is the gate for the conflict-free merge fast path.
     footprint: DenseBits,
+    /// `readers[x]` / `writers[x]`: the ascending cached positions whose
+    /// read / write set holds the item interned as `x`.
+    readers: Vec<Vec<u32>>,
+    writers: Vec<Vec<u32>>,
+    /// Scratch for [`extend`](Self::extend): the earlier positions the
+    /// appended transaction conflicts with.
+    conflict_row: Vec<u64>,
 }
 
 impl Default for BaseEdgeCache {
@@ -121,6 +134,9 @@ impl BaseEdgeCache {
             ancestors: Vec::new(),
             rows: Vec::new(),
             footprint: DenseBits::new(),
+            readers: Vec::new(),
+            writers: Vec::new(),
+            conflict_row: Vec::new(),
         }
     }
 
@@ -143,8 +159,8 @@ impl BaseEdgeCache {
         self.txns.is_empty()
     }
 
-    /// Drops all cached state, the reachability summary included (window
-    /// rollover).
+    /// Drops all cached state, the reachability summary and the per-item
+    /// index included (window rollover).
     pub fn clear(&mut self) {
         self.txns.clear();
         self.edges_upto.clear();
@@ -152,13 +168,33 @@ impl BaseEdgeCache {
         self.ancestors.clear();
         self.rows.clear();
         self.footprint.clear();
+        self.readers.iter_mut().chain(self.writers.iter_mut()).for_each(Vec::clear);
     }
 
-    /// Appends base transactions, computing their conflicts against every
-    /// earlier cached transaction.
+    /// Appends base transactions. Each one's conflicts with the earlier
+    /// cached transactions come from the per-item index: the writers of
+    /// the items it reads, and the readers and writers of the items it
+    /// writes — exactly the positions [`TxnArena::conflicts`] accepts.
     pub fn extend(&mut self, arena: &TxnArena, suffix: impl IntoIterator<Item = TxnId>) {
         for id in suffix {
             let j = self.txns.len();
+            let (reads, writes) = (arena.read_bits(id), arena.write_bits(id));
+            let conflicts = &mut self.conflict_row;
+            conflicts.clear();
+            conflicts.resize(j.div_ceil(64), 0);
+            let lists = reads.iter().filter_map(|x| self.writers.get(x as usize)).chain(
+                writes.iter().flat_map(|x| {
+                    [self.readers.get(x as usize), self.writers.get(x as usize)]
+                        .into_iter()
+                        .flatten()
+                }),
+            );
+            for list in lists {
+                for &i in list {
+                    conflicts[i as usize / 64] |= 1u64 << (i % 64);
+                }
+            }
+
             let row = self.ancestors.len();
             self.ancestors.resize(row + j.div_ceil(64), 0);
             let (earlier, ancestors) = self.ancestors.split_at_mut(row);
@@ -166,26 +202,40 @@ impl BaseEdgeCache {
             // Latest first: a conflicting `i` already in the row reaches `j`
             // through a later conflict whose row was merged, and its own
             // ancestors came with that row — only its edge is new.
-            for i in (0..j).rev() {
-                if !arena.conflicts(self.txns[i], id) {
-                    continue;
-                }
-                edges += 1;
-                let bit = 1u64 << (i % 64);
-                if ancestors[i / 64] & bit == 0 {
-                    ancestors[i / 64] |= bit;
-                    let from = self.rows[i];
-                    let row_i = &earlier[from..from + i.div_ceil(64)];
-                    for (word, src) in ancestors.iter_mut().zip(row_i) {
-                        *word |= *src;
+            for w in (0..conflicts.len()).rev() {
+                let mut bits = conflicts[w];
+                edges += bits.count_ones() as usize;
+                while bits != 0 {
+                    let b = 63 - bits.leading_zeros() as usize;
+                    bits &= !(1u64 << b);
+                    let i = w * 64 + b;
+                    if ancestors[w] & (1u64 << b) == 0 {
+                        ancestors[w] |= 1u64 << b;
+                        let from = self.rows[i];
+                        let row_i = &earlier[from..from + i.div_ceil(64)];
+                        for (word, src) in ancestors.iter_mut().zip(row_i) {
+                            *word |= *src;
+                        }
                     }
+                }
+            }
+
+            let position =
+                u32::try_from(j).expect("an epoch holds fewer than 2^32 base transactions");
+            for (bits, lists) in [(reads, &mut self.readers), (writes, &mut self.writers)] {
+                for x in bits.iter() {
+                    let x = x as usize;
+                    if x >= lists.len() {
+                        lists.resize_with(x + 1, Vec::new);
+                    }
+                    lists[x].push(position);
                 }
             }
             self.txns.push(id);
             self.rows.push(row);
             self.edges_upto.push(self.edges_upto[j] + edges);
-            self.footprint.union_with(arena.read_bits(id));
-            self.footprint.union_with(arena.write_bits(id));
+            self.footprint.union_with(reads);
+            self.footprint.union_with(writes);
         }
     }
 
@@ -212,6 +262,22 @@ impl BaseEdgeCache {
     /// `cache.len() == hb.len()`.
     pub fn footprint_bits(&self) -> &DenseBits {
         &self.footprint
+    }
+
+    /// The cached base transactions, in commit order.
+    pub fn txns(&self) -> &[TxnId] {
+        &self.txns
+    }
+
+    /// The latest cached transaction `txn` would draw a rule-3 edge with:
+    /// the last writer of an item `txn` reads, or the last reader of an
+    /// item it writes, whichever committed later. Two index lookups per
+    /// footprint item, where a scan would test every cached position.
+    pub fn latest_rule3_partner(&self, arena: &TxnArena, txn: TxnId) -> Option<TxnId> {
+        let last = |lists: &[Vec<u32>], x: u32| lists.get(x as usize)?.last().copied();
+        let from_reads = arena.read_bits(txn).iter().filter_map(|x| last(&self.writers, x));
+        let from_writes = arena.write_bits(txn).iter().filter_map(|x| last(&self.readers, x));
+        from_reads.chain(from_writes).max().map(|p| self.txns[p as usize])
     }
 
     /// Does cached position `i` reach position `j > i` along rule-2 edges?
@@ -1114,5 +1180,118 @@ mod tests {
             edges_seen += built.edges().len();
         }
         assert!(edges_seen > 0, "the generated histories must conflict somewhere");
+    }
+
+    /// A generated base transaction: read items, written items, whether
+    /// the writes sit behind a guard, and whether they are blind (the
+    /// written items are not read, so two writers of an item may share no
+    /// read). Items 0–2 are hot.
+    type GenTxn = (Vec<u32>, Vec<u32>, bool, bool);
+
+    fn arb_txn() -> impl proptest::prelude::Strategy<Value = GenTxn> {
+        use proptest::prelude::*;
+        // Three draws in five land on a hot item.
+        let item = (0u32..5, 3u32..40).prop_map(|(pick, cold)| if pick < 3 { pick } else { cold });
+        (
+            prop::collection::vec(item.clone(), 1..4),
+            prop::collection::vec(item, 0..3),
+            prop::bool::ANY,
+            (0u32..4).prop_map(|k| k == 0),
+        )
+    }
+
+    fn alloc_gen(arena: &mut TxnArena, (reads, writes, guarded, blind): &GenTxn) -> TxnId {
+        let guard = v(reads[0]);
+        let write_set: VarSet = writes.iter().map(|i| v(*i)).collect();
+        let mut read_set: VarSet = reads.iter().map(|i| v(*i)).collect();
+        let mut b = ProgramBuilder::new("gen");
+        if *blind {
+            b = b.allow_blind_writes();
+        } else {
+            read_set.extend_from(&write_set);
+        }
+        for var in read_set.iter() {
+            b = b.read(var);
+        }
+        let updates = |mut b: ProgramBuilder| {
+            for w in write_set.iter() {
+                let operand = if *blind { guard } else { w };
+                b = b.update(w, Expr::var(operand) + Expr::konst(1));
+            }
+            b
+        };
+        b = if *guarded {
+            b.branch(Expr::var(guard).gt(Expr::konst(0)), updates, |e| e)
+        } else {
+            updates(b)
+        };
+        let prog: Arc<Program> = Arc::new(b.build().unwrap());
+        arena.alloc(|id| Transaction::new(id, "gen", TxnKind::Base, prog, vec![]))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The item-indexed cache equals its pairwise definition: across
+        /// epochs appended in random chunk sizes into one cleared and
+        /// reused cache, every prefix's edge count is the number of
+        /// conflicting pairs, reachability is the transitive closure of
+        /// `TxnArena::conflicts` over forward pairs, and the latest
+        /// rule-3 partner of a probe is the one a reverse scan finds.
+        #[test]
+        fn indexed_cache_matches_pairwise_conflicts(
+            epochs in proptest::collection::vec(
+                (
+                    proptest::collection::vec(arb_txn(), 0..40),
+                    proptest::collection::vec(1usize..8, 1..6),
+                    proptest::collection::vec(arb_txn(), 1..4),
+                ),
+                1..4,
+            )
+        ) {
+            let mut arena = TxnArena::new();
+            let mut cache = BaseEdgeCache::new();
+            for (txns, chunks, probes) in &epochs {
+                cache.clear();
+                let ids: Vec<TxnId> = txns.iter().map(|t| alloc_gen(&mut arena, t)).collect();
+                let mut sizes = chunks.iter().cycle();
+                let mut at = 0;
+                while at < ids.len() {
+                    let n = (*sizes.next().unwrap()).min(ids.len() - at);
+                    cache.extend(&arena, ids[at..at + n].iter().copied());
+                    at += n;
+                }
+                proptest::prop_assert_eq!(cache.txns(), &ids[..]);
+
+                // The pairwise definition: `ancestors[j]` holds every `i`
+                // that reaches `j` through conflicting forward pairs.
+                let mut edges = 0;
+                let mut ancestors: Vec<BTreeSet<usize>> = Vec::new();
+                proptest::prop_assert_eq!(cache.edge_count(0), 0);
+                for (j, &tj) in ids.iter().enumerate() {
+                    let mut reach = BTreeSet::new();
+                    for (i, &ti) in ids[..j].iter().enumerate() {
+                        if arena.conflicts(ti, tj) {
+                            edges += 1;
+                            reach.insert(i);
+                            reach.extend(ancestors[i].iter().copied());
+                        }
+                    }
+                    proptest::prop_assert_eq!(cache.edge_count(j + 1), edges, "prefix {}", j + 1);
+                    for i in 0..j {
+                        proptest::prop_assert_eq!(cache.reaches(i, j), reach.contains(&i));
+                    }
+                    ancestors.push(reach);
+                }
+
+                for probe in probes {
+                    let t = alloc_gen(&mut arena, probe);
+                    let scanned = ids.iter().rev().copied().find(|&b| {
+                        arena.reads_overlap_writes(t, b) || arena.reads_overlap_writes(b, t)
+                    });
+                    proptest::prop_assert_eq!(cache.latest_rule3_partner(&arena, t), scanned);
+                }
+            }
+        }
     }
 }

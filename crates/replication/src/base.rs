@@ -23,9 +23,11 @@ pub struct BaseNode {
     log: Vec<(TxnId, DbState)>,
     /// Index into `log` where the current window (epoch) began, and the
     /// master state at that point — the common start state every merge in
-    /// this window uses (Section 2.2, Strategy 2).
+    /// this window uses (Section 2.2, Strategy 2). One allocation per
+    /// window: the mobiles' origins, each merge and its augmented `H_m`
+    /// all share it.
     epoch_start: usize,
-    epoch_state: DbState,
+    epoch_state: Arc<DbState>,
     /// When `true`, commits record only transaction ids in the log — the
     /// per-commit write deltas stay empty. Only the write-ahead log reads
     /// the deltas (merges need ids and the window-start state, Strategy-1
@@ -45,8 +47,8 @@ impl BaseNode {
     /// Creates a base node, optionally with the lean (id-only) commit log.
     pub fn with_lean(initial: DbState, lean: bool) -> Self {
         BaseNode {
-            epoch_state: initial.clone(),
-            master: initial,
+            master: initial.clone(),
+            epoch_state: Arc::new(initial),
             log: Vec::new(),
             epoch_start: 0,
             lean,
@@ -61,7 +63,7 @@ impl BaseNode {
         epoch_start: usize,
         epoch_state: DbState,
     ) -> Self {
-        BaseNode { master, log, epoch_start, epoch_state, lean: false }
+        BaseNode { master, log, epoch_start, epoch_state: Arc::new(epoch_state), lean: false }
     }
 
     /// Re-appends a recovered commit: the durable log stores each commit's
@@ -79,6 +81,12 @@ impl BaseNode {
 
     /// The master state at the start of the current window.
     pub fn epoch_state(&self) -> &DbState {
+        &self.epoch_state
+    }
+
+    /// The shared handle to [`BaseNode::epoch_state`]: cloning it shares
+    /// the window-start state instead of copying it.
+    pub fn shared_epoch_state(&self) -> &Arc<DbState> {
         &self.epoch_state
     }
 
@@ -142,7 +150,9 @@ impl BaseNode {
             .find(|&t| t != txn && !exclude.contains(&t) && arena.conflicts(txn, t))
     }
 
-    /// Executes and commits a base transaction on the master.
+    /// Executes and commits a base transaction on the master: the
+    /// transaction's write delta is applied in place, so a commit costs
+    /// O(footprint), not a copy of the master.
     ///
     /// # Panics
     ///
@@ -151,8 +161,9 @@ impl BaseNode {
     /// harness bug.
     pub fn commit(&mut self, arena: &TxnArena, id: TxnId) {
         let txn = arena.get(id);
-        let out = txn.execute(&self.master, &Fix::empty()).expect("base transaction executes");
-        self.master = out.after;
+        let delta =
+            txn.execute_delta(&self.master, &Fix::empty()).expect("base transaction executes");
+        self.master.apply_writes(&delta.writes);
         let writes = if self.lean { DbState::new() } else { self.master.project(txn.writeset()) };
         self.log.push((id, writes));
     }
@@ -199,7 +210,7 @@ impl BaseNode {
     /// (Section 2.2's periodic resynchronization).
     pub fn start_window(&mut self) {
         self.epoch_start = self.log.len();
-        self.epoch_state = self.master.clone();
+        self.epoch_state = Arc::new(self.master.clone());
     }
 
     /// Strategy 1 support: patches the master with the given updates,
@@ -313,6 +324,37 @@ mod tests {
     }
 
     #[test]
+    fn delta_commit_matches_full_execution() {
+        // The in-place delta commit leaves the master and the logged write
+        // delta exactly where executing against a copy of the master puts
+        // them: `execute(..).after` and its write-set projection.
+        let mut arena = TxnArena::new();
+        let mut base = BaseNode::new(DbState::uniform(4, 3));
+        let guarded: Arc<Program> = Arc::new(
+            ProgramBuilder::new("guarded")
+                .read(v(0))
+                .read(v(1))
+                .read(v(2))
+                .branch(
+                    Expr::var(v(0)).gt(Expr::konst(3)),
+                    |b| b.update(v(1), Expr::var(v(1)) + Expr::var(v(2))),
+                    |b| b.update(v(2), Expr::var(v(2)) - Expr::konst(1)),
+                )
+                .build()
+                .unwrap(),
+        );
+        let g = arena.alloc(|id| Transaction::new(id, "g", TxnKind::Base, guarded, vec![]));
+        let ids = [inc(&mut arena, "a", 0, 5), g, inc(&mut arena, "b", 3, -2), g];
+        for id in ids {
+            let expected = arena.get(id).execute(base.master(), &Fix::empty()).unwrap();
+            base.commit(&arena, id);
+            assert_eq!(base.master(), &expected.after, "master after {id}");
+            let delta = &base.log().last().unwrap().1;
+            assert_eq!(delta, &expected.after.project(arena.get(id).writeset()), "delta of {id}");
+        }
+    }
+
+    #[test]
     fn lean_log_keeps_ids_but_no_write_deltas() {
         let mut arena = TxnArena::new();
         let mut base = BaseNode::with_lean(DbState::uniform(2, 0), true);
@@ -338,6 +380,7 @@ mod tests {
         base.start_window();
         assert_eq!(base.epoch_len(), 0);
         assert_eq!(base.epoch_state().get(v(0)), 1);
+        assert!(std::ptr::eq(base.epoch_state(), &**base.shared_epoch_state()));
         let t2 = inc(&mut arena, "b", 0, 1);
         base.commit(&arena, t2);
         assert_eq!(base.epoch_history().order(), &[t2]);

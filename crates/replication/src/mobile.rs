@@ -85,6 +85,12 @@ impl MobileNode {
         &self.origin
     }
 
+    /// The shared handle to [`MobileNode::origin`]: a merge borrows the
+    /// origin through it instead of copying it.
+    pub fn shared_origin(&self) -> &Arc<DbState> {
+        &self.origin
+    }
+
     /// The base-log index the origin was snapshotted at (Strategy 1).
     pub fn origin_index(&self) -> usize {
         self.origin_index

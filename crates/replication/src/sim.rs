@@ -494,8 +494,9 @@ pub struct Simulation {
     /// Tentative transactions already installed or re-executed — the
     /// double-resolution guard behind the convergence oracle.
     resolved: BTreeSet<TxnId>,
-    /// The initial master state, kept for the oracle's replay.
-    initial: DbState,
+    /// The initial master state, kept for the oracle's replay: the base's
+    /// first window-start state, shared rather than copied.
+    initial: Arc<DbState>,
     /// The write-ahead log, when [`SimConfig::durability`] is enabled.
     wal: Option<Wal<VecStorage>>,
     /// How many entries of the base log are already WAL-logged as
@@ -515,9 +516,6 @@ pub struct Simulation {
     /// Tentative transactions each mobile generates at the next scheduled
     /// [`EventKind::Generate`] event.
     gen_count: u64,
-    /// The current window-start state, shared with every Strategy-2 mobile
-    /// resynchronized in this window (refreshed at each window rollover).
-    epoch_state_arc: Arc<DbState>,
     /// Reconnects shed by admission control, as `(mobile, arrival_tick)`
     /// in arrival order. Drained FIFO ahead of fresh arrivals each tick,
     /// so every deferred mobile is admitted within
@@ -575,9 +573,11 @@ impl Simulation {
         // Only the write-ahead log reads the per-commit write deltas;
         // every other run keeps an id-only commit log.
         let lean = !config.durability.enabled;
-        let base = BaseCluster::with_lean(initial.clone(), config.base_nodes, lean);
+        // The base's window-start state is the one copy of the initial
+        // state: the mobiles' origins and the oracle's replay share it.
+        let base = BaseCluster::with_lean(initial, config.base_nodes, lean);
+        let initial = Arc::clone(base.base().shared_epoch_state());
         let mut rng = StdRng::seed_from_u64(config.workload.seed ^ 0x5151_5151);
-        let initial_arc = Arc::new(initial.clone());
         let mobiles: Vec<MobileNode> = (0..config.n_mobiles)
             .map(|i| {
                 let first = if config.synchronized_reconnects {
@@ -588,12 +588,12 @@ impl Simulation {
                 // A first connect drawn into a down-link epoch slides to
                 // the next up tick (identity under AlwaysOn).
                 let first = config.connectivity.next_up(i, first).max(1);
-                MobileNode::new(i, initial_arc.clone(), 0, first)
+                MobileNode::new(i, Arc::clone(&initial), 0, first)
             })
             .collect();
         let n = config.n_mobiles;
         let wal = config.durability.enabled.then(|| {
-            Wal::new(VecStorage::new(), &Snapshot::genesis(initial.clone()))
+            Wal::new(VecStorage::new(), &Snapshot::genesis((*initial).clone()))
                 .with_tracer(config.tracer.clone())
         });
         let mut sim = Simulation {
@@ -620,7 +620,6 @@ impl Simulation {
             events: EventQueue::new(),
             gen_acc: 0.0,
             gen_count: 0,
-            epoch_state_arc: initial_arc,
             deferred: VecDeque::new(),
             backoff_level: vec![0; n],
             backoff_rng: StdRng::seed_from_u64(config.workload.seed ^ 0xBAC0_0FF5_BAC0_0FF5),
@@ -672,7 +671,7 @@ impl Simulation {
             epoch_state: self.base.base().epoch_state().clone(),
             ledger: self.ledger.clone(),
             arena: self.arena.clone(),
-            initial: self.initial.clone(),
+            initial: (*self.initial).clone(),
         });
         SimReport {
             base_commits: self.base.base().committed(),
@@ -824,7 +823,6 @@ impl Simulation {
         };
         if rolled {
             self.base.base_mut().start_window();
-            self.epoch_state_arc = Arc::new(self.base.base().epoch_state().clone());
             self.epoch += 1;
             self.wal_append(|| WalRecord::WindowStart);
             let last = self.last_window_tick;
@@ -1187,11 +1185,13 @@ impl Simulation {
     /// backed-out transaction naming the conflict edge (and the base
     /// commit) it lost to plus its closure back-out weight, closed by a
     /// [`TraceEvent::MergeSummary`]. Re-derives the evidence with
-    /// targeted scans — a subset closure pass for the weights and a
-    /// reverse conflict scan per casualty — instead of rebuilding the
-    /// planner's full graph and closure table, so a telemetry-enabled
-    /// run does not pay the merge's planning cost twice. Pure
-    /// re-derivation either way: the plan itself is untouched.
+    /// targeted lookups — a subset closure pass for the weights and, per
+    /// casualty, its latest base partner from the epoch cache's per-item
+    /// index (a reverse scan of the log suffix for snapshot merges) —
+    /// instead of rebuilding the planner's full graph and closure table,
+    /// so a telemetry-enabled run does not pay the merge's planning cost
+    /// twice. Pure re-derivation either way: the plan itself is
+    /// untouched.
     fn emit_merge_autopsy(
         &self,
         i: usize,
@@ -1201,26 +1201,34 @@ impl Simulation {
         retroactive: bool,
     ) {
         let tracer = self.config.tracer.clone();
-        let hb: SerialHistory = if retroactive {
-            let origin = self.mobiles[i].origin_index();
-            self.base.base().full_history().order()[origin..].iter().copied().collect()
+        // A window merge planned against the epoch cache, which still
+        // holds exactly the epoch history; a snapshot merge against the
+        // log suffix from the mobile's origin.
+        let suffix;
+        let hb: &[TxnId] = if retroactive {
+            suffix = self.base.base().history_suffix(self.mobiles[i].origin_index());
+            &suffix
         } else {
-            self.base.base().epoch_history()
+            debug_assert_eq!(self.base_edge_cache.len(), self.base.base().epoch_len());
+            self.base_edge_cache.txns()
         };
         let bad: BTreeSet<TxnId> = outcome.backed_out.iter().copied().collect();
         let weights = closure_weights_for(&self.arena, hm, &bad);
-        let hb_rev: Vec<TxnId> = hb.iter().collect();
         let hm_rev: Vec<TxnId> = hm.iter().collect();
         for &t in &outcome.backed_out {
             // Prefer the partner that names a base commit: the latest
-            // epoch base transaction t draws a precedence edge with (a
-            // pure cross write-write overlap draws none). Fall back to
-            // the latest conflicting mobile partner — an affected-set
+            // base transaction t draws a precedence edge with (a pure
+            // cross write-write overlap draws none). Fall back to the
+            // latest conflicting mobile partner — an affected-set
             // casualty always has one, because its taint came in through
             // a read of another casualty's write.
-            let base_partner = hb_rev.iter().rev().copied().find(|&b| {
-                self.arena.reads_overlap_writes(t, b) || self.arena.reads_overlap_writes(b, t)
-            });
+            let base_partner = if retroactive {
+                hb.iter().rev().copied().find(|&b| {
+                    self.arena.reads_overlap_writes(t, b) || self.arena.reads_overlap_writes(b, t)
+                })
+            } else {
+                self.base_edge_cache.latest_rule3_partner(&self.arena, t)
+            };
             let best = match base_partner {
                 Some(b) => {
                     let rule = if self.arena.reads_overlap_writes(t, b) {
@@ -1256,7 +1264,7 @@ impl Simulation {
                 weight,
             });
         }
-        let clusters = self.count_clusters(hm, &hb);
+        let clusters = self.count_clusters(hm, hb);
         let pending = hm.len();
         let saved = outcome.saved.len();
         let backed_out = outcome.backed_out.len();
@@ -1281,8 +1289,8 @@ impl Simulation {
     /// unions with it too, which yields exactly the conflict graph's
     /// components (readers of a written item are connected *through*
     /// its writer; an item nobody writes connects nothing).
-    fn count_clusters(&self, hm: &SerialHistory, hb: &SerialHistory) -> usize {
-        let nodes: Vec<TxnId> = hm.iter().chain(hb.iter()).collect();
+    fn count_clusters(&self, hm: &SerialHistory, hb: &[TxnId]) -> usize {
+        let nodes: Vec<TxnId> = hm.iter().chain(hb.iter().copied()).collect();
         let mut parent: Vec<usize> = (0..nodes.len()).collect();
         fn find(parent: &mut [usize], mut x: usize) -> usize {
             while parent[x] != x {
@@ -1439,7 +1447,7 @@ impl Simulation {
             &self.arena,
             &hm,
             &hb,
-            base.epoch_state(),
+            base.shared_epoch_state(),
             assist,
             &tracer,
             &mut self.merge_scratch,
@@ -1468,7 +1476,7 @@ impl Simulation {
     fn plan_merge_snapshot(&mut self, i: usize) -> SyncDecision {
         let origin_index = self.mobiles[i].origin_index();
         let hm = self.mobiles[i].history().clone();
-        let s0 = self.mobiles[i].origin().clone();
+        let s0 = Arc::clone(self.mobiles[i].shared_origin());
         let full = self.base.base().full_history();
         let hb: SerialHistory = full.order()[origin_index..].iter().copied().collect();
         // Validity: replaying the suffix from the snapshot must reproduce
@@ -1485,6 +1493,9 @@ impl Simulation {
         let Some(merger) = &self.merger else {
             return SyncDecision::Reprocess { cause: ReprocessReason::ProtocolBaseline };
         };
+        // The replay just reproduced the master, so the master is `hb`'s
+        // final state.
+        let assist = MergeAssist { base_edges: None, hb_final: Some(self.base.base().master()) };
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
         let planned = merger.merge_traced_scratch(
@@ -1492,7 +1503,7 @@ impl Simulation {
             &hm,
             &hb,
             &s0,
-            MergeAssist::default(),
+            assist,
             &tracer,
             &mut self.merge_scratch,
         );
@@ -1642,7 +1653,7 @@ impl Simulation {
                 // Strategy 2: new tentative histories within the window
                 // keep the window-start state as their origin — one shared
                 // snapshot, an Arc clone per resync.
-                self.mobiles[i].resync(self.epoch_state_arc.clone(), 0);
+                self.mobiles[i].resync(Arc::clone(self.base.base().shared_epoch_state()), 0);
                 self.mobile_epochs[i] = self.epoch;
             }
             SyncStrategy::PerDisconnectSnapshot => {
@@ -2399,6 +2410,32 @@ mod tests {
             "synchronized mobiles should reconnect together: {:?}",
             m.batch_sizes
         );
+    }
+
+    #[test]
+    fn mobiles_share_the_base_window_start_state() {
+        // One copy of the state per window: at construction every
+        // mobile's origin and the oracle's initial state are the base's
+        // window-start state, and a cohort resynchronized after a
+        // rollover shares the new one.
+        let mut cfg =
+            config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 50 }, 23);
+        cfg.synchronized_reconnects = true;
+        cfg.n_mobiles = 4;
+        cfg.connect_every = 50;
+        let mut sim = Simulation::new(cfg).expect("valid sim config");
+        let shares_epoch_state = |sim: &Simulation| {
+            let epoch_state = sim.base.base().epoch_state();
+            sim.mobiles.iter().all(|m| std::ptr::eq(m.origin(), epoch_state))
+        };
+        assert!(shares_epoch_state(&sim));
+        assert!(std::ptr::eq(&*sim.initial, sim.base.base().epoch_state()));
+        for tick in 0..=50 {
+            sim.step(tick);
+        }
+        assert_eq!(sim.epoch, 1, "tick 50 rolls the window");
+        assert!(!std::ptr::eq(&*sim.initial, sim.base.base().epoch_state()));
+        assert!(shares_epoch_state(&sim));
     }
 
     #[test]

@@ -70,6 +70,6 @@ pub use error::TxnError;
 pub use expr::{Expr, Pred};
 pub use fix::Fix;
 pub use program::{Program, ProgramBuilder, Statement};
-pub use state::{DbState, OverlayState, StateRead};
+pub use state::{DbState, OverlayState, StateRead, WriteDelta};
 pub use transaction::{Transaction, TxnId, TxnKind};
 pub use value::{Value, VarId, VarMask, VarSet};

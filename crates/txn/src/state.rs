@@ -105,6 +105,22 @@ impl DbState {
         }
     }
 
+    /// Applies a write delta in place: O(written items), no copy of the
+    /// untouched ones.
+    pub fn apply_writes(&mut self, writes: &WriteDelta) {
+        for (var, val) in writes {
+            self.items.insert(*var, *val);
+        }
+    }
+
+    /// A copy of this state with `writes` applied — the one full-state
+    /// copy a caller pays to materialize a delta.
+    pub fn patched(&self, writes: &WriteDelta) -> DbState {
+        let mut state = self.clone();
+        state.apply_writes(writes);
+        state
+    }
+
     /// Returns the set of variables on which `self` and `other` disagree
     /// (including variables present in only one of the two states).
     pub fn diff_vars(&self, other: &DbState) -> VarSet {
@@ -134,6 +150,11 @@ impl FromIterator<(VarId, Value)> for DbState {
         DbState { items: iter.into_iter().collect() }
     }
 }
+
+/// A write delta: the items some execution wrote, each with its final
+/// value. Applying it to the state the execution started from gives the
+/// state it ended in.
+pub type WriteDelta = BTreeMap<VarId, Value>;
 
 /// Read access to a database state, without committing to a representation.
 ///
@@ -186,6 +207,12 @@ impl<'a> OverlayState<'a> {
         OverlayState { base, overlay: BTreeMap::new() }
     }
 
+    /// Creates a view over `base` whose overlay starts as `writes` — a
+    /// delta already known to hold over `base`.
+    pub fn with_writes(base: &'a DbState, writes: WriteDelta) -> Self {
+        OverlayState { base, overlay: writes }
+    }
+
     /// Writes `value` to `var` in the overlay.
     pub fn set(&mut self, var: VarId, value: Value) {
         self.overlay.insert(var, value);
@@ -193,7 +220,7 @@ impl<'a> OverlayState<'a> {
 
     /// Applies a write delta (e.g. [`ExecDelta::writes`](crate::exec::ExecDelta))
     /// to the overlay.
-    pub fn apply_writes(&mut self, writes: &BTreeMap<VarId, Value>) {
+    pub fn apply_writes(&mut self, writes: &WriteDelta) {
         for (var, value) in writes {
             self.overlay.insert(*var, *value);
         }
@@ -214,11 +241,13 @@ impl<'a> OverlayState<'a> {
     /// the overlay applied. One full-state copy for the entire history,
     /// instead of one per step.
     pub fn materialize(&self) -> DbState {
-        let mut state = self.base.clone();
-        for (var, value) in &self.overlay {
-            state.set(*var, *value);
-        }
-        state
+        self.base.patched(&self.overlay)
+    }
+
+    /// Consumes the view, returning its overlay: the write delta over the
+    /// base.
+    pub fn into_writes(self) -> WriteDelta {
+        self.overlay
     }
 }
 
@@ -337,5 +366,12 @@ mod tests {
         assert_eq!(full.get(v(1)), 99);
         assert_eq!(full.get(v(2)), 50);
         assert_eq!(base.get(v(1)), 10);
+        // The overlay is the delta: patching the base with it gives the
+        // same state, and a view seeded with it reads the same values.
+        let writes = view.into_writes();
+        assert_eq!(base.patched(&writes), full);
+        let again = OverlayState::with_writes(&base, writes);
+        assert_eq!(again.read(v(1)), Some(99));
+        assert_eq!(again.materialize(), full);
     }
 }

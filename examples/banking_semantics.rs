@@ -80,8 +80,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         FixMode::Lemma1,
         &oracle,
     );
-    let by_undo = undo(&arena, &aug, &rw, &ag)?;
-    let by_compensation = compensate(&arena, &aug, &rw)?;
+    // Both return the repaired state as a write delta over s0.
+    let by_undo = s0.patched(&undo(&arena, &aug, &rw, &ag)?);
+    let by_compensation = s0.patched(&compensate(&arena, &aug, &rw)?);
     let by_reexecution = AugmentedHistory::execute(&arena, &rw.repaired_history(), &s0)?;
     assert_eq!(&by_undo, by_reexecution.final_state());
     assert_eq!(&by_compensation, by_reexecution.final_state());

@@ -72,7 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("saved without re-execution: {names:?}");
 
-    let recovered = undo(&arena, &aug, &rw, &ag)?;
+    // Undo returns the recovered state as a write delta over s0.
+    let recovered = s0.patched(&undo(&arena, &aug, &rw, &ag)?);
     println!("recovered state: {recovered}");
 
     // The recovered state equals re-running only the innocent work. Note

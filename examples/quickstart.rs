@@ -8,7 +8,7 @@
 
 use histmerge::core::merge::{MergeConfig, Merger};
 use histmerge::history::fixtures::example1;
-use histmerge::history::PrecedenceGraph;
+use histmerge::history::{run_to_final, PrecedenceGraph};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ex = example1();
@@ -57,7 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  merged history  = {:?}", names(&ids));
     }
     println!("\n  forwarded updates (step 5) = {}", outcome.forwarded);
-    println!("  new master state           = {}", outcome.new_master);
+    // The new master is H_b's final state with the forwarded values.
+    let hb_final = run_to_final(&ex.arena, &ex.hb, &ex.s0)?;
+    println!("  new master state           = {}", outcome.new_master(&hb_final));
     println!(
         "  re-executions (step 6)     = {:?}",
         outcome

@@ -12,7 +12,7 @@ use std::process::ExitCode;
 
 use histmerge::core::merge::{MergeConfig, Merger};
 use histmerge::history::fixtures::example1;
-use histmerge::history::PrecedenceGraph;
+use histmerge::history::{run_to_final, PrecedenceGraph};
 use histmerge::replication::{Protocol, SimConfig, Simulation, SyncStrategy};
 use histmerge::workload::generator::{generate, ScenarioParams};
 
@@ -74,7 +74,10 @@ fn cmd_example1() -> ExitCode {
             );
             println!("saved     = {}", names(&outcome.saved));
             println!("backed out= {}", names(&outcome.backed_out));
-            println!("new master= {}", outcome.new_master);
+            match run_to_final(&ex.arena, &ex.hb, &ex.s0) {
+                Ok(hb_final) => println!("new master= {}", outcome.new_master(&hb_final)),
+                Err(e) => eprintln!("base history failed: {e}"),
+            }
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -160,7 +160,7 @@ proptest! {
                     &sc.arena,
                     &sc.hm,
                     &hb,
-                    &sc.s0,
+                    &std::sync::Arc::new(sc.s0.clone()),
                     MergeAssist { base_edges: Some(&cache), hb_final: Some(&hb_final) },
                     &TracerHandle::noop(),
                     &mut MergeScratch::new(),
@@ -170,9 +170,9 @@ proptest! {
             prop_assert_eq!(&plain.affected, &assisted.affected);
             prop_assert_eq!(&plain.saved, &assisted.saved);
             prop_assert_eq!(&plain.backed_out, &assisted.backed_out);
-            prop_assert_eq!(&plain.repaired_state, &assisted.repaired_state);
+            prop_assert_eq!(plain.repaired_state(&sc.s0), assisted.repaired_state(&sc.s0));
             prop_assert_eq!(&plain.forwarded, &assisted.forwarded);
-            prop_assert_eq!(&plain.new_master, &assisted.new_master);
+            prop_assert_eq!(plain.new_master(&hb_final), assisted.new_master(&hb_final));
             prop_assert_eq!(&plain.reexecuted, &assisted.reexecuted);
             prop_assert_eq!(plain.graph_edges, assisted.graph_edges);
 
@@ -198,7 +198,8 @@ proptest! {
         let replay = AugmentedHistory::execute(&sc.arena, &merged, &sc.s0).unwrap();
         // Every item a saved transaction wrote (and every base-written
         // item) must agree; padding items equal s0 in both.
-        prop_assert_eq!(replay.final_state(), &outcome.new_master);
+        let hb_final = run_to_final(&sc.arena, &sc.hb, &sc.s0).unwrap();
+        prop_assert_eq!(replay.final_state(), &outcome.new_master(&hb_final));
     }
 
     /// Undo pruning equals repaired-prefix re-execution for every
@@ -218,7 +219,7 @@ proptest! {
             RewriteAlgorithm::ReadsFromClosure,
         ] {
             let rw = rewrite(&sc.arena, &aug, &bad, alg, FixMode::Lemma2, &oracle);
-            let pruned = undo(&sc.arena, &aug, &rw, &ag).unwrap();
+            let pruned = sc.s0.patched(&undo(&sc.arena, &aug, &rw, &ag).unwrap());
             let reexec =
                 AugmentedHistory::execute(&sc.arena, &rw.repaired_history(), &sc.s0).unwrap();
             prop_assert_eq!(&pruned, reexec.final_state(), "{}", alg.name());
@@ -379,8 +380,8 @@ proptest! {
         let oracle = StaticAnalyzer::new();
         let rw = rewrite(&arena, &aug, &bad, RewriteAlgorithm::CanFollowCanPrecede,
                          FixMode::Lemma1, &oracle);
-        let by_undo = undo(&arena, &aug, &rw, &ag).unwrap();
-        let by_comp = histmerge::core::prune::compensate(&arena, &aug, &rw).unwrap();
+        let by_undo = s0.patched(&undo(&arena, &aug, &rw, &ag).unwrap());
+        let by_comp = s0.patched(&histmerge::core::prune::compensate(&arena, &aug, &rw).unwrap());
         prop_assert_eq!(&by_undo, &by_comp);
         let _ = PruneMethod::Compensate.name();
     }

@@ -1,7 +1,7 @@
 //! Protocol step 6: failed re-executions are reported with reasons.
 
 use histmerge::core::merge::{MergeConfig, Merger};
-use histmerge::history::{SerialHistory, TxnArena};
+use histmerge::history::{run_to_final, SerialHistory, TxnArena};
 use histmerge::txn::{DbState, TxnKind, VarId};
 use histmerge::workload::canned::{Bank, Reservations};
 
@@ -32,7 +32,8 @@ fn insufficient_funds_reexecution_fails() {
     // ... and its re-execution on the post-base state (balance 20) fails
     // its precondition (20 < 50): reported to the user.
     assert_eq!(outcome.reexecuted, vec![(tm, false)]);
-    assert_eq!(outcome.new_master.get(v(0)), 20);
+    let hb_final = run_to_final(&arena, &SerialHistory::from_order([tb]), &s0).unwrap();
+    assert_eq!(outcome.new_master(&hb_final).get(v(0)), 20);
 }
 
 #[test]
@@ -55,7 +56,8 @@ fn sufficient_funds_reexecution_succeeds() {
     // new_master only reflects the base + forwarded (nothing saved);
     // re-execution effects are reported, applied by the caller (the
     // simulator commits them as base transactions).
-    assert_eq!(outcome.new_master.get(v(0)), 70);
+    let hb_final = run_to_final(&arena, &SerialHistory::from_order([tb]), &s0).unwrap();
+    assert_eq!(outcome.new_master(&hb_final).get(v(0)), 70);
     let _ = replayed_balance;
 }
 
@@ -80,7 +82,9 @@ fn overbooked_reservation_reported() {
         .unwrap();
     assert_eq!(outcome.backed_out, vec![tm]);
     assert_eq!(outcome.reexecuted, vec![(tm, false)], "no seats left: user informed");
-    assert_eq!(outcome.new_master.get(seats), 0);
-    assert_eq!(outcome.new_master.get(booked_base), 1);
-    assert_eq!(outcome.new_master.get(booked_mobile), 0);
+    let hb_final = run_to_final(&arena, &SerialHistory::from_order([tb]), &s0).unwrap();
+    let new_master = outcome.new_master(&hb_final);
+    assert_eq!(new_master.get(seats), 0);
+    assert_eq!(new_master.get(booked_base), 1);
+    assert_eq!(new_master.get(booked_mobile), 0);
 }

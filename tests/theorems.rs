@@ -168,7 +168,7 @@ fn theorem5_undo_matches_prefix_reexecution() {
             RewriteAlgorithm::ReadsFromClosure,
         ] {
             let rw = rewrite(&sc.arena, &aug, &bad, alg, FixMode::Lemma1, &oracle);
-            let pruned = undo(&sc.arena, &aug, &rw, &ag).unwrap();
+            let pruned = sc.s0.patched(&undo(&sc.arena, &aug, &rw, &ag).unwrap());
             let reexec =
                 AugmentedHistory::execute(&sc.arena, &rw.repaired_history(), &sc.s0).unwrap();
             assert_eq!(&pruned, reexec.final_state(), "Theorem 5 violated for {}", alg.name());
