@@ -45,7 +45,6 @@ fn cohort_config(fleet: usize) -> SimConfig {
         },
         base_capacity: 10_000.0,
         synchronized_reconnects: true,
-        backlog_sample_every: 0,
         check_convergence: true,
         ..SimConfig::default()
     }

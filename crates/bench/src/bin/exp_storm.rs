@@ -71,7 +71,6 @@ fn config(fleet: usize, outage: u64, admission: AdmissionConfig) -> SimConfig {
         },
         base_capacity: 10_000.0,
         sync_path: SyncPath::Session,
-        backlog_sample_every: 0,
         connectivity: ConnectivityModel::OutageStorm {
             start: STORM_START,
             outage_ticks: outage,

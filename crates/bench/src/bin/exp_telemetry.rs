@@ -294,7 +294,6 @@ fn storm_config(fleet: usize, tracer: TracerHandle, telemetry: TelemetryConfig) 
         },
         base_capacity: 10_000.0,
         sync_path: SyncPath::Session,
-        backlog_sample_every: 0,
         connectivity: ConnectivityModel::OutageStorm {
             start: 100,
             outage_ticks: 60,

@@ -1,6 +1,6 @@
 //! Transaction arena: ownership and identity for transaction instances.
 
-use histmerge_txn::{Transaction, TxnId, TxnKind, VarSet};
+use histmerge_txn::{Transaction, TxnId, VarSet};
 
 use crate::footprint::{DenseBits, VarInterner};
 
@@ -142,17 +142,12 @@ impl TxnArena {
     pub fn iter(&self) -> impl Iterator<Item = &Transaction> + '_ {
         self.txns.iter()
     }
-
-    /// Iterates the ids of all transactions of the given kind.
-    pub fn ids_of_kind(&self, kind: TxnKind) -> impl Iterator<Item = TxnId> + '_ {
-        self.txns.iter().filter(move |t| t.kind() == kind).map(Transaction::id)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use histmerge_txn::{Expr, Program, ProgramBuilder, VarId};
+    use histmerge_txn::{Expr, Program, ProgramBuilder, TxnKind, VarId};
     use std::sync::Arc;
 
     fn prog() -> Arc<Program> {
@@ -223,18 +218,5 @@ mod tests {
         assert_eq!(bits.count(), 1);
         assert!(bits.intersects(arena.write_bits(a)));
         assert!(!bits.intersects(arena.write_bits(b)));
-    }
-
-    #[test]
-    fn ids_of_kind_filters() {
-        let mut arena = TxnArena::new();
-        let p = prog();
-        arena.alloc(|id| Transaction::new(id, "b1", TxnKind::Base, p.clone(), vec![]));
-        let m = arena.alloc(|id| Transaction::new(id, "m1", TxnKind::Tentative, p.clone(), vec![]));
-        arena.alloc(|id| Transaction::new(id, "b2", TxnKind::Base, p.clone(), vec![]));
-        let tentative: Vec<_> = arena.ids_of_kind(TxnKind::Tentative).collect();
-        assert_eq!(tentative, vec![m]);
-        assert_eq!(arena.ids_of_kind(TxnKind::Base).count(), 2);
-        assert!(!arena.is_empty());
     }
 }

@@ -54,7 +54,6 @@ pub mod backout;
 pub mod fixtures;
 pub mod footprint;
 pub mod interleaved;
-pub mod log;
 pub mod precedence;
 pub mod readsfrom;
 

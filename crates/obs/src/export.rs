@@ -1,17 +1,15 @@
 //! Exporters: Prometheus text format, registry-snapshot JSON, and the
 //! self-contained HTML run report.
 //!
-//! Everything here is plain string assembly (the workspace vendors a
-//! no-op serde) with deterministic output: stable key and family order,
-//! so golden tests can pin exact bytes and CI artifacts diff cleanly
-//! across runs.
+//! Everything here is plain string assembly with deterministic output:
+//! stable key and family order, so golden tests can pin exact bytes and
+//! CI artifacts diff cleanly across runs.
 
-use crate::event::Phase;
 use crate::registry::RegistrySnapshot;
 
 /// Renders a registry snapshot as one JSON object (stable key order):
 /// `{"phases":[{"phase":"sync","count":..,"total":..,"max":..,
-/// "p50_bound":..,"p99_bound":..},..]}` in [`Phase::ALL`] order.
+/// "p50_bound":..,"p99_bound":..},..]}` in [`Phase::ALL`](crate::Phase::ALL) order.
 pub fn registry_json(snapshot: &RegistrySnapshot) -> String {
     let mut out = String::with_capacity(32 + snapshot.phases.len() * 96);
     out.push_str("{\"phases\":[");
@@ -87,12 +85,6 @@ fn format_value(v: f64) -> String {
     } else {
         format!("{v:.6}")
     }
-}
-
-/// The phase names the report's phase table orders by, exported so the
-/// report bin shares the canonical order.
-pub fn phase_order() -> Vec<&'static str> {
-    Phase::ALL.iter().map(|p| p.name()).collect()
 }
 
 /// Builds the self-contained single-file HTML run report around a data
@@ -381,13 +373,5 @@ histmerge_phase_p99_bound{phase=\"sync\"} 8
         // Self-contained: nothing is fetched from the network.
         assert!(!html.contains("src=\"http"));
         assert!(!html.contains("href=\"http"));
-    }
-
-    #[test]
-    fn phase_order_matches_the_taxonomy() {
-        let order = phase_order();
-        assert_eq!(order.len(), Phase::ALL.len());
-        assert_eq!(order[0], "exec");
-        assert_eq!(order[order.len() - 1], "scheduler");
     }
 }

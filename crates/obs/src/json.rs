@@ -1,12 +1,10 @@
 //! The workspace's one JSON reader and string escaper.
 //!
-//! The vendored `serde` is a no-op stub (the build environment has no
-//! registry access), so JSON is written by hand-rolled string assembly
-//! and read back by the small recursive-descent parser here: [`parse`]
-//! turns a document into a [`JsonVal`] tree, [`validate_json_line`]
-//! checks that a flight-recorder or export dump line is exactly one
-//! well-formed value, and [`push_escaped`] is the escaper every writer
-//! shares.
+//! JSON is written by hand-rolled string assembly and read back by the
+//! small recursive-descent parser here: [`parse`] turns a document into a
+//! [`JsonVal`] tree, [`validate_json_line`] checks that a flight-recorder
+//! or export dump line is exactly one well-formed value, and
+//! [`push_escaped`] is the escaper every writer shares.
 //!
 //! Object member order is preserved (members are a `Vec`, not a map):
 //! artifact rows put their key column first.

@@ -29,8 +29,6 @@
 //! `⌈queue/max_batch⌉` ticks — graceful degradation without starvation,
 //! and the convergence oracle holds under every model × fault mix.
 
-use serde::Serialize;
-
 /// A deterministic per-mobile link trace: when the link is up, and how
 /// much the ambient fault rates are scaled by the link's current state.
 /// [`ConnectivityModel`] is the canonical implementation; the trait keeps
@@ -52,7 +50,7 @@ pub trait LinkTrace {
 /// the trace is a function of `(model, mobile, tick)` and every
 /// per-mobile variation comes from hashing the model's seed with the
 /// mobile id — no RNG stream is consumed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum ConnectivityModel {
     /// The link is always up and fault rates are never scaled — the
     /// legacy jittered cadence, byte-for-byte.
@@ -252,7 +250,7 @@ impl std::error::Error for InvalidConnectivity {}
 /// an unbounded reconnect storm a latent availability bug; the cap
 /// turns it into bounded per-tick work plus a deterministic deferred
 /// queue (drained FIFO, ahead of fresh arrivals, so no mobile starves).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Maximum mobiles synced per tick; `0` disables admission control
     /// entirely (the default — byte-identical to the pre-admission

@@ -14,10 +14,9 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::Serialize;
 
 /// The fault categories a [`FaultPlan`] can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A handshake message is lost in transit (either direction); the
     /// sender times out and retransmits.
@@ -60,7 +59,7 @@ impl FaultKind {
 }
 
 /// Per-kind fault probabilities, each rolled independently.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRates {
     /// Probability a handshake message is dropped.
     pub drop: f64,
@@ -205,7 +204,7 @@ impl Delivery {
 /// [`StdRng`] the simulation seeds from [`FaultPlan::seed`] — see
 /// [`FaultPlan::rng`]. Identical `(seed, rates)` always produce the same
 /// schedule for the same simulation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault event stream (independent of the workload seed).
     pub seed: u64,

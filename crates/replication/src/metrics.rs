@@ -1,14 +1,12 @@
 //! Simulation metrics and per-sync records.
 
-use serde::Serialize;
-
 use histmerge_workload::cost::CostReport;
 
 /// Counters of injected faults and the recovery machinery they exercised.
 /// All zero on the legacy path and under [`FaultPlan::none`].
 ///
 /// [`FaultPlan::none`]: crate::fault::FaultPlan::none
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Handshake messages dropped in transit.
     pub dropped: usize,
@@ -54,7 +52,7 @@ pub struct FaultStats {
 /// otherwise). WAL volume depends on checkpoint cadence, not on the
 /// logical outcome of the run, so [`Metrics::normalized`] zeroes the
 /// whole block for byte-identity comparisons.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Records appended (checkpoints included).
     pub records: u64,
@@ -74,7 +72,7 @@ pub struct WalStats {
 
 /// Scheduler counters: how much work the event queue did. Purely
 /// mechanical, so [`Metrics::normalized`] zeroes the whole block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Events scheduled on the event queue.
     pub events_pushed: u64,
@@ -86,7 +84,7 @@ pub struct SchedStats {
 /// epoch edge cache absorbed. Pure mechanism — they describe how a run
 /// was computed, not what it committed — so [`Metrics::normalized`]
 /// zeroes the whole block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CohortStats {
     /// Merges that took the conflict-free fast path (pending history
     /// footprint-disjoint from the entire concurrent base slice — graph
@@ -107,7 +105,7 @@ pub struct CohortStats {
 /// with them on, these are *behavioral* counters (deferral changes when
 /// each mobile merges), so [`Metrics::normalized`] keeps them — two runs
 /// that defer differently are genuinely different runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StormStats {
     /// Reconnects shed past the per-tick admission cap into the deferred
     /// queue.
@@ -129,7 +127,7 @@ pub struct StormStats {
 }
 
 /// One synchronization event (a reconnection), for time-series plots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncRecord {
     /// Simulation tick.
     pub tick: u64,
@@ -157,7 +155,7 @@ pub struct SyncRecord {
 }
 
 /// Aggregated simulation metrics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Tentative transactions generated across all mobiles.
     pub tentative_generated: usize,
@@ -180,9 +178,6 @@ pub struct Metrics {
     pub cost: CostReport,
     /// Peak base-node work backlog (pending base work units).
     pub peak_backlog: f64,
-    /// Base-node backlog sampled every 10 ticks: `(tick, backlog)` — the
-    /// time series behind the scale-up figure (E6).
-    pub backlog_series: Vec<(u64, f64)>,
     /// Per-sync records, in time order.
     pub records: Vec<SyncRecord>,
     /// Size of each reconnect batch (mobiles syncing in the same tick), in
@@ -288,8 +283,7 @@ impl Metrics {
         normalized
     }
 
-    /// Renders the metrics as one JSON object with a pinned field order
-    /// (the vendored serde is a no-op, so serialization is hand-rolled).
+    /// Renders the metrics as one JSON object with a pinned field order.
     /// The shape is covered by a snapshot test; extend it when adding
     /// fields so downstream artifact consumers see breaks early.
     pub fn to_json(&self) -> String {
@@ -308,7 +302,6 @@ impl Metrics {
             self.cost.comm, self.cost.base_cpu, self.cost.base_io, self.cost.mobile_cpu
         ));
         out.push_str(&format!(",\"peak_backlog\":{:.3}", self.peak_backlog));
-        out.push_str(&format!(",\"backlog_samples\":{}", self.backlog_series.len()));
         out.push_str(&format!(",\"records\":{}", self.records.len()));
         out.push_str(&format!(",\"batches\":{}", self.batch_sizes.len()));
         out.push_str(&format!(",\"parallel_merge_ns\":{}", self.parallel_merge_ns));
@@ -430,7 +423,6 @@ mod tests {
     #[test]
     fn empty_metrics_ratio_is_zero() {
         assert_eq!(Metrics::default().save_ratio(), 0.0);
-        assert!(Metrics::default().backlog_series.is_empty());
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //! at *every* storage operation, with and without torn tails.
 
 use histmerge_history::TxnArena;
-use histmerge_txn::TxnId;
 
 use crate::base::BaseNode;
 use crate::session::SessionLedger;
@@ -175,17 +174,11 @@ fn recover_inner(arena: &TxnArena, storage: &impl Storage) -> Result<Recovered, 
     Ok(Recovered { base, epoch, ledger, records_applied, torn })
 }
 
-/// Convenience for oracle checks: the recovered committed history as
-/// transaction ids, in commit order.
-pub fn recovered_history(recovered: &Recovered) -> Vec<TxnId> {
-    recovered.base.log().iter().map(|(t, _)| *t).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wal::{Snapshot, Tear, TornStorage, VecStorage, Wal};
-    use histmerge_txn::{DbState, VarId};
+    use histmerge_txn::{DbState, TxnId, VarId};
 
     fn state(pairs: &[(u32, i64)]) -> DbState {
         pairs.iter().map(|&(v, x)| (VarId::new(v), x)).collect()
@@ -212,7 +205,6 @@ mod tests {
         assert_eq!(r.base.master(), &state(&[(0, 1), (1, 5)]));
         assert_eq!(r.base.epoch_start(), 1);
         assert_eq!(r.base.epoch_state(), &state(&[(0, 1), (1, 0)]));
-        assert_eq!(recovered_history(&r), vec![TxnId::new(0), TxnId::new(1)]);
         assert!(r.ledger.is_empty());
     }
 

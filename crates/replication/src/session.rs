@@ -34,15 +34,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-
 use histmerge_core::merge::InstallPlan;
 use histmerge_workload::cost::CostReport;
 
 use crate::metrics::SyncRecord;
 
 /// Session-protocol knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionConfig {
     /// How many times a session step is retried (bounded backoff) before
     /// the session is abandoned and the mobile falls back to its persisted
@@ -68,7 +66,7 @@ impl Default for SessionConfig {
 /// `min(base_ticks · 2^(n-1), cap_ticks)` ticks later (plus up to 25%
 /// seeded jitter to de-synchronize a storm of failing mobiles), never
 /// later than the regular cadence would have retried anyway.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryBackoff {
     /// Master switch; `false` reproduces the flat cadence wait.
     pub enabled: bool,

@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 use histmerge_core::merge::{
     InstallPlan, MergeAssist, MergeConfig, MergeOutcome, MergeScratch, Merger,
@@ -39,7 +38,7 @@ use crate::sync::{SyncPath, SyncStrategy};
 use crate::wal::{DurabilityConfig, Snapshot, VecStorage, Wal, WalRecord};
 
 /// Which synchronization protocol the simulation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// The \[GHOS96\] baseline: re-execute every tentative transaction at
     /// the base.
@@ -47,10 +46,8 @@ pub enum Protocol {
     /// The paper's merging protocol.
     Merging {
         /// The rewriting algorithm used by each merge.
-        #[serde(skip)]
         algorithm: RewriteAlgorithm,
         /// The fix-computation mode.
-        #[serde(skip)]
         fix_mode: FixMode,
     },
 }
@@ -131,9 +128,6 @@ pub struct SimConfig {
     /// checks. Logging is observation-only — a durability-enabled run is
     /// byte-identical to the same run without it.
     pub durability: DurabilityConfig,
-    /// Sample the base backlog every this many ticks into
-    /// [`Metrics::backlog_series`]. `0` disables sampling.
-    pub backlog_sample_every: u64,
     /// The trace sink every layer of the run reports to: merge steps,
     /// session steps, injected faults, WAL appends, recovery replays, and
     /// phase spans. Tracing is observation-only — a traced run's
@@ -212,7 +206,6 @@ impl Default for SimConfig {
             session: SessionConfig::default(),
             check_convergence: false,
             durability: DurabilityConfig::default(),
-            backlog_sample_every: 10,
             tracer: TracerHandle::noop(),
             connectivity: ConnectivityModel::AlwaysOn,
             admission: AdmissionConfig::unbounded(),
@@ -852,10 +845,6 @@ impl Simulation {
         self.backlog = (self.backlog + tick_base_work - self.config.base_capacity).max(0.0);
         if self.backlog > self.metrics.peak_backlog {
             self.metrics.peak_backlog = self.backlog;
-        }
-        let every = self.config.backlog_sample_every;
-        if every > 0 && tick.is_multiple_of(every) {
-            self.metrics.backlog_series.push((tick, self.backlog));
         }
 
         // Fleet telemetry: one bounded time-series sample per collector
@@ -1778,15 +1767,19 @@ impl Simulation {
                 });
                 work += self.resume_or_degrade(i, seq, tick);
             } else {
-                if decision.is_none() {
-                    decision = Some(self.plan_sync(i, tick));
-                    self.config.tracer.emit(|| TraceEvent::SessionStep {
-                        tick,
-                        mobile: i,
-                        seq,
-                        step: SessionStepKind::Merge,
-                    });
-                }
+                let planned = match decision.take() {
+                    Some(d) => d,
+                    None => {
+                        let d = self.plan_sync(i, tick);
+                        self.config.tracer.emit(|| TraceEvent::SessionStep {
+                            tick,
+                            mobile: i,
+                            seq,
+                            step: SessionStepKind::Merge,
+                        });
+                        d
+                    }
+                };
                 if self.effective_fault(i, tick).mid_merge_disconnect(&mut self.fault_rng) {
                     // The mobile dropped while the base computed the
                     // merge; the computed decision is retained and resumed
@@ -1798,9 +1791,10 @@ impl Simulation {
                     if !self.consume_retry(&mut retries) {
                         return self.abandon(i, tick, seq, work);
                     }
+                    decision = Some(planned);
                     continue;
                 }
-                match decision.take().expect("decision computed above") {
+                match planned {
                     SyncDecision::Refresh => {} // nothing durable to do
                     d => {
                         let record = self.build_record(i, d);
@@ -2137,7 +2131,6 @@ mod tests {
             session: SessionConfig::default(),
             check_convergence: false,
             durability: DurabilityConfig::default(),
-            backlog_sample_every: 10,
             tracer: TracerHandle::noop(),
             connectivity: ConnectivityModel::AlwaysOn,
             admission: AdmissionConfig::unbounded(),

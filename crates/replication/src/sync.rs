@@ -1,10 +1,8 @@
 //! Multi-history synchronization strategies (Section 2.2).
 
-use serde::Serialize;
-
 /// How tentative histories pick their original database state when several
 /// mobile nodes are active at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncStrategy {
     /// **Strategy 1**: each tentative history starts from the master state
     /// snapshotted at its own disconnect time. Merging one mobile's history
@@ -47,7 +45,7 @@ impl SyncStrategy {
 }
 
 /// Which reconnection machinery the simulation drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPath {
     /// The original in-process handshake: one atomic, infallible call per
     /// reconnection. Cannot represent faults.

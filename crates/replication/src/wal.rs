@@ -26,13 +26,11 @@
 //!   snapshot record is fully appended, so recovery falls back to the
 //!   previous checkpoint.
 //!
-//! Encoding is little-endian and hand-rolled (the container has no serde
-//! runtime); decoding NEVER panics — any malformed input is reported as a
-//! torn tail ([`Tail::Torn`]) at the last clean record boundary.
+//! Encoding is little-endian and hand-rolled; decoding NEVER panics — any
+//! malformed input is reported as a torn tail ([`Tail::Torn`]) at the last
+//! clean record boundary.
 
 use std::collections::BTreeMap;
-
-use serde::Serialize;
 
 use histmerge_core::merge::InstallPlan;
 use histmerge_txn::{DbState, TxnId, VarId};
@@ -46,7 +44,7 @@ use crate::session::SessionRecord;
 // ---------------------------------------------------------------------
 
 /// Durability knobs for the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// When `true`, the base tier write-ahead-logs every durable
     /// transition and the report carries a [`DurableReport`].

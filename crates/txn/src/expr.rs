@@ -110,11 +110,6 @@ impl Expr {
         Pred::Cmp(CmpOp::Eq, self, other)
     }
 
-    /// The predicate `self != other`.
-    pub fn ne_(self, other: Expr) -> Pred {
-        Pred::Cmp(CmpOp::Ne, self, other)
-    }
-
     /// The set of data items this expression reads.
     pub fn vars(&self) -> VarSet {
         let mut out = VarSet::new();

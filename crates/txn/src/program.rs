@@ -243,14 +243,6 @@ impl ProgramBuilder {
         self
     }
 
-    /// Appends read statements for each variable in order.
-    pub fn read_all<I: IntoIterator<Item = VarId>>(mut self, vars: I) -> Self {
-        for v in vars {
-            self.stmts.push(Statement::Read(v));
-        }
-        self
-    }
-
     /// Appends an update statement `target := expr`.
     pub fn update(mut self, target: VarId, expr: Expr) -> Self {
         self.stmts.push(Statement::Update { target, expr });

@@ -12,14 +12,12 @@
 //! experiments report *shapes* — who wins as `|SAV|` grows, where the
 //! crossover sits — not wall-clock times.
 
-use serde::Serialize;
-
 /// Tunable cost constants. Defaults are chosen to reflect the paper's
 /// qualitative discussion: per-transaction query processing and forced-log
 /// I/O dominate base-node costs, communication is per-message plus
 /// per-byte, and mobile-side graph/rewrite work is cheap per entry but
 /// quadratic in history length for rewriting.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CostParams {
     /// Fixed cost per message exchanged between a mobile and a base node.
     pub cost_per_message: f64,
@@ -89,7 +87,7 @@ impl Default for CostParams {
 }
 
 /// A cost report, decomposed as in Section 7.1.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostReport {
     /// Communication between the mobile node and the base nodes.
     pub comm: f64,
@@ -119,7 +117,7 @@ impl CostReport {
 }
 
 /// Aggregates describing a batch of transactions to reprocess the old way.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReprocessStats {
     /// Number of transactions re-executed at the base.
     pub n_txns: usize,
@@ -147,7 +145,7 @@ pub fn reprocessing_cost(p: &CostParams, stats: &ReprocessStats) -> CostReport {
 }
 
 /// Aggregates describing one merge.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MergeStats {
     /// Tentative history length.
     pub hm_len: usize,

@@ -10,9 +10,12 @@
 //! - every per-sync record, wall-clock `sync_ns` excluded;
 //! - the Section 7.1 cost totals;
 //! - the behavioural counters: generation, saved / backed-out /
-//!   reprocessed totals, syncs, merge failures, window misses, the backlog
-//!   trajectory, batch sizes, retro-patches, the fault and storm
-//!   counters, and the deferral waits.
+//!   reprocessed totals, syncs, merge failures, window misses, batch
+//!   sizes, retro-patches, the fault and storm counters, and the deferral
+//!   waits;
+//! - the backlog trajectory, read from a stride-10 telemetry series
+//!   attached to every run. Telemetry is observation-only, so attaching
+//!   it changes nothing the run commits.
 //!
 //! Mechanism counters (`Metrics::sched`, `Metrics::cohort`, the
 //! speculative hit and retry counts), WAL volume and wall-clock timings
@@ -29,6 +32,9 @@
 //! it also checks that the serial cohort install commits what speculation
 //! did.
 
+use std::sync::Arc;
+
+use histmerge::obs::TimeSeries;
 use histmerge::replication::{
     AdmissionConfig, ConnectivityModel, DurabilityConfig, FaultPlan, FaultRates, Protocol,
     RetryBackoff, SimConfig, SimReport, Simulation, SyncPath, SyncStrategy,
@@ -60,8 +66,18 @@ impl Fnv {
     }
 }
 
-/// The digest of everything `report` committed and counted.
-fn digest(report: &SimReport) -> u64 {
+/// Runs `config` with a backlog series attached: a telemetry collector
+/// sampling every 10 ticks, with room for every sample of these runs.
+fn run(mut config: SimConfig) -> (SimReport, Arc<TimeSeries>) {
+    let series = Arc::new(TimeSeries::new(10, 1024));
+    config.telemetry.series = Some(series.clone());
+    let report = Simulation::new(config).expect("valid sim config").run();
+    (report, series)
+}
+
+/// The digest of everything `report` committed and counted, with the
+/// backlog trajectory `series` sampled.
+fn digest(report: &SimReport, series: &TimeSeries) -> u64 {
     let mut h = Fnv::new();
     let master: Vec<_> = report.final_master.iter().collect();
     h.usize(master.len());
@@ -106,10 +122,11 @@ fn digest(report: &SimReport) -> u64 {
         h.usize(count);
     }
     h.f64(m.peak_backlog);
-    h.usize(m.backlog_series.len());
-    for &(tick, backlog) in &m.backlog_series {
-        h.u64(tick);
-        h.f64(backlog);
+    let samples = series.samples();
+    h.usize(samples.len());
+    for sample in &samples {
+        h.u64(sample.tick);
+        h.f64(sample.backlog);
     }
     h.usize(m.batch_sizes.len());
     for &size in &m.batch_sizes {
@@ -318,10 +335,10 @@ fn simulation_runs_match_their_golden_digests() {
     let mut computed = Vec::new();
     for (name, mut config) in scenarios() {
         config.check_convergence = true;
-        let report = Simulation::new(config).expect("valid sim config").run();
-        let verdict = report.convergence.expect("oracle requested");
+        let (report, series) = run(config);
+        let verdict = report.convergence.as_ref().expect("oracle requested");
         assert!(verdict.holds(), "{name}: convergence oracle failed: {verdict:?}");
-        computed.push((name, digest(&report)));
+        computed.push((name, digest(&report, &series)));
     }
     let table: String =
         computed.iter().map(|(name, d)| format!("    (\"{name}\", 0x{d:016x}),\n")).collect();
@@ -333,6 +350,9 @@ fn simulation_runs_match_their_golden_digests() {
 #[test]
 fn digest_tells_different_runs_apart() {
     // A digest blind to its input would match any captured table.
-    let run = |seed| Simulation::new(family(Protocol::merging_default(), seed)).expect("valid");
-    assert_ne!(digest(&run(5).run()), digest(&run(6).run()));
+    let digest_of = |seed| {
+        let (report, series) = run(family(Protocol::merging_default(), seed));
+        digest(&report, &series)
+    };
+    assert_ne!(digest_of(5), digest_of(6));
 }

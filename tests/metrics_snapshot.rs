@@ -1,8 +1,7 @@
 //! Snapshot test pinning the JSON shape of [`Metrics`] (including the
-//! nested `fault` and `wal` blocks). The vendored serde is a no-op, so
-//! serialization is hand-rolled in `Metrics::to_json`; this test is the
-//! contract downstream artifact consumers (CI uploads, experiment
-//! post-processing) rely on. Field additions must update the literal
+//! nested `fault` and `wal` blocks). Serialization is hand-rolled in
+//! `Metrics::to_json`; this test is the contract downstream artifact
+//! consumers (CI uploads, experiment post-processing) rely on. Field additions must update the literal
 //! below — that is the point.
 
 use histmerge::obs::validate_json_line;
@@ -16,7 +15,6 @@ fn populated_metrics() -> Metrics {
         base_generated: 45,
         window_misses: 2,
         peak_backlog: 17.25,
-        backlog_series: vec![(0, 0.0), (10, 3.5), (20, 17.25)],
         batch_sizes: vec![1, 2],
         parallel_merge_ns: 987_654,
         speculative_hits: 3,
@@ -101,7 +99,7 @@ fn metrics_json_shape_is_pinned() {
             "\"backed_out\":2,\"reprocessed\":4,\"syncs\":2,\"merge_failures\":1,",
             "\"window_misses\":2,",
             "\"cost\":{\"comm\":2.500,\"base_cpu\":5.000,\"base_io\":2.000,\"mobile_cpu\":0.250},",
-            "\"peak_backlog\":17.250,\"backlog_samples\":3,\"records\":2,\"batches\":2,",
+            "\"peak_backlog\":17.250,\"records\":2,\"batches\":2,",
             "\"parallel_merge_ns\":987654,\"speculative_hits\":3,\"speculative_retries\":1,",
             "\"retro_patches\":4,",
             "\"fault\":{\"dropped\":5,\"duplicated\":4,\"reordered\":3,",
