@@ -142,13 +142,10 @@ impl MergeOutcome {
         master
     }
 
-    /// Extracts the durable install plan from this outcome.
-    pub fn install_plan(&self) -> InstallPlan {
-        InstallPlan {
-            forwarded: self.forwarded.clone(),
-            reexecute: self.backed_out.clone(),
-            saved: self.saved.clone(),
-        }
+    /// Consumes this outcome into its durable install plan, moving the
+    /// forwarded values and the id lists rather than copying them.
+    pub fn install_plan(self) -> InstallPlan {
+        InstallPlan { forwarded: self.forwarded, reexecute: self.backed_out, saved: self.saved }
     }
 }
 
@@ -597,10 +594,12 @@ mod tests {
         let ex = example1();
         let outcome =
             Merger::new(MergeConfig::default()).merge(&ex.arena, &ex.hm, &ex.hb, &ex.s0).unwrap();
+        let (forwarded, backed_out, saved) =
+            (outcome.forwarded.clone(), outcome.backed_out.clone(), outcome.saved.clone());
         let plan = outcome.install_plan();
-        assert_eq!(plan.forwarded, outcome.forwarded);
-        assert_eq!(plan.reexecute, outcome.backed_out);
-        assert_eq!(plan.saved, outcome.saved);
+        assert_eq!(plan.forwarded, forwarded);
+        assert_eq!(plan.reexecute, backed_out);
+        assert_eq!(plan.saved, saved);
         // Cloneable and comparable — a recovering node dedupes
         // retransmitted plans by equality.
         assert_eq!(plan, plan.clone());

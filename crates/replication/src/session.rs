@@ -29,8 +29,9 @@
 //! A session interrupted at any point is retried with a bounded budget
 //! ([`SessionConfig::max_retries`]); once exhausted it is abandoned and the
 //! mobile restarts from its persisted tentative log at the next
-//! reconnection. The driver lives in `sim.rs` (`Simulation::sync_session`);
-//! this module owns the protocol vocabulary and the base-side ledger.
+//! reconnection. The driver lives in `sim/handshake.rs`
+//! (`Simulation::sync_session`); this module owns the protocol vocabulary
+//! and the base-side ledger.
 
 use std::collections::BTreeMap;
 

@@ -181,7 +181,13 @@ fn cmd_simulate(kvs: &[String]) -> ExitCode {
         workload: ScenarioParams { seed, ..ScenarioParams::default() },
         ..SimConfig::default()
     };
-    let report = Simulation::new(config).expect("valid sim config").run();
+    let report = match Simulation::new(config) {
+        Ok(sim) => sim.run(),
+        Err(e) => {
+            eprintln!("invalid simulation config: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let m = &report.metrics;
     println!("protocol            : {}", protocol.name());
     println!("strategy            : {}", strategy.name());
