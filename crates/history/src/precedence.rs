@@ -97,7 +97,9 @@ impl fmt::Display for EdgeKind {
 /// against every earlier position.
 #[derive(Debug, Clone)]
 pub struct BaseEdgeCache {
-    txns: Vec<TxnId>,
+    /// The cached base history itself, which a window merge borrows as
+    /// its `H_b` ([`history`](Self::history)).
+    txns: SerialHistory,
     /// `edges_upto[k]` = number of rule-2 edges among the first `k`
     /// cached transactions.
     edges_upto: Vec<usize>,
@@ -129,7 +131,7 @@ impl BaseEdgeCache {
     /// Creates an empty cache (start of a window).
     pub fn new() -> Self {
         BaseEdgeCache {
-            txns: Vec::new(),
+            txns: SerialHistory::new(),
             edges_upto: vec![0],
             ancestors: Vec::new(),
             rows: Vec::new(),
@@ -243,7 +245,7 @@ impl BaseEdgeCache {
     /// prefix (the invariant of an epoch's growing base history).
     pub fn sync(&mut self, arena: &TxnArena, hb: &SerialHistory) {
         debug_assert!(
-            hb.iter().take(self.txns.len()).eq(self.txns.iter().copied()),
+            hb.iter().take(self.txns.len()).eq(self.txns.iter()),
             "base history is not an extension of the cached prefix"
         );
         let known = self.txns.len();
@@ -266,6 +268,13 @@ impl BaseEdgeCache {
 
     /// The cached base transactions, in commit order.
     pub fn txns(&self) -> &[TxnId] {
+        self.txns.order()
+    }
+
+    /// The cached base history. After a sync against an epoch's base
+    /// history this *is* that history, so a merge of the whole epoch can
+    /// borrow it as `H_b` instead of copying the ids out of the log.
+    pub fn history(&self) -> &SerialHistory {
         &self.txns
     }
 
@@ -277,7 +286,7 @@ impl BaseEdgeCache {
         let last = |lists: &[Vec<u32>], x: u32| lists.get(x as usize)?.last().copied();
         let from_reads = arena.read_bits(txn).iter().filter_map(|x| last(&self.writers, x));
         let from_writes = arena.write_bits(txn).iter().filter_map(|x| last(&self.readers, x));
-        from_reads.chain(from_writes).max().map(|p| self.txns[p as usize])
+        from_reads.chain(from_writes).max().map(|p| self.txns.order()[p as usize])
     }
 
     /// Does cached position `i` reach position `j > i` along rule-2 edges?
@@ -341,7 +350,12 @@ impl PrecedenceGraph {
     ///
     /// * Nodes: `H_m`, then — in `H_b` order — the base transactions with a
     ///   rule-3 edge to `H_m`, i.e. those whose writes meet `H_m`'s read
-    ///   union or whose reads meet its write union.
+    ///   union or whose reads meet its write union. The cache's per-item
+    ///   index names them: the writers of `H_m`'s read items and the
+    ///   readers of its write items, each list walked only up to the end
+    ///   of the `hb` prefix. Selection costs those lists' lengths plus at
+    ///   most `⌈|H_b|/64⌉` bitset words, not a footprint test per base
+    ///   transaction.
     /// * Edges: rules 1 and 3 as in [`build`](Self::build). Base-to-base
     ///   paths are summarized by adjacency entries carrying rule-2
     ///   reachability ([`BaseEdgeCache`] keeps it): `T_b → T_b'` when
@@ -373,7 +387,7 @@ impl PrecedenceGraph {
     ) -> Self {
         assert!(cache.len() >= hb.len(), "base-edge cache is behind the base history");
         debug_assert!(
-            hb.order() == &cache.txns[..hb.len()],
+            hb.order() == &cache.txns()[..hb.len()],
             "base-edge cache prefix does not match the base history"
         );
         let mut reads = DenseBits::new();
@@ -382,15 +396,23 @@ impl PrecedenceGraph {
             reads.union_with(arena.read_bits(id));
             writes.union_with(arena.write_bits(id));
         }
-        let positions: Vec<usize> = (0..hb.len())
-            .filter(|&p| {
-                let tb = cache.txns[p];
-                arena.write_bits(tb).intersects(&reads) || arena.read_bits(tb).intersects(&writes)
-            })
-            .collect();
+        // The positions with a rule-3 edge to `H_m`, from the index. Each
+        // list ascends, so its walk stops at the first position past the
+        // prefix; the bitset dedups and yields them in `H_b` order.
+        let lists = reads
+            .iter()
+            .filter_map(|x| cache.writers.get(x as usize))
+            .chain(writes.iter().filter_map(|x| cache.readers.get(x as usize)));
+        let mut selected = DenseBits::new();
+        for list in lists {
+            for &p in list.iter().take_while(|&&p| (p as usize) < hb.len()) {
+                selected.set(p);
+            }
+        }
+        let positions: Vec<usize> = selected.iter().map(|p| p as usize).collect();
 
         let m = hm.len();
-        let nodes = hm.iter().chain(positions.iter().map(|&p| cache.txns[p])).collect();
+        let nodes = hm.iter().chain(positions.iter().map(|&p| hb.order()[p])).collect();
         let mut graph = Builder::new(arena, nodes);
         graph.rule1(m);
         graph.rule3(m);
@@ -1290,6 +1312,46 @@ mod tests {
                         arena.reads_overlap_writes(t, b) || arena.reads_overlap_writes(b, t)
                     });
                     proptest::prop_assert_eq!(cache.latest_rule3_partner(&arena, t), scanned);
+                }
+            }
+        }
+
+        /// The index-driven slice selection equals its definition across
+        /// the bitset's 64-position word boundaries: for every prefix of
+        /// epochs of up to 200 base transactions, held in one cleared and
+        /// reused cache, the slice's nodes are `H_m` followed, in `H_b`
+        /// order, by the base transactions drawing a pairwise rule-3 edge
+        /// with some transaction of `H_m`.
+        #[test]
+        fn indexed_slice_selection_matches_pairwise_rule3(
+            epochs in proptest::collection::vec(
+                (
+                    proptest::collection::vec(arb_txn(), 0..200),
+                    proptest::collection::vec(proptest::collection::vec(arb_txn(), 1..4), 1..3),
+                ),
+                1..3,
+            )
+        ) {
+            let mut arena = TxnArena::new();
+            let mut cache = BaseEdgeCache::new();
+            for (txns, probes) in &epochs {
+                cache.clear();
+                let ids: Vec<TxnId> = txns.iter().map(|t| alloc_gen(&mut arena, t)).collect();
+                cache.extend(&arena, ids.iter().copied());
+                for probe in probes {
+                    let hm: SerialHistory = probe.iter().map(|t| alloc_gen(&mut arena, t)).collect();
+                    let rule3 = |b: TxnId| {
+                        hm.iter().any(|t| {
+                            arena.reads_overlap_writes(t, b) || arena.reads_overlap_writes(b, t)
+                        })
+                    };
+                    for prefix in 0..=ids.len() {
+                        let hb = cache_history(&ids[..prefix]);
+                        let slice = PrecedenceGraph::conflict_slice(&arena, &hm, &hb, &cache);
+                        let expected: Vec<TxnId> =
+                            hm.iter().chain(hb.iter().filter(|&b| rule3(b))).collect();
+                        proptest::prop_assert_eq!(slice.nodes(), &expected[..], "prefix {}", prefix);
+                    }
                 }
             }
         }

@@ -31,6 +31,11 @@ impl SerialHistory {
         self.order.push(id);
     }
 
+    /// Removes every transaction, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.order.clear();
+    }
+
     /// The transactions in execution order.
     pub fn order(&self) -> &[TxnId] {
         &self.order

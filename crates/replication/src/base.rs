@@ -113,11 +113,6 @@ impl BaseNode {
         self.log.len() - self.epoch_start
     }
 
-    /// The base history since the window start.
-    pub fn epoch_history(&self) -> SerialHistory {
-        self.log[self.epoch_start..].iter().map(|(t, _)| *t).collect()
-    }
-
     /// The full committed history since simulation start.
     pub fn full_history(&self) -> SerialHistory {
         self.log.iter().map(|(t, _)| *t).collect()
@@ -383,7 +378,7 @@ mod tests {
         assert!(std::ptr::eq(base.epoch_state(), &**base.shared_epoch_state()));
         let t2 = inc(&mut arena, "b", 0, 1);
         base.commit(&arena, t2);
-        assert_eq!(base.epoch_history().order(), &[t2]);
+        assert_eq!(base.history_suffix(base.epoch_start()), vec![t2]);
         assert_eq!(base.committed(), 2);
     }
 

@@ -204,8 +204,8 @@ impl SimConfig {
     /// plan is paired with [`SyncPath::Legacy`], when the connectivity
     /// model has an out-of-range parameter, when `base_rate`,
     /// `mobile_rate` or `base_capacity` is negative or not finite (an
-    /// infinite rate never finishes a tick), or when `connect_every`, a
-    /// fixed `window` or an adaptive `max_hb` is zero.
+    /// infinite rate never finishes a tick), or when `connect_every`,
+    /// `base_nodes`, a fixed `window` or an adaptive `max_hb` is zero.
     pub fn validate(&self) -> Result<(), SimConfigError> {
         self.fault.rates.validate().map_err(SimConfigError::InvalidFaultRate)?;
         if self.fault.active() && self.sync_path == SyncPath::Legacy {
@@ -225,7 +225,11 @@ impl SimConfig {
             SyncStrategy::AdaptiveWindow { max_hb: 0 } => Some("max_hb"),
             _ => None,
         };
-        match (self.connect_every == 0).then_some("connect_every").or(zero_window) {
+        let zero_field = (self.connect_every == 0)
+            .then_some("connect_every")
+            .or((self.base_nodes == 0).then_some("base_nodes"))
+            .or(zero_window);
+        match zero_field {
             Some(field) => Err(SimConfigError::OutOfRange { field, value: 0.0 }),
             None => Ok(()),
         }

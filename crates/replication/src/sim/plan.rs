@@ -120,9 +120,8 @@ impl Simulation {
                         SyncDecision::Reprocess { cause: ReprocessReason::WindowMiss }
                     } else {
                         self.sync_cache();
-                        let hb = self.base.base().epoch_history();
                         let s0 = Arc::clone(self.base.base().shared_epoch_state());
-                        self.plan_merge(i, hb, s0, false)
+                        self.plan_merge(i, None, s0)
                     }
                 }
                 SyncStrategy::PerDisconnectSnapshot => self.plan_merge_snapshot(i),
@@ -134,7 +133,10 @@ impl Simulation {
     /// history, resetting it on window rollover. O(appended): the cache
     /// is append-only within an epoch and already covers a prefix of the
     /// epoch history, so only the suffix it has not seen is walked — the
-    /// epoch history is never re-materialized or re-scanned.
+    /// epoch history is never re-materialized or re-scanned. Afterwards
+    /// [`BaseEdgeCache::history`](histmerge_history::BaseEdgeCache::history)
+    /// holds exactly the epoch history, which a window merge borrows as
+    /// its `H_b`.
     fn sync_cache(&mut self) {
         if self.cache_epoch != self.epoch {
             self.base_edge_cache.clear();
@@ -149,35 +151,37 @@ impl Simulation {
         self.base_edge_cache.extend(&self.arena, suffix.iter().copied());
     }
 
-    /// The one merge planning call. A Strategy 2 window merge runs
-    /// against the epoch history from the shared window-start state and
-    /// borrows the epoch's base-edge cache, which holds exactly that
-    /// history; a Strategy 1 snapshot merge runs against the log suffix
-    /// from the mobile's snapshot, which no cache covers, so the merger
-    /// builds its own. The current master is `H_b`'s final state either
-    /// way, so a merge pays for its own conflict slice, not for all of
-    /// `|H_b|`.
+    /// The one merge planning call. A Strategy 2 window merge (`snapshot`
+    /// is `None`) runs against the epoch history from the shared
+    /// window-start state and borrows both `H_b` and the epoch's
+    /// base-edge cache from that cache, which holds exactly the epoch
+    /// history after [`sync_cache`](Self::sync_cache); a Strategy 1
+    /// snapshot merge runs against the log suffix from the mobile's
+    /// snapshot (`Some`), which no cache covers, so the merger builds its
+    /// own. The current master is `H_b`'s final state either way, so a
+    /// merge pays for its own conflict slice, not for all of `|H_b|`.
     fn plan_merge(
         &mut self,
         i: usize,
-        hb: SerialHistory,
+        snapshot: Option<SerialHistory>,
         s0: Arc<DbState>,
-        retroactive: bool,
     ) -> SyncDecision {
         let Some(merger) = &self.merger else {
             return SyncDecision::Reprocess { cause: ReprocessReason::ProtocolBaseline };
         };
         let hm = self.mobiles[i].history().clone();
-        let assist = MergeAssist {
-            base_edges: (!retroactive).then_some(&self.base_edge_cache),
-            hb_final: Some(self.base.base().master()),
+        let (hb, base_edges) = match &snapshot {
+            Some(hb) => (hb, None),
+            None => (self.base_edge_cache.history(), Some(&self.base_edge_cache)),
         };
+        let hb_len = hb.len();
+        let assist = MergeAssist { base_edges, hb_final: Some(self.base.base().master()) };
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
         let planned = merger.merge_traced_scratch(
             &self.arena,
             &hm,
-            &hb,
+            hb,
             &s0,
             assist,
             &tracer,
@@ -190,7 +194,7 @@ impl Simulation {
                 if outcome.fast_path {
                     self.metrics.cohort.fastpath_merges += 1;
                 }
-                let hb_len = hb.len();
+                let retroactive = snapshot.is_some();
                 SyncDecision::Merge { hm, hb_len, outcome: Box::new(outcome), retroactive }
             }
             Err(_) => SyncDecision::Reprocess { cause: ReprocessReason::MergeFailed },
@@ -215,7 +219,7 @@ impl Simulation {
         if !valid {
             return SyncDecision::Reprocess { cause: ReprocessReason::MergeFailed };
         }
-        self.plan_merge(i, hb, s0, true)
+        self.plan_merge(i, Some(hb), s0)
     }
 
     fn merge_stats(&self, hm: &SerialHistory, hb_len: usize, outcome: &MergeOutcome) -> MergeStats {

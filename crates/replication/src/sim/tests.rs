@@ -851,6 +851,10 @@ fn out_of_range_settings_are_rejected() {
         SimConfig { connect_every: 0, ..cfg() }.validate(),
         Err(out_of_range("connect_every", 0.0))
     );
+    assert_eq!(
+        SimConfig { base_nodes: 0, ..cfg() }.validate(),
+        Err(out_of_range("base_nodes", 0.0))
+    );
     let window = SimConfig { strategy: SyncStrategy::WindowStart { window: 0 }, ..cfg() };
     assert_eq!(window.validate(), Err(out_of_range("window", 0.0)));
     let adaptive = SimConfig { strategy: SyncStrategy::AdaptiveWindow { max_hb: 0 }, ..cfg() };
@@ -864,5 +868,9 @@ fn out_of_range_settings_are_rejected() {
     match Simulation::new(SimConfig { connect_every: 0, ..cfg() }) {
         Err(err) => assert!(err.to_string().contains("connect_every"), "{err}"),
         Ok(_) => panic!("connect_every = 0 must be rejected at construction"),
+    }
+    match Simulation::new(SimConfig { base_nodes: 0, ..cfg() }) {
+        Err(err) => assert_eq!(err, out_of_range("base_nodes", 0.0)),
+        Ok(_) => panic!("base_nodes = 0 must be rejected at construction"),
     }
 }

@@ -17,6 +17,12 @@ fn v(i: u32) -> VarId {
     VarId::new(i)
 }
 
+/// The base history since the window start: the `H_b` each merge in the
+/// window runs against.
+fn epoch_history(base: &BaseNode) -> SerialHistory {
+    base.history_suffix(base.epoch_start()).into_iter().collect()
+}
+
 /// Deposits for mobile `m`, re-tagged tentative.
 fn deposits(
     bank: &Bank,
@@ -53,7 +59,7 @@ fn sequential_merges_share_the_window_state() {
     let merger = Merger::new(MergeConfig::default());
 
     // Merge A against H_b = [base-dep].
-    let out_a = merger.merge(&arena, &hm_a, &base.epoch_history(), base.epoch_state()).unwrap();
+    let out_a = merger.merge(&arena, &hm_a, &epoch_history(&base), base.epoch_state()).unwrap();
     // A's account-0 deposit forms a 2-cycle with the base deposit and is
     // backed out (members of B are never rescued by semantics — only
     // AFFECTED transactions are); the account-1 deposit is saved.
@@ -67,7 +73,7 @@ fn sequential_merges_share_the_window_state() {
     assert_eq!(base.master().get(v(1)), 105);
 
     // Merge B against the EXTENDED H_b = [base-dep, install].
-    let out_b = merger.merge(&arena, &hm_b, &base.epoch_history(), base.epoch_state()).unwrap();
+    let out_b = merger.merge(&arena, &hm_b, &epoch_history(&base), base.epoch_state()).unwrap();
     let _ = base.install_updates(&mut arena, &out_b.forwarded);
     for id in &out_b.backed_out {
         base.reexecute(&mut arena, *id);
@@ -81,7 +87,7 @@ fn sequential_merges_share_the_window_state() {
 
     // The final master replays deterministically from the window state
     // through the full committed history.
-    let replay = AugmentedHistory::execute(&arena, &base.epoch_history(), &s0).unwrap();
+    let replay = AugmentedHistory::execute(&arena, &epoch_history(&base), &s0).unwrap();
     assert_eq!(replay.final_state(), base.master());
 }
 
@@ -100,11 +106,11 @@ fn second_merge_sees_firsts_install_as_conflict_when_not_commuting() {
     let hm_b = SerialHistory::from_order([wd]);
 
     let merger = Merger::new(MergeConfig::default());
-    let out_a = merger.merge(&arena, &hm_a, &base.epoch_history(), base.epoch_state()).unwrap();
+    let out_a = merger.merge(&arena, &hm_a, &epoch_history(&base), base.epoch_state()).unwrap();
     let _ = base.install_updates(&mut arena, &out_a.forwarded);
     assert_eq!(base.master().get(v(0)), 150);
 
-    let out_b = merger.merge(&arena, &hm_b, &base.epoch_history(), base.epoch_state()).unwrap();
+    let out_b = merger.merge(&arena, &hm_b, &epoch_history(&base), base.epoch_state()).unwrap();
     // B's withdrawal ran tentatively against the window state (balance
     // 100 < 120: its guard skipped). Against the merged base it conflicts
     // with the install and is backed out...
