@@ -106,7 +106,7 @@ fn run_cell(interval: u64, baseline: &[SimReport]) -> Cell {
         let recovered = recovered.expect("end-of-run log recovers");
         assert!(!recovered.torn, "ckpt {interval} seed {seed}: clean log reported torn");
         assert_eq!(recovered.base.log(), &durable.log[..], "ckpt {interval} seed {seed}: log");
-        assert_eq!(recovered.epoch, durable.epoch, "ckpt {interval} seed {seed}: epoch");
+        assert_eq!(recovered.base.epoch(), durable.epoch, "ckpt {interval} seed {seed}: epoch");
         assert_eq!(recovered.ledger, durable.ledger, "ckpt {interval} seed {seed}: ledger");
         cell.replayed += recovered.records_applied;
         cell.recovery_ms += ms / SEEDS as f64;

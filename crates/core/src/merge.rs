@@ -562,7 +562,7 @@ mod tests {
         let plain = merger.merge(&ex.arena, &ex.hm, &ex.hb, &ex.s0).unwrap();
 
         let mut cache = BaseEdgeCache::new();
-        cache.sync(&ex.arena, &ex.hb);
+        cache.extend(&ex.arena, ex.hb.iter());
         let hb_final =
             AugmentedHistory::execute(&ex.arena, &ex.hb, &ex.s0).unwrap().final_state().clone();
         let assist = MergeAssist { base_edges: Some(&cache), hb_final: Some(&hb_final) };
@@ -618,12 +618,12 @@ mod tests {
 
     #[test]
     fn traced_merge_matches_untraced_and_emits_step_events() {
-        use histmerge_obs::{JsonlSink, Tracer};
+        use histmerge_obs::{FlightRecorder, Tracer};
         let ex = example1();
         let merger = Merger::new(MergeConfig::default());
         let plain = merger.merge(&ex.arena, &ex.hm, &ex.hb, &ex.s0).unwrap();
 
-        let sink = std::sync::Arc::new(JsonlSink::new());
+        let sink = std::sync::Arc::new(FlightRecorder::new(1024));
         let traced = merger
             .merge_traced_scratch(
                 &ex.arena,
@@ -672,7 +672,7 @@ mod tests {
         let merger = Merger::new(MergeConfig::default());
         let mut scratch = MergeScratch::new();
         let mut cache = BaseEdgeCache::new();
-        cache.sync(&ex.arena, &ex.hb);
+        cache.extend(&ex.arena, ex.hb.iter());
         let hb_final =
             AugmentedHistory::execute(&ex.arena, &ex.hb, &ex.s0).unwrap().final_state().clone();
         for round in 0..3 {

@@ -241,18 +241,6 @@ impl BaseEdgeCache {
         }
     }
 
-    /// Brings the cache up to date with `hb`, which must extend the cached
-    /// prefix (the invariant of an epoch's growing base history).
-    pub fn sync(&mut self, arena: &TxnArena, hb: &SerialHistory) {
-        debug_assert!(
-            hb.iter().take(self.txns.len()).eq(self.txns.iter()),
-            "base history is not an extension of the cached prefix"
-        );
-        let known = self.txns.len();
-        let suffix: Vec<TxnId> = hb.iter().skip(known).collect();
-        self.extend(arena, suffix);
-    }
-
     /// Number of rule-2 edges among the first `prefix` cached transactions.
     pub fn edge_count(&self, prefix: usize) -> usize {
         self.edges_upto[prefix.min(self.txns.len())]
@@ -266,12 +254,7 @@ impl BaseEdgeCache {
         &self.footprint
     }
 
-    /// The cached base transactions, in commit order.
-    pub fn txns(&self) -> &[TxnId] {
-        self.txns.order()
-    }
-
-    /// The cached base history. After a sync against an epoch's base
+    /// The cached base history. Once extended by an epoch's whole base
     /// history this *is* that history, so a merge of the whole epoch can
     /// borrow it as `H_b` instead of copying the ids out of the log.
     pub fn history(&self) -> &SerialHistory {
@@ -387,7 +370,7 @@ impl PrecedenceGraph {
     ) -> Self {
         assert!(cache.len() >= hb.len(), "base-edge cache is behind the base history");
         debug_assert!(
-            hb.order() == &cache.txns()[..hb.len()],
+            hb.order() == &cache.history().order()[..hb.len()],
             "base-edge cache prefix does not match the base history"
         );
         let mut reads = DenseBits::new();
@@ -1025,7 +1008,7 @@ mod tests {
         // after later extensions.
         let mut cache = BaseEdgeCache::new();
         for step in [1usize, 70, 150] {
-            cache.sync(&arena, &SerialHistory::from_order(ids[..step].iter().copied()));
+            cache.extend(&arena, ids[cache.len()..step].iter().copied());
             for prefix in [0, step / 2, step] {
                 let hb = SerialHistory::from_order(ids[..prefix].iter().copied());
                 let full = PrecedenceGraph::build(&arena, &hm, &hb);
@@ -1113,7 +1096,7 @@ mod tests {
         assert!(cache.ancestors.is_empty() && cache.rows.is_empty());
         assert_eq!(cache.edge_count(200), 0);
         // The next window's summary is sized by that window alone.
-        cache.sync(&arena, &cache_history(&ids[..10]));
+        cache.extend(&arena, ids[..10].iter().copied());
         assert_eq!(cache.ancestors.len(), words(10));
         // Items 0, 1, 2 are written by 4, 3 and 3 of the ten: C(4,2) + 2·C(3,2).
         assert_eq!(cache.edge_count(10), 12);
@@ -1283,7 +1266,7 @@ mod tests {
                     cache.extend(&arena, ids[at..at + n].iter().copied());
                     at += n;
                 }
-                proptest::prop_assert_eq!(cache.txns(), &ids[..]);
+                proptest::prop_assert_eq!(cache.history().order(), &ids[..]);
 
                 // The pairwise definition: `ancestors[j]` holds every `i`
                 // that reaches `j` through conflicting forward pairs.

@@ -57,4 +57,4 @@ pub use json::validate_json_line;
 pub use registry::{PhaseSnapshot, Registry, RegistrySnapshot};
 pub use ring::{dump_on_failure, FlightRecorder};
 pub use timeseries::{TickSample, TimeSeries};
-pub use tracer::{JsonlSink, NoopTracer, Tracer, TracerHandle};
+pub use tracer::{NoopTracer, Tracer, TracerHandle};

@@ -1,11 +1,11 @@
 //! The tracer trait, its zero-cost default, and the cloneable handle
 //! instrumented code carries.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::event::{Phase, TraceEvent};
-use crate::registry::{Registry, RegistrySnapshot};
+use crate::registry::RegistrySnapshot;
 
 /// A sink for [`TraceEvent`]s. Implementations must be cheap and
 /// observation-only: recording may never influence the instrumented
@@ -52,63 +52,6 @@ impl Tracer for NoopTracer {
     }
 
     fn record(&self, _event: &TraceEvent) {}
-}
-
-/// An unbounded JSONL sink: retains every event (rendered eagerly) plus
-/// a span registry. The heavyweight end of the overhead spectrum: it
-/// keeps every event, where the ring keeps a bounded tail and the noop
-/// keeps nothing.
-#[derive(Debug, Default)]
-pub struct JsonlSink {
-    lines: Mutex<Vec<String>>,
-    registry: Registry,
-}
-
-impl JsonlSink {
-    /// An empty sink.
-    pub fn new() -> JsonlSink {
-        JsonlSink::default()
-    }
-
-    /// Events recorded so far.
-    pub fn len(&self) -> usize {
-        self.lines.lock().expect("sink lock").len()
-    }
-
-    /// `true` when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Tracer for JsonlSink {
-    fn record(&self, event: &TraceEvent) {
-        if let TraceEvent::Span { phase, ns } = event {
-            self.registry.observe(*phase, *ns);
-        }
-        if let TraceEvent::TickSpan { phase, ticks } = event {
-            self.registry.observe(*phase, *ticks);
-        }
-        self.lines.lock().expect("sink lock").push(event.to_jsonl());
-    }
-
-    fn dump_jsonl(&self) -> Option<String> {
-        let lines = self.lines.lock().expect("sink lock");
-        let mut out = String::new();
-        for line in lines.iter() {
-            out.push_str(line);
-            out.push('\n');
-        }
-        Some(out)
-    }
-
-    fn snapshot(&self) -> Option<RegistrySnapshot> {
-        Some(self.registry.snapshot())
-    }
-
-    fn phase_quantiles(&self, phase: Phase) -> Option<(u64, u64)> {
-        self.registry.phase_quantiles(phase)
-    }
 }
 
 /// A cloneable, shareable handle to a [`Tracer`], with the ergonomics
@@ -227,7 +170,6 @@ impl std::fmt::Debug for TracerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SessionStepKind;
 
     #[test]
     fn noop_handle_skips_event_construction() {
@@ -254,29 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_retains_everything_in_order() {
-        let sink = Arc::new(JsonlSink::new());
-        let handle = TracerHandle::new(sink.clone());
-        assert!(handle.enabled());
-        handle.emit(|| TraceEvent::SessionStep {
-            tick: 1,
-            mobile: 0,
-            seq: 0,
-            step: SessionStepKind::Offer,
-        });
-        handle.emit(|| TraceEvent::WalCompaction { retired: 1 });
-        assert_eq!(sink.len(), 2);
-        let dump = handle.dump_jsonl().unwrap();
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("session_step"));
-        assert!(lines[1].contains("wal_compaction"));
-    }
-
-    #[test]
     fn spans_feed_the_registry_and_measure_time() {
-        let sink = Arc::new(JsonlSink::new());
-        let handle = TracerHandle::new(sink);
+        let handle = crate::FlightRecorder::handle(16);
         let started = handle.span_start();
         assert!(started.is_some());
         let ns = handle.span_end(Phase::Install, started);

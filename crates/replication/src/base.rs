@@ -1,18 +1,57 @@
-//! The base tier: master data and the committed base history.
+//! The base tier: master data, the committed base history, its window
+//! and the partitions' commit accounting.
+//!
+//! The paper's base transactions "involve at most one connected-mobile
+//! node and may involve several base nodes": master copies are
+//! partitioned across always-connected base nodes, and a transaction
+//! touching items mastered on several nodes commits with a two-phase
+//! protocol. The nodes still produce ONE serializable base history (the
+//! paper's lazy-master scheme gives "ACID serializability" at the base
+//! tier), so the partitions matter only for *accounting* — per-node load
+//! balance and base-to-base coordination messages — which
+//! [`BaseNode::commit`] keeps beside the history.
 
 use std::sync::Arc;
 
-use histmerge_history::{SerialHistory, TxnArena};
+use histmerge_history::{BaseEdgeCache, SerialHistory, TxnArena};
 use histmerge_txn::{
-    DbState, Expr, Fix, Program, ProgramBuilder, Statement, Transaction, TxnId, TxnKind, VarSet,
+    DbState, Expr, Fix, Program, ProgramBuilder, Statement, Transaction, TxnId, TxnKind, VarId,
+    VarSet,
 };
 
-/// The (logically centralized) base tier: the master copy of every data
-/// item plus the committed base history with per-commit write deltas.
+/// Statistics of a partitioned base tier.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClusterStats {
+    /// Commits each node participated in.
+    pub per_node_commits: Vec<u64>,
+    /// Base-to-base messages spent on two-phase commit: `4 × (p − 1)` per
+    /// transaction with `p > 1` participants (prepare, vote, decide, ack).
+    pub two_pc_messages: u64,
+    /// Transactions that needed more than one participant.
+    pub distributed_txns: u64,
+}
+
+impl ClusterStats {
+    /// Load imbalance: max participation divided by the mean (1.0 =
+    /// perfectly balanced). Returns 0.0 before any commit.
+    pub fn imbalance(&self) -> f64 {
+        let total: u64 = self.per_node_commits.iter().sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let mean = total as f64 / self.per_node_commits.len() as f64;
+        let max = *self.per_node_commits.iter().max().expect("non-empty") as f64;
+        max / mean
+    }
+}
+
+/// The base tier: the master copy of every data item, the committed base
+/// history with per-commit write deltas, the current window (Section
+/// 2.2, Strategy 2) with its conflict index, and the commit accounting of
+/// the `n_nodes` partitions the items are mastered on.
 ///
-/// The paper treats the base nodes as one serializable store ("base
-/// transactions ... involve several base nodes" but produce one master
-/// history); the simulator follows suit.
+/// Items are assigned to partitions by index modulo `n_nodes` (the
+/// hash-partitioning a 1999 deployment would use).
 #[derive(Debug, Clone)]
 pub struct BaseNode {
     master: DbState,
@@ -21,13 +60,20 @@ pub struct BaseNode {
     /// the transaction's write set — a redo log, the "final written
     /// values" protocol step 5 forwards.
     log: Vec<(TxnId, DbState)>,
-    /// Index into `log` where the current window (epoch) began, and the
-    /// master state at that point — the common start state every merge in
-    /// this window uses (Section 2.2, Strategy 2). One allocation per
-    /// window: the mobiles' origins, each merge and its augmented `H_m`
-    /// all share it.
+    /// The window (epoch) counter: windows started since the run began.
+    epoch: u64,
+    /// Index into `log` where the current window began, and the master
+    /// state at that point — the common start state every merge in this
+    /// window uses (Section 2.2, Strategy 2). One allocation per window:
+    /// the mobiles' origins, each merge and its augmented `H_m` all share
+    /// it.
     epoch_start: usize,
     epoch_state: Arc<DbState>,
+    /// The window's conflict index: rule-2 edges, reachability and the
+    /// per-item reader/writer lists of a prefix of the window's history,
+    /// extended only when a window merge plans
+    /// ([`BaseNode::sync_epoch_cache`]) and emptied when a window starts.
+    epoch_cache: BaseEdgeCache,
     /// When `true`, commits record only transaction ids in the log — the
     /// per-commit write deltas stay empty. Only the write-ahead log reads
     /// the deltas (merges need ids and the window-start state, Strategy-1
@@ -36,34 +82,55 @@ pub struct BaseNode {
     ///
     /// [`Simulation::new`]: crate::Simulation::new
     lean: bool,
+    /// The partitions' accumulated commit accounting.
+    stats: ClusterStats,
+    /// Per partition, one past the log index of the last commit it
+    /// participated in: the accounting's distinct-participant test,
+    /// reused by every commit instead of building a participant set.
+    last_commit: Vec<usize>,
 }
 
 impl BaseNode {
-    /// Creates a base node owning `initial` as the master state.
-    pub fn new(initial: DbState) -> Self {
-        BaseNode::with_lean(initial, false)
-    }
-
-    /// Creates a base node, optionally with the lean (id-only) commit log.
-    pub fn with_lean(initial: DbState, lean: bool) -> Self {
+    /// Creates a base tier of `n_nodes` partitions owning `initial` as the
+    /// master state. With `lean`, the commit log keeps transaction ids
+    /// only (see [`BaseNode::log`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_nodes` is zero —
+    /// [`SimConfig::validate`](crate::SimConfig::validate) rejects that.
+    pub fn new(initial: DbState, n_nodes: usize, lean: bool) -> Self {
+        assert!(n_nodes > 0, "a base tier has at least one node");
         BaseNode {
             master: initial.clone(),
-            epoch_state: Arc::new(initial),
             log: Vec::new(),
+            epoch: 0,
             epoch_start: 0,
+            epoch_state: Arc::new(initial),
+            epoch_cache: BaseEdgeCache::new(),
             lean,
+            stats: ClusterStats { per_node_commits: vec![0; n_nodes], ..ClusterStats::default() },
+            last_commit: vec![0; n_nodes],
         }
     }
 
-    /// Rebuilds a base node from recovered durable state (checkpoint
-    /// snapshot plus replayed WAL records). Recovery-only.
+    /// Rebuilds a one-partition base node from recovered durable state
+    /// (checkpoint snapshot plus replayed WAL records). Recovery-only.
     pub(crate) fn from_parts(
         master: DbState,
         log: Vec<(TxnId, DbState)>,
+        epoch: u64,
         epoch_start: usize,
         epoch_state: DbState,
     ) -> Self {
-        BaseNode { master, log, epoch_start, epoch_state: Arc::new(epoch_state), lean: false }
+        BaseNode {
+            master,
+            log,
+            epoch,
+            epoch_start,
+            epoch_state: Arc::new(epoch_state),
+            ..BaseNode::new(DbState::new(), 1, false)
+        }
     }
 
     /// Re-appends a recovered commit: the durable log stores each commit's
@@ -100,6 +167,12 @@ impl BaseNode {
     /// deltas are empty in a lean log.
     pub fn log(&self) -> &[(TxnId, DbState)] {
         &self.log
+    }
+
+    /// The window (epoch) counter: [`BaseNode::start_window`] calls since
+    /// the run began.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Index into the committed log where the current window began.
@@ -160,14 +233,54 @@ impl BaseNode {
             txn.execute_delta(&self.master, &Fix::empty()).expect("base transaction executes");
         self.master.apply_writes(&delta.writes);
         let writes = if self.lean { DbState::new() } else { self.master.project(txn.writeset()) };
+        self.account(txn.footprint());
         self.log.push((id, writes));
+    }
+
+    /// Accounts one commit to every partition its footprint touches, and
+    /// its two-phase-commit messages when there is more than one. Stamps
+    /// each partition with the commit instead of collecting a participant
+    /// set, so it allocates nothing.
+    fn account(&mut self, footprint: &VarSet) {
+        let stamp = self.log.len() + 1;
+        let mut participants = 0u64;
+        for var in footprint.iter() {
+            let node = self.node_of(var);
+            if self.last_commit[node] != stamp {
+                self.last_commit[node] = stamp;
+                self.stats.per_node_commits[node] += 1;
+                participants += 1;
+            }
+        }
+        if participants > 1 {
+            self.stats.distributed_txns += 1;
+            self.stats.two_pc_messages += 4 * (participants - 1);
+        }
+    }
+
+    /// The partition mastering `var`.
+    pub fn node_of(&self, var: VarId) -> usize {
+        var.index() as usize % self.last_commit.len()
+    }
+
+    /// Number of partitions.
+    pub fn n_nodes(&self) -> usize {
+        self.last_commit.len()
+    }
+
+    /// The partitions' accumulated commit accounting.
+    pub fn stats(&self) -> &ClusterStats {
+        &self.stats
     }
 
     /// Installs forwarded updates (protocol step 5) as a single *install*
     /// base transaction that reads and overwrites the forwarded items, and
     /// commits it. Returns the install transaction's id, or `None` when
     /// every forwarded value already matches the master (a no-op install
-    /// would only manufacture conflicts for later merges in the window).
+    /// would only manufacture conflicts for later merges in the window,
+    /// and costs no accounting). The install touches every partition
+    /// mastering a changed item — a merge's single wide transaction,
+    /// versus reprocessing's many narrow ones.
     pub fn install_updates(&mut self, arena: &mut TxnArena, forwarded: &DbState) -> Option<TxnId> {
         let changed: DbState = forwarded
             .iter()
@@ -204,8 +317,30 @@ impl BaseNode {
     /// state for every tentative history begun in this window
     /// (Section 2.2's periodic resynchronization).
     pub fn start_window(&mut self) {
+        self.epoch += 1;
         self.epoch_start = self.log.len();
         self.epoch_state = Arc::new(self.master.clone());
+        self.epoch_cache.clear();
+    }
+
+    /// Brings the window's conflict index up to date with the window's
+    /// history and returns how many commits it appended. O(appended): the
+    /// index already covers a prefix of the window, so only the log
+    /// suffix it has not seen is walked. Called only when a window merge
+    /// plans, so runs that never merge never build the index. Afterwards
+    /// [`BaseNode::epoch_cache`] holds exactly the window's history.
+    pub(crate) fn sync_epoch_cache(&mut self, arena: &TxnArena) -> usize {
+        let from = self.epoch_start + self.epoch_cache.len();
+        self.epoch_cache.extend(arena, self.log[from..].iter().map(|(t, _)| *t));
+        self.log.len() - from
+    }
+
+    /// The window's conflict index, covering the window's history up to
+    /// the last [`BaseNode::sync_epoch_cache`]. Its
+    /// [`history`](BaseEdgeCache::history) is the `H_b` a window merge
+    /// borrows.
+    pub(crate) fn epoch_cache(&self) -> &BaseEdgeCache {
+        &self.epoch_cache
     }
 
     /// Strategy 1 support: patches the master with the given updates,
@@ -309,7 +444,7 @@ mod tests {
     #[test]
     fn commit_advances_master_and_log() {
         let mut arena = TxnArena::new();
-        let mut base = BaseNode::new(DbState::uniform(2, 0));
+        let mut base = BaseNode::new(DbState::uniform(2, 0), 1, false);
         let t = inc(&mut arena, "t", 0, 5);
         base.commit(&arena, t);
         assert_eq!(base.master().get(v(0)), 5);
@@ -324,7 +459,7 @@ mod tests {
         // delta exactly where executing against a copy of the master puts
         // them: `execute(..).after` and its write-set projection.
         let mut arena = TxnArena::new();
-        let mut base = BaseNode::new(DbState::uniform(4, 3));
+        let mut base = BaseNode::new(DbState::uniform(4, 3), 1, false);
         let guarded: Arc<Program> = Arc::new(
             ProgramBuilder::new("guarded")
                 .read(v(0))
@@ -352,7 +487,7 @@ mod tests {
     #[test]
     fn lean_log_keeps_ids_but_no_write_deltas() {
         let mut arena = TxnArena::new();
-        let mut base = BaseNode::with_lean(DbState::uniform(2, 0), true);
+        let mut base = BaseNode::new(DbState::uniform(2, 0), 1, true);
         let t = inc(&mut arena, "t", 0, 5);
         base.commit(&arena, t);
         assert_eq!(base.master().get(v(0)), 5, "master still advances");
@@ -368,7 +503,7 @@ mod tests {
     #[test]
     fn windows_reset_epoch() {
         let mut arena = TxnArena::new();
-        let mut base = BaseNode::new(DbState::uniform(1, 0));
+        let mut base = BaseNode::new(DbState::uniform(1, 0), 1, false);
         let t1 = inc(&mut arena, "a", 0, 1);
         base.commit(&arena, t1);
         assert_eq!(base.epoch_len(), 1);
@@ -383,9 +518,37 @@ mod tests {
     }
 
     #[test]
+    fn start_window_resets_the_epoch_index() {
+        // A window start bumps the counter and empties the conflict
+        // index; the next lazy sync covers exactly the new window.
+        let mut arena = TxnArena::new();
+        let mut base = BaseNode::new(DbState::uniform(2, 0), 1, false);
+        let t1 = inc(&mut arena, "a", 0, 1);
+        base.commit(&arena, t1);
+        assert_eq!(base.epoch(), 0);
+        assert!(base.epoch_cache().is_empty(), "the index is built only on demand");
+        assert_eq!(base.sync_epoch_cache(&arena), 1);
+        assert_eq!(base.epoch_cache().history().order(), &[t1]);
+        assert_eq!(base.sync_epoch_cache(&arena), 0, "an up-to-date index appends nothing");
+
+        base.start_window();
+        assert_eq!(base.epoch(), 1);
+        assert!(base.epoch_cache().is_empty());
+        let t2 = inc(&mut arena, "b", 0, 1);
+        base.commit(&arena, t2);
+        let t3 = inc(&mut arena, "c", 1, 1);
+        base.commit(&arena, t3);
+        assert_eq!(base.sync_epoch_cache(&arena), 2);
+        let window = base.history_suffix(base.epoch_start());
+        assert_eq!(base.epoch_cache().history().order(), &window[..]);
+        assert_eq!(window, vec![t2, t3]);
+        assert_eq!(base.epoch_cache().len(), base.epoch_len());
+    }
+
+    #[test]
     fn install_blind_writes_values() {
         let mut arena = TxnArena::new();
-        let mut base = BaseNode::new(DbState::uniform(3, 0));
+        let mut base = BaseNode::new(DbState::uniform(3, 0), 1, false);
         let updates: DbState = [(v(0), 10), (v(2), 30)].into_iter().collect();
         let id = base.install_updates(&mut arena, &updates).expect("values changed");
         assert_eq!(base.master().get(v(0)), 10);
@@ -408,7 +571,7 @@ mod tests {
     #[test]
     fn reexecute_rebrands_as_base() {
         let mut arena = TxnArena::new();
-        let mut base = BaseNode::new(DbState::uniform(1, 0));
+        let mut base = BaseNode::new(DbState::uniform(1, 0), 1, false);
         let p: Arc<Program> = Arc::new(
             ProgramBuilder::new("m")
                 .read(v(0))
@@ -427,7 +590,7 @@ mod tests {
     #[test]
     fn retro_patch_skips_overwritten_items() {
         let mut arena = TxnArena::new();
-        let mut base = BaseNode::new(DbState::uniform(3, 0));
+        let mut base = BaseNode::new(DbState::uniform(3, 0), 1, false);
         let t1 = inc(&mut arena, "a", 0, 1); // writes d0
         base.commit(&arena, t1);
         let t2 = inc(&mut arena, "b", 1, 1); // writes d1
@@ -456,7 +619,7 @@ mod tests {
         // entirely and patch the master anyway — a silent no-op on the
         // history but a real (untracked) master mutation.
         let mut arena = TxnArena::new();
-        let mut base = BaseNode::new(DbState::uniform(2, 0));
+        let mut base = BaseNode::new(DbState::uniform(2, 0), 1, false);
         let t = inc(&mut arena, "a", 0, 1);
         base.commit(&arena, t);
         let log_before = base.log().to_vec();
@@ -473,5 +636,91 @@ mod tests {
         base.retro_patch(&arena, 1, &updates).unwrap();
         assert_eq!(base.master().get(v(1)), 50);
         assert_eq!(base.log(), &log_before[..]);
+    }
+
+    fn txn_on(arena: &mut TxnArena, vars: &[u32]) -> TxnId {
+        let mut b = ProgramBuilder::new("t");
+        for i in vars {
+            b = b.read(v(*i));
+        }
+        for i in vars {
+            b = b.update(v(*i), Expr::var(v(*i)) + Expr::konst(1));
+        }
+        let p: Arc<Program> = Arc::new(b.build().unwrap());
+        arena.alloc(|id| Transaction::new(id, "t", TxnKind::Base, p, vec![]))
+    }
+
+    #[test]
+    fn partitioning_is_modular() {
+        let c = BaseNode::new(DbState::uniform(8, 0), 3, false);
+        assert_eq!(c.node_of(v(0)), 0);
+        assert_eq!(c.node_of(v(4)), 1);
+        assert_eq!(c.node_of(v(5)), 2);
+        assert_eq!(c.n_nodes(), 3);
+    }
+
+    #[test]
+    fn single_partition_txn_needs_no_2pc() {
+        let mut arena = TxnArena::new();
+        let mut c = BaseNode::new(DbState::uniform(8, 0), 4, false);
+        let t = txn_on(&mut arena, &[0, 4]); // both on node 0
+        c.commit(&arena, t);
+        assert_eq!(c.stats().two_pc_messages, 0);
+        assert_eq!(c.stats().distributed_txns, 0);
+        assert_eq!(c.stats().per_node_commits, vec![1, 0, 0, 0]);
+        assert_eq!(c.master().get(v(0)), 1);
+    }
+
+    #[test]
+    fn distributed_txn_pays_2pc() {
+        let mut arena = TxnArena::new();
+        let mut c = BaseNode::new(DbState::uniform(8, 0), 4, false);
+        let t = txn_on(&mut arena, &[0, 1, 2]); // nodes 0, 1, 2
+        c.commit(&arena, t);
+        assert_eq!(c.stats().per_node_commits, vec![1, 1, 1, 0]);
+        assert_eq!(c.stats().distributed_txns, 1);
+        assert_eq!(c.stats().two_pc_messages, 8); // 4 × (3 − 1)
+    }
+
+    #[test]
+    fn install_is_one_wide_transaction() {
+        let mut arena = TxnArena::new();
+        let mut c = BaseNode::new(DbState::uniform(8, 0), 4, false);
+        let forwarded: DbState = [(v(0), 5), (v(1), 6), (v(2), 7), (v(3), 8)].into_iter().collect();
+        c.install_updates(&mut arena, &forwarded);
+        assert_eq!(c.stats().distributed_txns, 1);
+        assert_eq!(c.stats().two_pc_messages, 12); // 4 × (4 − 1)
+        assert_eq!(c.master().get(v(3)), 8);
+        // Reprocessing the same items as four narrow transactions instead:
+        let mut c2 = BaseNode::new(DbState::uniform(8, 0), 4, false);
+        for i in 0..4u32 {
+            let t = txn_on(&mut arena, &[i]);
+            c2.reexecute(&mut arena, t);
+        }
+        assert_eq!(c2.stats().two_pc_messages, 0, "narrow txns never coordinate");
+        assert_eq!(c2.stats().per_node_commits, vec![1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn imbalance_measured() {
+        let mut arena = TxnArena::new();
+        let mut c = BaseNode::new(DbState::uniform(8, 0), 2, false);
+        assert_eq!(c.stats().imbalance(), 0.0);
+        for _ in 0..3 {
+            let t = txn_on(&mut arena, &[0]); // always node 0
+            c.commit(&arena, t);
+        }
+        // node 0: 3 commits, node 1: 0 → max/mean = 3 / 1.5 = 2.
+        assert!((c.stats().imbalance() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn single_node_cluster_degenerates_to_base_node() {
+        let mut arena = TxnArena::new();
+        let mut c = BaseNode::new(DbState::uniform(4, 0), 1, false);
+        let t = txn_on(&mut arena, &[0, 1, 2, 3]);
+        c.commit(&arena, t);
+        assert_eq!(c.stats().two_pc_messages, 0);
+        assert_eq!(c.stats().imbalance(), 1.0);
     }
 }

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod base;
-mod cluster;
 mod mobile;
 mod sim;
 
@@ -59,8 +58,7 @@ pub mod session;
 pub mod sync;
 pub mod wal;
 
-pub use base::{BaseNode, RetroPatchError};
-pub use cluster::{BaseCluster, ClusterStats};
+pub use base::{BaseNode, ClusterStats, RetroPatchError};
 pub use connectivity::{AdmissionConfig, ConnectivityModel, InvalidConnectivity, LinkTrace};
 pub use fault::{Delivery, FaultKind, FaultPlan, FaultRates, InvalidFaultRate};
 pub use metrics::{CohortStats, FaultStats, SchedStats, StormStats, WalStats};

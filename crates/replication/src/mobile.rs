@@ -32,6 +32,9 @@ pub struct MobileNode {
     history: SerialHistory,
     /// For Strategy 1: the base-log index the origin snapshot was taken at.
     origin_index: usize,
+    /// The base window (epoch) the origin was taken in: under Strategy 2
+    /// the pending history merges only while that window is still open.
+    origin_epoch: u64,
     /// Simulation tick of the next reconnection.
     next_connect: u64,
     /// Next session sequence number (session path).
@@ -60,7 +63,8 @@ impl StateRead for PatchView<'_> {
 }
 
 impl MobileNode {
-    /// Creates a mobile node with the given (shared) origin snapshot.
+    /// Creates a mobile node with the given (shared) origin snapshot,
+    /// taken in the base's first window (epoch 0).
     pub fn new(id: usize, origin: Arc<DbState>, origin_index: usize, next_connect: u64) -> Self {
         MobileNode {
             id,
@@ -68,6 +72,7 @@ impl MobileNode {
             patch: BTreeMap::new(),
             history: SerialHistory::new(),
             origin_index,
+            origin_epoch: 0,
             next_connect,
             next_seq: 0,
             unacked: None,
@@ -94,6 +99,11 @@ impl MobileNode {
     /// The base-log index the origin was snapshotted at (Strategy 1).
     pub fn origin_index(&self) -> usize {
         self.origin_index
+    }
+
+    /// The base window (epoch) the origin was taken in.
+    pub(crate) fn origin_epoch(&self) -> u64 {
+        self.origin_epoch
     }
 
     /// The current tentative state, materialized (origin plus the node's
@@ -152,11 +162,13 @@ impl MobileNode {
 
     /// Resets the node after a synchronization: the new tentative history
     /// starts from `origin` (under Strategy 2, the shared window-start
-    /// state; under Strategy 1, the current master snapshot).
-    pub fn resync(&mut self, origin: Arc<DbState>, origin_index: usize) {
+    /// state; under Strategy 1, the current master snapshot), taken at
+    /// base-log index `origin_index` in base window `origin_epoch`.
+    pub fn resync(&mut self, origin: Arc<DbState>, origin_index: usize, origin_epoch: u64) {
         self.origin = origin;
         self.patch.clear();
         self.origin_index = origin_index;
+        self.origin_epoch = origin_epoch;
         self.history = SerialHistory::new();
         self.dirty_origin = false;
     }
@@ -235,11 +247,13 @@ mod tests {
         assert_eq!(node.history().order(), &[t1, t2]);
 
         let new_origin = Arc::new(DbState::uniform(1, 99));
-        node.resync(new_origin.clone(), 7);
+        assert_eq!(node.origin_epoch(), 0);
+        node.resync(new_origin.clone(), 7, 2);
         assert_eq!(node.pending(), 0);
         assert_eq!(node.patch_len(), 0);
         assert_eq!(node.tentative_state(), *new_origin);
         assert_eq!(node.origin_index(), 7);
+        assert_eq!(node.origin_epoch(), 2);
         node.set_next_connect(20);
         assert_eq!(node.next_connect(), 20);
     }
@@ -329,7 +343,7 @@ mod tests {
         assert_eq!(node.history().order(), &ids[2..]);
         assert!(node.dirty_origin());
         assert_eq!(node.patch_len(), 1, "trim keeps the prefix's local effects");
-        node.resync(Arc::new(DbState::uniform(1, 5)), 0);
+        node.resync(Arc::new(DbState::uniform(1, 5)), 0, 0);
         assert!(!node.dirty_origin());
         assert_eq!(node.pending(), 0);
         // Sequence numbers never reset.

@@ -9,7 +9,8 @@
 //! * [`WalRecord::Commit`] re-appends the commit and applies its durable
 //!   write delta to the master (no re-execution — the log stores written
 //!   values, not programs);
-//! * [`WalRecord::WindowStart`] rolls the window and epoch counter;
+//! * [`WalRecord::WindowStart`] rolls the base's window, which advances
+//!   its epoch counter;
 //! * [`WalRecord::RetroPatch`] replays a Strategy-1 retroactive install
 //!   (the transaction arena supplies writesets for masking — programs are
 //!   shared immutable knowledge, like application code, not crash-lost
@@ -31,10 +32,9 @@ use crate::wal::{decode_stream, Storage, Tail, WalRecord};
 /// The base-tier state rebuilt from the latest checkpoint plus WAL tail.
 #[derive(Debug)]
 pub struct Recovered {
-    /// The recovered base node (master, committed log, window state).
+    /// The recovered base node (master, committed log, window state and
+    /// window counter).
     pub base: BaseNode,
-    /// The recovered window (epoch) counter.
-    pub epoch: u64,
     /// The recovered session ledger, re-execution cursors included.
     pub ledger: SessionLedger,
     /// Records replayed after the checkpoint the recovery started from.
@@ -122,10 +122,10 @@ fn recover_inner(arena: &TxnArena, storage: &impl Storage) -> Result<Recovered, 
     let mut base = BaseNode::from_parts(
         snapshot.master,
         snapshot.log,
+        snapshot.epoch,
         snapshot.epoch_start as usize,
         snapshot.epoch_state,
     );
-    let mut epoch = snapshot.epoch;
     let mut ledger = SessionLedger::new();
     for (mobile, seq, record) in snapshot.ledger {
         ledger.insert(mobile as usize, seq, record);
@@ -139,7 +139,6 @@ fn recover_inner(arena: &TxnArena, storage: &impl Storage) -> Result<Recovered, 
             }
             WalRecord::WindowStart => {
                 base.start_window();
-                epoch += 1;
             }
             WalRecord::RetroPatch { from_index, updates } => {
                 if base.retro_patch(arena, from_index as usize, &updates).is_err() {
@@ -171,7 +170,7 @@ fn recover_inner(arena: &TxnArena, storage: &impl Storage) -> Result<Recovered, 
         records_applied += 1;
     }
 
-    Ok(Recovered { base, epoch, ledger, records_applied, torn })
+    Ok(Recovered { base, ledger, records_applied, torn })
 }
 
 #[cfg(test)]
@@ -200,7 +199,7 @@ mod tests {
         let r = recover(&arena, wal.storage()).expect("recovers");
         assert!(!r.torn);
         assert_eq!(r.records_applied, 3);
-        assert_eq!(r.epoch, 1);
+        assert_eq!(r.base.epoch(), 1);
         assert_eq!(r.base.committed(), 2);
         assert_eq!(r.base.master(), &state(&[(0, 1), (1, 5)]));
         assert_eq!(r.base.epoch_start(), 1);
@@ -225,7 +224,7 @@ mod tests {
         let r = recover(&arena, torn.storage()).expect("recovers prefix");
         assert!(r.torn);
         assert_eq!(r.base.committed(), 1);
-        assert_eq!(r.epoch, 1);
+        assert_eq!(r.base.epoch(), 1);
         assert_eq!(r.base.master(), &state(&[(0, 1), (1, 0)]));
 
         // A flipped bit in the same append: CRC catches it, same prefix.
@@ -256,7 +255,7 @@ mod tests {
         assert!(!r.torn);
         assert_eq!(r.records_applied, 1, "only the post-checkpoint commit replays");
         assert_eq!(r.base.committed(), 3);
-        assert_eq!(r.epoch, 1);
+        assert_eq!(r.base.epoch(), 1);
         assert_eq!(r.base.master(), &state(&[(0, 9), (1, 5)]));
     }
 
@@ -317,10 +316,10 @@ mod tests {
 
     #[test]
     fn traced_recovery_reports_the_replay() {
-        use histmerge_obs::{JsonlSink, Phase, Tracer, TracerHandle};
+        use histmerge_obs::{FlightRecorder, Phase, Tracer, TracerHandle};
         let wal = wal_with_two_commits();
         let arena = TxnArena::new();
-        let sink = std::sync::Arc::new(JsonlSink::new());
+        let sink = std::sync::Arc::new(FlightRecorder::new(64));
         let r = recover_traced(&arena, wal.storage(), &TracerHandle::new(sink.clone()))
             .expect("recovers");
         assert_eq!(r.records_applied, 3);

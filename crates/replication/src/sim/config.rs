@@ -204,8 +204,11 @@ impl SimConfig {
     /// plan is paired with [`SyncPath::Legacy`], when the connectivity
     /// model has an out-of-range parameter, when `base_rate`,
     /// `mobile_rate` or `base_capacity` is negative or not finite (an
-    /// infinite rate never finishes a tick), or when `connect_every`,
-    /// `base_nodes`, a fixed `window` or an adaptive `max_hb` is zero.
+    /// infinite rate never finishes a tick), when `connect_every`,
+    /// `base_nodes`, a fixed `window` or an adaptive `max_hb` is zero, or,
+    /// when the random generator supplies the transactions (`canned` is
+    /// `None`), when `workload.n_vars` is zero or `workload.hot_prob` or
+    /// `workload.hot_fraction` is not a probability.
     pub fn validate(&self) -> Result<(), SimConfigError> {
         self.fault.rates.validate().map_err(SimConfigError::InvalidFaultRate)?;
         if self.fault.active() && self.sync_path == SyncPath::Legacy {
@@ -219,6 +222,18 @@ impl SimConfig {
         ];
         if let Some(&(field, value)) = rates.iter().find(|(_, v)| !(v.is_finite() && *v >= 0.0)) {
             return Err(SimConfigError::OutOfRange { field, value });
+        }
+        if self.canned.is_none() {
+            let w = &self.workload;
+            if w.n_vars == 0 {
+                return Err(SimConfigError::OutOfRange { field: "n_vars", value: 0.0 });
+            }
+            let probabilities = [("hot_prob", w.hot_prob), ("hot_fraction", w.hot_fraction)];
+            if let Some(&(field, value)) =
+                probabilities.iter().find(|(_, p)| !(0.0..=1.0).contains(p))
+            {
+                return Err(SimConfigError::OutOfRange { field, value });
+            }
         }
         let zero_window = match self.strategy {
             SyncStrategy::WindowStart { window: 0 } => Some("window"),
@@ -248,8 +263,10 @@ pub enum SimConfigError {
     /// An active [`SimConfig::fault`] plan on [`SyncPath::Legacy`], whose
     /// atomic handshake cannot inject faults.
     FaultsOnLegacyPath,
-    /// A rate or capacity that is negative or not finite, or a period
-    /// (`connect_every`, `window`, `max_hb`) that is zero.
+    /// A rate or capacity that is negative or not finite, a period
+    /// (`connect_every`, `window`, `max_hb`) or count (`base_nodes`,
+    /// `n_vars`) that is zero, or a generator probability (`hot_prob`,
+    /// `hot_fraction`) outside `[0, 1]`.
     OutOfRange {
         /// The offending setting's name.
         field: &'static str,

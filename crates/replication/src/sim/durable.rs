@@ -23,7 +23,7 @@ impl Simulation {
         let Some(wal) = self.wal.as_mut() else {
             return;
         };
-        let log = self.base.base().log();
+        let log = self.base.log();
         for (txn, writes) in &log[self.logged_commits..] {
             wal.append(&WalRecord::Commit { txn: *txn, writes: writes.clone() });
         }
@@ -32,13 +32,13 @@ impl Simulation {
 
     /// A full snapshot of the durable state, for checkpoint records.
     fn wal_snapshot(&self) -> Snapshot {
-        let base = self.base.base();
+        let base = &self.base;
         Snapshot {
             log: base.log().to_vec(),
             master: base.master().clone(),
             epoch_start: base.epoch_start() as u64,
             epoch_state: base.epoch_state().clone(),
-            epoch: self.epoch,
+            epoch: base.epoch(),
             ledger: self.ledger.iter().map(|(m, s, r)| (m as u64, s, r.clone())).collect(),
         }
     }
@@ -74,14 +74,14 @@ impl Simulation {
         };
         let recovered = recovery::recover_traced(&self.arena, wal.storage(), &self.config.tracer)
             .expect("open WAL has a checkpoint");
-        let base = self.base.base();
+        let base = &self.base;
         let checks = [
             ("torn tail", !recovered.torn),
             ("log", recovered.base.log() == base.log()),
             ("master", recovered.base.master() == base.master()),
             ("window start", recovered.base.epoch_start() == base.epoch_start()),
             ("window state", recovered.base.epoch_state() == base.epoch_state()),
-            ("epoch", recovered.epoch == self.epoch),
+            ("epoch", recovered.base.epoch() == base.epoch()),
             ("ledger", recovered.ledger == self.ledger),
         ];
         if let Some((field, _)) = checks.iter().find(|(_, ok)| !ok) {

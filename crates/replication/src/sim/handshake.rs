@@ -55,7 +55,6 @@ impl Simulation {
     fn install(&mut self, plan: &InstallPlan, retro_from: Option<usize>) {
         if let Some(from) = retro_from {
             self.base
-                .base_mut()
                 .retro_patch(&self.arena, from, &plan.forwarded)
                 .expect("snapshot origin index lies within the base log");
             self.metrics.retro_patches += 1;
@@ -94,14 +93,14 @@ impl Simulation {
                 // Strategy 2: new tentative histories within the window
                 // keep the window-start state as their origin — one shared
                 // snapshot, an Arc clone per resync.
-                self.mobiles[i].resync(Arc::clone(self.base.base().shared_epoch_state()), 0);
-                self.mobile_epochs[i] = self.epoch;
+                let origin = Arc::clone(self.base.shared_epoch_state());
+                self.mobiles[i].resync(origin, 0, self.base.epoch());
             }
             SyncStrategy::PerDisconnectSnapshot => {
                 // Strategy 1: snapshot the current master.
-                let origin = Arc::new(self.base.base().master().clone());
-                let index = self.base.base().committed();
-                self.mobiles[i].resync(origin, index);
+                let origin = Arc::new(self.base.master().clone());
+                let index = self.base.committed();
+                self.mobiles[i].resync(origin, index, self.base.epoch());
             }
         }
     }

@@ -16,14 +16,14 @@ use rand::{Rng, SeedableRng};
 use histmerge_core::merge::{MergeConfig, MergeScratch, Merger};
 use histmerge_core::prune::PruneMethod;
 use histmerge_core::rewrite::{FixMode, RewriteAlgorithm};
-use histmerge_history::{BaseEdgeCache, TwoCycleOptimal, TxnArena};
+use histmerge_history::{TwoCycleOptimal, TxnArena};
 use histmerge_obs::{Phase, TraceEvent};
 use histmerge_semantics::{OracleStack, SemanticOracle, StaticAnalyzer};
 use histmerge_txn::{DbState, TxnId, TxnKind};
 use histmerge_workload::canned_mix::CannedMix;
 use histmerge_workload::generator::TxnFactory;
 
-use crate::cluster::BaseCluster;
+use crate::base::{BaseNode, ClusterStats};
 use crate::connectivity::LinkTrace;
 use crate::metrics::Metrics;
 use crate::mobile::MobileNode;
@@ -54,7 +54,7 @@ pub struct SimReport {
     /// re-executions).
     pub base_commits: usize,
     /// Distribution statistics of the partitioned base tier.
-    pub cluster: crate::cluster::ClusterStats,
+    pub cluster: ClusterStats,
     /// The convergence-oracle verdict, when
     /// [`SimConfig::check_convergence`] was set.
     pub convergence: Option<ConvergenceReport>,
@@ -160,11 +160,8 @@ fn build_merger(source: &TxnSource, algorithm: RewriteAlgorithm, fix_mode: FixMo
 pub struct Simulation {
     config: SimConfig,
     arena: TxnArena,
-    base: BaseCluster,
+    base: BaseNode,
     mobiles: Vec<MobileNode>,
-    /// Epoch id of the base's current window, and per-mobile epoch ids.
-    epoch: u64,
-    mobile_epochs: Vec<u64>,
     source: TxnSource,
     /// The one merger every plan runs, built at construction: the
     /// protocol and the transaction source never change, so neither does
@@ -175,11 +172,6 @@ pub struct Simulation {
     metrics: Metrics,
     backlog: f64,
     base_accum: f64,
-    /// Incrementally maintained rule-2 edge counts and reachability of
-    /// `epoch`'s base history.
-    base_edge_cache: BaseEdgeCache,
-    /// The epoch `base_edge_cache` belongs to (cleared on rollover).
-    cache_epoch: u64,
     /// The fault event stream (session path; untouched when the plan is
     /// inactive, keeping fault-free runs byte-identical).
     fault_rng: StdRng,
@@ -261,8 +253,8 @@ impl Simulation {
         let lean = !config.durability.enabled;
         // The base's window-start state is the one copy of the initial
         // state: the mobiles' origins and the oracle's replay share it.
-        let base = BaseCluster::with_lean(initial, config.base_nodes, lean);
-        let initial = Arc::clone(base.base().shared_epoch_state());
+        let base = BaseNode::new(initial, config.base_nodes, lean);
+        let initial = Arc::clone(base.shared_epoch_state());
         let mut rng = StdRng::seed_from_u64(config.workload.seed ^ 0x5151_5151);
         let mobiles: Vec<MobileNode> = (0..config.n_mobiles)
             .map(|i| {
@@ -285,16 +277,12 @@ impl Simulation {
         let mut sim = Simulation {
             arena: TxnArena::new(),
             base,
-            mobile_epochs: vec![0; n],
-            epoch: 0,
             source,
             merger,
             rng,
             metrics: Metrics::default(),
             backlog: 0.0,
             base_accum: 0.0,
-            base_edge_cache: BaseEdgeCache::new(),
-            cache_epoch: 0,
             fault_rng: config.fault.rng(),
             ledger: SessionLedger::new(),
             resolved: BTreeSet::new(),
@@ -351,17 +339,17 @@ impl Simulation {
         self.metrics.sched.events_popped = self.events.popped();
         let durable = self.wal.take().map(|wal| DurableReport {
             storage: wal.into_storage(),
-            log: self.base.base().log().to_vec(),
-            epoch: self.epoch,
-            epoch_start: self.base.base().epoch_start(),
-            epoch_state: self.base.base().epoch_state().clone(),
+            log: self.base.log().to_vec(),
+            epoch: self.base.epoch(),
+            epoch_start: self.base.epoch_start(),
+            epoch_state: self.base.epoch_state().clone(),
             ledger: self.ledger.clone(),
             arena: self.arena.clone(),
             initial: (*self.initial).clone(),
         });
         SimReport {
-            base_commits: self.base.base().committed(),
-            final_master: self.base.base().master().clone(),
+            base_commits: self.base.committed(),
+            final_master: self.base.master().clone(),
             cluster: self.base.stats().clone(),
             ledger_len: self.ledger.len(),
             metrics: self.metrics,
@@ -376,11 +364,11 @@ impl Simulation {
     /// outside the committed history (Strategy-1 merges).
     fn convergence_report(&self) -> ConvergenceReport {
         let applicable = self.metrics.retro_patches == 0;
-        let full = self.base.base().full_history();
+        let full = self.base.full_history();
         let commits = full.len();
         let converged = applicable
             && match histmerge_history::run_to_final(&self.arena, &full, &self.initial) {
-                Ok(state) => &state == self.base.base().master(),
+                Ok(state) => &state == self.base.master(),
                 Err(_) => false,
             };
         ConvergenceReport {
@@ -398,12 +386,11 @@ impl Simulation {
         // Window boundary (Strategy 2, fixed or adaptive).
         let rolled = match self.config.strategy {
             SyncStrategy::WindowStart { window } => tick > 0 && tick.is_multiple_of(window),
-            SyncStrategy::AdaptiveWindow { max_hb } => self.base.base().epoch_len() >= max_hb,
+            SyncStrategy::AdaptiveWindow { max_hb } => self.base.epoch_len() >= max_hb,
             SyncStrategy::PerDisconnectSnapshot => false,
         };
         if rolled {
-            self.base.base_mut().start_window();
-            self.epoch += 1;
+            self.base.start_window();
             self.wal_append(|| WalRecord::WindowStart);
             let last = self.last_window_tick;
             self.config

@@ -112,15 +112,16 @@ impl Simulation {
             }
             Protocol::Merging { .. } => match self.config.strategy {
                 SyncStrategy::WindowStart { .. } | SyncStrategy::AdaptiveWindow { .. } => {
-                    if self.mobile_epochs[i] != self.epoch {
+                    if self.mobiles[i].origin_epoch() != self.base.epoch() {
                         // Reconnected after its window closed: the history
                         // cannot be merged (Section 2.2) and is reprocessed
                         // instead.
                         self.metrics.window_misses += 1;
                         SyncDecision::Reprocess { cause: ReprocessReason::WindowMiss }
                     } else {
-                        self.sync_cache();
-                        let s0 = Arc::clone(self.base.base().shared_epoch_state());
+                        let appended = self.base.sync_epoch_cache(&self.arena);
+                        self.metrics.cohort.edge_cache_appends += appended as u64;
+                        let s0 = Arc::clone(self.base.shared_epoch_state());
                         self.plan_merge(i, None, s0)
                     }
                 }
@@ -129,33 +130,13 @@ impl Simulation {
         }
     }
 
-    /// Brings the epoch's base-edge cache up to date with the epoch
-    /// history, resetting it on window rollover. O(appended): the cache
-    /// is append-only within an epoch and already covers a prefix of the
-    /// epoch history, so only the suffix it has not seen is walked — the
-    /// epoch history is never re-materialized or re-scanned. Afterwards
-    /// [`BaseEdgeCache::history`](histmerge_history::BaseEdgeCache::history)
-    /// holds exactly the epoch history, which a window merge borrows as
-    /// its `H_b`.
-    fn sync_cache(&mut self) {
-        if self.cache_epoch != self.epoch {
-            self.base_edge_cache.clear();
-            self.cache_epoch = self.epoch;
-        }
-        let from = self.base.base().epoch_start() + self.base_edge_cache.len();
-        let suffix = self.base.base().history_suffix(from);
-        if suffix.is_empty() {
-            return;
-        }
-        self.metrics.cohort.edge_cache_appends += suffix.len() as u64;
-        self.base_edge_cache.extend(&self.arena, suffix.iter().copied());
-    }
-
     /// The one merge planning call. A Strategy 2 window merge (`snapshot`
     /// is `None`) runs against the epoch history from the shared
     /// window-start state and borrows both `H_b` and the epoch's
-    /// base-edge cache from that cache, which holds exactly the epoch
-    /// history after [`sync_cache`](Self::sync_cache); a Strategy 1
+    /// base-edge cache from the base, whose epoch cache holds exactly the
+    /// epoch history after
+    /// [`BaseNode::sync_epoch_cache`](crate::BaseNode::sync_epoch_cache);
+    /// a Strategy 1
     /// snapshot merge runs against the log suffix from the mobile's
     /// snapshot (`Some`), which no cache covers, so the merger builds its
     /// own. The current master is `H_b`'s final state either way, so a
@@ -172,10 +153,10 @@ impl Simulation {
         let hm = self.mobiles[i].history().clone();
         let (hb, base_edges) = match &snapshot {
             Some(hb) => (hb, None),
-            None => (self.base_edge_cache.history(), Some(&self.base_edge_cache)),
+            None => (self.base.epoch_cache().history(), Some(self.base.epoch_cache())),
         };
         let hb_len = hb.len();
-        let assist = MergeAssist { base_edges, hb_final: Some(self.base.base().master()) };
+        let assist = MergeAssist { base_edges, hb_final: Some(self.base.master()) };
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
         let planned = merger.merge_traced_scratch(
@@ -206,14 +187,14 @@ impl Simulation {
     /// the base history.
     fn plan_merge_snapshot(&mut self, i: usize) -> SyncDecision {
         let hb: SerialHistory =
-            self.base.base().history_suffix(self.mobiles[i].origin_index()).into_iter().collect();
+            self.base.history_suffix(self.mobiles[i].origin_index()).into_iter().collect();
         let s0 = Arc::clone(self.mobiles[i].shared_origin());
         // Validity: replaying the suffix from the snapshot must reproduce
         // the current master. Only the final state matters, so the replay
         // skips the augmented log. Retro-patched installs from other
         // mobiles' merges break this — the Strategy-1 failure mode.
         let valid = match histmerge_history::run_to_final(&self.arena, &hb, &s0) {
-            Ok(state) => &state == self.base.base().master(),
+            Ok(state) => &state == self.base.master(),
             Err(_) => false,
         };
         if !valid {

@@ -92,11 +92,11 @@ impl Simulation {
         // log suffix from the mobile's origin.
         let suffix;
         let hb: &[TxnId] = if retroactive {
-            suffix = self.base.base().history_suffix(self.mobiles[i].origin_index());
+            suffix = self.base.history_suffix(self.mobiles[i].origin_index());
             &suffix
         } else {
-            debug_assert_eq!(self.base_edge_cache.len(), self.base.base().epoch_len());
-            self.base_edge_cache.txns()
+            debug_assert_eq!(self.base.epoch_cache().len(), self.base.epoch_len());
+            self.base.epoch_cache().history().order()
         };
         let bad: BTreeSet<TxnId> = outcome.backed_out.iter().copied().collect();
         let weights = closure_weights_for(&self.arena, hm, &bad);
@@ -113,7 +113,7 @@ impl Simulation {
                     self.arena.reads_overlap_writes(t, b) || self.arena.reads_overlap_writes(b, t)
                 })
             } else {
-                self.base_edge_cache.latest_rule3_partner(&self.arena, t)
+                self.base.epoch_cache().latest_rule3_partner(&self.arena, t)
             };
             let best = match base_partner {
                 Some(b) => {
@@ -235,7 +235,7 @@ impl Simulation {
         let pending: Vec<TxnId> = self.mobiles[i].history().iter().collect();
         let pending_set: BTreeSet<TxnId> = pending.iter().copied().collect();
         for &t in &pending {
-            let partner = self.base.base().latest_conflicting_commit(&self.arena, t, &pending_set);
+            let partner = self.base.latest_conflicting_commit(&self.arena, t, &pending_set);
             let (lost_to, rule, other_mask) = match partner {
                 Some(p) => {
                     // Classify the conflict by the paper's rule-3 edge

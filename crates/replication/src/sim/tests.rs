@@ -333,16 +333,16 @@ fn mobiles_share_the_base_window_start_state() {
     cfg.connect_every = 50;
     let mut sim = Simulation::new(cfg).expect("valid sim config");
     let shares_epoch_state = |sim: &Simulation| {
-        let epoch_state = sim.base.base().epoch_state();
+        let epoch_state = sim.base.epoch_state();
         sim.mobiles.iter().all(|m| std::ptr::eq(m.origin(), epoch_state))
     };
     assert!(shares_epoch_state(&sim));
-    assert!(std::ptr::eq(&*sim.initial, sim.base.base().epoch_state()));
+    assert!(std::ptr::eq(&*sim.initial, sim.base.epoch_state()));
     for tick in 0..=50 {
         sim.step(tick);
     }
-    assert_eq!(sim.epoch, 1, "tick 50 rolls the window");
-    assert!(!std::ptr::eq(&*sim.initial, sim.base.base().epoch_state()));
+    assert_eq!(sim.base.epoch(), 1, "tick 50 rolls the window");
+    assert!(!std::ptr::eq(&*sim.initial, sim.base.epoch_state()));
     assert!(shares_epoch_state(&sim));
 }
 
@@ -635,7 +635,7 @@ fn recovery_of_a_full_run_reproduces_the_live_state() {
     assert!(!recovered.torn);
     assert_eq!(recovered.base.log(), durable.log.as_slice());
     assert_eq!(recovered.base.master(), &report.final_master);
-    assert_eq!(recovered.epoch, durable.epoch);
+    assert_eq!(recovered.base.epoch(), durable.epoch);
     assert_eq!(recovered.base.epoch_start(), durable.epoch_start);
     assert_eq!(recovered.base.epoch_state(), &durable.epoch_state);
     assert_eq!(recovered.ledger, durable.ledger);
@@ -873,4 +873,46 @@ fn out_of_range_settings_are_rejected() {
         Err(err) => assert_eq!(err, out_of_range("base_nodes", 0.0)),
         Ok(_) => panic!("base_nodes = 0 must be rejected at construction"),
     }
+    // The random generator's settings: an empty item space used to pass
+    // and then panic at the first base commit, and out-of-range hot-set
+    // probabilities were silently clamped.
+    let workload = |w: ScenarioParams| SimConfig { workload: w, ..cfg() };
+    let base = cfg().workload;
+    assert_eq!(
+        workload(ScenarioParams { n_vars: 0, ..base }).validate(),
+        Err(out_of_range("n_vars", 0.0))
+    );
+    match Simulation::new(workload(ScenarioParams { n_vars: 0, ..base })) {
+        Err(err) => assert_eq!(err, out_of_range("n_vars", 0.0)),
+        Ok(_) => panic!("n_vars = 0 must be rejected at construction"),
+    }
+    for value in [1.5, -0.1, f64::INFINITY, f64::NAN] {
+        for (field, params) in [
+            ("hot_prob", ScenarioParams { hot_prob: value, ..base }),
+            ("hot_fraction", ScenarioParams { hot_fraction: value, ..base }),
+        ] {
+            match workload(params).validate() {
+                Err(SimConfigError::OutOfRange { field: got, value: v }) => {
+                    assert_eq!(got, field);
+                    assert!(v.to_bits() == value.to_bits(), "{field}: {v} != {value}");
+                }
+                other => panic!("{field} = {value} must be out of range, got {other:?}"),
+            }
+        }
+    }
+    // The bounds themselves are legal: a zero hot fraction still yields
+    // a one-item hot set.
+    for p in [0.0, 1.0] {
+        assert_eq!(
+            workload(ScenarioParams { hot_prob: p, hot_fraction: p, ..base }).validate(),
+            Ok(())
+        );
+    }
+    // The canned mix ignores the generator's settings, so they are not
+    // checked there.
+    let canned = SimConfig {
+        canned: Some(Default::default()),
+        ..workload(ScenarioParams { n_vars: 0, hot_prob: 1.5, ..base })
+    };
+    assert_eq!(canned.validate(), Ok(()));
 }

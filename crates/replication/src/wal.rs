@@ -1091,8 +1091,8 @@ mod tests {
 
     #[test]
     fn traced_wal_emits_append_and_checkpoint_events() {
-        use histmerge_obs::{JsonlSink, Phase, Tracer, TracerHandle};
-        let sink = std::sync::Arc::new(JsonlSink::new());
+        use histmerge_obs::{FlightRecorder, Phase, Tracer, TracerHandle};
+        let sink = std::sync::Arc::new(FlightRecorder::new(64));
         let genesis = Snapshot::genesis(state(&[(0, 0)]));
         let mut wal =
             Wal::new(VecStorage::new(), &genesis).with_tracer(TracerHandle::new(sink.clone()));

@@ -101,7 +101,7 @@ fn assert_full_recovery_is_exact(durable: &DurableReport, label: &str) {
     let r = recover(&durable.arena, &durable.storage).expect("full log recovers");
     assert!(!r.torn, "{label}: undamaged log reported torn");
     assert_eq!(r.base.log(), &durable.log[..], "{label}: recovered log != live log");
-    assert_eq!(r.epoch, durable.epoch, "{label}: epoch diverged");
+    assert_eq!(r.base.epoch(), durable.epoch, "{label}: epoch diverged");
     assert_eq!(r.base.epoch_start(), durable.epoch_start, "{label}: window start diverged");
     assert_eq!(r.base.epoch_state(), &durable.epoch_state, "{label}: window state diverged");
     assert_eq!(r.ledger, durable.ledger, "{label}: session ledger diverged");
@@ -174,7 +174,11 @@ fn torture_torn_writes(durable: &DurableReport, label: &str) {
                         c.base.master(),
                         "{label}@{k}: {tear:?} changed the master"
                     );
-                    assert_eq!(r.epoch, c.epoch, "{label}@{k}: {tear:?} changed the epoch");
+                    assert_eq!(
+                        r.base.epoch(),
+                        c.base.epoch(),
+                        "{label}@{k}: {tear:?} changed the epoch"
+                    );
                     assert_eq!(r.ledger, c.ledger, "{label}@{k}: {tear:?} changed the ledger");
                 }
                 (clean, damaged) => panic!(

@@ -44,7 +44,7 @@ fn sequential_merges_share_the_window_state() {
     let bank = Bank::new();
     let mut arena = TxnArena::new();
     let s0 = DbState::uniform(6, 100);
-    let mut base = BaseNode::new(s0.clone());
+    let mut base = BaseNode::new(s0.clone(), 1, false);
 
     // Base activity within the window: a deposit on account 0.
     let b1 = arena
@@ -99,7 +99,7 @@ fn second_merge_sees_firsts_install_as_conflict_when_not_commuting() {
     let bank = Bank::new();
     let mut arena = TxnArena::new();
     let s0 = DbState::uniform(4, 100);
-    let mut base = BaseNode::new(s0.clone());
+    let mut base = BaseNode::new(s0.clone(), 1, false);
 
     let hm_a = deposits(&bank, &mut arena, "A", &[0], 50);
     let wd = arena.alloc(|id| bank.withdraw(id, "B-wd", v(0), 120));
