@@ -2,7 +2,7 @@
 
 use histmerge_txn::{Transaction, TxnId, VarSet};
 
-use crate::footprint::{DenseBits, VarInterner};
+use crate::footprint::{BitsRef, DenseBits, VarInterner};
 
 /// Owns every transaction of a merge scenario and assigns dense [`TxnId`]s.
 ///
@@ -33,11 +33,23 @@ pub struct TxnArena {
     txns: Vec<Transaction>,
     /// Dense variable index over every footprint seen at admission.
     interner: VarInterner,
-    /// Per-transaction read-set bitsets over the interner, parallel to
+    /// Every transaction's read-set bitset followed by its write-set
+    /// bitset over the interner, in admission order: one slab for the
+    /// whole arena, so admitting a transaction allocates nothing
+    /// amortized.
+    bits: Vec<u64>,
+    /// Where each transaction's bitsets lie in `bits`, parallel to
     /// `txns`.
-    read_bits: Vec<DenseBits>,
-    /// Per-transaction write-set bitsets, parallel to `txns`.
-    write_bits: Vec<DenseBits>,
+    spans: Vec<BitSpan>,
+}
+
+/// A transaction's bitsets in the arena slab: `read` words from `start`,
+/// then `write` words.
+#[derive(Debug, Clone, Copy)]
+struct BitSpan {
+    start: usize,
+    read: u32,
+    write: u32,
 }
 
 impl TxnArena {
@@ -59,8 +71,11 @@ impl TxnArena {
         let id = TxnId::new(self.txns.len() as u32);
         let txn = build(id);
         assert_eq!(txn.id(), id, "transaction must keep the id assigned by the arena");
-        self.read_bits.push(self.interner.intern_set(txn.readset()));
-        self.write_bits.push(self.interner.intern_set(txn.writeset()));
+        let start = self.bits.len();
+        let read = self.interner.intern_into(txn.readset(), &mut self.bits);
+        let write = self.interner.intern_into(txn.writeset(), &mut self.bits);
+        let words = |n: usize| u32::try_from(n).expect("a footprint spans fewer than 2^32 words");
+        self.spans.push(BitSpan { start, read: words(read), write: words(write) });
         self.txns.push(txn);
         id
     }
@@ -70,8 +85,9 @@ impl TxnArena {
     /// # Panics
     ///
     /// Panics if `id` was not allocated by this arena.
-    pub fn read_bits(&self, id: TxnId) -> &DenseBits {
-        &self.read_bits[id.index() as usize]
+    pub fn read_bits(&self, id: TxnId) -> BitsRef<'_> {
+        let span = self.spans[id.index() as usize];
+        BitsRef::new(&self.bits[span.start..span.start + span.read as usize])
     }
 
     /// The interned write-set bitset of `id`.
@@ -79,8 +95,10 @@ impl TxnArena {
     /// # Panics
     ///
     /// Panics if `id` was not allocated by this arena.
-    pub fn write_bits(&self, id: TxnId) -> &DenseBits {
-        &self.write_bits[id.index() as usize]
+    pub fn write_bits(&self, id: TxnId) -> BitsRef<'_> {
+        let span = self.spans[id.index() as usize];
+        let start = span.start + span.read as usize;
+        BitsRef::new(&self.bits[start..start + span.write as usize])
     }
 
     /// Word-wise conflict test: `true` if `a` and `b` touch a common item
@@ -88,17 +106,16 @@ impl TxnArena {
     /// the `VarSet` test
     /// `a.reads ∩ b.writes ∪ a.writes ∩ b.reads ∪ a.writes ∩ b.writes ≠ ∅`.
     pub fn conflicts(&self, a: TxnId, b: TxnId) -> bool {
-        let (ai, bi) = (a.index() as usize, b.index() as usize);
-        self.read_bits[ai].intersects(&self.write_bits[bi])
-            || self.write_bits[ai].intersects(&self.read_bits[bi])
-            || self.write_bits[ai].intersects(&self.write_bits[bi])
+        let (a_writes, b_writes) = (self.write_bits(a), self.write_bits(b));
+        self.read_bits(a).intersects(b_writes)
+            || a_writes.intersects(self.read_bits(b))
+            || a_writes.intersects(b_writes)
     }
 
     /// Word-wise test for `reader.readset ∩ writer.writeset ≠ ∅` (the
     /// precedence rule-3 primitive).
     pub fn reads_overlap_writes(&self, reader: TxnId, writer: TxnId) -> bool {
-        self.read_bits[reader.index() as usize]
-            .intersects(&self.write_bits[writer.index() as usize])
+        self.read_bits(reader).intersects(self.write_bits(writer))
     }
 
     /// The bitset of an arbitrary variable set over this arena's index.

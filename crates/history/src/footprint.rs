@@ -2,11 +2,14 @@
 //!
 //! [`TxnArena`](crate::TxnArena) interns every variable a transaction's
 //! static read/write set touches into a dense index (first-seen order at
-//! allocation) and keeps each transaction's footprint as a [`DenseBits`]
-//! word vector over that index. The merge hot path — precedence rules
-//! 1/2/3, the base-edge cache, the reads-from closure, the conflict
-//! slice — then answers every "do these sets overlap?" question with
-//! word-wise ANDs instead of `BTreeSet` walks.
+//! allocation) and appends the transaction's read and write bitsets over
+//! that index to one arena-wide word slab; [`BitsRef`] is the borrowed
+//! view of one of them. The merge hot path — precedence rules 1/2/3, the
+//! base-edge cache, the reads-from closure, the conflict slice — then
+//! answers every "do these sets overlap?" question with word-wise ANDs
+//! instead of walking sorted member lists. [`DenseBits`] is the owned,
+//! growing bitset for aggregates (a history's read union, the epoch
+//! footprint, the selected slice).
 //!
 //! `VarSet` stays the public vocabulary type; the bitsets are the
 //! arena-internal fast path, and differential tests
@@ -15,12 +18,60 @@
 
 use histmerge_txn::VarSet;
 
-/// A growable bitset over dense variable indices.
+/// A borrowed bitset over dense variable indices: a transaction's interned
+/// read or write set in its arena's slab, or a view of a [`DenseBits`].
 ///
-/// Bitsets built against the same interner are comparable word-by-word;
-/// sets interned at different times may have different lengths (the
-/// interner only grows), so every binary operation treats missing tail
-/// words as zero.
+/// Bitsets over the same interner are comparable word-by-word; sets
+/// interned at different times may have different lengths (the interner
+/// only grows), so every binary operation treats missing tail words as
+/// zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BitsRef<'a> {
+    words: &'a [u64],
+}
+
+impl<'a> BitsRef<'a> {
+    /// The view of `words`, bit `i` at word `i / 64`, position `i % 64`.
+    pub(crate) fn new(words: &'a [u64]) -> Self {
+        BitsRef { words }
+    }
+
+    /// Word-wise AND-any: `true` if the two bitsets share a set bit.
+    pub fn intersects<'b>(self, other: impl Into<BitsRef<'b>>) -> bool {
+        self.words.iter().zip(other.into().words).any(|(a, b)| a & b != 0)
+    }
+
+    /// Iterates the indices of the set bits in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = u32> + 'a {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    (wi as u32) * 64 + b
+                })
+            })
+        })
+    }
+
+    /// The backing words (trailing words may be zero).
+    pub fn words(self) -> &'a [u64] {
+        self.words
+    }
+}
+
+impl<'a> From<&'a DenseBits> for BitsRef<'a> {
+    fn from(bits: &'a DenseBits) -> Self {
+        BitsRef { words: &bits.words }
+    }
+}
+
+/// A growable, owned bitset over dense variable indices, for aggregates
+/// built by OR-ing footprints together.
+///
+/// Comparable word-by-word with any [`BitsRef`] over the same interner;
+/// missing tail words count as zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DenseBits {
     words: Vec<u64>,
@@ -58,16 +109,17 @@ impl DenseBits {
     }
 
     /// Word-wise AND-any: `true` if the two bitsets share a set bit.
-    pub fn intersects(&self, other: &DenseBits) -> bool {
-        self.words.iter().zip(other.words.iter()).any(|(a, b)| a & b != 0)
+    pub fn intersects<'b>(&self, other: impl Into<BitsRef<'b>>) -> bool {
+        BitsRef::from(self).intersects(other)
     }
 
     /// Word-wise OR of `other` into `self`, growing as needed.
-    pub fn union_with(&mut self, other: &DenseBits) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
+    pub fn union_with<'b>(&mut self, other: impl Into<BitsRef<'b>>) {
+        let other = other.into().words;
+        if other.len() > self.words.len() {
+            self.words.resize(other.len(), 0);
         }
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
+        for (a, b) in self.words.iter_mut().zip(other) {
             *a |= *b;
         }
     }
@@ -79,16 +131,7 @@ impl DenseBits {
 
     /// Iterates the indices of the set bits in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let b = rest.trailing_zeros();
-                    rest &= rest - 1;
-                    (wi as u32) * 64 + b
-                })
-            })
-        })
+        BitsRef::from(self).iter()
     }
 
     /// The backing words (trailing words may be zero).
@@ -131,13 +174,20 @@ impl VarInterner {
         self.index.is_empty()
     }
 
-    /// Interns every member of `set` and returns its bitset.
-    pub fn intern_set(&mut self, set: &VarSet) -> DenseBits {
-        let mut bits = DenseBits::new();
+    /// Interns every member of `set` and appends its bitset to `slab`:
+    /// the words from the slab's old length on, as many as the highest
+    /// member's index needs. Returns that word count.
+    pub fn intern_into(&mut self, set: &VarSet, slab: &mut Vec<u64>) -> usize {
+        let start = slab.len();
         for var in set.iter() {
-            bits.set(self.intern(var));
+            let i = self.intern(var);
+            let word = start + (i / 64) as usize;
+            if word >= slab.len() {
+                slab.resize(word + 1, 0);
+            }
+            slab[word] |= 1u64 << (i % 64);
         }
-        bits
+        slab.len() - start
     }
 
     /// The bitset of `set` over the *current* index, skipping variables
@@ -223,12 +273,15 @@ mod tests {
     fn bits_of_skips_foreign_vars() {
         let mut it = VarInterner::new();
         let set: VarSet = [v(1), v(2)].into_iter().collect();
-        let interned = it.intern_set(&set);
-        assert_eq!(interned.count(), 2);
+        let mut slab = vec![u64::MAX];
+        assert_eq!(it.intern_into(&set, &mut slab), 1);
+        let interned = BitsRef::new(&slab[1..]);
+        assert_eq!(interned.iter().collect::<Vec<_>>(), vec![0, 1]);
         let probe: VarSet = [v(2), v(99)].into_iter().collect();
         let bits = it.bits_of(&probe);
         assert_eq!(bits.count(), 1);
-        assert!(bits.intersects(&interned));
+        assert!(bits.intersects(interned));
+        assert!(interned.intersects(&bits));
         assert_eq!(it.len(), 2, "bits_of must not intern");
     }
 }

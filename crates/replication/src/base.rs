@@ -133,6 +133,13 @@ impl BaseNode {
         }
     }
 
+    /// Takes the base apart at the end of a run: the master, the committed
+    /// log, the window-start state and the commit accounting, moved out
+    /// instead of copied.
+    pub(crate) fn into_parts(self) -> (DbState, Vec<(TxnId, DbState)>, Arc<DbState>, ClusterStats) {
+        (self.master, self.log, self.epoch_state, self.stats)
+    }
+
     /// Re-appends a recovered commit: the durable log stores each commit's
     /// write delta, so replay applies it to the master instead of
     /// re-running the transaction. Recovery-only.

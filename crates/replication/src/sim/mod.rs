@@ -337,25 +337,25 @@ impl Simulation {
         }
         self.metrics.sched.events_pushed = self.events.pushed();
         self.metrics.sched.events_popped = self.events.popped();
-        let durable = self.wal.take().map(|wal| DurableReport {
+        let (base_commits, ledger_len) = (self.base.committed(), self.ledger.len());
+        let (epoch, epoch_start) = (self.base.epoch(), self.base.epoch_start());
+        // The run's artifacts move into the report. The mobiles go first:
+        // they share the window-start states, which the durable report
+        // then takes without copying.
+        let Simulation { arena, base, mobiles, ledger, initial, wal, metrics, .. } = self;
+        drop(mobiles);
+        let (final_master, log, epoch_state, cluster) = base.into_parts();
+        let durable = wal.map(|wal| DurableReport {
             storage: wal.into_storage(),
-            log: self.base.log().to_vec(),
-            epoch: self.base.epoch(),
-            epoch_start: self.base.epoch_start(),
-            epoch_state: self.base.epoch_state().clone(),
-            ledger: self.ledger.clone(),
-            arena: self.arena.clone(),
-            initial: (*self.initial).clone(),
+            log,
+            epoch,
+            epoch_start,
+            epoch_state: Arc::unwrap_or_clone(epoch_state),
+            ledger,
+            arena,
+            initial: Arc::unwrap_or_clone(initial),
         });
-        SimReport {
-            base_commits: self.base.committed(),
-            final_master: self.base.master().clone(),
-            cluster: self.base.stats().clone(),
-            ledger_len: self.ledger.len(),
-            metrics: self.metrics,
-            convergence,
-            durable,
-        }
+        SimReport { base_commits, final_master, cluster, ledger_len, metrics, convergence, durable }
     }
 
     /// Replays the recorded commit order through the serial path from the

@@ -78,12 +78,12 @@ impl Statement {
 pub struct Program {
     name: String,
     stmts: Vec<Statement>,
-    readset: VarSet,
-    writeset: VarSet,
+    /// The static read set, with its overlap filter.
+    reads: VarMask,
+    /// The static write set, with its overlap filter.
+    writes: VarMask,
     /// `readset ∪ writeset`, precomputed so executions stop re-deriving it.
     footprint: VarSet,
-    read_mask: VarMask,
-    write_mask: VarMask,
     n_params: usize,
 }
 
@@ -96,7 +96,7 @@ impl Program {
     /// them; blind writes must be enabled explicitly with
     /// [`ProgramBuilder::allow_blind_writes`].
     pub fn has_blind_writes(&self) -> bool {
-        !self.writeset.is_subset(&self.readset)
+        !self.writeset().is_subset(self.readset())
     }
 }
 
@@ -113,12 +113,12 @@ impl Program {
 
     /// Static read set: every data item read on any execution path.
     pub fn readset(&self) -> &VarSet {
-        &self.readset
+        self.reads.set()
     }
 
     /// Static write set: every data item updated on any execution path.
     pub fn writeset(&self) -> &VarSet {
-        &self.writeset
+        self.writes.set()
     }
 
     /// Static footprint `readset ∪ writeset`, precomputed at build time
@@ -129,12 +129,12 @@ impl Program {
 
     /// Overlap-test mask of the static read set (see [`VarMask`]).
     pub fn read_mask(&self) -> &VarMask {
-        &self.read_mask
+        &self.reads
     }
 
     /// Overlap-test mask of the static write set (see [`VarMask`]).
     pub fn write_mask(&self) -> &VarMask {
-        &self.write_mask
+        &self.writes
     }
 
     /// Number of parameters the program expects (highest index + 1).
@@ -293,16 +293,12 @@ impl ProgramBuilder {
             &mut n_params,
         )?;
         let footprint = readset.union(&writeset);
-        let read_mask = VarMask::from_set(&readset);
-        let write_mask = VarMask::from_set(&writeset);
         Ok(Program {
             name: self.name,
             stmts: self.stmts,
-            readset,
-            writeset,
+            reads: VarMask::of(readset),
+            writes: VarMask::of(writeset),
             footprint,
-            read_mask,
-            write_mask,
             n_params,
         })
     }

@@ -124,18 +124,9 @@ impl DbState {
     /// Returns the set of variables on which `self` and `other` disagree
     /// (including variables present in only one of the two states).
     pub fn diff_vars(&self, other: &DbState) -> VarSet {
-        let mut out = VarSet::new();
-        for (var, val) in self.iter() {
-            if other.try_get(var) != Some(val) {
-                out.insert(var);
-            }
-        }
-        for (var, _) in other.iter() {
-            if !self.contains(var) {
-                out.insert(var);
-            }
-        }
-        out
+        let changed = self.iter().filter(|&(var, val)| other.try_get(var) != Some(val));
+        let added = other.iter().filter(|&(var, _)| !self.contains(var));
+        changed.chain(added).map(|(var, _)| var).collect()
     }
 
     /// Returns `true` if both states assign the same value to every variable
