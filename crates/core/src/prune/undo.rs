@@ -80,6 +80,9 @@ pub fn undo(
             continue;
         }
         if let Some(ura) = build_undo_repair(arena, original, *id, &undone)? {
+            // The action is built from the concrete program, so only a
+            // hand-built transaction's free parameters can remain in it;
+            // an instance's constants are already in place.
             let txn = arena.get(*id);
             let delta = histmerge_txn::exec::execute_view(
                 &ura,
@@ -96,7 +99,9 @@ pub fn undo(
 
 /// Builds the undo-repair action for affected transaction `ag_k`
 /// (Algorithm 3). Returns `Ok(None)` when every update was dropped (the
-/// whole effect survived the undo).
+/// whole effect survived the undo). The action is derived from the
+/// transaction's concrete program
+/// ([`Transaction::concrete`](histmerge_txn::Transaction::concrete)).
 ///
 /// # Errors
 ///
@@ -135,7 +140,9 @@ pub fn build_undo_repair(
 
     let mut prev_updated = VarSet::new();
     let mut local_known: BTreeMap<VarId, Value> = BTreeMap::new();
-    let body = ctx.transform_block(txn.program().statements(), &mut prev_updated, &mut local_known);
+    let concrete = txn.concrete();
+    let body =
+        ctx.transform_block(concrete.program.statements(), &mut prev_updated, &mut local_known);
     if !contains_update(&body) {
         return Ok(None);
     }

@@ -40,11 +40,15 @@ pub enum Phase {
     /// Draining the event queue and dispatching a tick's scheduled mobile
     /// work (event-driven scheduler only).
     Scheduler,
+    /// Tearing a finished simulation down: dropping the mobiles, the
+    /// transaction arena and the working state, and moving the artifacts
+    /// into the report.
+    Teardown,
 }
 
 impl Phase {
     /// Every phase, in report order.
-    pub const ALL: [Phase; 15] = [
+    pub const ALL: [Phase; 16] = [
         Phase::Exec,
         Phase::GraphBuild,
         Phase::Backout,
@@ -60,6 +64,7 @@ impl Phase {
         Phase::Recovery,
         Phase::Window,
         Phase::Scheduler,
+        Phase::Teardown,
     ];
 
     /// Stable snake-case name, used as the JSONL `phase` field and the
@@ -81,6 +86,7 @@ impl Phase {
             Phase::Recovery => "recovery",
             Phase::Window => "window",
             Phase::Scheduler => "scheduler",
+            Phase::Teardown => "teardown",
         }
     }
 

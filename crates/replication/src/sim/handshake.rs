@@ -108,9 +108,11 @@ impl Simulation {
     /// Tracks a tentative transaction's resolution (install or
     /// re-execution); a second resolution of the same id is the
     /// idempotence violation the convergence oracle reports.
-    fn mark_resolved(&mut self, id: TxnId) {
-        if !self.resolved.insert(id) {
+    pub(super) fn mark_resolved(&mut self, id: TxnId) {
+        if self.resolved.get(id.index()) {
             self.metrics.fault.double_resolutions += 1;
+        } else {
+            self.resolved.set(id.index());
         }
     }
 

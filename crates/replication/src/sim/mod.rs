@@ -7,7 +7,7 @@
 //! the session protocol), `durable` (write-ahead-log hooks) and
 //! `telemetry` (time-series samples and merge autopsies).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use histmerge_core::merge::{MergeConfig, MergeScratch, Merger};
 use histmerge_core::prune::PruneMethod;
 use histmerge_core::rewrite::{FixMode, RewriteAlgorithm};
-use histmerge_history::{TwoCycleOptimal, TxnArena};
+use histmerge_history::{DenseBits, TwoCycleOptimal, TxnArena};
 use histmerge_obs::{Phase, TraceEvent};
 use histmerge_semantics::{OracleStack, SemanticOracle, StaticAnalyzer};
 use histmerge_txn::{DbState, TxnId, TxnKind};
@@ -177,9 +177,10 @@ pub struct Simulation {
     fault_rng: StdRng,
     /// The base's durable session table (session path).
     ledger: SessionLedger,
-    /// Tentative transactions already installed or re-executed — the
-    /// double-resolution guard behind the convergence oracle.
-    resolved: BTreeSet<TxnId>,
+    /// Tentative transactions already installed or re-executed, one bit
+    /// per arena id (ids are dense) — the double-resolution guard behind
+    /// the convergence oracle.
+    resolved: DenseBits,
     /// The initial master state, kept for the oracle's replay: the base's
     /// first window-start state, shared rather than copied.
     initial: Arc<DbState>,
@@ -285,7 +286,7 @@ impl Simulation {
             base_accum: 0.0,
             fault_rng: config.fault.rng(),
             ledger: SessionLedger::new(),
-            resolved: BTreeSet::new(),
+            resolved: DenseBits::new(),
             initial,
             wal,
             logged_commits: 0,
@@ -339,22 +340,45 @@ impl Simulation {
         self.metrics.sched.events_popped = self.events.popped();
         let (base_commits, ledger_len) = (self.base.committed(), self.ledger.len());
         let (epoch, epoch_start) = (self.base.epoch(), self.base.epoch_start());
-        // The run's artifacts move into the report. The mobiles go first:
-        // they share the window-start states, which the durable report
-        // then takes without copying.
-        let Simulation { arena, base, mobiles, ledger, initial, wal, metrics, .. } = self;
-        drop(mobiles);
-        let (final_master, log, epoch_state, cluster) = base.into_parts();
-        let durable = wal.map(|wal| DurableReport {
-            storage: wal.into_storage(),
-            log,
-            epoch,
-            epoch_start,
-            epoch_state: Arc::unwrap_or_clone(epoch_state),
-            ledger,
+        // The run's artifacts move into the report and everything else is
+        // dropped, inside a span of its own so the teardown is attributed.
+        // The mobiles go first: they share the window-start states, which
+        // the durable report then takes without copying.
+        let tracer = self.config.tracer.clone();
+        let span = tracer.span_start();
+        let Simulation {
             arena,
-            initial: Arc::unwrap_or_clone(initial),
-        });
+            base,
+            mobiles,
+            source,
+            merger,
+            ledger,
+            initial,
+            wal,
+            metrics,
+            merge_scratch,
+            events,
+            ..
+        } = self;
+        drop((mobiles, source, merger, merge_scratch, events));
+        let (final_master, log, epoch_state, cluster) = base.into_parts();
+        let durable = match wal {
+            Some(wal) => Some(DurableReport {
+                storage: wal.into_storage(),
+                log,
+                epoch,
+                epoch_start,
+                epoch_state: Arc::unwrap_or_clone(epoch_state),
+                ledger,
+                arena,
+                initial: Arc::unwrap_or_clone(initial),
+            }),
+            None => {
+                drop((log, epoch_state, ledger, arena, initial));
+                None
+            }
+        };
+        tracer.span_end(Phase::Teardown, span);
         SimReport { base_commits, final_master, cluster, ledger_len, metrics, convergence, durable }
     }
 

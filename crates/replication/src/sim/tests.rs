@@ -567,6 +567,39 @@ fn double_install_is_counted_and_traced_instead_of_asserting() {
 }
 
 #[test]
+fn resolving_one_id_twice_counts_one_double_resolution() {
+    let cfg = config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 13);
+    let mut sim = Simulation::new(cfg).expect("valid sim config");
+    // Ids in the first word, past it, and far past it (the set grows).
+    for id in [5, 200, 4, 1000] {
+        sim.mark_resolved(TxnId::new(id));
+    }
+    assert_eq!(sim.metrics.fault.double_resolutions, 0, "distinct ids are no double resolution");
+    sim.mark_resolved(TxnId::new(200));
+    assert_eq!(sim.metrics.fault.double_resolutions, 1);
+    sim.mark_resolved(TxnId::new(5));
+    sim.mark_resolved(TxnId::new(1000));
+    assert_eq!(sim.metrics.fault.double_resolutions, 3);
+    sim.mark_resolved(TxnId::new(6));
+    assert_eq!(sim.metrics.fault.double_resolutions, 3, "a neighbouring id is its own");
+}
+
+#[test]
+fn teardown_runs_inside_its_own_span() {
+    use histmerge_obs::FlightRecorder;
+    let ring = FlightRecorder::handle(1 << 16);
+    let mut cfg =
+        config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 13);
+    cfg.sync_path = SyncPath::Session;
+    cfg.tracer = ring.clone();
+    Simulation::new(cfg).expect("valid sim config").run();
+    let dump = ring.dump_jsonl().expect("ring retains events");
+    let last = dump.lines().last().expect("a traced run records events");
+    assert!(last.contains(r#""phase":"teardown""#), "the teardown span closes the run: {last}");
+    assert_eq!(dump.matches(r#""phase":"teardown""#).count(), 1);
+}
+
+#[test]
 fn acked_sessions_are_pruned_so_the_ledger_stays_bounded() {
     // A long fault-free session run: every session acks, so every
     // record is pruned and the ledger ends empty — bounded by

@@ -89,12 +89,13 @@ impl RandomizedTester {
     }
 }
 
-/// Collects every literal constant from a transaction's program, to bias
-/// sampling toward guard boundaries.
+/// Collects every literal constant from a transaction's concrete program
+/// and its free parameters, to bias sampling toward guard boundaries.
 fn collect_constants(t: &Transaction) -> Vec<Value> {
     let mut out = Vec::new();
-    collect_stmts(t.program().statements(), &mut out);
-    out.extend(t.params().iter().copied());
+    let concrete = t.concrete();
+    collect_stmts(concrete.program.statements(), &mut out);
+    out.extend(concrete.params.iter().copied());
     out
 }
 

@@ -74,10 +74,13 @@ pub struct TxnSummary {
 }
 
 impl TxnSummary {
-    /// Builds the summary of a transaction's program.
+    /// Builds the summary of a transaction's concrete program
+    /// ([`Transaction::concrete`]), so an instance whose binding aliases
+    /// two slots summarizes as the program written out with one item.
     pub fn of(txn: &Transaction) -> TxnSummary {
         let mut summary = TxnSummary::default();
-        collect(txn.program().statements(), &VarSet::new(), txn.params(), &mut summary);
+        let concrete = txn.concrete();
+        collect(concrete.program.statements(), &VarSet::new(), concrete.params, &mut summary);
         summary
     }
 

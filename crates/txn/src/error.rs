@@ -40,6 +40,13 @@ pub enum TxnError {
         /// How many parameters were supplied.
         supplied: usize,
     },
+    /// A template's item slot has no item in the transaction's binding.
+    UnboundSlot {
+        /// The unbound slot.
+        slot: VarId,
+        /// How many slots the binding covers.
+        bound: usize,
+    },
     /// A transaction type name was not found in the registry.
     UnknownTxnType {
         /// The unknown type name.
@@ -62,6 +69,9 @@ impl fmt::Display for TxnError {
             TxnError::MissingParameter { index, supplied } => {
                 write!(f, "parameter p{index} referenced but only {supplied} supplied")
             }
+            TxnError::UnboundSlot { slot, bound } => {
+                write!(f, "slot {slot} is unbound (the binding covers {bound} slots)")
+            }
             TxnError::UnknownTxnType { name } => {
                 write!(f, "unknown transaction type `{name}`")
             }
@@ -81,6 +91,8 @@ mod tests {
         assert!(e.to_string().contains("d3"));
         let e = TxnError::MissingParameter { index: 2, supplied: 1 };
         assert!(e.to_string().contains("p2"));
+        let e = TxnError::UnboundSlot { slot: VarId::new(4), bound: 2 };
+        assert!(e.to_string().contains("d4"));
         let e = TxnError::UnknownTxnType { name: "t".into() };
         assert!(e.to_string().contains("unknown"));
     }

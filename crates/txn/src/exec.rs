@@ -82,6 +82,26 @@ pub fn execute_view(
     state: &dyn StateRead,
     fix: &Fix,
 ) -> Result<ExecDelta, TxnError> {
+    execute_bound(program, &[], params, state, fix)
+}
+
+/// Executes the template `program` with its item slots bound by
+/// `binding`: slot `VarId::new(i)` stands for item `binding[i]` in every
+/// read, update target, operand and guard, and every observation is
+/// recorded against the bound item. An empty `binding` is the identity,
+/// which makes this [`execute_view`].
+///
+/// # Errors
+///
+/// Same as [`execute`], plus [`TxnError::UnboundSlot`] if the program
+/// uses a slot `binding` does not cover.
+pub(crate) fn execute_bound(
+    program: &Program,
+    binding: &[VarId],
+    params: &[Value],
+    state: &dyn StateRead,
+    fix: &Fix,
+) -> Result<ExecDelta, TxnError> {
     let mut interp = Interp {
         env: BTreeMap::new(),
         reads: BTreeMap::new(),
@@ -91,6 +111,7 @@ pub fn execute_view(
         state,
         fix,
         params,
+        binding,
     };
     interp.run_block(program.statements())?;
     Ok(ExecDelta {
@@ -120,16 +141,19 @@ pub fn execute(
     fix: &Fix,
 ) -> Result<ExecOutcome, TxnError> {
     let delta = execute_view(program, params, state, fix)?;
+    Ok(materialize(delta, program.footprint(), state))
+}
 
-    let footprint = program.footprint();
+/// Completes a delta into an outcome: the after state, and both images
+/// over `footprint` (the executed program's static footprint, bound).
+pub(crate) fn materialize(delta: ExecDelta, footprint: &VarSet, state: &DbState) -> ExecOutcome {
     let before_image = state.project(footprint);
     let mut after = state.clone();
     for (var, value) in &delta.writes {
         after.set(*var, *value);
     }
     let after_image = after.project(footprint);
-
-    Ok(ExecOutcome {
+    ExecOutcome {
         after,
         reads: delta.reads,
         writes: delta.writes,
@@ -137,7 +161,19 @@ pub fn execute(
         observed_writeset: delta.observed_writeset,
         before_image,
         after_image,
-    })
+    }
+}
+
+/// The item slot `slot` stands for under `binding` (the identity when
+/// `binding` is empty).
+pub(crate) fn bind(binding: &[VarId], slot: VarId) -> Result<VarId, TxnError> {
+    if binding.is_empty() {
+        return Ok(slot);
+    }
+    binding
+        .get(slot.index() as usize)
+        .copied()
+        .ok_or(TxnError::UnboundSlot { slot, bound: binding.len() })
 }
 
 struct Interp<'a> {
@@ -150,23 +186,27 @@ struct Interp<'a> {
     state: &'a dyn StateRead,
     fix: &'a Fix,
     params: &'a [Value],
+    /// Slot → item (empty: the identity).
+    binding: &'a [VarId],
 }
 
 impl Interp<'_> {
     fn run_block(&mut self, stmts: &[Statement]) -> Result<(), TxnError> {
         for stmt in stmts {
             match stmt {
-                Statement::Read(var) => self.do_read(*var)?,
+                Statement::Read(slot) => self.do_read(bind(self.binding, *slot)?)?,
                 Statement::Update { target, expr } => {
+                    let target = bind(self.binding, *target)?;
                     let value = self.eval_expr(expr)?;
-                    self.env.insert(*target, value);
-                    self.writes.insert(*target, value);
-                    self.observed_writeset.insert(*target);
+                    self.env.insert(target, value);
+                    self.writes.insert(target, value);
+                    self.observed_writeset.insert(target);
                 }
                 Statement::If { cond, then_branch, else_branch } => {
                     let taken = {
-                        let Interp { env, params, .. } = self;
-                        let mut lookup = |var: VarId| {
+                        let Interp { env, params, binding, .. } = self;
+                        let mut lookup = |slot: VarId| {
+                            let var = bind(binding, slot)?;
                             env.get(&var).copied().ok_or(TxnError::MissingVariable { var })
                         };
                         cond.eval_with(&mut lookup, params)?
@@ -200,9 +240,11 @@ impl Interp<'_> {
     }
 
     fn eval_expr(&mut self, expr: &crate::expr::Expr) -> Result<Value, TxnError> {
-        let Interp { env, params, .. } = self;
-        let mut lookup =
-            |var: VarId| env.get(&var).copied().ok_or(TxnError::MissingVariable { var });
+        let Interp { env, params, binding, .. } = self;
+        let mut lookup = |slot: VarId| {
+            let var = bind(binding, slot)?;
+            env.get(&var).copied().ok_or(TxnError::MissingVariable { var })
+        };
         expr.eval_with(&mut lookup, params)
     }
 }

@@ -153,6 +153,51 @@ impl Expr {
         }
     }
 
+    /// The concrete expression of a template instance: each slot `Var(i)`
+    /// becomes `Var(binding[i])` and each `Param(i)` the constant
+    /// `params[i]`. Slots and parameters out of range stay as they are.
+    pub(crate) fn bound(&self, binding: &[VarId], params: &[Value]) -> Expr {
+        let two = |a: &Expr, b: &Expr| {
+            (Box::new(a.bound(binding, params)), Box::new(b.bound(binding, params)))
+        };
+        match self {
+            Expr::Const(v) => Expr::Const(*v),
+            Expr::Var(slot) => {
+                Expr::Var(binding.get(slot.index() as usize).copied().unwrap_or(*slot))
+            }
+            Expr::Param(i) => params.get(*i).map_or(Expr::Param(*i), |v| Expr::Const(*v)),
+            Expr::Add(a, b) => {
+                let (a, b) = two(a, b);
+                Expr::Add(a, b)
+            }
+            Expr::Sub(a, b) => {
+                let (a, b) = two(a, b);
+                Expr::Sub(a, b)
+            }
+            Expr::Mul(a, b) => {
+                let (a, b) = two(a, b);
+                Expr::Mul(a, b)
+            }
+            Expr::Div(a, b) => {
+                let (a, b) = two(a, b);
+                Expr::Div(a, b)
+            }
+            Expr::Mod(a, b) => {
+                let (a, b) = two(a, b);
+                Expr::Mod(a, b)
+            }
+            Expr::Min(a, b) => {
+                let (a, b) = two(a, b);
+                Expr::Min(a, b)
+            }
+            Expr::Max(a, b) => {
+                let (a, b) = two(a, b);
+                Expr::Max(a, b)
+            }
+            Expr::Neg(a) => Expr::Neg(Box::new(a.bound(binding, params))),
+        }
+    }
+
     /// Evaluates the expression.
     ///
     /// `lookup` supplies the value of each data item (the interpreter passes
@@ -375,6 +420,20 @@ impl Pred {
             Pred::Cmp(_, a, b) => a.max_param().max(b.max_param()),
             Pred::And(a, b) | Pred::Or(a, b) => a.max_param().max(b.max_param()),
             Pred::Not(a) => a.max_param(),
+        }
+    }
+
+    /// The concrete predicate of a template instance (see
+    /// [`Expr::bound`]).
+    pub(crate) fn bound(&self, binding: &[VarId], params: &[Value]) -> Pred {
+        match self {
+            Pred::True => Pred::True,
+            Pred::Cmp(op, a, b) => {
+                Pred::Cmp(*op, a.bound(binding, params), b.bound(binding, params))
+            }
+            Pred::And(a, b) => a.bound(binding, params).and(b.bound(binding, params)),
+            Pred::Or(a, b) => a.bound(binding, params).or(b.bound(binding, params)),
+            Pred::Not(a) => a.bound(binding, params).not(),
         }
     }
 

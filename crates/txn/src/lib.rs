@@ -58,6 +58,7 @@
 mod error;
 mod expr;
 mod fix;
+mod inline;
 mod program;
 mod state;
 mod transaction;
@@ -69,7 +70,8 @@ pub mod registry;
 pub use error::TxnError;
 pub use expr::{Expr, Pred};
 pub use fix::Fix;
+pub use inline::TxnName;
 pub use program::{Program, ProgramBuilder, Statement};
 pub use state::{DbState, OverlayState, StateRead, WriteDelta};
-pub use transaction::{Transaction, TxnId, TxnKind};
+pub use transaction::{Concrete, Transaction, TxnId, TxnKind};
 pub use value::{Value, VarId, VarMask, VarSet};

@@ -45,6 +45,23 @@ pub enum Statement {
 }
 
 impl Statement {
+    /// The concrete statement of a template instance (see
+    /// [`Expr::bound`]).
+    fn bound(&self, binding: &[VarId], params: &[Value]) -> Statement {
+        let slot = |v: &VarId| binding.get(v.index() as usize).copied().unwrap_or(*v);
+        match self {
+            Statement::Read(v) => Statement::Read(slot(v)),
+            Statement::Update { target, expr } => {
+                Statement::Update { target: slot(target), expr: expr.bound(binding, params) }
+            }
+            Statement::If { cond, then_branch, else_branch } => Statement::If {
+                cond: cond.bound(binding, params),
+                then_branch: then_branch.iter().map(|s| s.bound(binding, params)).collect(),
+                else_branch: else_branch.iter().map(|s| s.bound(binding, params)).collect(),
+            },
+        }
+    }
+
     fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         let pad = "  ".repeat(depth);
         match self {
@@ -74,6 +91,19 @@ impl Statement {
 /// set (every update target on any path); validation guarantees
 /// `writeset ⊆ readset` (no blind writes, the paper's standing assumption in
 /// Section 3).
+///
+/// A program is also a *template*: a [`Transaction`](crate::Transaction)
+/// built with [`Transaction::instance`](crate::Transaction::instance)
+/// reads each `VarId::new(i)` of the program as item slot `i`, bound to
+/// an item by the instance, and each [`Expr::param`] as a constant the
+/// instance supplies. Generators intern one program per transaction
+/// shape and share it, behind an `Arc`, among all instances of that
+/// shape; hand-built transactions ([`Transaction::new`]) bind every item
+/// to itself, so their program is the concrete one. The static sets here
+/// are in the program's own (slot) space; an instance keeps its bound
+/// sets itself.
+///
+/// [`Transaction::new`]: crate::Transaction::new
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     name: String,
@@ -158,6 +188,27 @@ impl Program {
                 .sum()
         }
         count(&self.stmts)
+    }
+
+    /// The concrete program of a template instance: every slot bound to
+    /// its item and every parameter replaced by its constant, with the
+    /// instance's already bound static sets.
+    pub(crate) fn bound(
+        &self,
+        name: &str,
+        binding: &[VarId],
+        params: &[Value],
+        sets: (VarMask, VarMask, VarSet),
+    ) -> Program {
+        let (reads, writes, footprint) = sets;
+        Program {
+            name: name.to_string(),
+            stmts: self.stmts.iter().map(|s| s.bound(binding, params)).collect(),
+            reads,
+            writes,
+            footprint,
+            n_params: if params.len() >= self.n_params { 0 } else { self.n_params },
+        }
     }
 
     /// Executes the program against `state` with the given parameters and

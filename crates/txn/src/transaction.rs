@@ -1,15 +1,19 @@
-//! Instantiated transactions.
+//! Instantiated transactions: a program (template) bound to items,
+//! constants and an identity.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::error::TxnError;
 use crate::exec::{self, ExecDelta, ExecOutcome};
+use crate::expr::Pred;
 use crate::fix::Fix;
-use crate::program::Program;
+use crate::inline::{Inline, TxnName};
+use crate::program::{Program, ProgramBuilder};
 use crate::registry::TxnTypeId;
 use crate::state::{DbState, StateRead};
-use crate::value::{Value, VarMask, VarSet};
+use crate::value::{Value, VarId, VarMask, VarSet};
 
 /// Identifier of a transaction within a history arena.
 ///
@@ -59,10 +63,24 @@ impl fmt::Display for TxnKind {
     }
 }
 
-/// A transaction instance: a program plus bound input parameters, identity,
-/// and optional semantic metadata.
+/// A transaction instance: a program (template) plus its slot binding,
+/// bound input parameters, identity, and optional semantic metadata.
 ///
-/// `Transaction` is cheaply cloneable (programs are shared via [`Arc`]).
+/// Two ways to build one:
+///
+/// * [`Transaction::new`] takes a concrete program and binds every item
+///   to itself (the identity binding), with free parameters;
+/// * [`Transaction::instance`] binds a shared template's item slots to
+///   items and its parameters to constants — how the generators and the
+///   canned libraries build every transaction, one template per shape.
+///
+/// An instance stores its binding, constants and name inline (up to
+/// seven of each, spilling beyond) plus its bound read/write
+/// [`VarMask`]s and footprint, so building, cloning and dropping one
+/// allocates nothing; programs are shared via [`Arc`]. Execution maps
+/// slots to items on every read, write, guard and precondition, and the
+/// statement walkers see the concrete program through
+/// [`Transaction::concrete`].
 ///
 /// # Example
 ///
@@ -85,34 +103,135 @@ impl fmt::Display for TxnKind {
 #[derive(Debug, Clone)]
 pub struct Transaction {
     id: TxnId,
-    name: String,
     kind: TxnKind,
-    program: Arc<Program>,
-    params: Vec<Value>,
-    inverse: Option<Arc<Program>>,
     type_id: Option<TxnTypeId>,
-    precondition: Option<crate::expr::Pred>,
+    name: TxnName,
+    program: Arc<Program>,
+    /// Slot `i` of the program (and of the inverse and precondition)
+    /// stands for item `binding[i]`; `None` is the identity binding of a
+    /// hand-built transaction.
+    binding: Option<Inline<VarId>>,
+    /// Free parameters (identity binding) or the template's constants.
+    params: Inline<Value>,
+    inverse: Option<Arc<Program>>,
+    precondition: Option<Arc<Pred>>,
+    /// The static read set, bound to items.
+    reads: VarMask,
+    /// The static write set, bound to items.
+    writes: VarMask,
+    /// `reads ∪ writes`, bound to items.
+    footprint: VarSet,
+}
+
+/// The concrete program a transaction runs, as the statement walkers
+/// (static summaries, constant scans, undo repair) need it: see
+/// [`Transaction::concrete`].
+#[derive(Debug, Clone)]
+pub struct Concrete<'a> {
+    /// The program with every slot bound to its item and every template
+    /// constant in place — borrowed for the identity binding.
+    pub program: Cow<'a, Program>,
+    /// The parameters `program` still takes: the free parameters of a
+    /// hand-built transaction, none for a template instance.
+    pub params: &'a [Value],
 }
 
 impl Transaction {
-    /// Creates a transaction instance.
+    /// Creates a transaction running the concrete `program`, every item
+    /// bound to itself, with free input parameters `params`.
     pub fn new(
         id: TxnId,
-        name: impl Into<String>,
+        name: impl Into<TxnName>,
         kind: TxnKind,
         program: Arc<Program>,
         params: Vec<Value>,
     ) -> Self {
         Transaction {
             id,
-            name: name.into(),
             kind,
-            program,
-            params,
-            inverse: None,
             type_id: None,
+            name: name.into(),
+            reads: program.read_mask().clone(),
+            writes: program.write_mask().clone(),
+            footprint: program.footprint().clone(),
+            program,
+            binding: None,
+            params: params.into(),
+            inverse: None,
             precondition: None,
         }
+    }
+
+    /// Instantiates the template `program`: item slot `i` (the program's
+    /// `VarId::new(i)`) is bound to `binding[i]` and parameter `i` to the
+    /// constant `params[i]`. Two slots may share an item; the instance
+    /// then behaves exactly as the concrete program with both slots
+    /// replaced by that item.
+    ///
+    /// Allocates nothing when the binding and the constants have at most
+    /// seven entries each.
+    ///
+    /// # Errors
+    ///
+    /// * [`TxnError::UnboundSlot`] — the program uses a slot past the end
+    ///   of `binding`;
+    /// * [`TxnError::MissingParameter`] — fewer constants than the program
+    ///   takes;
+    /// * [`TxnError::DuplicateUpdate`] — the binding makes one execution
+    ///   path update an item twice (its concrete program would not build).
+    pub fn instance(
+        id: TxnId,
+        name: TxnName,
+        kind: TxnKind,
+        program: Arc<Program>,
+        binding: &[VarId],
+        params: &[Value],
+    ) -> Result<Self, TxnError> {
+        if let Some(slot) = program.footprint().iter().last() {
+            if slot.index() as usize >= binding.len() {
+                return Err(TxnError::UnboundSlot { slot, bound: binding.len() });
+            }
+        }
+        if params.len() < program.n_params() {
+            return Err(TxnError::MissingParameter {
+                index: program.n_params() - 1,
+                supplied: params.len(),
+            });
+        }
+        let bind = |slot: VarId| binding[slot.index() as usize];
+        let reads = VarMask::of(program.readset().iter().map(bind).collect());
+        let writes = VarMask::of(program.writeset().iter().map(bind).collect());
+        let footprint = reads.set().union(writes.set());
+        let aliased_writes = writes.len() < program.writeset().len();
+        let txn = Transaction {
+            id,
+            kind,
+            type_id: None,
+            name,
+            program,
+            binding: Some(Inline::from_slice(binding)),
+            params: Inline::from_slice(params),
+            inverse: None,
+            precondition: None,
+            reads,
+            writes,
+            footprint,
+        };
+        if aliased_writes {
+            // Two written slots share an item: legal exactly when some
+            // path never updates both, which the builder decides on the
+            // concrete program.
+            let concrete = txn.concrete().program;
+            let mut builder = ProgramBuilder::new(txn.name());
+            if txn.program.has_blind_writes() {
+                builder = builder.allow_blind_writes();
+            }
+            for stmt in concrete.statements() {
+                builder = builder.statement(stmt.clone());
+            }
+            builder.build()?;
+        }
+        Ok(txn)
     }
 
     /// Declares the transaction's *precondition*: the predicate that must
@@ -122,16 +241,18 @@ impl Transaction {
     /// transaction is classified as **failed** and "informed to the users
     /// together with the corresponding reasons" (protocol step 6).
     ///
-    /// Precondition variables must be in the program's read set.
+    /// Precondition variables must be in the program's read set; like the
+    /// program, the predicate is read under the transaction's binding, so
+    /// a template's instances can share one (`Arc<Pred>`).
     #[must_use]
-    pub fn with_precondition(mut self, precondition: crate::expr::Pred) -> Self {
-        self.precondition = Some(precondition);
+    pub fn with_precondition(mut self, precondition: impl Into<Arc<Pred>>) -> Self {
+        self.precondition = Some(precondition.into());
         self
     }
 
-    /// The declared precondition, if any.
-    pub fn precondition(&self) -> Option<&crate::expr::Pred> {
-        self.precondition.as_ref()
+    /// The declared precondition, if any, in the program's slot space.
+    pub fn precondition(&self) -> Option<&Pred> {
+        self.precondition.as_deref()
     }
 
     /// Evaluates the precondition against `state` (honouring `fix`).
@@ -164,18 +285,20 @@ impl Transaction {
         match &self.precondition {
             None => Ok(true),
             Some(pred) => {
-                let mut lookup = |var| {
+                let binding = self.binding();
+                let mut lookup = |slot| {
+                    let var = exec::bind(binding, slot)?;
                     fix.get(var)
                         .or_else(|| state.read(var))
                         .ok_or(TxnError::MissingVariable { var })
                 };
-                pred.eval_with(&mut lookup, &self.params)
+                pred.eval_with(&mut lookup, self.params())
             }
         }
     }
 
     /// Attaches a compensating (inverse) program. The inverse is executed
-    /// with the same parameters as the forward program.
+    /// with the same binding and parameters as the forward program.
     #[must_use]
     pub fn with_inverse(mut self, inverse: Arc<Program>) -> Self {
         self.inverse = Some(inverse);
@@ -214,7 +337,7 @@ impl Transaction {
 
     /// Human-readable name (e.g. `Tm1`, `Tb2`).
     pub fn name(&self) -> &str {
-        &self.name
+        self.name.as_str()
     }
 
     /// Whether this is a base or tentative transaction.
@@ -222,17 +345,25 @@ impl Transaction {
         self.kind
     }
 
-    /// The underlying program.
+    /// The underlying program: the shared template of an instance, the
+    /// concrete program of a hand-built transaction.
     pub fn program(&self) -> &Arc<Program> {
         &self.program
     }
 
-    /// The bound input parameters.
-    pub fn params(&self) -> &[Value] {
-        &self.params
+    /// The slot binding: item `binding()[i]` for slot `i`. Empty for the
+    /// identity binding of [`Transaction::new`].
+    pub fn binding(&self) -> &[VarId] {
+        self.binding.as_ref().map_or(&[], Inline::as_slice)
     }
 
-    /// The compensating program, if one was declared.
+    /// The bound input parameters (a template instance's constants).
+    pub fn params(&self) -> &[Value] {
+        self.params.as_slice()
+    }
+
+    /// The compensating program, if one was declared (in the program's
+    /// slot space, bound like the program).
     pub fn inverse(&self) -> Option<&Arc<Program>> {
         self.inverse.as_ref()
     }
@@ -242,30 +373,29 @@ impl Transaction {
         self.type_id
     }
 
-    /// Static read set (delegates to the program).
+    /// Static read set, bound to items.
     pub fn readset(&self) -> &VarSet {
-        self.program.readset()
+        self.reads.set()
     }
 
-    /// Static write set (delegates to the program).
+    /// Static write set, bound to items.
     pub fn writeset(&self) -> &VarSet {
-        self.program.writeset()
+        self.writes.set()
     }
 
-    /// Static footprint `readset ∪ writeset` (delegates to the program).
+    /// Static footprint `readset ∪ writeset`, bound to items.
     pub fn footprint(&self) -> &VarSet {
-        self.program.footprint()
+        &self.footprint
     }
 
-    /// Overlap-test mask of the static read set (delegates to the program).
+    /// Overlap-test mask of the bound static read set.
     pub fn read_mask(&self) -> &VarMask {
-        self.program.read_mask()
+        &self.reads
     }
 
-    /// Overlap-test mask of the static write set (delegates to the
-    /// program).
+    /// Overlap-test mask of the bound static write set.
     pub fn write_mask(&self) -> &VarMask {
-        self.program.write_mask()
+        &self.writes
     }
 
     /// `readset − writeset`: the items read but never written. Lemma 2
@@ -275,13 +405,32 @@ impl Transaction {
         self.readset().difference(self.writeset())
     }
 
+    /// The concrete program this transaction runs: for a template
+    /// instance, the template with every slot replaced by its item and
+    /// every constant in place, built on each call; for a hand-built
+    /// transaction, the program itself. Statement walkers go through this
+    /// view, so an instance whose binding aliases two slots analyses
+    /// exactly as the program written out with that item twice.
+    pub fn concrete(&self) -> Concrete<'_> {
+        match &self.binding {
+            None => Concrete { program: Cow::Borrowed(&self.program), params: self.params() },
+            Some(binding) => {
+                let sets = (self.reads.clone(), self.writes.clone(), self.footprint.clone());
+                let program =
+                    self.program.bound(self.name(), binding.as_slice(), self.params(), sets);
+                Concrete { program: Cow::Owned(program), params: &[] }
+            }
+        }
+    }
+
     /// Executes the forward program on `state` with `fix`.
     ///
     /// # Errors
     ///
     /// See [`Program::execute`].
     pub fn execute(&self, state: &DbState, fix: &Fix) -> Result<ExecOutcome, TxnError> {
-        self.program.execute(&self.params, state, fix)
+        let delta = self.execute_delta(state, fix)?;
+        Ok(exec::materialize(delta, &self.footprint, state))
     }
 
     /// Executes the forward program against any [`StateRead`] view,
@@ -292,7 +441,7 @@ impl Transaction {
     ///
     /// See [`Program::execute`].
     pub fn execute_delta(&self, state: &dyn StateRead, fix: &Fix) -> Result<ExecDelta, TxnError> {
-        exec::execute_view(&self.program, &self.params, state, fix)
+        exec::execute_bound(&self.program, self.binding(), self.params(), state, fix)
     }
 
     /// Executes the compensating program against any [`StateRead`] view,
@@ -308,10 +457,7 @@ impl Transaction {
         state: &dyn StateRead,
         fix: &Fix,
     ) -> Result<ExecDelta, TxnError> {
-        let inverse = self.inverse.as_ref().ok_or_else(|| TxnError::UnknownTxnType {
-            name: format!("{} (no compensating program)", self.name),
-        })?;
-        exec::execute_view(inverse, &self.params, state, fix)
+        exec::execute_bound(self.inverse_program()?, self.binding(), self.params(), state, fix)
     }
 
     /// Executes the compensating program on `state` with `fix` (the *fixed
@@ -322,10 +468,21 @@ impl Transaction {
     /// Returns [`TxnError::UnknownTxnType`] if no inverse was declared,
     /// otherwise see [`Program::execute`].
     pub fn compensate(&self, state: &DbState, fix: &Fix) -> Result<ExecOutcome, TxnError> {
-        let inverse = self.inverse.as_ref().ok_or_else(|| TxnError::UnknownTxnType {
+        let inverse = self.inverse_program()?;
+        let delta = exec::execute_bound(inverse, self.binding(), self.params(), state, fix)?;
+        let binding = self.binding();
+        let footprint = inverse
+            .footprint()
+            .iter()
+            .map(|slot| exec::bind(binding, slot))
+            .collect::<Result<VarSet, TxnError>>()?;
+        Ok(exec::materialize(delta, &footprint, state))
+    }
+
+    fn inverse_program(&self) -> Result<&Program, TxnError> {
+        self.inverse.as_deref().ok_or_else(|| TxnError::UnknownTxnType {
             name: format!("{} (no compensating program)", self.name),
-        })?;
-        inverse.execute(&self.params, state, fix)
+        })
     }
 }
 

@@ -13,7 +13,7 @@ pub type Value = i64;
 /// named variables `x, y, z` of Section 3).
 ///
 /// `VarId` is a dense index so that per-variable bookkeeping can use vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(u32);
 
 impl VarId {

@@ -11,11 +11,83 @@
 //!   offline as Section 5.1 prescribes for canned systems (and
 //!   cross-checked against differential execution in this module's tests).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use histmerge_semantics::{CanPrecedePolicy, DeclaredTable};
 use histmerge_txn::registry::{TxnTypeId, TypeRegistry};
-use histmerge_txn::{Expr, Program, ProgramBuilder, Transaction, TxnId, TxnKind, Value, VarId};
+use histmerge_txn::{
+    Expr, Pred, Program, ProgramBuilder, Transaction, TxnId, TxnKind, TxnName, Value, VarId,
+};
+
+/// A canned type's template: its forward program, declared inverse and
+/// precondition over item slots `VarId::new(0..)` and parameters `p0..`.
+/// Every transaction of the type is an instance of it, the inverse and
+/// the precondition bound by the same binding as the program.
+#[derive(Debug, Clone)]
+struct Template {
+    program: Arc<Program>,
+    inverse: Option<Arc<Program>>,
+    precondition: Option<Arc<Pred>>,
+    type_id: Option<TxnTypeId>,
+}
+
+impl Template {
+    fn new(program: Program, type_id: Option<TxnTypeId>) -> Self {
+        Template { program: Arc::new(program), inverse: None, precondition: None, type_id }
+    }
+
+    fn inverse(mut self, inverse: Program) -> Self {
+        self.inverse = Some(Arc::new(inverse));
+        self
+    }
+
+    fn precondition(mut self, precondition: Pred) -> Self {
+        self.precondition = Some(Arc::new(precondition));
+        self
+    }
+
+    /// The instance binding `items` and `params`, named `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the binding makes the program invalid — a transfer
+    /// from an account to itself, which updates it twice.
+    fn instance(&self, id: TxnId, name: &str, items: &[VarId], params: &[Value]) -> Transaction {
+        let mut txn = Transaction::instance(
+            id,
+            TxnName::new(name),
+            TxnKind::Tentative,
+            Arc::clone(&self.program),
+            items,
+            params,
+        )
+        .expect("canned bindings fit their template");
+        if let Some(inverse) = &self.inverse {
+            txn = txn.with_inverse(Arc::clone(inverse));
+        }
+        if let Some(precondition) = &self.precondition {
+            txn = txn.with_precondition(Arc::clone(precondition));
+        }
+        match self.type_id {
+            Some(type_id) => txn.with_type(type_id),
+            None => txn,
+        }
+    }
+}
+
+/// A template built on its type's first instance, so constructing a
+/// library builds no program.
+type Lazy = OnceLock<Template>;
+
+/// Item slot `i` of a canned template.
+fn s(i: u32) -> VarId {
+    VarId::new(i)
+}
+
+/// A template program known to be well formed.
+fn build(b: ProgramBuilder) -> Program {
+    b.build().expect("canned templates are well formed")
+}
 
 /// The banking library: accounts are data items holding balances.
 ///
@@ -51,6 +123,7 @@ pub struct Bank {
     withdraw: TxnTypeId,
     accrue: TxnTypeId,
     audit: TxnTypeId,
+    templates: [Lazy; 4],
 }
 
 impl Default for Bank {
@@ -74,7 +147,14 @@ impl Bank {
         let withdraw = registry.register("bank.withdraw");
         let accrue = registry.register("bank.accrue");
         let audit = registry.register("bank.audit");
-        Bank { registry: registry.clone(), deposit, withdraw, accrue, audit }
+        Bank {
+            registry: registry.clone(),
+            deposit,
+            withdraw,
+            accrue,
+            audit,
+            templates: Default::default(),
+        }
     }
 
     /// The type registry (for reports).
@@ -99,23 +179,22 @@ impl Bank {
 
     /// `deposit(acct, amt)`: `acct += amt`. Inverse: `acct -= amt`.
     pub fn deposit(&self, id: TxnId, name: &str, acct: VarId, amt: Value) -> Transaction {
-        let fwd: Arc<Program> = Arc::new(
-            ProgramBuilder::new(name)
-                .read(acct)
-                .update(acct, Expr::var(acct) + Expr::konst(amt))
-                .build()
-                .expect("deposit is well formed"),
-        );
-        let inv: Arc<Program> = Arc::new(
-            ProgramBuilder::new(format!("{name}^-1"))
-                .read(acct)
-                .update(acct, Expr::var(acct) - Expr::konst(amt))
-                .build()
-                .expect("deposit inverse is well formed"),
-        );
-        Transaction::new(id, name, TxnKind::Tentative, fwd, vec![])
-            .with_inverse(inv)
-            .with_type(self.deposit)
+        let template = self.templates[0].get_or_init(|| {
+            Template::new(
+                build(
+                    ProgramBuilder::new("bank.deposit")
+                        .read(s(0))
+                        .update(s(0), Expr::var(s(0)) + Expr::param(0)),
+                ),
+                Some(self.deposit),
+            )
+            .inverse(build(
+                ProgramBuilder::new("bank.deposit^-1")
+                    .read(s(0))
+                    .update(s(0), Expr::var(s(0)) - Expr::param(0)),
+            ))
+        });
+        template.instance(id, name, &[acct], &[amt])
     }
 
     /// `withdraw(acct, amt)`: `if acct >= amt then acct -= amt`.
@@ -123,36 +202,31 @@ impl Bank {
     /// immediately after the forward run when the guard re-evaluates the
     /// same way; canned systems record the branch — modeled by fixes).
     pub fn withdraw(&self, id: TxnId, name: &str, acct: VarId, amt: Value) -> Transaction {
-        let fwd: Arc<Program> = Arc::new(
-            ProgramBuilder::new(name)
-                .read(acct)
-                .branch(
-                    Expr::var(acct).ge(Expr::konst(amt)),
-                    |b| b.update(acct, Expr::var(acct) - Expr::konst(amt)),
+        let template = self.templates[1].get_or_init(|| {
+            Template::new(
+                build(ProgramBuilder::new("bank.withdraw").read(s(0)).branch(
+                    Expr::var(s(0)).ge(Expr::param(0)),
+                    |b| b.update(s(0), Expr::var(s(0)) - Expr::param(0)),
                     |b| b,
-                )
-                .build()
-                .expect("withdraw is well formed"),
-        );
-        let inv: Arc<Program> = Arc::new(
-            ProgramBuilder::new(format!("{name}^-1"))
-                .read(acct)
-                .branch(
-                    Expr::var(acct).ge(Expr::konst(0)),
-                    |b| b.update(acct, Expr::var(acct) + Expr::konst(amt)),
-                    |b| b,
-                )
-                .build()
-                .expect("withdraw inverse is well formed"),
-        );
-        Transaction::new(id, name, TxnKind::Tentative, fwd, vec![])
-            .with_inverse(inv)
-            .with_type(self.withdraw)
-            .with_precondition(Expr::var(acct).ge(Expr::konst(amt)))
+                )),
+                Some(self.withdraw),
+            )
+            .inverse(build(ProgramBuilder::new("bank.withdraw^-1").read(s(0)).branch(
+                Expr::var(s(0)).ge(Expr::konst(0)),
+                |b| b.update(s(0), Expr::var(s(0)) + Expr::param(0)),
+                |b| b,
+            )))
+            .precondition(Expr::var(s(0)).ge(Expr::param(0)))
+        });
+        template.instance(id, name, &[acct], &[amt])
     }
 
     /// `transfer(src, dst, amt)`: `if src >= amt then src -= amt, dst += amt`.
     /// No inverse is declared (transfers are pruned via undo).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src == dst`: the program would update one item twice.
     pub fn transfer(
         &self,
         id: TxnId,
@@ -161,39 +235,41 @@ impl Bank {
         dst: VarId,
         amt: Value,
     ) -> Transaction {
-        let fwd: Arc<Program> = Arc::new(
-            ProgramBuilder::new(name)
-                .read(src)
-                .read(dst)
-                .branch(
-                    Expr::var(src).ge(Expr::konst(amt)),
+        let template = self.templates[2].get_or_init(|| {
+            Template::new(
+                build(ProgramBuilder::new("bank.transfer").read(s(0)).read(s(1)).branch(
+                    Expr::var(s(0)).ge(Expr::param(0)),
                     |b| {
-                        b.update(src, Expr::var(src) - Expr::konst(amt))
-                            .update(dst, Expr::var(dst) + Expr::konst(amt))
+                        b.update(s(0), Expr::var(s(0)) - Expr::param(0))
+                            .update(s(1), Expr::var(s(1)) + Expr::param(0))
                     },
                     |b| b,
-                )
-                .build()
-                .expect("transfer is well formed"),
-        );
-        Transaction::new(id, name, TxnKind::Tentative, fwd, vec![])
-            .with_precondition(Expr::var(src).ge(Expr::konst(amt)))
+                )),
+                None,
+            )
+            .precondition(Expr::var(s(0)).ge(Expr::param(0)))
+        });
+        template.instance(id, name, &[src, dst], &[amt])
     }
 
     /// `accrue(acct, percent)`: `acct *= (100 + percent) / 100` — modeled
     /// as an integer scale `acct *= factor` to stay in the Scale class.
     pub fn accrue(&self, id: TxnId, name: &str, acct: VarId, factor: Value) -> Transaction {
-        let fwd: Arc<Program> = Arc::new(
-            ProgramBuilder::new(name)
-                .read(acct)
-                .update(acct, Expr::var(acct) * Expr::konst(factor))
-                .build()
-                .expect("accrue is well formed"),
-        );
-        Transaction::new(id, name, TxnKind::Tentative, fwd, vec![]).with_type(self.accrue)
+        let template = self.templates[3].get_or_init(|| {
+            Template::new(
+                build(
+                    ProgramBuilder::new("bank.accrue")
+                        .read(s(0))
+                        .update(s(0), Expr::var(s(0)) * Expr::param(0)),
+                ),
+                Some(self.accrue),
+            )
+        });
+        template.instance(id, name, &[acct], &[factor])
     }
 
-    /// `audit(accts)`: read-only sweep.
+    /// `audit(accts)`: read-only sweep. Its length varies per call, so it
+    /// is built as a concrete program rather than from a template.
     pub fn audit(&self, id: TxnId, name: &str, accts: &[VarId]) -> Transaction {
         let mut b = ProgramBuilder::new(name);
         for a in accts {
@@ -211,6 +287,7 @@ pub struct Inventory {
     restock: TxnTypeId,
     sell: TxnTypeId,
     cap: TxnTypeId,
+    templates: [Lazy; 3],
 }
 
 impl Default for Inventory {
@@ -232,7 +309,7 @@ impl Inventory {
         let restock = registry.register("inv.restock");
         let sell = registry.register("inv.sell");
         let cap = registry.register("inv.cap");
-        Inventory { registry: registry.clone(), restock, sell, cap }
+        Inventory { registry: registry.clone(), restock, sell, cap, templates: Default::default() }
     }
 
     /// The type registry.
@@ -249,53 +326,53 @@ impl Inventory {
 
     /// `restock(item, n)`: `item += n`. Inverse declared.
     pub fn restock(&self, id: TxnId, name: &str, item: VarId, n: Value) -> Transaction {
-        let fwd: Arc<Program> = Arc::new(
-            ProgramBuilder::new(name)
-                .read(item)
-                .update(item, Expr::var(item) + Expr::konst(n))
-                .build()
-                .expect("restock is well formed"),
-        );
-        let inv: Arc<Program> = Arc::new(
-            ProgramBuilder::new(format!("{name}^-1"))
-                .read(item)
-                .update(item, Expr::var(item) - Expr::konst(n))
-                .build()
-                .expect("restock inverse is well formed"),
-        );
-        Transaction::new(id, name, TxnKind::Tentative, fwd, vec![])
-            .with_inverse(inv)
-            .with_type(self.restock)
+        let template = self.templates[0].get_or_init(|| {
+            Template::new(
+                build(
+                    ProgramBuilder::new("inv.restock")
+                        .read(s(0))
+                        .update(s(0), Expr::var(s(0)) + Expr::param(0)),
+                ),
+                Some(self.restock),
+            )
+            .inverse(build(
+                ProgramBuilder::new("inv.restock^-1")
+                    .read(s(0))
+                    .update(s(0), Expr::var(s(0)) - Expr::param(0)),
+            ))
+        });
+        template.instance(id, name, &[item], &[n])
     }
 
     /// `sell(item, n)`: `if item >= n then item -= n`.
     pub fn sell(&self, id: TxnId, name: &str, item: VarId, n: Value) -> Transaction {
-        let fwd: Arc<Program> = Arc::new(
-            ProgramBuilder::new(name)
-                .read(item)
-                .branch(
-                    Expr::var(item).ge(Expr::konst(n)),
-                    |b| b.update(item, Expr::var(item) - Expr::konst(n)),
+        let template = self.templates[1].get_or_init(|| {
+            Template::new(
+                build(ProgramBuilder::new("inv.sell").read(s(0)).branch(
+                    Expr::var(s(0)).ge(Expr::param(0)),
+                    |b| b.update(s(0), Expr::var(s(0)) - Expr::param(0)),
                     |b| b,
-                )
-                .build()
-                .expect("sell is well formed"),
-        );
-        Transaction::new(id, name, TxnKind::Tentative, fwd, vec![])
-            .with_type(self.sell)
-            .with_precondition(Expr::var(item).ge(Expr::konst(n)))
+                )),
+                Some(self.sell),
+            )
+            .precondition(Expr::var(s(0)).ge(Expr::param(0)))
+        });
+        template.instance(id, name, &[item], &[n])
     }
 
     /// `cap(item, max)`: `item := min(item, max)` — a shelf-space cap.
     pub fn cap(&self, id: TxnId, name: &str, item: VarId, max: Value) -> Transaction {
-        let fwd: Arc<Program> = Arc::new(
-            ProgramBuilder::new(name)
-                .read(item)
-                .update(item, Expr::var(item).min(Expr::konst(max)))
-                .build()
-                .expect("cap is well formed"),
-        );
-        Transaction::new(id, name, TxnKind::Tentative, fwd, vec![]).with_type(self.cap)
+        let template = self.templates[2].get_or_init(|| {
+            Template::new(
+                build(
+                    ProgramBuilder::new("inv.cap")
+                        .read(s(0))
+                        .update(s(0), Expr::var(s(0)).min(Expr::param(0))),
+                ),
+                Some(self.cap),
+            )
+        });
+        template.instance(id, name, &[item], &[max])
     }
 }
 
@@ -314,6 +391,7 @@ pub struct Promotions {
     registry: TypeRegistry,
     bonus: TxnTypeId,
     rebate: TxnTypeId,
+    templates: [Lazy; 2],
 }
 
 impl Default for Promotions {
@@ -334,7 +412,7 @@ impl Promotions {
     pub fn register_in(registry: &mut TypeRegistry) -> Self {
         let bonus = registry.register("promo.bonus");
         let rebate = registry.register("promo.rebate");
-        Promotions { registry: registry.clone(), bonus, rebate }
+        Promotions { registry: registry.clone(), bonus, rebate, templates: Default::default() }
     }
 
     /// The type registry.
@@ -354,37 +432,33 @@ impl Promotions {
     /// `bonus(season, price)`: `if season > 200 then price += 100 else
     /// price *= 2`.
     pub fn bonus(&self, id: TxnId, name: &str, season: VarId, price: VarId) -> Transaction {
-        let fwd: Arc<Program> = Arc::new(
-            ProgramBuilder::new(name)
-                .read(season)
-                .read(price)
-                .branch(
-                    Expr::var(season).gt(Expr::konst(200)),
-                    |b| b.update(price, Expr::var(price) + Expr::konst(100)),
-                    |b| b.update(price, Expr::var(price) * Expr::konst(2)),
-                )
-                .build()
-                .expect("bonus is well formed"),
-        );
-        Transaction::new(id, name, TxnKind::Tentative, fwd, vec![]).with_type(self.bonus)
+        let template = self.templates[0].get_or_init(|| {
+            Template::new(
+                build(ProgramBuilder::new("promo.bonus").read(s(0)).read(s(1)).branch(
+                    Expr::var(s(0)).gt(Expr::konst(200)),
+                    |b| b.update(s(1), Expr::var(s(1)) + Expr::konst(100)),
+                    |b| b.update(s(1), Expr::var(s(1)) * Expr::konst(2)),
+                )),
+                Some(self.bonus),
+            )
+        });
+        template.instance(id, name, &[season, price], &[])
     }
 
     /// `rebate(season, price)`: `if season > 200 then price -= 10 else
     /// price *= 3`.
     pub fn rebate(&self, id: TxnId, name: &str, season: VarId, price: VarId) -> Transaction {
-        let fwd: Arc<Program> = Arc::new(
-            ProgramBuilder::new(name)
-                .read(season)
-                .read(price)
-                .branch(
-                    Expr::var(season).gt(Expr::konst(200)),
-                    |b| b.update(price, Expr::var(price) - Expr::konst(10)),
-                    |b| b.update(price, Expr::var(price) * Expr::konst(3)),
-                )
-                .build()
-                .expect("rebate is well formed"),
-        );
-        Transaction::new(id, name, TxnKind::Tentative, fwd, vec![]).with_type(self.rebate)
+        let template = self.templates[1].get_or_init(|| {
+            Template::new(
+                build(ProgramBuilder::new("promo.rebate").read(s(0)).read(s(1)).branch(
+                    Expr::var(s(0)).gt(Expr::konst(200)),
+                    |b| b.update(s(1), Expr::var(s(1)) - Expr::konst(10)),
+                    |b| b.update(s(1), Expr::var(s(1)) * Expr::konst(3)),
+                )),
+                Some(self.rebate),
+            )
+        });
+        template.instance(id, name, &[season, price], &[])
     }
 }
 
@@ -398,6 +472,9 @@ pub struct Reservations {
     registry: TypeRegistry,
     reserve: TxnTypeId,
     cancel: TxnTypeId,
+    /// The reserve and cancel templates, over slots `(seats, booked)`;
+    /// they share the two seat-movement programs.
+    templates: OnceLock<[Template; 2]>,
 }
 
 impl Default for Reservations {
@@ -418,7 +495,7 @@ impl Reservations {
     pub fn register_in(registry: &mut TypeRegistry) -> Self {
         let reserve = registry.register("res.reserve");
         let cancel = registry.register("res.cancel");
-        Reservations { registry: registry.clone(), reserve, cancel }
+        Reservations { registry: registry.clone(), reserve, cancel, templates: OnceLock::new() }
     }
 
     /// The type registry.
@@ -441,45 +518,47 @@ impl Reservations {
     /// The guarded seat movement shared by both directions: `if guard > 0
     /// then guard -= 1, other += 1`.
     fn movement(name: &str, guard: VarId, other: VarId) -> Arc<Program> {
-        Arc::new(
-            ProgramBuilder::new(name)
-                .read(guard)
-                .read(other)
-                .branch(
-                    Expr::var(guard).gt(Expr::konst(0)),
-                    |b| {
-                        b.update(guard, Expr::var(guard) - Expr::konst(1))
-                            .update(other, Expr::var(other) + Expr::konst(1))
-                    },
-                    |b| b,
-                )
-                .build()
-                .expect("seat movement is well formed"),
-        )
+        Arc::new(build(ProgramBuilder::new(name).read(guard).read(other).branch(
+            Expr::var(guard).gt(Expr::konst(0)),
+            |b| {
+                b.update(guard, Expr::var(guard) - Expr::konst(1))
+                    .update(other, Expr::var(other) + Expr::konst(1))
+            },
+            |b| b,
+        )))
+    }
+
+    /// The reserve and cancel templates, built on the first booking.
+    fn templates(&self) -> &[Template; 2] {
+        self.templates.get_or_init(|| {
+            let (seats, booked) = (s(0), s(1));
+            let book = Self::movement("res.book", seats, booked);
+            let unbook = Self::movement("res.unbook", booked, seats);
+            let template = |fwd: &Arc<Program>, inv: &Arc<Program>, guard, type_id| Template {
+                program: Arc::clone(fwd),
+                inverse: Some(Arc::clone(inv)),
+                precondition: Some(Arc::new(Expr::var(guard).gt(Expr::konst(0)))),
+                type_id: Some(type_id),
+            };
+            [
+                template(&book, &unbook, seats, self.reserve),
+                template(&unbook, &book, booked, self.cancel),
+            ]
+        })
     }
 
     /// `reserve(seats, booked)`: `if seats > 0 then seats -= 1, booked += 1`.
     /// Inverse: the cancel movement (correct under the same fix, or
     /// immediately after the forward run — see [`Bank::withdraw`]).
     pub fn reserve(&self, id: TxnId, name: &str, seats: VarId, booked: VarId) -> Transaction {
-        let fwd = Self::movement(name, seats, booked);
-        let inv = Self::movement(&format!("{name}^-1"), booked, seats);
-        Transaction::new(id, name, TxnKind::Tentative, fwd, vec![])
-            .with_inverse(inv)
-            .with_type(self.reserve)
-            .with_precondition(Expr::var(seats).gt(Expr::konst(0)))
+        self.templates()[0].instance(id, name, &[seats, booked], &[])
     }
 
     /// `cancel(seats, booked)`: `if booked > 0 then seats += 1, booked -= 1`.
     /// Inverse: the reserve movement — cancels are compensations, and
     /// compensations compensate back.
     pub fn cancel(&self, id: TxnId, name: &str, seats: VarId, booked: VarId) -> Transaction {
-        let fwd = Self::movement(name, booked, seats);
-        let inv = Self::movement(&format!("{name}^-1"), seats, booked);
-        Transaction::new(id, name, TxnKind::Tentative, fwd, vec![])
-            .with_inverse(inv)
-            .with_type(self.cancel)
-            .with_precondition(Expr::var(booked).gt(Expr::konst(0)))
+        self.templates()[1].instance(id, name, &[seats, booked], &[])
     }
 }
 

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use histmerge_history::TxnArena;
 use histmerge_semantics::{OracleStack, StaticAnalyzer};
 use histmerge_txn::registry::TypeRegistry;
-use histmerge_txn::{DbState, TxnId, TxnKind, VarId};
+use histmerge_txn::{DbState, TxnId, TxnKind, TxnName, VarId};
 
 use crate::canned::{Bank, Inventory, Promotions, Reservations};
 
@@ -198,8 +198,9 @@ impl CannedMix {
         let (n_accounts, n_prices) = (self.params.n_accounts.max(1), self.params.n_prices.max(1));
         let roll: f64 = self.rng.gen();
         self.counter += 1;
-        let name =
-            format!("{}{}", if kind == TxnKind::Tentative { "m" } else { "b" }, self.counter);
+        let prefix = if kind == TxnKind::Tentative { "m" } else { "b" };
+        let name = TxnName::numbered(prefix, self.counter as u64);
+        let name = name.as_str();
         let season = self.season();
         let acct_pick = self.rng.gen_range(0..n_accounts);
         let price_pick = self.rng.gen_range(0..n_prices);
@@ -209,20 +210,19 @@ impl CannedMix {
             Libraries::BankPromo { bank, promo } => {
                 if roll < deposit_frac {
                     let acct = self.account(acct_pick);
-                    arena.alloc(|id| bank.deposit(id, &name, acct, amt).with_kind(kind).with_id(id))
+                    arena.alloc(|id| bank.deposit(id, name, acct, amt).with_kind(kind).with_id(id))
                 } else if roll < deposit_frac + withdraw_frac {
                     let acct = self.account(acct_pick);
-                    arena
-                        .alloc(|id| bank.withdraw(id, &name, acct, amt).with_kind(kind).with_id(id))
+                    arena.alloc(|id| bank.withdraw(id, name, acct, amt).with_kind(kind).with_id(id))
                 } else if roll < deposit_frac + withdraw_frac + bonus_frac {
                     let price = self.price(price_pick);
                     arena.alloc(|id| {
-                        promo.bonus(id, &name, season, price).with_kind(kind).with_id(id)
+                        promo.bonus(id, name, season, price).with_kind(kind).with_id(id)
                     })
                 } else {
                     let price = self.price(price_pick);
                     arena.alloc(|id| {
-                        promo.rebate(id, &name, season, price).with_kind(kind).with_id(id)
+                        promo.rebate(id, name, season, price).with_kind(kind).with_id(id)
                     })
                 }
             }
@@ -230,21 +230,20 @@ impl CannedMix {
                 if roll < deposit_frac {
                     let item = self.price(price_pick);
                     arena.alloc(|id| {
-                        inv.restock(id, &name, item, amt % 20 + 1).with_kind(kind).with_id(id)
+                        inv.restock(id, name, item, amt % 20 + 1).with_kind(kind).with_id(id)
                     })
                 } else if roll < deposit_frac + withdraw_frac {
                     let item = self.price(price_pick);
                     arena.alloc(|id| {
-                        inv.sell(id, &name, item, amt % 10 + 1).with_kind(kind).with_id(id)
+                        inv.sell(id, name, item, amt % 10 + 1).with_kind(kind).with_id(id)
                     })
                 } else if roll < deposit_frac + withdraw_frac + bonus_frac {
                     arena.alloc(|id| {
-                        res.reserve(id, &name, seats, booked).with_kind(kind).with_id(id)
+                        res.reserve(id, name, seats, booked).with_kind(kind).with_id(id)
                     })
                 } else {
-                    arena.alloc(|id| {
-                        res.cancel(id, &name, seats, booked).with_kind(kind).with_id(id)
-                    })
+                    arena
+                        .alloc(|id| res.cancel(id, name, seats, booked).with_kind(kind).with_id(id))
                 }
             }
         }

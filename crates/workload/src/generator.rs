@@ -14,13 +14,23 @@
 //!
 //! Generated transactions never blind-write, matching the paper's
 //! rewriting model.
+//!
+//! Every transaction is an instance of a template of its shape (see
+//! [`TxnFactory`]): the items and constants a transaction draws are bound
+//! to a program shared by all transactions of that shape, and its name
+//! (`Tm12`, `Tb13`) is stored inline, so the stream allocates nothing per
+//! transaction once each shape has been drawn.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use histmerge_history::{SerialHistory, TxnArena};
-use histmerge_txn::{DbState, Expr, Program, ProgramBuilder, Transaction, TxnKind, VarId};
+use std::collections::BTreeMap;
 use std::sync::Arc;
+
+use histmerge_history::{SerialHistory, TxnArena};
+use histmerge_txn::{
+    DbState, Expr, Program, ProgramBuilder, Transaction, TxnId, TxnKind, TxnName, Value, VarId,
+};
 
 /// Parameters of a random merge scenario.
 #[derive(Debug, Clone)]
@@ -101,36 +111,139 @@ pub fn initial_state(params: &ScenarioParams) -> DbState {
 
 /// A streaming transaction generator with the same distribution as
 /// [`generate`], for simulators that create transactions on the fly.
+///
+/// Every transaction is an instance of one of four *shapes* — an
+/// increment of `k` items, the guarded increment, a read-only scan of `k`
+/// items, a read-write transaction of `r` extra reads and `w` writes.
+/// The factory interns one template [`Program`] per shape the first time
+/// it draws that shape, and binds each transaction's items and constants
+/// to it ([`Transaction::instance`]); the draw buffers are reused, so a
+/// transaction costs no heap allocation once its shape has been seen.
 #[derive(Debug)]
 pub struct TxnFactory {
     params: ScenarioParams,
     rng: StdRng,
     counter: usize,
+    templates: BTreeMap<Shape, Arc<Program>>,
+    /// The items of the transaction being drawn, in slot order.
+    items: Vec<VarId>,
+    /// Its constants, in parameter order.
+    consts: Vec<Value>,
+}
+
+/// A generated transaction's shape: its template up to item and constant
+/// choice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Shape {
+    /// `s_i += p_i` on `k` items.
+    Increment(usize),
+    /// `if s0 > p0 then s1 += p1 else s1 += p2`.
+    Guarded,
+    /// Reads `k` items.
+    ReadOnly(usize),
+    /// Reads `r` extra items `s_0..s_r`, then `s_{r+j} := s_{r+j} (+ s_0)
+    /// + p_j` for each of `w` writes.
+    ReadWrite(usize, usize),
+}
+
+impl Shape {
+    /// The template program of the shape, over slots `VarId::new(0..)`
+    /// and parameters `p0..`; its statements are the ones the concrete
+    /// generator writes, item for slot and constant for parameter.
+    fn template(self) -> Program {
+        let s = VarId::new;
+        let built = match self {
+            Shape::Increment(k) => {
+                let mut b = ProgramBuilder::new(format!("inc/{k}"));
+                for i in 0..k as u32 {
+                    b = b.read(s(i));
+                }
+                for i in 0..k as u32 {
+                    b = b.update(s(i), Expr::var(s(i)) + Expr::param(i as usize));
+                }
+                b.build()
+            }
+            Shape::Guarded => ProgramBuilder::new("grd")
+                .read(s(0))
+                .read(s(1))
+                .branch(
+                    Expr::var(s(0)).gt(Expr::param(0)),
+                    |b| b.update(s(1), Expr::var(s(1)) + Expr::param(1)),
+                    |b| b.update(s(1), Expr::var(s(1)) + Expr::param(2)),
+                )
+                .build(),
+            Shape::ReadOnly(k) => {
+                let mut b = ProgramBuilder::new(format!("ro/{k}"));
+                for i in 0..k as u32 {
+                    b = b.read(s(i));
+                }
+                b.build()
+            }
+            Shape::ReadWrite(r, w) => {
+                let mut b = ProgramBuilder::new(format!("rw/{r}/{w}"));
+                for i in 0..(r + w) as u32 {
+                    b = b.read(s(i));
+                }
+                for j in 0..w {
+                    // v := v + (first extra read, if any) + c — reading
+                    // another item makes the transaction genuinely
+                    // order-sensitive.
+                    let v = s((r + j) as u32);
+                    let mut expr = Expr::var(v);
+                    if r > 0 {
+                        expr = expr + Expr::var(s(0));
+                    }
+                    b = b.update(v, expr + Expr::param(j));
+                }
+                b.build()
+            }
+        };
+        built.expect("generated templates are well formed")
+    }
 }
 
 impl TxnFactory {
-    /// Creates a factory seeded from `params.seed`.
+    /// Creates a factory seeded from `params.seed`. Builds no template:
+    /// each is interned on its shape's first draw.
     pub fn new(params: ScenarioParams) -> Self {
         let rng = StdRng::seed_from_u64(params.seed);
-        TxnFactory { params, rng, counter: 0 }
+        TxnFactory {
+            params,
+            rng,
+            counter: 0,
+            templates: BTreeMap::new(),
+            items: Vec::new(),
+            consts: Vec::new(),
+        }
     }
 
     /// Allocates the next random transaction in `arena`.
-    pub fn next_txn(&mut self, arena: &mut TxnArena, kind: TxnKind) -> histmerge_txn::TxnId {
-        let mut gen = TxnGen { params: &self.params, rng: &mut self.rng, counter: self.counter };
-        let id = gen.next_txn(arena, kind);
-        self.counter = gen.counter;
-        id
+    pub fn next_txn(&mut self, arena: &mut TxnArena, kind: TxnKind) -> TxnId {
+        self.items.clear();
+        self.consts.clear();
+        let p = &self.params;
+        let roll: f64 = self.rng.gen();
+        let shape = if roll < p.commutative_fraction {
+            self.increment_txn()
+        } else if roll < p.commutative_fraction + p.guarded_fraction {
+            self.guarded_txn()
+        } else if roll < p.commutative_fraction + p.guarded_fraction + p.read_only_fraction {
+            self.read_only_txn()
+        } else {
+            self.rw_txn()
+        };
+        self.counter += 1;
+        let prefix = if kind == TxnKind::Tentative { "Tm" } else { "Tb" };
+        let name = TxnName::numbered(prefix, self.counter as u64);
+        let template =
+            Arc::clone(self.templates.entry(shape).or_insert_with(|| Arc::new(shape.template())));
+        let (items, consts) = (&self.items, &self.consts);
+        arena.alloc(|id| {
+            Transaction::instance(id, name, kind, template, items, consts)
+                .expect("generated bindings fit their template")
+        })
     }
-}
 
-struct TxnGen<'a> {
-    params: &'a ScenarioParams,
-    rng: &'a mut StdRng,
-    counter: usize,
-}
-
-impl TxnGen<'_> {
     fn pick_var(&mut self) -> VarId {
         let n = self.params.n_vars.max(1);
         let hot = ((self.params.hot_fraction * n as f64).ceil() as u32).clamp(1, n);
@@ -141,107 +254,69 @@ impl TxnGen<'_> {
         }
     }
 
-    fn pick_distinct(&mut self, k: usize, exclude: &[VarId]) -> Vec<VarId> {
-        let mut out: Vec<VarId> = Vec::new();
+    /// Appends up to `k` items to `self.items`, each distinct from every
+    /// item already there (earlier picks of this transaction are the
+    /// exclusions), and returns how many it appended.
+    fn pick_distinct(&mut self, k: usize) -> usize {
+        let start = self.items.len();
         let mut budget = 10 * (k + 1) * 4;
-        while out.len() < k && budget > 0 {
+        while self.items.len() - start < k && budget > 0 {
             budget -= 1;
             let v = self.pick_var();
-            if !out.contains(&v) && !exclude.contains(&v) {
-                out.push(v);
+            if !self.items.contains(&v) {
+                self.items.push(v);
             }
         }
-        out
-    }
-
-    fn next_txn(&mut self, arena: &mut TxnArena, kind: TxnKind) -> histmerge_txn::TxnId {
-        let p = self.params;
-        let roll: f64 = self.rng.gen();
-        let program = if roll < p.commutative_fraction {
-            self.increment_txn()
-        } else if roll < p.commutative_fraction + p.guarded_fraction {
-            self.guarded_txn()
-        } else if roll < p.commutative_fraction + p.guarded_fraction + p.read_only_fraction {
-            self.read_only_txn()
-        } else {
-            self.rw_txn()
-        };
-        self.counter += 1;
-        let name =
-            format!("{}{}", if kind == TxnKind::Tentative { "Tm" } else { "Tb" }, self.counter);
-        let prog = Arc::new(program);
-        arena.alloc(|id| Transaction::new(id, name, kind, prog, vec![]))
+        self.items.len() - start
     }
 
     /// Pure increments: `v += c` on 1..=writes_per_txn items. Commutative
     /// with other increments on any item set.
-    fn increment_txn(&mut self) -> Program {
+    fn increment_txn(&mut self) -> Shape {
         let k = self.rng.gen_range(1..=self.params.writes_per_txn.max(1));
-        let vars = self.pick_distinct(k, &[]);
-        let mut b = ProgramBuilder::new(format!("inc{}", self.counter));
-        for v in &vars {
-            b = b.read(*v);
+        let k = self.pick_distinct(k);
+        for _ in 0..k {
+            let c: Value = self.rng.gen_range(1..50);
+            self.consts.push(c);
         }
-        for v in &vars {
-            let c = self.rng.gen_range(1..50);
-            b = b.update(*v, Expr::var(*v) + Expr::konst(c));
-        }
-        b.build().expect("increment txn is well formed")
+        Shape::Increment(k)
     }
 
     /// Guarded increment: `if g > c then v += c1 else v += c2`, where the
-    /// guard item `g` is read-only for this transaction.
-    fn guarded_txn(&mut self) -> Program {
+    /// guard item `g` is read-only for this transaction. With a single
+    /// item, `v` falls back to `g` itself: both slots bind the one item.
+    fn guarded_txn(&mut self) -> Shape {
         let g = self.pick_var();
-        let vs = self.pick_distinct(1, &[g]);
-        let v = vs.first().copied().unwrap_or(g);
-        let threshold = self.rng.gen_range(500..1500);
-        let c1 = self.rng.gen_range(1..50);
-        let c2 = self.rng.gen_range(1..50);
-        ProgramBuilder::new(format!("grd{}", self.counter))
-            .read(g)
-            .read(v)
-            .branch(
-                Expr::var(g).gt(Expr::konst(threshold)),
-                |b| b.update(v, Expr::var(v) + Expr::konst(c1)),
-                |b| b.update(v, Expr::var(v) + Expr::konst(c2)),
-            )
-            .build()
-            .expect("guarded txn is well formed")
+        self.items.push(g);
+        if self.pick_distinct(1) == 0 {
+            self.items.push(g);
+        }
+        let threshold: Value = self.rng.gen_range(500..1500);
+        let c1: Value = self.rng.gen_range(1..50);
+        let c2: Value = self.rng.gen_range(1..50);
+        self.consts.extend([threshold, c1, c2]);
+        Shape::Guarded
     }
 
     /// Read-only: reads 1..=reads_per_txn+1 items.
-    fn read_only_txn(&mut self) -> Program {
+    fn read_only_txn(&mut self) -> Shape {
         let k = self.rng.gen_range(1..=self.params.reads_per_txn.max(1) + 1);
-        let vars = self.pick_distinct(k, &[]);
-        let mut b = ProgramBuilder::new(format!("ro{}", self.counter));
-        for v in vars {
-            b = b.read(v);
-        }
-        b.build().expect("read-only txn is well formed")
+        Shape::ReadOnly(self.pick_distinct(k))
     }
 
     /// General read-write: writes depend on reads (non-commutative).
-    fn rw_txn(&mut self) -> Program {
+    fn rw_txn(&mut self) -> Shape {
         let w = self.rng.gen_range(1..=self.params.writes_per_txn.max(1));
-        let writes = self.pick_distinct(w, &[]);
+        let w = self.pick_distinct(w);
         let r = self.rng.gen_range(0..=self.params.reads_per_txn);
-        let reads = self.pick_distinct(r, &writes);
-        let mut b = ProgramBuilder::new(format!("rw{}", self.counter));
-        for v in reads.iter().chain(writes.iter()) {
-            b = b.read(*v);
+        let r = self.pick_distinct(r);
+        // Slots list the extra reads first, then the writes.
+        self.items.rotate_left(w);
+        for _ in 0..w {
+            let c: Value = self.rng.gen_range(-20..20);
+            self.consts.push(c);
         }
-        for v in &writes {
-            // v := v + (first extra read, if any) + c — reading another
-            // item makes the transaction genuinely order-sensitive.
-            let mut expr = Expr::var(*v);
-            if let Some(dep) = reads.first() {
-                expr = expr + Expr::var(*dep);
-            }
-            let c = self.rng.gen_range(-20..20);
-            b = b.update(*v, expr + Expr::konst(c));
-        }
-        b.build().expect("rw txn is well formed")
+        Shape::ReadWrite(r, w)
     }
 }
 

@@ -1,10 +1,13 @@
-//! Allocation budgets of a transaction's footprint.
+//! Allocation budgets of a transaction's lifecycle.
 //!
 //! A counting global allocator tallies allocations and live blocks per
 //! thread, so tests running on parallel threads do not mix their counts.
 //! The budgets pin the layout: a footprint of a few items lives inline in
-//! its `VarSet`s and `VarMask`s, and the arena keeps every footprint
-//! bitset in one shared slab.
+//! its `VarSet`s and `VarMask`s, the arena keeps every footprint bitset in
+//! one shared slab, and a generated transaction is an instance of a
+//! shared template whose binding, constants and name live inline — so
+//! generating, admitting and copying one allocates nothing once its shape
+//! has been seen.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,8 +15,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use histmerge::history::TxnArena;
-use histmerge::replication::MobileNode;
+use histmerge::replication::{BaseNode, MobileNode};
 use histmerge::txn::{Transaction, TxnId, TxnKind, VarId, VarMask, VarSet};
+use histmerge::workload::canned_mix::{CannedFlavor, CannedMix, CannedMixParams};
 use histmerge::workload::generator::{initial_state, ScenarioParams, TxnFactory};
 
 struct Counting;
@@ -133,10 +137,48 @@ fn arena_admission_allocates_nothing_amortized() {
 #[test]
 fn generated_transactions_leave_few_live_blocks() {
     for n_vars in [64, 1024] {
-        let (arena, _, live) = counted(|| generated(n_vars));
-        let per_txn = live as f64 / TXNS as f64;
-        assert!(per_txn <= 8.0, "{n_vars} items: {per_txn:.2} live blocks per transaction");
+        let (arena, allocations, live) = counted(|| generated(n_vars));
+        let (per_txn, live_per_txn) = (allocations as f64 / TXNS as f64, live as f64 / TXNS as f64);
+        assert!(per_txn < 0.05, "{n_vars} items: {per_txn:.3} allocations per transaction");
+        assert!(
+            live_per_txn < 0.05,
+            "{n_vars} items: {live_per_txn:.3} live blocks per transaction"
+        );
         drop(arena);
+    }
+}
+
+#[test]
+fn canned_transactions_leave_few_live_blocks() {
+    for flavor in [CannedFlavor::BankPromo, CannedFlavor::Inventory] {
+        let mut mix = CannedMix::new(CannedMixParams { flavor, seed: 1906, ..Default::default() });
+        let (arena, allocations, live) = counted(|| {
+            let mut arena = TxnArena::new();
+            for _ in 0..TXNS {
+                mix.next_txn(&mut arena, TxnKind::Tentative);
+            }
+            arena
+        });
+        let (per_txn, live_per_txn) = (allocations as f64 / TXNS as f64, live as f64 / TXNS as f64);
+        assert!(per_txn < 0.05, "{flavor:?}: {per_txn:.3} allocations per transaction");
+        assert!(live_per_txn < 0.05, "{flavor:?}: {live_per_txn:.3} live blocks per transaction");
+        drop(arena);
+    }
+}
+
+#[test]
+fn reexecution_allocates_only_the_interpreters_maps() {
+    for n_vars in [64, 1024] {
+        let mut arena = generated(n_vars);
+        let mut base = BaseNode::new(initial_state(&mix(n_vars)), 4, true);
+        let ((), allocations, _) = counted(|| {
+            for i in 0..TXNS {
+                base.reexecute(&mut arena, TxnId::new(i as u32));
+            }
+        });
+        let per_txn = allocations as f64 / TXNS as f64;
+        assert!(per_txn <= 3.0, "{n_vars} items: {per_txn:.2} allocations per re-execution");
+        assert_eq!(base.committed(), TXNS);
     }
 }
 
