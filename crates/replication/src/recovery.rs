@@ -1,10 +1,12 @@
 //! Crash recovery: rebuild the base tier from its write-ahead log.
 //!
-//! Recovery is the read side of [`crate::wal`]: decode every live
-//! segment in ascending id order, keep the longest cleanly-framed record
-//! prefix (anything after a torn or corrupt frame — including whole later
-//! segments — is discarded), locate the **latest checkpoint** in that
-//! prefix, and replay the records after it:
+//! Recovery is the read side of [`crate::wal`]: one pass over every live
+//! segment in ascending id order, decoding each frame and applying it at
+//! once. The pass covers the longest cleanly-framed record prefix
+//! (anything after a torn or corrupt frame — including whole later
+//! segments — is discarded); every checkpoint it meets restarts the
+//! replay from that snapshot, so the state is the **latest checkpoint**
+//! plus the records after it:
 //!
 //! * [`WalRecord::Commit`] re-appends the commit and applies its durable
 //!   write delta to the master (no re-execution — the log stores written
@@ -27,7 +29,7 @@ use histmerge_history::TxnArena;
 
 use crate::base::BaseNode;
 use crate::session::SessionLedger;
-use crate::wal::{decode_stream, Storage, Tail, WalRecord};
+use crate::wal::{visit_stream, Snapshot, Storage, Tail, WalRecord};
 
 /// The base-tier state rebuilt from the latest checkpoint plus WAL tail.
 #[derive(Debug)]
@@ -92,47 +94,70 @@ pub fn recover_traced(
 }
 
 fn recover_inner(arena: &TxnArena, storage: &impl Storage) -> Result<Recovered, RecoveryError> {
-    // The readable record prefix: segments in ascending id order, stopping
-    // at the first torn tail. Later segments are unreachable after a tear
-    // — they postdate the damage and cannot be trusted to follow it.
-    let mut records: Vec<WalRecord> = Vec::new();
+    // One pass over the readable record prefix: segments in ascending id
+    // order, stopping at the first torn tail. Later segments are
+    // unreachable after a tear — they postdate the damage and cannot be
+    // trusted to follow it. Each checkpoint met restarts the replay, so
+    // the latest one wins: everything before it was compacted away
+    // logically even if older segments still hold bytes.
+    let mut replay: Option<Replay> = None;
     let mut torn = false;
     for id in storage.segment_ids() {
         let bytes = storage.segment(id).expect("listed segment exists");
-        let (mut decoded, tail) = decode_stream(bytes);
-        records.append(&mut decoded);
+        let tail = visit_stream(bytes, |record| match record {
+            WalRecord::Checkpoint(snapshot) => replay = Some(Replay::from_checkpoint(*snapshot)),
+            record => {
+                if let Some(replay) = replay.as_mut() {
+                    replay.apply(arena, record);
+                }
+            }
+        });
         if let Tail::Torn { .. } = tail {
             torn = true;
             break;
         }
     }
+    let replay = replay.ok_or(RecoveryError::NoCheckpoint)?;
+    Ok(Recovered {
+        base: replay.base,
+        ledger: replay.ledger,
+        records_applied: replay.records_applied,
+        torn: torn || replay.stalled,
+    })
+}
 
-    // The latest checkpoint wins: everything before it was compacted away
-    // logically even if older segments still hold bytes.
-    let checkpoint_at = records
-        .iter()
-        .rposition(|r| matches!(r, WalRecord::Checkpoint(_)))
-        .ok_or(RecoveryError::NoCheckpoint)?;
-    let mut replay = records.split_off(checkpoint_at).into_iter();
-    let Some(WalRecord::Checkpoint(snapshot)) = replay.next() else {
-        unreachable!("rposition matched a checkpoint")
-    };
-    let snapshot = *snapshot;
+/// The state rebuilt from the latest checkpoint met so far.
+struct Replay {
+    base: BaseNode,
+    ledger: SessionLedger,
+    /// Records applied since the checkpoint.
+    records_applied: usize,
+    /// A retro patch failed: nothing after it applies unless a later
+    /// checkpoint restarts the replay.
+    stalled: bool,
+}
 
-    let mut base = BaseNode::from_parts(
-        snapshot.master,
-        snapshot.log,
-        snapshot.epoch,
-        snapshot.epoch_start as usize,
-        snapshot.epoch_state,
-    );
-    let mut ledger = SessionLedger::new();
-    for (mobile, seq, record) in snapshot.ledger {
-        ledger.insert(mobile as usize, seq, record);
+impl Replay {
+    fn from_checkpoint(snapshot: Snapshot) -> Replay {
+        let base = BaseNode::from_parts(
+            snapshot.master,
+            snapshot.log,
+            snapshot.epoch,
+            snapshot.epoch_start as usize,
+            snapshot.epoch_state,
+        );
+        let mut ledger = SessionLedger::new();
+        for (mobile, seq, record) in snapshot.ledger {
+            ledger.insert(mobile as usize, seq, record);
+        }
+        Replay { base, ledger, records_applied: 0, stalled: false }
     }
 
-    let mut records_applied = 0usize;
-    for record in replay {
+    fn apply(&mut self, arena: &TxnArena, record: WalRecord) {
+        if self.stalled {
+            return;
+        }
+        let Replay { base, ledger, .. } = self;
         match record {
             WalRecord::Commit { txn, writes } => {
                 base.restore_commit(txn, writes);
@@ -145,8 +170,8 @@ fn recover_inner(arena: &TxnArena, storage: &impl Storage) -> Result<Recovered, 
                     // A patch that no longer fits the recovered log is
                     // semantic corruption the CRC cannot see; stop at the
                     // last coherent record, as with a torn frame.
-                    torn = true;
-                    break;
+                    self.stalled = true;
+                    return;
                 }
             }
             WalRecord::SessionInstall { mobile, seq, record } => {
@@ -165,12 +190,10 @@ fn recover_inner(arena: &TxnArena, storage: &impl Storage) -> Result<Recovered, 
             WalRecord::SessionPrune { mobile, upto_seq } => {
                 ledger.prune_acked(mobile as usize, upto_seq);
             }
-            WalRecord::Checkpoint(_) => unreachable!("the replay starts at the last checkpoint"),
+            WalRecord::Checkpoint(_) => unreachable!("a checkpoint restarts the replay"),
         }
-        records_applied += 1;
+        self.records_applied += 1;
     }
-
-    Ok(Recovered { base, ledger, records_applied, torn })
 }
 
 #[cfg(test)]
@@ -247,7 +270,7 @@ mod tests {
             epoch: 1,
             ledger: Vec::new(),
         };
-        wal.checkpoint(snap);
+        wal.checkpoint(&snap);
         wal.append(&WalRecord::Commit { txn: TxnId::new(2), writes: state(&[(0, 9)]) });
 
         let arena = TxnArena::new();
@@ -257,6 +280,73 @@ mod tests {
         assert_eq!(r.base.committed(), 3);
         assert_eq!(r.base.epoch(), 1);
         assert_eq!(r.base.master(), &state(&[(0, 9), (1, 5)]));
+    }
+
+    #[test]
+    fn failed_patch_before_the_latest_checkpoint_is_not_a_tear() {
+        // Segment 0 holds a retro patch that no longer fits its log; the
+        // crash lands after segment 1's checkpoint is durable but before
+        // segment 0 is deleted. Recovery starts from segment 1's
+        // checkpoint, so the stale patch never ends the replay.
+        let genesis = Snapshot::genesis(state(&[(0, 0)]));
+        let mut wal = Wal::new(VecStorage::new(), &genesis);
+        wal.append(&WalRecord::RetroPatch { from_index: 9, updates: state(&[(0, 4)]) });
+        let snap = Snapshot { master: state(&[(0, 7)]), epoch: 2, ..genesis.clone() };
+        wal.checkpoint(&snap);
+        wal.append(&WalRecord::Commit { txn: TxnId::new(0), writes: state(&[(0, 8)]) });
+        let ops = wal.storage().ops();
+        let delete_at = ops
+            .iter()
+            .position(|op| matches!(op, crate::wal::StorageOp::Delete(0)))
+            .expect("the checkpoint retired segment 0");
+        let crashed = TornStorage::at_crash_point(wal.storage(), delete_at, Tear::Clean);
+        assert_eq!(crashed.storage().segment_ids(), vec![0, 1]);
+
+        let arena = TxnArena::new();
+        let r = recover(&arena, crashed.storage()).expect("recovers");
+        assert!(!r.torn, "a patch before the latest checkpoint is never replayed");
+        assert_eq!(r.records_applied, 0);
+        assert_eq!(r.base.epoch(), 2);
+        assert_eq!(r.base.master(), &state(&[(0, 7)]));
+
+        // After the crash point the commit replays from that checkpoint.
+        let r = recover(&arena, wal.storage()).expect("recovers");
+        assert!(!r.torn);
+        assert_eq!(r.records_applied, 1);
+        assert_eq!(r.base.master(), &state(&[(0, 8)]));
+
+        // A patch that fails after the latest checkpoint still tears.
+        wal.append(&WalRecord::RetroPatch { from_index: 9, updates: state(&[(0, 1)]) });
+        wal.append(&WalRecord::WindowStart);
+        let r = recover(&arena, wal.storage()).expect("recovers");
+        assert!(r.torn);
+        assert_eq!(r.records_applied, 1, "replay stops at the failed patch");
+        assert_eq!(r.base.epoch(), 2);
+        assert_eq!(r.base.master(), &state(&[(0, 8)]));
+    }
+
+    #[test]
+    fn torn_frame_in_segment_zero_hides_segment_one() {
+        use crate::wal::frame;
+        let genesis = Snapshot::genesis(state(&[(0, 0)]));
+        let commit =
+            frame(&WalRecord::Commit { txn: TxnId::new(0), writes: state(&[(0, 3)]) }.encode());
+        let later = Snapshot { master: state(&[(0, 9)]), epoch: 4, ..genesis.clone() };
+
+        let mut storage = VecStorage::new();
+        storage.create_segment(0);
+        storage.append(0, &frame(&WalRecord::Checkpoint(Box::new(genesis)).encode()));
+        storage.append(0, &commit);
+        storage.append(0, &commit[..commit.len() - 1]);
+        storage.create_segment(1);
+        storage.append(1, &frame(&WalRecord::Checkpoint(Box::new(later)).encode()));
+
+        let arena = TxnArena::new();
+        let r = recover(&arena, &storage).expect("recovers");
+        assert!(r.torn);
+        assert_eq!(r.records_applied, 1, "the whole commit before the tear replays");
+        assert_eq!(r.base.epoch(), 0, "segment 1's checkpoint lies past the tear");
+        assert_eq!(r.base.master(), &state(&[(0, 3)]));
     }
 
     fn wal_log(_wal: &Wal<VecStorage>) -> Vec<(TxnId, DbState)> {

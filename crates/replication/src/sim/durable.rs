@@ -1,60 +1,45 @@
 //! Write-ahead logging (`SimConfig::durability`). Every hook is a no-op
 //! when durability is disabled, keeping the paths byte-identical.
 
+use crate::base::BaseNode;
 use crate::recovery;
-use crate::wal::{Snapshot, WalRecord};
+use crate::session::SessionLedger;
+use crate::wal::{LedgerRef, SnapshotRef, WalRecordRef};
 
 use super::Simulation;
 
 impl Simulation {
     /// Appends one record to the WAL, if one is open. The record is built
-    /// only then, so a run without durability never clones its payload.
-    pub(super) fn wal_append(&mut self, record: impl FnOnce() -> WalRecord) {
+    /// only then, so a run without durability never touches its payload.
+    pub(super) fn wal_append<'r>(&mut self, record: impl FnOnce() -> WalRecordRef<'r>) {
         if let Some(wal) = self.wal.as_mut() {
-            wal.append(&record());
+            wal.append(record());
         }
     }
 
     /// Logs every base-log entry committed since the last call as a
-    /// [`WalRecord::Commit`]. Called after each batch of commits (own
-    /// load, installs, re-executions), so the WAL's commit order is the
-    /// base log's commit order.
+    /// [`crate::wal::WalRecord::Commit`], encoded from the log entry
+    /// itself. Called after each batch of commits (own load, installs,
+    /// re-executions), so the WAL's commit order is the base log's commit
+    /// order.
     pub(super) fn wal_sync_commits(&mut self) {
         let Some(wal) = self.wal.as_mut() else {
             return;
         };
         let log = self.base.log();
         for (txn, writes) in &log[self.logged_commits..] {
-            wal.append(&WalRecord::Commit { txn: *txn, writes: writes.clone() });
+            wal.append(WalRecordRef::Commit { txn: *txn, writes });
         }
         self.logged_commits = log.len();
-    }
-
-    /// A full snapshot of the durable state, for checkpoint records.
-    fn wal_snapshot(&self) -> Snapshot {
-        let base = &self.base;
-        Snapshot {
-            log: base.log().to_vec(),
-            master: base.master().clone(),
-            epoch_start: base.epoch_start() as u64,
-            epoch_state: base.epoch_state().clone(),
-            epoch: base.epoch(),
-            ledger: self.ledger.iter().map(|(m, s, r)| (m as u64, s, r.clone())).collect(),
-        }
     }
 
     /// Checkpoints (snapshot + segment compaction) when enough records
     /// accumulated since the last one. Evaluated once per tick.
     pub(super) fn wal_maybe_checkpoint(&mut self) {
         let every = self.config.durability.checkpoint_every;
-        let due = match &self.wal {
-            Some(wal) => every > 0 && wal.since_checkpoint() >= every,
-            None => false,
-        };
-        if due {
-            let snapshot = self.wal_snapshot();
-            if let Some(wal) = self.wal.as_mut() {
-                wal.checkpoint(snapshot);
+        if let Some(wal) = self.wal.as_mut() {
+            if every > 0 && wal.since_checkpoint() >= every {
+                wal.checkpoint(snapshot_of(&self.base, &self.ledger));
             }
         }
     }
@@ -102,7 +87,19 @@ impl Simulation {
         let pruned = self.ledger.prune_acked(i, seq);
         if pruned > 0 {
             self.metrics.wal.pruned_records += pruned as u64;
-            self.wal_append(|| WalRecord::SessionPrune { mobile: i as u64, upto_seq: seq });
+            self.wal_append(|| WalRecordRef::SessionPrune { mobile: i as u64, upto_seq: seq });
         }
+    }
+}
+
+/// A full snapshot of the durable state, borrowed for a checkpoint record.
+fn snapshot_of<'a>(base: &'a BaseNode, ledger: &'a SessionLedger) -> SnapshotRef<'a> {
+    SnapshotRef {
+        log: base.log(),
+        master: base.master(),
+        epoch_start: base.epoch_start() as u64,
+        epoch_state: base.epoch_state(),
+        epoch: base.epoch(),
+        ledger: LedgerRef::Live(ledger),
     }
 }

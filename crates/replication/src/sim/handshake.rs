@@ -15,7 +15,7 @@ use crate::fault::{Delivery, FaultPlan};
 use crate::metrics::SyncRecord;
 use crate::session::SessionRecord;
 use crate::sync::SyncStrategy;
-use crate::wal::WalRecord;
+use crate::wal::WalRecordRef;
 
 impl Simulation {
     /// Synchronizes mobile `i` through the legacy atomic handshake;
@@ -58,9 +58,9 @@ impl Simulation {
                 .retro_patch(&self.arena, from, &plan.forwarded)
                 .expect("snapshot origin index lies within the base log");
             self.metrics.retro_patches += 1;
-            self.wal_append(|| WalRecord::RetroPatch {
+            self.wal_append(|| WalRecordRef::RetroPatch {
                 from_index: from as u64,
-                updates: plan.forwarded.clone(),
+                updates: &plan.forwarded,
             });
         } else {
             let _ = self.base.install_updates(&mut self.arena, &plan.forwarded);
@@ -353,7 +353,7 @@ impl Simulation {
             if let Some(entry) = self.ledger.get_mut(i, seq) {
                 entry.reexec_done = idx + 1;
             }
-            self.wal_append(|| WalRecord::ReexecAdvance {
+            self.wal_append(|| WalRecordRef::ReexecAdvance {
                 mobile: i as u64,
                 seq,
                 done: (idx + 1) as u64,
@@ -363,7 +363,7 @@ impl Simulation {
         if let Some(entry) = self.ledger.get_mut(i, seq) {
             entry.completed = true;
         }
-        self.wal_append(|| WalRecord::SessionComplete { mobile: i as u64, seq });
+        self.wal_append(|| WalRecordRef::SessionComplete { mobile: i as u64, seq });
         tracer.span_end(Phase::Reexecute, span);
         Some(self.report_sync(&record, tick))
     }
@@ -398,11 +398,7 @@ impl Simulation {
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
         self.install(&record.plan, record.retro_from);
-        self.wal_append(|| WalRecord::SessionInstall {
-            mobile: i as u64,
-            seq,
-            record: record.clone(),
-        });
+        self.wal_append(|| WalRecordRef::SessionInstall { mobile: i as u64, seq, record: &record });
         tracer.span_end(Phase::Install, span);
         if self.ledger.insert(i, seq, record) {
             self.session_step(tick, i, seq, SessionStepKind::Install);

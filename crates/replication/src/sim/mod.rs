@@ -30,7 +30,7 @@ use crate::mobile::MobileNode;
 use crate::sched::{Event, EventKind, EventQueue};
 use crate::session::SessionLedger;
 use crate::sync::SyncStrategy;
-use crate::wal::{Snapshot, VecStorage, Wal, WalRecord};
+use crate::wal::{Snapshot, VecStorage, Wal, WalRecordRef};
 
 mod config;
 mod durable;
@@ -187,7 +187,7 @@ pub struct Simulation {
     /// The write-ahead log, when [`SimConfig::durability`] is enabled.
     wal: Option<Wal<VecStorage>>,
     /// How many entries of the base log are already WAL-logged as
-    /// [`WalRecord::Commit`] records.
+    /// [`crate::wal::WalRecord::Commit`] records.
     logged_commits: usize,
     /// The tick the current window opened at, for virtual-clock window
     /// spans ([`TraceEvent::TickSpan`]).
@@ -415,7 +415,7 @@ impl Simulation {
         };
         if rolled {
             self.base.start_window();
-            self.wal_append(|| WalRecord::WindowStart);
+            self.wal_append(|| WalRecordRef::WindowStart);
             let last = self.last_window_tick;
             self.config
                 .tracer

@@ -37,7 +37,7 @@ use histmerge_txn::{DbState, TxnId, VarId};
 use histmerge_workload::cost::CostReport;
 
 use crate::metrics::SyncRecord;
-use crate::session::SessionRecord;
+use crate::session::{SessionLedger, SessionRecord};
 
 // ---------------------------------------------------------------------
 // Configuration.
@@ -65,18 +65,62 @@ impl Default for DurabilityConfig {
 }
 
 // ---------------------------------------------------------------------
-// CRC32 (IEEE), bit-serial — small and dependency-free.
+// CRC32 (IEEE), slicing-by-8 — table-driven and dependency-free.
 // ---------------------------------------------------------------------
+
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// The slicing-by-8 tables: `CRC_TABLES[0][b]` is the CRC register after
+/// byte `b`, and `CRC_TABLES[k][b]` that register advanced through `k`
+/// further zero bytes, so eight table lookups consume eight input bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
 
 /// CRC32 (IEEE 802.3 polynomial) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -377,15 +421,128 @@ pub enum WalRecord {
 impl WalRecord {
     /// Stable snake-case name of the record kind, for trace events.
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            WalRecord::Commit { .. } => "commit",
-            WalRecord::WindowStart => "window_start",
-            WalRecord::RetroPatch { .. } => "retro_patch",
-            WalRecord::SessionInstall { .. } => "session_install",
-            WalRecord::ReexecAdvance { .. } => "reexec_advance",
-            WalRecord::SessionComplete { .. } => "session_complete",
-            WalRecord::SessionPrune { .. } => "session_prune",
-            WalRecord::Checkpoint(_) => "checkpoint",
+        WalRecordRef::from(self).kind_name()
+    }
+}
+
+/// A borrowed [`WalRecord`]: what [`Wal::append`] encodes. The simulator
+/// logs its live state through it without copying a payload, and an
+/// owned record converts to it, so one encoder defines the byte layout.
+#[derive(Debug, Clone, Copy)]
+pub enum WalRecordRef<'a> {
+    /// See [`WalRecord::Commit`].
+    Commit {
+        /// The committed transaction.
+        txn: TxnId,
+        /// The committed values of the transaction's write set.
+        writes: &'a DbState,
+    },
+    /// See [`WalRecord::WindowStart`].
+    WindowStart,
+    /// See [`WalRecord::RetroPatch`].
+    RetroPatch {
+        /// The base-log index the patch applied from.
+        from_index: u64,
+        /// The forwarded updates that were patched in.
+        updates: &'a DbState,
+    },
+    /// See [`WalRecord::SessionInstall`].
+    SessionInstall {
+        /// The reconnecting mobile.
+        mobile: u64,
+        /// The session's sequence number at that mobile.
+        seq: u64,
+        /// The durable session record.
+        record: &'a SessionRecord,
+    },
+    /// See [`WalRecord::ReexecAdvance`].
+    ReexecAdvance {
+        /// The session's mobile.
+        mobile: u64,
+        /// The session's sequence number.
+        seq: u64,
+        /// Plan entries re-executed so far.
+        done: u64,
+    },
+    /// See [`WalRecord::SessionComplete`].
+    SessionComplete {
+        /// The session's mobile.
+        mobile: u64,
+        /// The session's sequence number.
+        seq: u64,
+    },
+    /// See [`WalRecord::SessionPrune`].
+    SessionPrune {
+        /// The acknowledging mobile.
+        mobile: u64,
+        /// Records with `seq <= upto_seq` were dropped.
+        upto_seq: u64,
+    },
+    /// See [`WalRecord::Checkpoint`].
+    Checkpoint(SnapshotRef<'a>),
+}
+
+/// A borrowed [`Snapshot`], encoded exactly as the owned one.
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotRef<'a> {
+    /// The committed base log since simulation start.
+    pub log: &'a [(TxnId, DbState)],
+    /// The master state.
+    pub master: &'a DbState,
+    /// Index into `log` where the current window began.
+    pub epoch_start: u64,
+    /// The master state at the window start.
+    pub epoch_state: &'a DbState,
+    /// The window (epoch) counter.
+    pub epoch: u64,
+    /// The session ledger.
+    pub ledger: LedgerRef<'a>,
+}
+
+/// The session ledger a [`SnapshotRef`] encodes: a snapshot's own rows,
+/// or the live ledger itself.
+#[derive(Debug, Clone, Copy)]
+pub enum LedgerRef<'a> {
+    /// `(mobile, seq, record)` rows, as [`Snapshot::ledger`] holds them.
+    Rows(&'a [(u64, u64, SessionRecord)]),
+    /// A live ledger, in its `(mobile, seq)` order.
+    Live(&'a SessionLedger),
+}
+
+impl<'a> From<&'a Snapshot> for SnapshotRef<'a> {
+    fn from(snapshot: &'a Snapshot) -> SnapshotRef<'a> {
+        SnapshotRef {
+            log: &snapshot.log,
+            master: &snapshot.master,
+            epoch_start: snapshot.epoch_start,
+            epoch_state: &snapshot.epoch_state,
+            epoch: snapshot.epoch,
+            ledger: LedgerRef::Rows(&snapshot.ledger),
+        }
+    }
+}
+
+impl<'a> From<&'a WalRecord> for WalRecordRef<'a> {
+    fn from(record: &'a WalRecord) -> WalRecordRef<'a> {
+        match record {
+            WalRecord::Commit { txn, writes } => WalRecordRef::Commit { txn: *txn, writes },
+            WalRecord::WindowStart => WalRecordRef::WindowStart,
+            WalRecord::RetroPatch { from_index, updates } => {
+                WalRecordRef::RetroPatch { from_index: *from_index, updates }
+            }
+            WalRecord::SessionInstall { mobile, seq, record } => {
+                WalRecordRef::SessionInstall { mobile: *mobile, seq: *seq, record }
+            }
+            &WalRecord::ReexecAdvance { mobile, seq, done } => {
+                WalRecordRef::ReexecAdvance { mobile, seq, done }
+            }
+            &WalRecord::SessionComplete { mobile, seq } => {
+                WalRecordRef::SessionComplete { mobile, seq }
+            }
+            &WalRecord::SessionPrune { mobile, upto_seq } => {
+                WalRecordRef::SessionPrune { mobile, upto_seq }
+            }
+            WalRecord::Checkpoint(snapshot) => WalRecordRef::Checkpoint((&**snapshot).into()),
         }
     }
 }
@@ -399,63 +556,99 @@ const TAG_SESSION_COMPLETE: u8 = 6;
 const TAG_SESSION_PRUNE: u8 = 7;
 const TAG_CHECKPOINT: u8 = 8;
 
+impl WalRecordRef<'_> {
+    /// Stable snake-case name of the record kind, for trace events.
+    pub fn kind_name(&self) -> &'static str {
+        match self {
+            WalRecordRef::Commit { .. } => "commit",
+            WalRecordRef::WindowStart => "window_start",
+            WalRecordRef::RetroPatch { .. } => "retro_patch",
+            WalRecordRef::SessionInstall { .. } => "session_install",
+            WalRecordRef::ReexecAdvance { .. } => "reexec_advance",
+            WalRecordRef::SessionComplete { .. } => "session_complete",
+            WalRecordRef::SessionPrune { .. } => "session_prune",
+            WalRecordRef::Checkpoint(_) => "checkpoint",
+        }
+    }
+
+    /// Appends the record payload (unframed) to `out` — the one encoder
+    /// behind both [`WalRecord::encode`] and [`Wal::append`].
+    fn encode_into(self, out: &mut Vec<u8>) {
+        match self {
+            WalRecordRef::Commit { txn, writes } => {
+                out.push(TAG_COMMIT);
+                put_u32(out, txn.index());
+                put_state(out, writes);
+            }
+            WalRecordRef::WindowStart => out.push(TAG_WINDOW_START),
+            WalRecordRef::RetroPatch { from_index, updates } => {
+                out.push(TAG_RETRO_PATCH);
+                put_u64(out, from_index);
+                put_state(out, updates);
+            }
+            WalRecordRef::SessionInstall { mobile, seq, record } => {
+                out.push(TAG_SESSION_INSTALL);
+                put_u64(out, mobile);
+                put_u64(out, seq);
+                put_session_record(out, record);
+            }
+            WalRecordRef::ReexecAdvance { mobile, seq, done } => {
+                out.push(TAG_REEXEC_ADVANCE);
+                put_u64(out, mobile);
+                put_u64(out, seq);
+                put_u64(out, done);
+            }
+            WalRecordRef::SessionComplete { mobile, seq } => {
+                out.push(TAG_SESSION_COMPLETE);
+                put_u64(out, mobile);
+                put_u64(out, seq);
+            }
+            WalRecordRef::SessionPrune { mobile, upto_seq } => {
+                out.push(TAG_SESSION_PRUNE);
+                put_u64(out, mobile);
+                put_u64(out, upto_seq);
+            }
+            WalRecordRef::Checkpoint(snapshot) => {
+                out.push(TAG_CHECKPOINT);
+                put_u32(out, snapshot.log.len() as u32);
+                for (txn, state) in snapshot.log {
+                    put_u32(out, txn.index());
+                    put_state(out, state);
+                }
+                put_state(out, snapshot.master);
+                put_u64(out, snapshot.epoch_start);
+                put_state(out, snapshot.epoch_state);
+                put_u64(out, snapshot.epoch);
+                match snapshot.ledger {
+                    LedgerRef::Rows(rows) => {
+                        put_u32(out, rows.len() as u32);
+                        for (mobile, seq, record) in rows {
+                            put_ledger_row(out, *mobile, *seq, record);
+                        }
+                    }
+                    LedgerRef::Live(ledger) => {
+                        put_u32(out, ledger.len() as u32);
+                        for (mobile, seq, record) in ledger.iter() {
+                            put_ledger_row(out, mobile as u64, seq, record);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn put_ledger_row(out: &mut Vec<u8>, mobile: u64, seq: u64, record: &SessionRecord) {
+    put_u64(out, mobile);
+    put_u64(out, seq);
+    put_session_record(out, record);
+}
+
 impl WalRecord {
     /// Encodes the record payload (unframed).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        match self {
-            WalRecord::Commit { txn, writes } => {
-                out.push(TAG_COMMIT);
-                put_u32(&mut out, txn.index());
-                put_state(&mut out, writes);
-            }
-            WalRecord::WindowStart => out.push(TAG_WINDOW_START),
-            WalRecord::RetroPatch { from_index, updates } => {
-                out.push(TAG_RETRO_PATCH);
-                put_u64(&mut out, *from_index);
-                put_state(&mut out, updates);
-            }
-            WalRecord::SessionInstall { mobile, seq, record } => {
-                out.push(TAG_SESSION_INSTALL);
-                put_u64(&mut out, *mobile);
-                put_u64(&mut out, *seq);
-                put_session_record(&mut out, record);
-            }
-            WalRecord::ReexecAdvance { mobile, seq, done } => {
-                out.push(TAG_REEXEC_ADVANCE);
-                put_u64(&mut out, *mobile);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *done);
-            }
-            WalRecord::SessionComplete { mobile, seq } => {
-                out.push(TAG_SESSION_COMPLETE);
-                put_u64(&mut out, *mobile);
-                put_u64(&mut out, *seq);
-            }
-            WalRecord::SessionPrune { mobile, upto_seq } => {
-                out.push(TAG_SESSION_PRUNE);
-                put_u64(&mut out, *mobile);
-                put_u64(&mut out, *upto_seq);
-            }
-            WalRecord::Checkpoint(snapshot) => {
-                out.push(TAG_CHECKPOINT);
-                put_u32(&mut out, snapshot.log.len() as u32);
-                for (txn, state) in &snapshot.log {
-                    put_u32(&mut out, txn.index());
-                    put_state(&mut out, state);
-                }
-                put_state(&mut out, &snapshot.master);
-                put_u64(&mut out, snapshot.epoch_start);
-                put_state(&mut out, &snapshot.epoch_state);
-                put_u64(&mut out, snapshot.epoch);
-                put_u32(&mut out, snapshot.ledger.len() as u32);
-                for (mobile, seq, record) in &snapshot.ledger {
-                    put_u64(&mut out, *mobile);
-                    put_u64(&mut out, *seq);
-                    put_session_record(&mut out, record);
-                }
-            }
-        }
+        WalRecordRef::from(self).encode_into(&mut out);
         out
     }
 
@@ -523,13 +716,34 @@ impl WalRecord {
 // Framing.
 // ---------------------------------------------------------------------
 
+/// Bytes of a frame header: the payload length and its CRC32.
+const HEADER: usize = 8;
+
 /// Frames a record payload as `[len: u32][crc32: u32][payload]`.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(payload));
+    let mut out = Vec::with_capacity(HEADER + payload.len());
+    out.extend_from_slice(&[0; HEADER]);
     out.extend_from_slice(payload);
+    seal_frame(&mut out);
     out
+}
+
+/// Fills in the header reserved at the front of `framed` for the payload
+/// that follows it.
+fn seal_frame(framed: &mut [u8]) {
+    let (header, payload) = framed.split_at_mut(HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// The payload of the frame at the front of `buf`, when the whole frame
+/// is present and its CRC matches.
+fn read_frame(buf: &[u8]) -> Option<&[u8]> {
+    let header = buf.get(..HEADER)?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    let payload = buf[HEADER..].get(..len)?;
+    (crc32(payload) == crc).then_some(payload)
 }
 
 /// How a segment's byte stream ended.
@@ -550,27 +764,25 @@ pub enum Tail {
 /// payload. Never panics; the invalid suffix is reported via [`Tail`].
 pub fn decode_stream(buf: &[u8]) -> (Vec<WalRecord>, Tail) {
     let mut out = Vec::new();
+    let tail = visit_stream(buf, |record| out.push(record));
+    (out, tail)
+}
+
+/// The streaming form of [`decode_stream`]: hands each decoded record to
+/// `visit` as soon as its frame checks out, and stops at the same frame.
+pub(crate) fn visit_stream(buf: &[u8], mut visit: impl FnMut(WalRecord)) -> Tail {
     let mut pos = 0usize;
     while pos < buf.len() {
-        if buf.len() - pos < 8 {
-            return (out, Tail::Torn { offset: pos });
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if buf.len() - pos - 8 < len {
-            return (out, Tail::Torn { offset: pos });
-        }
-        let payload = &buf[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            return (out, Tail::Torn { offset: pos });
-        }
-        match WalRecord::decode(payload) {
-            Some(record) => out.push(record),
-            None => return (out, Tail::Torn { offset: pos }),
-        }
-        pos += 8 + len;
+        let Some(payload) = read_frame(&buf[pos..]) else {
+            return Tail::Torn { offset: pos };
+        };
+        let Some(record) = WalRecord::decode(payload) else {
+            return Tail::Torn { offset: pos };
+        };
+        visit(record);
+        pos += HEADER + payload.len();
     }
-    (out, Tail::Clean)
+    Tail::Clean
 }
 
 // ---------------------------------------------------------------------
@@ -778,6 +990,9 @@ pub struct Wal<S: Storage = VecStorage> {
     checkpoints: u64,
     segments_retired: u64,
     tracer: histmerge_obs::TracerHandle,
+    /// The frame being appended, reused across appends so the record is
+    /// encoded straight into it.
+    frame: Vec<u8>,
 }
 
 impl<S: Storage> Wal<S> {
@@ -794,8 +1009,9 @@ impl<S: Storage> Wal<S> {
             checkpoints: 0,
             segments_retired: 0,
             tracer: histmerge_obs::TracerHandle::noop(),
+            frame: Vec::new(),
         };
-        wal.append(&WalRecord::Checkpoint(Box::new(genesis.clone())));
+        wal.append(WalRecordRef::Checkpoint(genesis.into()));
         wal.since_checkpoint = 0;
         wal
     }
@@ -812,18 +1028,24 @@ impl<S: Storage> Wal<S> {
         self
     }
 
-    /// Appends one framed record to the active segment.
-    pub fn append(&mut self, record: &WalRecord) {
+    /// Appends one framed record to the active segment: reserves the
+    /// header, encodes the payload behind it and seals the header with
+    /// the payload's length and CRC.
+    pub fn append<'r>(&mut self, record: impl Into<WalRecordRef<'r>>) {
         use histmerge_obs::{Phase, TraceEvent};
+        let record = record.into();
         let span = self.tracer.span_start();
-        let framed = frame(&record.encode());
-        self.bytes += framed.len() as u64;
-        self.storage.append(self.active, &framed);
+        self.frame.clear();
+        self.frame.extend_from_slice(&[0; HEADER]);
+        record.encode_into(&mut self.frame);
+        seal_frame(&mut self.frame);
+        let bytes = self.frame.len();
+        self.bytes += bytes as u64;
+        self.storage.append(self.active, &self.frame);
         self.records += 1;
         self.since_checkpoint += 1;
         self.tracer.span_end(Phase::WalAppend, span);
-        self.tracer
-            .emit(|| TraceEvent::WalAppend { kind: record.kind_name(), bytes: framed.len() });
+        self.tracer.emit(|| TraceEvent::WalAppend { kind: record.kind_name(), bytes });
     }
 
     /// Writes `snapshot` as the first record of a fresh segment, then
@@ -831,14 +1053,14 @@ impl<S: Storage> Wal<S> {
     /// the snapshot append, so a crash anywhere inside this method leaves
     /// a recoverable log (the previous checkpoint still exists until the
     /// new one is fully durable).
-    pub fn checkpoint(&mut self, snapshot: Snapshot) {
+    pub fn checkpoint<'s>(&mut self, snapshot: impl Into<SnapshotRef<'s>>) {
         use histmerge_obs::{Phase, TraceEvent};
         let span = self.tracer.span_start();
         let sealed = self.since_checkpoint;
         let old = self.storage.segment_ids();
         self.active += 1;
         self.storage.create_segment(self.active);
-        self.append(&WalRecord::Checkpoint(Box::new(snapshot)));
+        self.append(WalRecordRef::Checkpoint(snapshot.into()));
         let mut retired = 0u64;
         for id in old {
             self.storage.delete_segment(id);
@@ -947,6 +1169,41 @@ mod tests {
         // IEEE CRC32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bit-serial CRC32 the table kernel must reproduce: one
+    /// shift/xor round per input bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference() {
+        // A seeded xorshift buffer; every length at every start offset
+        // walks each alignment through the 8-byte body and the tail.
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let buf: Vec<u8> = (0..8 + 256)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=256 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bitwise(bytes), "offset {start}, length {len}");
+            }
+        }
     }
 
     #[test]
@@ -1072,7 +1329,7 @@ mod tests {
             epoch: 1,
             ledger: Vec::new(),
         };
-        wal.checkpoint(snap.clone());
+        wal.checkpoint(&snap);
         assert_eq!(wal.storage().segment_ids(), vec![1]);
         assert_eq!(wal.checkpoints(), 1);
         assert_eq!(wal.segments_retired(), 1);
@@ -1098,7 +1355,7 @@ mod tests {
             Wal::new(VecStorage::new(), &genesis).with_tracer(TracerHandle::new(sink.clone()));
 
         wal.append(&WalRecord::WindowStart);
-        wal.checkpoint(Snapshot::genesis(state(&[(0, 1)])));
+        wal.checkpoint(&Snapshot::genesis(state(&[(0, 1)])));
 
         let dump = sink.dump_jsonl().unwrap();
         assert!(dump.contains(r#""kind":"window_start""#), "{dump}");

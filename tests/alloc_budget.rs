@@ -15,8 +15,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use histmerge::history::TxnArena;
+use histmerge::replication::wal::{Snapshot, VecStorage, Wal, WalRecord};
 use histmerge::replication::{BaseNode, MobileNode};
-use histmerge::txn::{Transaction, TxnId, TxnKind, VarId, VarMask, VarSet};
+use histmerge::txn::{DbState, Transaction, TxnId, TxnKind, VarId, VarMask, VarSet};
 use histmerge::workload::canned_mix::{CannedFlavor, CannedMix, CannedMixParams};
 use histmerge::workload::generator::{initial_state, ScenarioParams, TxnFactory};
 
@@ -195,4 +196,26 @@ fn tentative_runs_allocate_at_most_four_times() {
         let per_txn = allocations as f64 / TXNS as f64;
         assert!(per_txn <= 4.0, "{n_vars} items: {per_txn:.2} allocations per tentative run");
     }
+}
+
+#[test]
+fn wal_appends_allocate_only_the_journal_copy() {
+    const APPENDS: usize = 1_000;
+    let writes: DbState =
+        [(VarId::new(3), 7), (VarId::new(40), -2), (VarId::new(77), 19)].into_iter().collect();
+    let record = WalRecord::Commit { txn: TxnId::new(5), writes };
+    let mut wal = Wal::new(VecStorage::new(), &Snapshot::genesis(DbState::new()));
+    for _ in 0..APPENDS {
+        wal.append(&record);
+    }
+    let ((), allocations, _) = counted(|| {
+        for _ in 0..APPENDS {
+            wal.append(&record);
+        }
+    });
+    // The journal keeps its own copy of every append; the segment's and
+    // the journal's doubling growth add a few per thousand.
+    let per_append = allocations as f64 / APPENDS as f64;
+    assert!(per_append < 1.01, "{per_append:.3} allocations per append");
+    assert_eq!(wal.records(), 2 * APPENDS as u64 + 1);
 }
