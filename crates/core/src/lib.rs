@@ -14,7 +14,8 @@
 //! 5. forward the repaired history's final values to the base;
 //! 6. re-execute the backed-out transactions the old way.
 //!
-//! The [`merge`] module packages steps 1–6 behind one call.
+//! The [`merge`] module runs steps 1–5 and stops at the install plan; step 6
+//! is `BaseNode::reexecute` in `histmerge-replication`.
 //!
 //! # Example
 //!

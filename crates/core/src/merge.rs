@@ -1,17 +1,20 @@
-//! The merging protocol (Section 2.1): steps 1–6 behind one call.
+//! The merging protocol (Section 2.1): steps 1–5; step 6 is
+//! `BaseNode::reexecute`.
+//!
+//! A merge stops at the [`InstallPlan`]: step 6 re-executes the backed-out
+//! transactions "the old way", as base transactions, and the base reports
+//! those whose precondition failed.
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use histmerge_history::{
-    rule1_edge_count, run_to_final, AugmentedHistory, BackoutStrategy, BaseEdgeCache,
-    ClosureScratch, ClosureTable, DenseBits, PrecedenceGraph, SerialHistory, TwoCycleOptimal,
-    TxnArena,
+    rule1_edge_count, AugmentedHistory, BackoutStrategy, BaseEdgeCache, ClosureScratch,
+    ClosureTable, DenseBits, PrecedenceGraph, SerialHistory, TwoCycleOptimal, TxnArena,
 };
 use histmerge_obs::{Phase, TraceEvent, TracerHandle};
 use histmerge_semantics::{OracleStack, SemanticOracle, StaticAnalyzer};
-use histmerge_txn::{DbState, Fix, OverlayState, TxnId, VarSet, WriteDelta};
+use histmerge_txn::{DbState, OverlayState, TxnId, VarSet, WriteDelta};
 
 use crate::error::CoreError;
 use crate::prune::{compensate, undo, PruneMethod};
@@ -88,9 +91,6 @@ pub struct MergeOutcome {
     /// The values forwarded to the base nodes (step 5): for each item
     /// modified by a saved transaction, its value in the repaired state.
     pub forwarded: DbState,
-    /// Results of re-executing the backed-out transactions (step 6) on the
-    /// new master state, in execution order: `(txn, succeeded)`.
-    pub reexecuted: Vec<(TxnId, bool)>,
     /// Number of edges in the full precedence graph `G(H_m, H_b)` (cost
     /// accounting input), although only its conflict slice is built: rule-2
     /// edges are counted by the base-edge cache, and a disjoint merge on
@@ -153,8 +153,9 @@ impl MergeOutcome {
 /// to skip redundant work when merging repeatedly against a growing base
 /// history (the batched sync path).
 ///
-/// Both fields are optional; an empty assist computes everything from `hb`
-/// and `s0`, exactly like [`Merger::merge`].
+/// The field is optional; an empty assist computes everything from `hb`,
+/// exactly like [`Merger::merge`]. No base state is lent: a merge never
+/// executes `hb`, because the plan needs only its footprints.
 #[derive(Default, Clone, Copy)]
 pub struct MergeAssist<'a> {
     /// The epoch's incrementally maintained rule-2 edge counts and
@@ -166,10 +167,6 @@ pub struct MergeAssist<'a> {
     /// pending history disjoint from it skips slice and closure
     /// construction, with a byte-identical outcome.
     pub base_edges: Option<&'a BaseEdgeCache>,
-    /// The final state of executing `hb` from `s0`. Base nodes already
-    /// hold this (it is the current master), so re-executing the whole
-    /// epoch log per merge is pure waste.
-    pub hb_final: Option<&'a DbState>,
 }
 
 /// Reusable working memory for repeated merges (the zero-realloc hot
@@ -266,16 +263,10 @@ impl Merger {
         // Execute the tentative history to obtain its log (before/after
         // images and original read values). In a deployment these logs
         // already exist; re-deriving them here keeps the API
-        // self-contained. The base history's final state is either lent by
-        // the caller (base nodes hold it as the current master) or derived
-        // log-free: a merge only needs `hb`'s FINAL state, never its
-        // per-step images, so `run_to_final` skips the augmented log.
+        // self-contained. `H_b` is never executed: the plan needs only its
+        // footprints, and its final state is the base's master.
         let span = tracer.span_start();
         let hm_aug = AugmentedHistory::execute_shared(arena, hm, s0)?;
-        let hb_final = match assist.hb_final {
-            Some(state) => Cow::Borrowed(state),
-            None => Cow::Owned(run_to_final(arena, hb, s0)?),
-        };
         tracer.span_end(Phase::Exec, span);
 
         // Conflict-free fast-path gate: when the epoch edge cache covers
@@ -391,35 +382,6 @@ impl Merger {
         let forwarded = repaired.project(&saved_writes);
         let repaired_writes = repaired.into_writes();
 
-        // Step 6: re-execute backed-out transactions on the new master
-        // state (`hb_final` plus the forwarded values), in their original
-        // order. "Failed reexecutions will be informed to the users
-        // together with the corresponding reasons": a re-execution fails
-        // when the transaction's declared precondition does not hold on
-        // the state it now runs against (e.g. a withdrawal that no longer
-        // clears), or when it cannot run at all. Only the per-transaction
-        // verdicts escape this loop, so the chain runs on an overlay over
-        // `hb_final` — no state clone.
-        let span = tracer.span_start();
-        let mut reexecuted = Vec::new();
-        let mut view = OverlayState::new(&hb_final);
-        for (var, value) in forwarded.iter() {
-            view.set(var, value);
-        }
-        for (id, _) in rewritten.suffix() {
-            let txn = arena.get(*id);
-            let precondition_ok = txn.check_precondition_on(&view, &Fix::empty()).unwrap_or(false);
-            match txn.execute_delta(&view, &Fix::empty()) {
-                Ok(delta) => {
-                    view.apply_writes(&delta.writes);
-                    reexecuted.push((*id, precondition_ok));
-                }
-                Err(_) => reexecuted.push((*id, false)),
-            }
-        }
-        drop(view);
-        tracer.span_end(Phase::Reexecute, span);
-
         let saved = rewritten.saved();
         let backed_out = rewritten.pruned();
 
@@ -431,7 +393,6 @@ impl Merger {
             backed_out,
             repaired_writes,
             forwarded,
-            reexecuted,
             graph_edges,
             fast_path,
         })
@@ -442,7 +403,7 @@ impl Merger {
 mod tests {
     use super::*;
     use histmerge_history::fixtures::example1;
-    use histmerge_history::{ExactMinimum, GreedyScc};
+    use histmerge_history::{run_to_final, ExactMinimum, GreedyScc};
     use histmerge_txn::VarId;
 
     fn d(i: u32) -> VarId {
@@ -480,9 +441,6 @@ mod tests {
         // The merged history of Example 1: Tb1 Tb2 Tm1 Tm2.
         let merged = witness(&ex.arena, &ex.hm, &ex.hb, &outcome).unwrap();
         assert_eq!(merged.order(), &[ex.b[0], ex.b[1], ex.m[0], ex.m[1]]);
-        // Both backed-out transactions re-execute fine on the new master.
-        assert!(outcome.reexecuted.iter().all(|(_, ok)| *ok));
-        assert_eq!(outcome.reexecuted.len(), 2);
     }
 
     #[test]
@@ -565,7 +523,7 @@ mod tests {
         cache.extend(&ex.arena, ex.hb.iter());
         let hb_final =
             AugmentedHistory::execute(&ex.arena, &ex.hb, &ex.s0).unwrap().final_state().clone();
-        let assist = MergeAssist { base_edges: Some(&cache), hb_final: Some(&hb_final) };
+        let assist = MergeAssist { base_edges: Some(&cache) };
         let assisted = merger
             .merge_traced_scratch(
                 &ex.arena,
@@ -585,7 +543,6 @@ mod tests {
         assert_eq!(plain.repaired_state(&ex.s0), assisted.repaired_state(&ex.s0));
         assert_eq!(plain.forwarded, assisted.forwarded);
         assert_eq!(plain.new_master(&hb_final), assisted.new_master(&hb_final));
-        assert_eq!(plain.reexecuted, assisted.reexecuted);
         assert_eq!(plain.graph_edges, assisted.graph_edges);
     }
 
@@ -642,7 +599,6 @@ mod tests {
         assert_eq!(plain.backed_out, traced.backed_out);
         let hb_final = hb_final(&ex);
         assert_eq!(plain.new_master(&hb_final), traced.new_master(&hb_final));
-        assert_eq!(plain.reexecuted, traced.reexecuted);
         assert_eq!(plain.graph_edges, traced.graph_edges);
 
         // Every protocol step left an event and a span.
@@ -655,12 +611,12 @@ mod tests {
             "\"exec\"",
             "graph_build",
             "backout",
-            "reexecute",
         ] {
             assert!(dump.contains(needle), "missing {needle} in {dump}");
         }
         let spans = dump.lines().filter(|l| l.contains("\"type\":\"span\"")).count();
-        assert_eq!(spans, 6, "one span per merge phase:\n{dump}");
+        assert_eq!(spans, 5, "one span per merge phase:\n{dump}");
+        assert!(!dump.contains("reexecute"), "step 6 runs at the base, not in the plan");
     }
 
     #[test]
@@ -680,7 +636,7 @@ mod tests {
             let assist = if round % 2 == 0 {
                 MergeAssist::default()
             } else {
-                MergeAssist { base_edges: Some(&cache), hb_final: Some(&hb_final) }
+                MergeAssist { base_edges: Some(&cache) }
             };
             let reused = merger
                 .merge_traced_scratch(
@@ -704,7 +660,6 @@ mod tests {
             );
             assert_eq!(plain.forwarded, reused.forwarded, "round {round}");
             assert_eq!(plain.new_master(&hb_final), reused.new_master(&hb_final), "round {round}");
-            assert_eq!(plain.reexecuted, reused.reexecuted, "round {round}");
             assert_eq!(plain.graph_edges, reused.graph_edges, "round {round}");
         }
     }

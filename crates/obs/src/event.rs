@@ -22,7 +22,9 @@ pub enum Phase {
     MergePlan,
     /// Step 5: installing forwarded updates on the base.
     Install,
-    /// Step 6: re-executing backed-out transactions.
+    /// Step 6: re-executing backed-out transactions as base transactions
+    /// (`BaseNode::reexecute`). The merger stops at the install plan, so
+    /// this span never nests inside [`Phase::MergePlan`].
     Reexecute,
     /// One whole synchronization (a reconnection, any path).
     Sync,

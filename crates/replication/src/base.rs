@@ -310,14 +310,19 @@ impl BaseNode {
         Some(id)
     }
 
-    /// Re-registers a backed-out tentative transaction as a base
-    /// transaction (protocol step 6 / reprocessing) and commits it.
-    /// Returns the new base transaction's id.
-    pub fn reexecute(&mut self, arena: &mut TxnArena, tentative: TxnId) -> TxnId {
+    /// Protocol step 6 (and reprocessing): re-registers a backed-out
+    /// tentative transaction as a base transaction and commits it. Returns
+    /// the new base id and whether the re-execution succeeded ("failed
+    /// reexecutions will be informed to the users"): it fails when the
+    /// declared precondition does not hold on the master before the
+    /// transaction's own writes, or cannot be evaluated. It commits either
+    /// way; a guarded program whose guard fails commits as a no-op.
+    pub fn reexecute(&mut self, arena: &mut TxnArena, tentative: TxnId) -> (TxnId, bool) {
         let source = arena.get(tentative).clone();
+        let succeeded = source.check_precondition_on(&self.master, &Fix::empty()).unwrap_or(false);
         let id = arena.alloc(|id| source.with_id(id).with_kind(TxnKind::Base));
         self.commit(arena, id);
-        id
+        (id, succeeded)
     }
 
     /// Starts a new window: the current master becomes the shared original
@@ -432,6 +437,7 @@ fn install_program(forwarded: &DbState) -> Arc<Program> {
 mod tests {
     use super::*;
     use histmerge_txn::{Expr, VarId};
+    use histmerge_workload::canned::Bank;
 
     fn v(i: u32) -> VarId {
         VarId::new(i)
@@ -587,11 +593,32 @@ mod tests {
                 .unwrap(),
         );
         let tentative = arena.alloc(|id| Transaction::new(id, "m", TxnKind::Tentative, p, vec![]));
-        let reexec = base.reexecute(&mut arena, tentative);
+        let (reexec, succeeded) = base.reexecute(&mut arena, tentative);
+        assert!(succeeded, "no declared precondition: re-execution succeeds");
         assert_ne!(reexec, tentative);
         assert_eq!(arena.get(reexec).kind(), TxnKind::Base);
         assert_eq!(arena.get(tentative).kind(), TxnKind::Tentative);
         assert_eq!(base.master().get(v(0)), 7);
+    }
+
+    #[test]
+    fn reexecute_reports_the_precondition_on_the_master_before_its_writes() {
+        // A canned withdrawal declares `bal >= amt`. With 100 on the
+        // account, withdrawing 60 holds before its own write (after it,
+        // 40 < 60 would not); a second withdrawal of 60 fails on 40 and
+        // commits as a no-op, its guard skipped.
+        let bank = Bank::new();
+        let mut arena = TxnArena::new();
+        let mut base = BaseNode::new([(v(0), 100)].into_iter().collect(), 1, false);
+        let first = arena.alloc(|id| bank.withdraw(id, "w1", v(0), 60));
+        let second = arena.alloc(|id| bank.withdraw(id, "w2", v(0), 60));
+        let (_, succeeded) = base.reexecute(&mut arena, first);
+        assert!(succeeded, "100 >= 60 on the master it runs against");
+        assert_eq!(base.master().get(v(0)), 40);
+        let (_, succeeded) = base.reexecute(&mut arena, second);
+        assert!(!succeeded, "40 < 60: failed and reported");
+        assert_eq!(base.master().get(v(0)), 40);
+        assert_eq!(base.committed(), 2, "a failed re-execution still commits");
     }
 
     #[test]

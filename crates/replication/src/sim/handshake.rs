@@ -72,9 +72,10 @@ impl Simulation {
     }
 
     /// Protocol step 6 for one transaction: re-executes it as a base
-    /// transaction, marks it resolved and logs the commit.
+    /// transaction, marks it resolved and logs the commit. The base's
+    /// precondition verdict is not recorded: no report reads it.
     fn reexecute(&mut self, id: TxnId) {
-        self.base.reexecute(&mut self.arena, id);
+        let _ = self.base.reexecute(&mut self.arena, id);
         self.mark_resolved(id);
         self.wal_sync_commits();
     }

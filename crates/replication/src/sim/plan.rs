@@ -21,7 +21,8 @@ use crate::sync::SyncStrategy;
 pub(super) enum SyncDecision {
     /// Nothing pending: just refresh the mobile's origin.
     Refresh,
-    /// Merge the pending history (protocol steps 1–6).
+    /// Merge the pending history (protocol steps 1–5; the base
+    /// re-executes the back-outs, step 6).
     Merge {
         /// The pending tentative history the merge consumed.
         hm: SerialHistory,
@@ -139,8 +140,9 @@ impl Simulation {
     /// a Strategy 1
     /// snapshot merge runs against the log suffix from the mobile's
     /// snapshot (`Some`), which no cache covers, so the merger builds its
-    /// own. The current master is `H_b`'s final state either way, so a
-    /// merge pays for its own conflict slice, not for all of `|H_b|`.
+    /// own. The merger never executes `H_b` and stops at the install
+    /// plan, so a merge pays for its own conflict slice, not for all of
+    /// `|H_b|`.
     fn plan_merge(
         &mut self,
         i: usize,
@@ -156,7 +158,7 @@ impl Simulation {
             None => (self.base.epoch_cache().history(), Some(self.base.epoch_cache())),
         };
         let hb_len = hb.len();
-        let assist = MergeAssist { base_edges, hb_final: Some(self.base.master()) };
+        let assist = MergeAssist { base_edges };
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
         let planned = merger.merge_traced_scratch(

@@ -8,10 +8,11 @@
 
 use histmerge::core::merge::{MergeConfig, Merger};
 use histmerge::history::fixtures::example1;
-use histmerge::history::{run_to_final, PrecedenceGraph};
+use histmerge::history::PrecedenceGraph;
+use histmerge::replication::BaseNode;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ex = example1();
+    let mut ex = example1();
 
     println!("== Example 1 (ICDCS 1999, Section 2.1) ==\n");
     println!("Tentative history H_m = {}", ex.hm);
@@ -36,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("  acyclic: {}", graph.is_acyclic());
 
-    // Steps 2-6: the merging protocol.
+    // Steps 2-5: the merge plan.
     let outcome = Merger::new(MergeConfig::default()).merge(&ex.arena, &ex.hm, &ex.hb, &ex.s0)?;
 
     let names = |ids: &[histmerge::txn::TxnId]| -> Vec<&str> {
@@ -56,21 +57,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let ids: Vec<_> = merged.iter().collect();
         println!("  merged history  = {:?}", names(&ids));
     }
-    println!("\n  forwarded updates (step 5) = {}", outcome.forwarded);
-    // The new master is H_b's final state with the forwarded values.
-    let hb_final = run_to_final(&ex.arena, &ex.hb, &ex.s0)?;
-    println!("  new master state           = {}", outcome.new_master(&hb_final));
-    println!(
-        "  re-executions (step 6)     = {:?}",
-        outcome
-            .reexecuted
-            .iter()
-            .map(|(id, ok)| (ex.arena.get(*id).name(), *ok))
-            .collect::<Vec<_>>()
-    );
-
     assert_eq!(names(&outcome.saved), vec!["Tm1", "Tm2"]);
     assert_eq!(names(&outcome.backed_out), vec!["Tm3", "Tm4"]);
+
+    // Steps 5 and 6 at the base: a base node that committed H_b installs
+    // the forwarded values, then re-executes the backed-out transactions
+    // as base transactions, reporting any whose precondition fails.
+    println!("\n  forwarded updates (step 5) = {}", outcome.forwarded);
+    let mut base = BaseNode::new(ex.s0.clone(), 1, false);
+    for id in ex.hb.iter() {
+        base.commit(&ex.arena, id);
+    }
+    let _ = base.install_updates(&mut ex.arena, &outcome.forwarded);
+    println!("  new master state           = {}", base.master());
+    let verdicts: Vec<_> =
+        outcome.backed_out.iter().map(|&id| (id, base.reexecute(&mut ex.arena, id).1)).collect();
+    let reexecuted: Vec<_> =
+        verdicts.iter().map(|&(id, succeeded)| (ex.arena.get(id).name(), succeeded)).collect();
+    println!("  re-executions (step 6)     = {reexecuted:?}");
+    println!("  master after step 6        = {}", base.master());
+    assert_eq!(reexecuted, vec![("Tm3", true), ("Tm4", true)]);
     println!("\nOK: matches the paper — Tm1 and Tm2 saved, Tm3 backed out, Tm4 affected.");
     Ok(())
 }

@@ -14,7 +14,9 @@ use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::Arc;
 
-use histmerge::history::TxnArena;
+use histmerge::core::merge::{MergeAssist, MergeConfig, MergeScratch, Merger};
+use histmerge::history::{BaseEdgeCache, SerialHistory, TxnArena};
+use histmerge::obs::TracerHandle;
 use histmerge::replication::wal::{Snapshot, VecStorage, Wal, WalRecord};
 use histmerge::replication::{BaseNode, MobileNode};
 use histmerge::txn::{DbState, Transaction, TxnId, TxnKind, VarId, VarMask, VarSet};
@@ -181,6 +183,54 @@ fn reexecution_allocates_only_the_interpreters_maps() {
         assert!(per_txn <= 3.0, "{n_vars} items: {per_txn:.2} allocations per re-execution");
         assert_eq!(base.committed(), TXNS);
     }
+}
+
+/// Window-merge-shaped plans: 48 pending histories of 5 transactions
+/// over 1,024 items, each merged against one 60-commit window history
+/// through a borrowed edge cache and a warm scratch. The merger stops at
+/// the install plan, so a plan pays for the tentative log, the conflict
+/// slice, back-out, rewriting, pruning and the forwarded values, and for
+/// nothing per backed-out transaction: re-execution is the base's.
+#[test]
+fn merge_plans_stop_at_the_install_plan() {
+    const PLANS: usize = 48;
+    let mut factory = TxnFactory::new(mix(1024));
+    let mut arena = TxnArena::new();
+    let hb: SerialHistory = (0..60).map(|_| factory.next_txn(&mut arena, TxnKind::Base)).collect();
+    let pending: Vec<SerialHistory> = (0..PLANS)
+        .map(|_| (0..5).map(|_| factory.next_txn(&mut arena, TxnKind::Tentative)).collect())
+        .collect();
+    let s0 = Arc::new(initial_state(&mix(1024)));
+    let cache = BaseEdgeCache::of_history(&arena, &hb);
+    let merger = Merger::new(MergeConfig::default());
+    let mut scratch = MergeScratch::new();
+    let plan_all = |scratch: &mut MergeScratch| -> usize {
+        let assist = MergeAssist { base_edges: Some(&cache) };
+        pending
+            .iter()
+            .map(|hm| {
+                let outcome = merger
+                    .merge_traced_scratch(
+                        &arena,
+                        hm,
+                        &hb,
+                        &s0,
+                        assist,
+                        &TracerHandle::noop(),
+                        scratch,
+                    )
+                    .expect("generated histories merge");
+                outcome.backed_out.len()
+            })
+            .sum()
+    };
+    plan_all(&mut scratch);
+    let (backed_out, allocations, _) = counted(|| plan_all(&mut scratch));
+    assert!(backed_out > 0, "the plans back transactions out");
+    let per_plan = allocations as f64 / PLANS as f64;
+    // Measured 72.40; a plan that also re-executed the backed-out
+    // transactions on an overlay of the master made 75.02.
+    assert!(per_plan <= 72.4, "{per_plan:.2} allocations per merge plan");
 }
 
 #[test]

@@ -117,9 +117,8 @@ fn second_merge_sees_firsts_install_as_conflict_when_not_commuting() {
     assert_eq!(out_b.backed_out, vec![wd]);
     // ... and its re-execution now CLEARS (150 >= 120): the user learns the
     // withdrawal went through after all.
-    assert_eq!(out_b.reexecuted, vec![(wd, true)]);
-    for id in &out_b.backed_out {
-        base.reexecute(&mut arena, *id);
-    }
+    let verdicts: Vec<_> =
+        out_b.backed_out.iter().map(|&id| (id, base.reexecute(&mut arena, id).1)).collect();
+    assert_eq!(verdicts, vec![(wd, true)]);
     assert_eq!(base.master().get(v(0)), 30); // 150 - 120
 }
