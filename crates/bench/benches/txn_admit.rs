@@ -1,10 +1,11 @@
 //! Criterion bench: the per-transaction bill over a transaction's
 //! lifecycle. Each iteration generates 10,000 tentative transactions with
-//! the benchmark's random mix, admits them to a fresh arena, runs each on
-//! one mobile and drops everything — at 64 and at 1,024 items. The
-//! re-execution arm also re-executes every transaction on a base node
-//! (`BaseNode::reexecute`: a base copy in the arena plus its commit), the
-//! reprocessing baseline's step 6.
+//! the benchmark's random mix, admits them to a fresh arena, records each
+//! in one mobile's pending history and drops everything — at 64 and at
+//! 1,024 items. A mobile executes nothing; the re-execution arm adds the
+//! one execution the reprocessing baseline pays per transaction, on a
+//! base node (`BaseNode::reexecute`: a base copy in the arena plus its
+//! commit), its step 6.
 
 use std::sync::Arc;
 
@@ -32,34 +33,34 @@ fn bench_txn_admit(c: &mut Criterion) {
             ..ScenarioParams::default()
         };
         let origin = Arc::new(initial_state(&params));
-        group.bench_with_input(BenchmarkId::new("generate_admit_run", n_vars), &n_vars, |b, _| {
+        group.bench_with_input(BenchmarkId::new("generate_admit_push", n_vars), &n_vars, |b, _| {
             b.iter(|| {
                 let mut factory = TxnFactory::new(params.clone());
                 let mut arena = TxnArena::new();
-                let mut mobile = MobileNode::new(0, Arc::clone(&origin), 0, 1);
+                let mut mobile = MobileNode::new(Arc::clone(&origin));
                 for _ in 0..TXNS {
                     let id = factory.next_txn(&mut arena, TxnKind::Tentative);
-                    mobile.run_tentative(&arena, id);
+                    mobile.push_tentative(id);
                 }
-                black_box(mobile.patch_len());
+                black_box(mobile.pending());
                 drop(black_box((arena, mobile)));
             });
         });
         group.bench_with_input(
-            BenchmarkId::new("generate_admit_run_reexecute", n_vars),
+            BenchmarkId::new("generate_admit_push_reexecute", n_vars),
             &n_vars,
             |b, _| {
                 b.iter(|| {
                     let mut factory = TxnFactory::new(params.clone());
                     let mut arena = TxnArena::new();
-                    let mut mobile = MobileNode::new(0, Arc::clone(&origin), 0, 1);
+                    let mut mobile = MobileNode::new(Arc::clone(&origin));
                     let mut base = BaseNode::new((*origin).clone(), 1, true);
                     for _ in 0..TXNS {
                         let id = factory.next_txn(&mut arena, TxnKind::Tentative);
-                        mobile.run_tentative(&arena, id);
+                        mobile.push_tentative(id);
                         base.reexecute(&mut arena, id);
                     }
-                    black_box((mobile.patch_len(), base.committed()));
+                    black_box((mobile.pending(), base.committed()));
                     drop(black_box((arena, mobile, base)));
                 });
             },

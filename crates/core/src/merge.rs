@@ -149,26 +149,6 @@ impl MergeOutcome {
     }
 }
 
-/// Precomputed inputs a caller can lend to [`Merger::merge_traced_scratch`]
-/// to skip redundant work when merging repeatedly against a growing base
-/// history (the batched sync path).
-///
-/// The field is optional; an empty assist computes everything from `hb`,
-/// exactly like [`Merger::merge`]. No base state is lent: a merge never
-/// executes `hb`, because the plan needs only its footprints.
-#[derive(Default, Clone, Copy)]
-pub struct MergeAssist<'a> {
-    /// The epoch's incrementally maintained rule-2 edge counts and
-    /// reachability summary, from which the merge builds the conflict
-    /// slice of `G(H_m, H_b)`. Must cover `hb` (see
-    /// [`PrecedenceGraph::conflict_slice`]); without it the merge builds a
-    /// cache of `hb` itself, at `O(|H_b|²)`. When it holds exactly `hb`,
-    /// its footprint union also gates the conflict-free fast path: a
-    /// pending history disjoint from it skips slice and closure
-    /// construction, with a byte-identical outcome.
-    pub base_edges: Option<&'a BaseEdgeCache>,
-}
-
 /// Reusable working memory for repeated merges (the zero-realloc hot
 /// path): reads-from closure buffers that would otherwise be reallocated
 /// per merge. A caller merging once per window step holds one
@@ -229,22 +209,33 @@ impl Merger {
             hm,
             hb,
             &Arc::new(s0.clone()),
-            MergeAssist::default(),
+            None,
             &TracerHandle::noop(),
             &mut MergeScratch::new(),
         )
     }
 
-    /// The full-control entry point: [`merge`](Self::merge) with
-    /// caller-precomputed inputs (`assist`), trace events and per-step
-    /// wall-clock spans sent to `tracer`, and working memory reused from
-    /// `scratch`. None of the three changes the outcome: the assist only
-    /// skips recomputation, tracing is observation-only (a disabled tracer
-    /// costs one branch per step), and scratch reuse is observation-free.
-    /// This is the entry point of the batched base-tier sync path, where
-    /// many merges in one window share the same growing `hb` and the same
-    /// window-start state `s0`, which the merge borrows instead of
-    /// copying.
+    /// The full-control entry point: [`merge`](Self::merge) with a
+    /// caller-maintained edge cache (`base_edges`), trace events and
+    /// per-step wall-clock spans sent to `tracer`, and working memory
+    /// reused from `scratch`. None of the three changes the outcome: the
+    /// cache only skips recomputation, tracing is observation-only (a
+    /// disabled tracer costs one branch per step), and scratch reuse is
+    /// observation-free. This is the entry point of the base tier's sync
+    /// path, where many merges in one window share the same growing `hb`
+    /// and the same window-start state `s0`, which the merge borrows
+    /// instead of copying.
+    ///
+    /// `base_edges` is the epoch's incrementally maintained rule-2 edge
+    /// counts and reachability summary, from which the merge builds the
+    /// conflict slice of `G(H_m, H_b)`. It must cover `hb` (see
+    /// [`PrecedenceGraph::conflict_slice`]); with `None` the merge builds
+    /// a cache of `hb` itself, at `O(|H_b|²)`. When it holds exactly `hb`,
+    /// its footprint union also gates the conflict-free fast path: a
+    /// pending history disjoint from it skips slice and closure
+    /// construction, with a byte-identical outcome. No base state is lent:
+    /// a merge never executes `hb`, because the plan needs only its
+    /// footprints.
     ///
     /// # Errors
     ///
@@ -256,14 +247,15 @@ impl Merger {
         hm: &SerialHistory,
         hb: &SerialHistory,
         s0: &Arc<DbState>,
-        assist: MergeAssist<'_>,
+        base_edges: Option<&BaseEdgeCache>,
         tracer: &TracerHandle,
         scratch: &mut MergeScratch,
     ) -> Result<MergeOutcome, CoreError> {
         // Execute the tentative history to obtain its log (before/after
-        // images and original read values). In a deployment these logs
-        // already exist; re-deriving them here keeps the API
-        // self-contained. `H_b` is never executed: the plan needs only its
+        // images and original read values). In a deployment the mobile
+        // would ship these logs; the simulator's mobiles only record their
+        // pending history, so this is its one execution before the base's
+        // re-execution. `H_b` is never executed: the plan needs only its
         // footprints, and its final state is the base's master.
         let span = tracer.span_start();
         let hm_aug = AugmentedHistory::execute_shared(arena, hm, s0)?;
@@ -277,7 +269,7 @@ impl Merger {
         // acyclic, every back-out strategy returns ∅, and the entire
         // graph/closure machinery can be skipped — O(words) gate, O(m²)
         // rule-1 pair count, byte-identical outcome.
-        let fast_path = assist.base_edges.is_some_and(|cache| {
+        let fast_path = base_edges.is_some_and(|cache| {
             cache.len() == hb.len() && {
                 let mut hm_bits = DenseBits::new();
                 for id in hm.iter() {
@@ -300,7 +292,7 @@ impl Merger {
             None
         } else {
             let local;
-            let cache = match assist.base_edges {
+            let cache = match base_edges {
                 Some(cache) => cache,
                 None => {
                     local = BaseEdgeCache::of_history(arena, hb);
@@ -313,7 +305,7 @@ impl Merger {
             Some(graph) => graph.full_edge_count(),
             None => {
                 rule1_edge_count(arena, hm)
-                    + assist.base_edges.map_or(0, |cache| cache.edge_count(hb.len()))
+                    + base_edges.map_or(0, |cache| cache.edge_count(hb.len()))
             }
         };
         tracer.span_end(Phase::GraphBuild, span);
@@ -523,14 +515,13 @@ mod tests {
         cache.extend(&ex.arena, ex.hb.iter());
         let hb_final =
             AugmentedHistory::execute(&ex.arena, &ex.hb, &ex.s0).unwrap().final_state().clone();
-        let assist = MergeAssist { base_edges: Some(&cache) };
         let assisted = merger
             .merge_traced_scratch(
                 &ex.arena,
                 &ex.hm,
                 &ex.hb,
                 &Arc::new(ex.s0.clone()),
-                assist,
+                Some(&cache),
                 &TracerHandle::noop(),
                 &mut MergeScratch::new(),
             )
@@ -587,7 +578,7 @@ mod tests {
                 &ex.hm,
                 &ex.hb,
                 &Arc::new(ex.s0.clone()),
-                MergeAssist::default(),
+                None,
                 &TracerHandle::new(sink.clone()),
                 &mut MergeScratch::new(),
             )
@@ -633,18 +624,14 @@ mod tests {
             AugmentedHistory::execute(&ex.arena, &ex.hb, &ex.s0).unwrap().final_state().clone();
         for round in 0..3 {
             let plain = merger.merge(&ex.arena, &ex.hm, &ex.hb, &ex.s0).unwrap();
-            let assist = if round % 2 == 0 {
-                MergeAssist::default()
-            } else {
-                MergeAssist { base_edges: Some(&cache) }
-            };
+            let base_edges = if round % 2 == 0 { None } else { Some(&cache) };
             let reused = merger
                 .merge_traced_scratch(
                     &ex.arena,
                     &ex.hm,
                     &ex.hb,
                     &Arc::new(ex.s0.clone()),
-                    assist,
+                    base_edges,
                     &TracerHandle::noop(),
                     &mut scratch,
                 )

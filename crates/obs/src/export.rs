@@ -306,7 +306,7 @@ mod tests {
     use crate::registry::Registry;
 
     fn snapshot() -> RegistrySnapshot {
-        let r = Registry::new();
+        let mut r = Registry::new();
         r.observe(Phase::MergePlan, 100);
         r.observe(Phase::MergePlan, 300);
         r.observe(Phase::Sync, 7);

@@ -4,9 +4,9 @@
 //! `[2^i, 2^(i+1))`), so observation is a leading-zeros instruction plus
 //! an array increment — cheap enough for WAL-append hot paths. The same
 //! registry doubles as a per-phase event counter for virtual-clock spans
-//! (tick durations use the identical bucket math).
-
-use std::sync::Mutex;
+//! (tick durations use the identical bucket math). The registry holds no
+//! lock of its own: a shared owner keeps it under the lock it already
+//! takes (the flight recorder, under its ring's).
 
 use crate::event::Phase;
 
@@ -52,10 +52,10 @@ impl PhaseHist {
     }
 }
 
-/// A thread-safe span registry: one histogram per [`Phase`].
+/// A span registry: one histogram per [`Phase`].
 #[derive(Debug)]
 pub struct Registry {
-    hists: Mutex<Vec<PhaseHist>>,
+    hists: Vec<PhaseHist>,
 }
 
 impl Default for Registry {
@@ -67,31 +67,27 @@ impl Default for Registry {
 impl Registry {
     /// An empty registry covering every phase.
     pub fn new() -> Registry {
-        Registry { hists: Mutex::new(vec![PhaseHist::new(); Phase::ALL.len()]) }
+        Registry { hists: vec![PhaseHist::new(); Phase::ALL.len()] }
     }
 
     /// Records one sample (nanoseconds for wall-clock spans, ticks for
     /// virtual-clock spans) under `phase`.
-    pub fn observe(&self, phase: Phase, value: u64) {
-        let mut hists = self.hists.lock().expect("registry lock");
-        hists[phase.index()].observe(value);
+    pub fn observe(&mut self, phase: Phase, value: u64) {
+        self.hists[phase.index()].observe(value);
     }
 
     /// One phase's `(p50_bound, p99_bound)` without allocating a
-    /// snapshot — two bucket scans under the lock. `None` when the phase
-    /// has no samples.
+    /// snapshot — two bucket scans. `None` when the phase has no samples.
     pub fn phase_quantiles(&self, phase: Phase) -> Option<(u64, u64)> {
-        let hists = self.hists.lock().expect("registry lock");
-        let h = &hists[phase.index()];
+        let h = &self.hists[phase.index()];
         (h.count > 0).then(|| (h.quantile_bound(0.50), h.quantile_bound(0.99)))
     }
 
     /// An immutable snapshot of every phase with at least one sample.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let hists = self.hists.lock().expect("registry lock");
         let phases = Phase::ALL
             .iter()
-            .zip(hists.iter())
+            .zip(self.hists.iter())
             .filter(|(_, h)| h.count > 0)
             .map(|(&phase, h)| PhaseSnapshot {
                 phase,
@@ -154,7 +150,7 @@ mod tests {
 
     #[test]
     fn observations_aggregate_per_phase() {
-        let r = Registry::new();
+        let mut r = Registry::new();
         r.observe(Phase::Install, 100);
         r.observe(Phase::Install, 300);
         r.observe(Phase::WalAppend, 7);
@@ -171,7 +167,7 @@ mod tests {
 
     #[test]
     fn quantile_bounds_bracket_samples() {
-        let r = Registry::new();
+        let mut r = Registry::new();
         for v in [1u64, 2, 4, 8, 1000] {
             r.observe(Phase::Sync, v);
         }
@@ -185,7 +181,7 @@ mod tests {
 
     #[test]
     fn zero_and_huge_samples_stay_in_range() {
-        let r = Registry::new();
+        let mut r = Registry::new();
         r.observe(Phase::Recovery, 0);
         r.observe(Phase::Recovery, u64::MAX);
         let s = *r.snapshot().phase(Phase::Recovery).unwrap();
@@ -197,7 +193,7 @@ mod tests {
 
     #[test]
     fn snapshot_orders_phases_canonically() {
-        let r = Registry::new();
+        let mut r = Registry::new();
         r.observe(Phase::WalAppend, 1);
         r.observe(Phase::GraphBuild, 1);
         let snap = r.snapshot();

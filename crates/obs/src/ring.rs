@@ -10,7 +10,8 @@ use crate::event::{Phase, TraceEvent};
 use crate::registry::{Registry, RegistrySnapshot};
 use crate::tracer::{Tracer, TracerHandle};
 
-/// A bounded ring buffer of the last N events plus a span registry.
+/// A bounded ring buffer of the last N events plus a span registry, both
+/// behind one lock, so recording a span takes one lock.
 /// Recording an event beyond capacity evicts the oldest, so memory
 /// stays fixed however long the run; the dump renders the retained
 /// events to JSONL lazily (recording stores the event value itself —
@@ -25,7 +26,6 @@ use crate::tracer::{Tracer, TracerHandle};
 pub struct FlightRecorder {
     capacity: usize,
     inner: Mutex<Ring>,
-    registry: Registry,
 }
 
 #[derive(Debug)]
@@ -34,6 +34,7 @@ struct Ring {
     recorded: u64,
     pending_edges: Vec<AutopsyEdge>,
     autopsies: VecDeque<MergeAutopsy>,
+    registry: Registry,
 }
 
 impl FlightRecorder {
@@ -46,8 +47,8 @@ impl FlightRecorder {
                 recorded: 0,
                 pending_edges: Vec::new(),
                 autopsies: VecDeque::new(),
+                registry: Registry::new(),
             }),
-            registry: Registry::new(),
         }
     }
 
@@ -85,14 +86,10 @@ impl FlightRecorder {
 
 impl Tracer for FlightRecorder {
     fn record(&self, event: &TraceEvent) {
-        if let TraceEvent::Span { phase, ns } = event {
-            self.registry.observe(*phase, *ns);
-        }
-        if let TraceEvent::TickSpan { phase, ticks } = event {
-            self.registry.observe(*phase, *ticks);
-        }
         let mut ring = self.inner.lock().expect("ring lock");
         match *event {
+            TraceEvent::Span { phase, ns } => ring.registry.observe(phase, ns),
+            TraceEvent::TickSpan { phase, ticks } => ring.registry.observe(phase, ticks),
             TraceEvent::BackoutEdge {
                 txn, lost_to, rule, txn_mask, other_mask, weight, ..
             } => {
@@ -153,11 +150,11 @@ impl Tracer for FlightRecorder {
     }
 
     fn snapshot(&self) -> Option<RegistrySnapshot> {
-        Some(self.registry.snapshot())
+        Some(self.inner.lock().expect("ring lock").registry.snapshot())
     }
 
     fn phase_quantiles(&self, phase: Phase) -> Option<(u64, u64)> {
-        self.registry.phase_quantiles(phase)
+        self.inner.lock().expect("ring lock").registry.phase_quantiles(phase)
     }
 }
 

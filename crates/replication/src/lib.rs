@@ -3,8 +3,11 @@
 //! The paper extends the two-tier replication scheme of Gray, Helland,
 //! O'Neil and Shasha (SIGMOD 1996): *mobile nodes* are disconnected most of
 //! the time and run **tentative** transactions against their local copy;
-//! *base nodes* are always connected and own the master data. On
-//! reconnection, tentative work is folded into the master either by
+//! *base nodes* are always connected and own the master data. The
+//! simulator records a mobile's tentative transactions and executes each
+//! only where its result is read: in the merge's Exec step or in base
+//! re-execution. On reconnection, tentative work is folded into the
+//! master either by
 //!
 //! * **reprocessing** ([`Protocol::Reprocessing`]) — the \[GHOS96\] baseline:
 //!   every tentative transaction is re-executed from scratch as a base

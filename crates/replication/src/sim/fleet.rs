@@ -43,7 +43,7 @@ impl Simulation {
                     for i in 0..self.mobiles.len() {
                         for _ in 0..self.gen_count {
                             let id = self.source.next_txn(&mut self.arena, TxnKind::Tentative);
-                            self.mobiles[i].run_tentative(&self.arena, id);
+                            self.mobiles[i].push_tentative(id);
                             self.metrics.tentative_generated += 1;
                         }
                     }
@@ -62,9 +62,8 @@ impl Simulation {
         if !batch.is_empty() {
             work += self.sync_batch(&batch, tick);
             for &i in &batch {
-                let next = self.schedule_reconnect(i, tick);
-                self.mobiles[i].set_next_connect(next);
-                self.events.push(Event { time: next, kind: EventKind::Connect, mobile: i });
+                let time = self.schedule_reconnect(i, tick);
+                self.events.push(Event { time, kind: EventKind::Connect, mobile: i });
             }
         }
         work

@@ -257,20 +257,21 @@ impl Simulation {
         let base = BaseNode::new(initial, config.base_nodes, lean);
         let initial = Arc::clone(base.shared_epoch_state());
         let mut rng = StdRng::seed_from_u64(config.workload.seed ^ 0x5151_5151);
-        let mobiles: Vec<MobileNode> = (0..config.n_mobiles)
-            .map(|i| {
-                let first = if config.synchronized_reconnects {
-                    config.connect_every
-                } else {
-                    1 + rng.gen_range(0..config.connect_every)
-                };
-                // A first connect drawn into a down-link epoch slides to
-                // the next up tick (identity under AlwaysOn).
-                let first = config.connectivity.next_up(i, first).max(1);
-                MobileNode::new(i, Arc::clone(&initial), 0, first)
-            })
-            .collect();
         let n = config.n_mobiles;
+        // Each mobile's first connect: one draw per mobile, in id order.
+        let mut events = EventQueue::new();
+        for i in 0..n {
+            let first = if config.synchronized_reconnects {
+                config.connect_every
+            } else {
+                1 + rng.gen_range(0..config.connect_every)
+            };
+            // A first connect drawn into a down-link epoch slides to the
+            // next up tick (identity under AlwaysOn).
+            let time = config.connectivity.next_up(i, first).max(1);
+            events.push(Event { time, kind: EventKind::Connect, mobile: i });
+        }
+        let mobiles = vec![MobileNode::new(Arc::clone(&initial)); n];
         let wal = config.durability.enabled.then(|| {
             Wal::new(VecStorage::new(), &Snapshot::genesis((*initial).clone()))
                 .with_tracer(config.tracer.clone())
@@ -292,7 +293,7 @@ impl Simulation {
             logged_commits: 0,
             last_window_tick: 0,
             merge_scratch: MergeScratch::new(),
-            events: EventQueue::new(),
+            events,
             gen_acc: 0.0,
             gen_count: 0,
             deferred: VecDeque::new(),
@@ -303,13 +304,6 @@ impl Simulation {
             mobiles,
             config,
         };
-        for i in 0..sim.mobiles.len() {
-            sim.events.push(Event {
-                time: sim.mobiles[i].next_connect(),
-                kind: EventKind::Connect,
-                mobile: i,
-            });
-        }
         sim.schedule_next_generate(0);
         Ok(sim)
     }

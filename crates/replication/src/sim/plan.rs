@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use histmerge_core::merge::{InstallPlan, MergeAssist, MergeOutcome};
+use histmerge_core::merge::{InstallPlan, MergeOutcome};
 use histmerge_history::{rule1_edge_count, SerialHistory};
 use histmerge_obs::Phase;
 use histmerge_txn::{DbState, TxnId};
@@ -158,7 +158,6 @@ impl Simulation {
             None => (self.base.epoch_cache().history(), Some(self.base.epoch_cache())),
         };
         let hb_len = hb.len();
-        let assist = MergeAssist { base_edges };
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
         let planned = merger.merge_traced_scratch(
@@ -166,7 +165,7 @@ impl Simulation {
             &hm,
             hb,
             &s0,
-            assist,
+            base_edges,
             &tracer,
             &mut self.merge_scratch,
         );

@@ -14,7 +14,7 @@ use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::Arc;
 
-use histmerge::core::merge::{MergeAssist, MergeConfig, MergeScratch, Merger};
+use histmerge::core::merge::{MergeConfig, MergeScratch, Merger};
 use histmerge::history::{BaseEdgeCache, SerialHistory, TxnArena};
 use histmerge::obs::TracerHandle;
 use histmerge::replication::wal::{Snapshot, VecStorage, Wal, WalRecord};
@@ -205,7 +205,6 @@ fn merge_plans_stop_at_the_install_plan() {
     let merger = Merger::new(MergeConfig::default());
     let mut scratch = MergeScratch::new();
     let plan_all = |scratch: &mut MergeScratch| -> usize {
-        let assist = MergeAssist { base_edges: Some(&cache) };
         pending
             .iter()
             .map(|hm| {
@@ -215,7 +214,7 @@ fn merge_plans_stop_at_the_install_plan() {
                         hm,
                         &hb,
                         &s0,
-                        assist,
+                        Some(&cache),
                         &TracerHandle::noop(),
                         scratch,
                     )
@@ -234,18 +233,19 @@ fn merge_plans_stop_at_the_install_plan() {
 }
 
 #[test]
-fn tentative_runs_allocate_at_most_four_times() {
-    for n_vars in [64, 1024] {
-        let arena = generated(n_vars);
-        let mut mobile = MobileNode::new(0, Arc::new(initial_state(&mix(n_vars))), 0, 1);
-        let ((), allocations, _) = counted(|| {
-            for i in 0..TXNS {
-                mobile.run_tentative(&arena, TxnId::new(i as u32));
-            }
-        });
-        let per_txn = allocations as f64 / TXNS as f64;
-        assert!(per_txn <= 4.0, "{n_vars} items: {per_txn:.2} allocations per tentative run");
-    }
+fn tentative_pushes_allocate_only_the_history_growth() {
+    let mut mobile = MobileNode::new(Arc::new(initial_state(&mix(64))));
+    let ((), allocations, _) = counted(|| {
+        for i in 0..TXNS {
+            mobile.push_tentative(TxnId::new(i as u32));
+        }
+    });
+    // Recording executes nothing: the only allocations are the pending
+    // history's doubling growth, 13 for 10,000 ids. Executing each
+    // transaction against a write patch cost 2.9 per transaction.
+    let per_txn = allocations as f64 / TXNS as f64;
+    assert!(per_txn <= 0.0013, "{per_txn:.4} allocations per tentative push");
+    assert_eq!(mobile.pending(), TXNS);
 }
 
 #[test]

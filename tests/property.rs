@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use histmerge::core::merge::{MergeAssist, MergeConfig, MergeScratch, Merger};
+use histmerge::core::merge::{MergeConfig, MergeScratch, Merger};
 use histmerge::core::prune::{undo, PruneMethod};
 use histmerge::core::rewrite::{rewrite, FixMode, RewriteAlgorithm};
 use histmerge::history::backout::affected_weight;
@@ -160,7 +160,7 @@ proptest! {
                     &sc.hm,
                     &hb,
                     &std::sync::Arc::new(sc.s0.clone()),
-                    MergeAssist { base_edges: Some(&cache) },
+                    Some(&cache),
                     &TracerHandle::noop(),
                     &mut MergeScratch::new(),
                 )

@@ -69,7 +69,7 @@ fn validator_rejects_trailing_garbage_and_malformed_nesting() {
 // ---------------------------------------------------------------------
 
 fn seeded_registry() -> Registry {
-    let r = Registry::new();
+    let mut r = Registry::new();
     r.observe(Phase::MergePlan, 100);
     r.observe(Phase::MergePlan, 300);
     r.observe(Phase::Sync, 7);
