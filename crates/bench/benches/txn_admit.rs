@@ -4,8 +4,8 @@
 //! in one mobile's pending history and drops everything — at 64 and at
 //! 1,024 items. A mobile executes nothing; the re-execution arm adds the
 //! one execution the reprocessing baseline pays per transaction, on a
-//! base node (`BaseNode::reexecute`: a base copy in the arena plus its
-//! commit), its step 6.
+//! base node (`BaseNode::reexecute`: the transaction promoted to base in
+//! place and committed under its own id), its step 6.
 
 use std::sync::Arc;
 

@@ -1,6 +1,6 @@
 //! Transaction arena: ownership and identity for transaction instances.
 
-use histmerge_txn::{Transaction, TxnId, VarSet};
+use histmerge_txn::{Transaction, TxnId, TxnKind, VarSet};
 
 use crate::footprint::{BitsRef, DenseBits, VarInterner};
 
@@ -10,6 +10,11 @@ use crate::footprint::{BitsRef, DenseBits, VarInterner};
 /// transactions by id, so a tentative history and a base history over the
 /// same arena can be combined into one precedence graph without cloning
 /// programs.
+///
+/// Each transaction is stored once. A stored transaction never changes
+/// but for one step: [`TxnArena::promote`] turns a backed-out tentative
+/// transaction into a base one when the base re-executes it under its own
+/// id, so a re-execution adds no entry.
 ///
 /// # Example
 ///
@@ -145,6 +150,18 @@ impl TxnArena {
         self.txns.get(id.index() as usize)
     }
 
+    /// Promotes `id` to a base transaction in place: protocol step 6
+    /// re-executes a backed-out tentative transaction at the base under
+    /// its own id, and back-out reads kinds from the arena, so a promoted
+    /// transaction in a later `H_b` is never backed out. Only the kind
+    /// changes; the interned footprint stays. Idempotent; an id foreign
+    /// to this arena is ignored.
+    pub fn promote(&mut self, id: TxnId) {
+        if let Some(txn) = self.txns.get_mut(id.index() as usize) {
+            txn.set_kind(TxnKind::Base);
+        }
+    }
+
     /// Number of transactions allocated.
     pub fn len(&self) -> usize {
         self.txns.len()
@@ -197,6 +214,23 @@ mod tests {
         let mut arena = TxnArena::new();
         let p = prog();
         arena.alloc(|_| Transaction::new(TxnId::new(99), "bad", TxnKind::Base, p, vec![]));
+    }
+
+    #[test]
+    fn promote_flips_the_kind_in_place() {
+        let mut arena = TxnArena::new();
+        let p = prog();
+        let t = arena.alloc(|id| Transaction::new(id, "t", TxnKind::Tentative, p.clone(), vec![]));
+        let other = arena.alloc(|id| Transaction::new(id, "u", TxnKind::Tentative, p, vec![]));
+        arena.promote(t);
+        assert_eq!(arena.get(t).kind(), TxnKind::Base);
+        assert_eq!(arena.get(t).name(), "t");
+        assert_eq!(arena.get(other).kind(), TxnKind::Tentative, "only the promoted id changes");
+        assert!(arena.conflicts(t, other), "the interned footprint stays");
+        arena.promote(t);
+        assert_eq!(arena.get(t).kind(), TxnKind::Base, "promotion is idempotent");
+        arena.promote(TxnId::new(99));
+        assert_eq!(arena.len(), 2, "a foreign id is ignored");
     }
 
     #[test]

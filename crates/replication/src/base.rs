@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use histmerge_history::{BaseEdgeCache, SerialHistory, TxnArena};
 use histmerge_txn::{
-    DbState, Expr, Fix, Program, ProgramBuilder, Statement, Transaction, TxnId, TxnKind, VarId,
-    VarSet,
+    DbState, Expr, Fix, Program, ProgramBuilder, Statement, Transaction, TxnId, TxnKind, TxnName,
+    Value, VarId, VarSet,
 };
 
 /// Statistics of a partitioned base tier.
@@ -88,6 +88,10 @@ pub struct BaseNode {
     /// participated in: the accounting's distinct-participant test,
     /// reused by every commit instead of building a participant set.
     last_commit: Vec<usize>,
+    /// The interned install templates: entry `n - 1` installs `n` items
+    /// (see [`build_install_template`]), built on the first install of that
+    /// size and bound by every later one.
+    install_templates: Vec<Option<Arc<Program>>>,
 }
 
 impl BaseNode {
@@ -111,6 +115,7 @@ impl BaseNode {
             lean,
             stats: ClusterStats { per_node_commits: vec![0; n_nodes], ..ClusterStats::default() },
             last_commit: vec![0; n_nodes],
+            install_templates: Vec::new(),
         }
     }
 
@@ -288,41 +293,55 @@ impl BaseNode {
     /// and costs no accounting). The install touches every partition
     /// mastering a changed item — a merge's single wide transaction,
     /// versus reprocessing's many narrow ones.
+    ///
+    /// The install is an instance of the interned template for its number
+    /// of changed items, bound to those items and their values, so no
+    /// install builds a program of its own.
     pub fn install_updates(&mut self, arena: &mut TxnArena, forwarded: &DbState) -> Option<TxnId> {
-        let changed: DbState = forwarded
-            .iter()
-            .filter(|(var, value)| self.master.try_get(*var) != Some(*value))
-            .collect();
-        if changed.is_empty() {
+        let mut items: Vec<VarId> = Vec::with_capacity(forwarded.len());
+        let mut values: Vec<Value> = Vec::with_capacity(forwarded.len());
+        for (var, value) in forwarded.iter() {
+            if self.master.try_get(var) != Some(value) {
+                items.push(var);
+                values.push(value);
+            }
+        }
+        if items.is_empty() {
             return None;
         }
-        let program = install_program(&changed);
+        let template = self.install_template(items.len());
+        let name = TxnName::numbered("install@", self.log.len() as u64);
         let id = arena.alloc(|id| {
-            Transaction::new(
-                id,
-                format!("install@{}", self.log.len()),
-                TxnKind::Base,
-                program,
-                vec![],
-            )
+            Transaction::instance(id, name, TxnKind::Base, template, &items, &values)
+                .expect("an install binds every slot of its template to a distinct item")
         });
         self.commit(arena, id);
         Some(id)
     }
 
-    /// Protocol step 6 (and reprocessing): re-registers a backed-out
-    /// tentative transaction as a base transaction and commits it. Returns
-    /// the new base id and whether the re-execution succeeded ("failed
-    /// reexecutions will be informed to the users"): it fails when the
-    /// declared precondition does not hold on the master before the
-    /// transaction's own writes, or cannot be evaluated. It commits either
-    /// way; a guarded program whose guard fails commits as a no-op.
-    pub fn reexecute(&mut self, arena: &mut TxnArena, tentative: TxnId) -> (TxnId, bool) {
-        let source = arena.get(tentative).clone();
-        let succeeded = source.check_precondition_on(&self.master, &Fix::empty()).unwrap_or(false);
-        let id = arena.alloc(|id| source.with_id(id).with_kind(TxnKind::Base));
+    /// The interned template installing `n` items, built on first use.
+    fn install_template(&mut self, n: usize) -> Arc<Program> {
+        if self.install_templates.len() < n {
+            self.install_templates.resize(n, None);
+        }
+        Arc::clone(self.install_templates[n - 1].get_or_insert_with(|| build_install_template(n)))
+    }
+
+    /// Protocol step 6 (and reprocessing): re-executes a backed-out
+    /// tentative transaction as a base transaction under its own id — the
+    /// arena promotes it in place ([`TxnArena::promote`]) and the base
+    /// commits it, so re-execution adds no arena entry. Returns whether
+    /// the re-execution succeeded ("failed reexecutions will be informed
+    /// to the users"): it fails when the declared precondition does not
+    /// hold on the master before the transaction's own writes, or cannot
+    /// be evaluated. It commits either way; a guarded program whose guard
+    /// fails commits as a no-op.
+    pub fn reexecute(&mut self, arena: &mut TxnArena, id: TxnId) -> bool {
+        let succeeded =
+            arena.get(id).check_precondition_on(&self.master, &Fix::empty()).unwrap_or(false);
+        arena.promote(id);
         self.commit(arena, id);
-        (id, succeeded)
+        succeeded
     }
 
     /// Starts a new window: the current master becomes the shared original
@@ -411,7 +430,9 @@ impl std::fmt::Display for RetroPatchError {
 
 impl std::error::Error for RetroPatchError {}
 
-/// Builds the install program for forwarded updates.
+/// Builds the install template for `n` items: it reads item slots
+/// `0..n`, then sets slot `i` to parameter `i`. An install binds the slots
+/// to the changed items and the parameters to their forwarded values.
 ///
 /// The install READS every item before overwriting it. This is not
 /// cosmetic: protocol step 5's forwarding rule ("we only need the value of
@@ -422,15 +443,16 @@ impl std::error::Error for RetroPatchError {}
 /// forwarded values would then silently clobber the newer install.
 /// Reading first turns any write-write overlap into a 2-cycle, forcing the
 /// conflicting tentative transaction to be backed out instead.
-fn install_program(forwarded: &DbState) -> Arc<Program> {
+fn build_install_template(n: usize) -> Arc<Program> {
+    let slot = |i: usize| VarId::new(u32::try_from(i).expect("fewer than 2^32 install slots"));
     let mut builder = ProgramBuilder::new("install");
-    for (var, _) in forwarded.iter() {
-        builder = builder.read(var);
+    for i in 0..n {
+        builder = builder.read(slot(i));
     }
-    for (var, value) in forwarded.iter() {
-        builder = builder.statement(Statement::Update { target: var, expr: Expr::konst(value) });
+    for i in 0..n {
+        builder = builder.statement(Statement::Update { target: slot(i), expr: Expr::param(i) });
     }
-    Arc::new(builder.build().expect("install program is well formed"))
+    Arc::new(builder.build().expect("install template is well formed"))
 }
 
 #[cfg(test)]
@@ -576,13 +598,13 @@ mod tests {
         assert_eq!(arena.get(id2).writeset().len(), 1);
         assert_eq!(base.master().get(v(2)), 99);
         // Installs must NOT blind-write (forwarding soundness; see
-        // `install_program`).
+        // `build_install_template`).
         assert!(!arena.get(id).program().has_blind_writes());
         assert_eq!(arena.get(id).readset(), arena.get(id).writeset());
     }
 
     #[test]
-    fn reexecute_rebrands_as_base() {
+    fn reexecute_commits_the_tentative_transaction_itself() {
         let mut arena = TxnArena::new();
         let mut base = BaseNode::new(DbState::uniform(1, 0), 1, false);
         let p: Arc<Program> = Arc::new(
@@ -593,11 +615,11 @@ mod tests {
                 .unwrap(),
         );
         let tentative = arena.alloc(|id| Transaction::new(id, "m", TxnKind::Tentative, p, vec![]));
-        let (reexec, succeeded) = base.reexecute(&mut arena, tentative);
-        assert!(succeeded, "no declared precondition: re-execution succeeds");
-        assert_ne!(reexec, tentative);
-        assert_eq!(arena.get(reexec).kind(), TxnKind::Base);
-        assert_eq!(arena.get(tentative).kind(), TxnKind::Tentative);
+        let admitted = arena.len();
+        assert!(base.reexecute(&mut arena, tentative), "no declared precondition: succeeds");
+        assert_eq!(base.log().last().unwrap().0, tentative, "the base logs the tentative id");
+        assert_eq!(arena.get(tentative).kind(), TxnKind::Base, "promoted in place");
+        assert_eq!(arena.len(), admitted, "re-execution adds no arena entry");
         assert_eq!(base.master().get(v(0)), 7);
     }
 
@@ -612,11 +634,9 @@ mod tests {
         let mut base = BaseNode::new([(v(0), 100)].into_iter().collect(), 1, false);
         let first = arena.alloc(|id| bank.withdraw(id, "w1", v(0), 60));
         let second = arena.alloc(|id| bank.withdraw(id, "w2", v(0), 60));
-        let (_, succeeded) = base.reexecute(&mut arena, first);
-        assert!(succeeded, "100 >= 60 on the master it runs against");
+        assert!(base.reexecute(&mut arena, first), "100 >= 60 on the master it runs against");
         assert_eq!(base.master().get(v(0)), 40);
-        let (_, succeeded) = base.reexecute(&mut arena, second);
-        assert!(!succeeded, "40 < 60: failed and reported");
+        assert!(!base.reexecute(&mut arena, second), "40 < 60: failed and reported");
         assert_eq!(base.master().get(v(0)), 40);
         assert_eq!(base.committed(), 2, "a failed re-execution still commits");
     }

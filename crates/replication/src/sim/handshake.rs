@@ -72,10 +72,11 @@ impl Simulation {
     }
 
     /// Protocol step 6 for one transaction: re-executes it as a base
-    /// transaction, marks it resolved and logs the commit. The base's
-    /// precondition verdict is not recorded: no report reads it.
+    /// transaction under its own id, marks it resolved and logs the
+    /// commit. The base's precondition verdict is not recorded: no report
+    /// reads it.
     fn reexecute(&mut self, id: TxnId) {
-        let _ = self.base.reexecute(&mut self.arena, id);
+        self.base.reexecute(&mut self.arena, id);
         self.mark_resolved(id);
         self.wal_sync_commits();
     }

@@ -320,19 +320,25 @@ impl Transaction {
     }
 
     /// Re-identifies the transaction (used when copying a transaction into
-    /// a different arena, e.g. when a backed-out tentative transaction is
-    /// re-submitted as a base transaction).
+    /// a different arena).
     #[must_use]
     pub fn with_id(mut self, id: TxnId) -> Self {
         self.id = id;
         self
     }
 
-    /// Re-labels the transaction kind (tentative → base on re-submission).
+    /// Re-labels the transaction kind.
     #[must_use]
     pub fn with_kind(mut self, kind: TxnKind) -> Self {
-        self.kind = kind;
+        self.set_kind(kind);
         self
+    }
+
+    /// Re-labels the transaction kind in place: how an arena promotes a
+    /// backed-out tentative transaction to a base one when the base
+    /// re-executes it (protocol step 6).
+    pub fn set_kind(&mut self, kind: TxnKind) {
+        self.kind = kind;
     }
 
     /// Human-readable name (e.g. `Tm1`, `Tb2`).

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = base.install_updates(&mut ex.arena, &outcome.forwarded);
     println!("  new master state           = {}", base.master());
     let verdicts: Vec<_> =
-        outcome.backed_out.iter().map(|&id| (id, base.reexecute(&mut ex.arena, id).1)).collect();
+        outcome.backed_out.iter().map(|&id| (id, base.reexecute(&mut ex.arena, id))).collect();
     let reexecuted: Vec<_> =
         verdicts.iter().map(|&(id, succeeded)| (ex.arena.get(id).name(), succeeded)).collect();
     println!("  re-executions (step 6)     = {reexecuted:?}");

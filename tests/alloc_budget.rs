@@ -185,6 +185,55 @@ fn reexecution_allocates_only_the_interpreters_maps() {
     }
 }
 
+#[test]
+fn reexecution_adds_no_arena_entry() {
+    let mut arena = generated(64);
+    let mut base = BaseNode::new(initial_state(&mix(64)), 1, true);
+    for i in 0..TXNS {
+        base.reexecute(&mut arena, TxnId::new(i as u32));
+    }
+    // Each transaction is promoted and committed under its own id.
+    assert_eq!(arena.len(), TXNS, "re-execution adds no arena entry");
+    assert_eq!(base.full_history().order(), (0..TXNS as u32).map(TxnId::new).collect::<Vec<_>>());
+    assert!(arena.iter().all(|txn| txn.kind() == TxnKind::Base), "every one is promoted");
+}
+
+/// Installs of five forwarded items over 1,024 items on a lean base.
+/// Each binds the interned five-item install template, so an install
+/// leaves nothing live but its arena entry and its log entry, whose
+/// doubling growth is a few blocks per thousand.
+#[test]
+fn installs_bind_the_interned_template() {
+    const INSTALLS: usize = 1_000;
+    const ITEMS: usize = 1024;
+    // Install `k` sets items `5k .. 5k + 5` (wrapping) to `value`.
+    let updates = |k: usize, value: i64| -> DbState {
+        (0..5).map(|j| (VarId::new(((5 * k + j) % ITEMS) as u32), value)).collect()
+    };
+    let mut arena = TxnArena::new();
+    let mut base = BaseNode::new(initial_state(&mix(ITEMS as u32)), 4, true);
+    // A first pass over every item builds the template and interns the
+    // items in the arena.
+    let warm = ITEMS / 5 + 1;
+    for k in 0..warm {
+        base.install_updates(&mut arena, &updates(k, -1)).expect("every value changes");
+    }
+    let forwarded: Vec<DbState> = (0..INSTALLS).map(|k| updates(k, 1_000_000 + k as i64)).collect();
+    let ((), allocations, live) = counted(|| {
+        for updates in &forwarded {
+            base.install_updates(&mut arena, updates).expect("every value changes");
+        }
+    });
+    let (per_install, live_per_install) =
+        (allocations as f64 / INSTALLS as f64, live as f64 / INSTALLS as f64);
+    // Measured 5.012: the binding's two buffers and the interpreter's
+    // three maps, plus the arena's and the log's growth. Building a
+    // program per install took 12.0 and left 3.0 live blocks.
+    assert!(per_install <= 5.02, "{per_install:.3} allocations per install");
+    assert!(live_per_install < 0.05, "{live_per_install:.3} live blocks per install");
+    assert_eq!(base.committed(), warm + INSTALLS);
+}
+
 /// Window-merge-shaped plans: 48 pending histories of 5 transactions
 /// over 1,024 items, each merged against one 60-commit window history
 /// through a borrowed edge cache and a warm scratch. The merger stops at

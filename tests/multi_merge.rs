@@ -7,10 +7,14 @@
 //! extended `H_b` — and must still find it mergeable, because `H_b` still
 //! begins at the shared window-start state.
 
+use std::sync::Arc;
+
 use histmerge::core::merge::{MergeConfig, Merger};
-use histmerge::history::{AugmentedHistory, SerialHistory, TxnArena};
+use histmerge::history::{
+    run_to_final, AugmentedHistory, PrecedenceGraph, SerialHistory, TxnArena,
+};
 use histmerge::replication::BaseNode;
-use histmerge::txn::{DbState, TxnKind, VarId};
+use histmerge::txn::{DbState, Expr, ProgramBuilder, Transaction, TxnKind, VarId};
 use histmerge::workload::canned::Bank;
 
 fn v(i: u32) -> VarId {
@@ -118,7 +122,68 @@ fn second_merge_sees_firsts_install_as_conflict_when_not_commuting() {
     // ... and its re-execution now CLEARS (150 >= 120): the user learns the
     // withdrawal went through after all.
     let verdicts: Vec<_> =
-        out_b.backed_out.iter().map(|&id| (id, base.reexecute(&mut arena, id).1)).collect();
+        out_b.backed_out.iter().map(|&id| (id, base.reexecute(&mut arena, id))).collect();
     assert_eq!(verdicts, vec![(wd, true)]);
     assert_eq!(base.master().get(v(0)), 30); // 150 - 120
+}
+
+#[test]
+fn promoted_reexecution_is_base_work_for_the_next_merge() {
+    // Mobile A's two-account transfer-in loses to a base deposit on
+    // account 0 and is re-executed: promoted in place, it enters H_b
+    // under its own id. Mobile B's deposit on account 4 conflicts with
+    // nothing else in H_b, so the only cycle it can form is with A's
+    // promoted transaction — and back-out must pick B's own.
+    let bank = Bank::new();
+    let mut arena = TxnArena::new();
+    let s0 = DbState::uniform(6, 100);
+    let mut base = BaseNode::new(s0.clone(), 1, false);
+    let b1 = arena
+        .alloc(|id| bank.deposit(id, "base-dep", v(0), 10).with_kind(TxnKind::Base).with_id(id));
+    base.commit(&arena, b1);
+
+    let both = Arc::new(
+        ProgramBuilder::new("A-both")
+            .read(v(0))
+            .read(v(4))
+            .update(v(0), Expr::var(v(0)) + Expr::konst(5))
+            .update(v(4), Expr::var(v(4)) + Expr::konst(5))
+            .build()
+            .unwrap(),
+    );
+    let a = arena.alloc(|id| Transaction::new(id, "A-both", TxnKind::Tentative, both, vec![]));
+    let hm_a = SerialHistory::from_order([a]);
+    let hm_b = deposits(&bank, &mut arena, "B", &[4, 2], 7);
+    let [b4, b2] = [hm_b.order()[0], hm_b.order()[1]];
+
+    let merger = Merger::new(MergeConfig::default());
+    let out_a = merger.merge(&arena, &hm_a, &epoch_history(&base), base.epoch_state()).unwrap();
+    assert_eq!(out_a.backed_out, vec![a]);
+    let _ = base.install_updates(&mut arena, &out_a.forwarded);
+    let admitted = arena.len();
+    assert!(base.reexecute(&mut arena, a));
+    assert_eq!(arena.len(), admitted, "re-execution adds no arena entry");
+    assert_eq!(arena.get(a).kind(), TxnKind::Base);
+    let hb = epoch_history(&base);
+    assert_eq!(hb.order().last(), Some(&a), "H_b holds A's transaction under its own id");
+
+    let out_b = merger.merge(&arena, &hm_b, &hb, base.epoch_state()).unwrap();
+    assert_eq!(out_b.backed_out, vec![b4], "B backs out only its own transaction");
+    assert_eq!(out_b.saved, vec![b2]);
+    let _ = base.install_updates(&mut arena, &out_b.forwarded);
+
+    // Theorem 1's witness — H_b and B's saved work in a serial order —
+    // replays from the window state to the master B's install left.
+    let removed = out_b.backed_out.iter().copied().collect();
+    let witness = PrecedenceGraph::build(&arena, &hm_b, &hb)
+        .merged_history_without(&removed)
+        .expect("acyclic after back-out");
+    assert_eq!(&run_to_final(&arena, &witness, &s0).unwrap(), base.master());
+
+    assert!(base.reexecute(&mut arena, b4));
+    assert_eq!(base.master().get(v(0)), 115); // 100 + 10 + 5
+    assert_eq!(base.master().get(v(4)), 112); // 100 + 5 + 7
+    assert_eq!(base.master().get(v(2)), 107);
+    let replay = AugmentedHistory::execute(&arena, &epoch_history(&base), &s0).unwrap();
+    assert_eq!(replay.final_state(), base.master());
 }

@@ -31,7 +31,7 @@ fn install_and_reexecute(
         base.commit(arena, id);
     }
     let _ = base.install_updates(arena, &outcome.forwarded);
-    let verdicts = outcome.backed_out.iter().map(|&id| (id, base.reexecute(arena, id).1)).collect();
+    let verdicts = outcome.backed_out.iter().map(|&id| (id, base.reexecute(arena, id))).collect();
     (base, verdicts)
 }
 
