@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use histmerge_history::{
     rule1_edge_count, AugmentedHistory, BackoutStrategy, BaseEdgeCache, ClosureScratch,
-    ClosureTable, DenseBits, PrecedenceGraph, SerialHistory, TwoCycleOptimal, TxnArena,
+    ClosureTable, DenseBits, PrecedenceGraph, SerialHistory, SliceScratch, TwoCycleOptimal,
+    TxnArena,
 };
 use histmerge_obs::{Phase, TraceEvent, TracerHandle};
 use histmerge_semantics::{OracleStack, SemanticOracle, StaticAnalyzer};
@@ -96,6 +97,10 @@ pub struct MergeOutcome {
     /// edges are counted by the base-edge cache, and a disjoint merge on
     /// the fast path has no rule-3 edges by definition.
     pub graph_edges: usize,
+    /// Number of rule-1 edges (conflicting pairs within `H_m`), counted
+    /// once by the merge: by the slice builder, or directly on the fast
+    /// path. The cost model charges for these.
+    pub rule1_edges: usize,
     /// `true` if the merge took the conflict-free fast path (pending
     /// history disjoint from the entire concurrent base slice): graph and
     /// closure construction were skipped, with a byte-identical outcome.
@@ -150,17 +155,20 @@ impl MergeOutcome {
 }
 
 /// Reusable working memory for repeated merges (the zero-realloc hot
-/// path): reads-from closure buffers that would otherwise be reallocated
-/// per merge. A caller merging once per window step holds one
-/// `MergeScratch` and threads it through [`Merger::merge_traced_scratch`];
-/// each merge leaves the buffers grown to the high-water mark of the
-/// histories seen so far, so steady-state merges allocate nothing for
-/// these structures.
+/// path): conflict-slice and reads-from closure buffers that would
+/// otherwise be reallocated per merge. A caller merging once per window
+/// step holds one `MergeScratch` and threads it through
+/// [`Merger::merge_traced_scratch`]; each merge leaves the buffers grown
+/// to the high-water mark of the histories seen so far, so steady-state
+/// merges allocate nothing for these structures.
 ///
 /// Reuse is observation-free: a merge through a used scratch is
 /// byte-identical to one through [`MergeScratch::new`].
 #[derive(Default)]
 pub struct MergeScratch {
+    /// Rule-3 rows, slice positions, reachability rows, arcs and edges
+    /// reused by [`PrecedenceGraph::conflict_slice_with_scratch`].
+    pub slice: SliceScratch,
     /// Last-writer and row buffers reused by
     /// [`ClosureTable::build_with_scratch`].
     pub closure: ClosureScratch,
@@ -299,13 +307,19 @@ impl Merger {
                     &local
                 }
             };
-            Some(PrecedenceGraph::conflict_slice(arena, hm, hb, cache))
+            Some(PrecedenceGraph::conflict_slice_with_scratch(
+                arena,
+                hm,
+                hb,
+                cache,
+                &mut scratch.slice,
+            ))
         };
-        let graph_edges = match &graph {
-            Some(graph) => graph.full_edge_count(),
+        let (graph_edges, rule1_edges) = match &graph {
+            Some(graph) => (graph.full_edge_count(), graph.rule1_edges()),
             None => {
-                rule1_edge_count(arena, hm)
-                    + base_edges.map_or(0, |cache| cache.edge_count(hb.len()))
+                let rule1 = rule1_edge_count(arena, hm);
+                (rule1 + base_edges.map_or(0, |cache| cache.edge_count(hb.len())), rule1)
             }
         };
         tracer.span_end(Phase::GraphBuild, span);
@@ -328,9 +342,7 @@ impl Merger {
         let (bad, affected) = match &graph {
             Some(graph) => {
                 let table = ClosureTable::build_with_scratch(arena, hm, &mut scratch.closure);
-                let weights = table.weights();
-                let weight = move |id: TxnId| weights.get(&id).copied().unwrap_or(1);
-                let bad = self.config.backout.compute(graph, &weight)?;
+                let bad = self.config.backout.compute(graph, &|id| table.weight(id))?;
                 let affected = table.affected_of(&bad);
                 (bad, affected)
             }
@@ -386,6 +398,7 @@ impl Merger {
             repaired_writes,
             forwarded,
             graph_edges,
+            rule1_edges,
             fast_path,
         })
     }

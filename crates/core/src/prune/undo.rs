@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 
 use histmerge_history::{AugmentedHistory, TxnArena};
 use histmerge_txn::{
-    DbState, Expr, OverlayState, Pred, Program, ProgramBuilder, Statement, TxnId, Value, VarId,
+    Expr, ItemValues, OverlayState, Pred, Program, ProgramBuilder, Statement, TxnId, Value, VarId,
     VarSet, WriteDelta,
 };
 
@@ -70,7 +70,8 @@ pub fn undo(
         let outcome = original.outcome(pos);
         let txn = arena.get(*id);
         for var in txn.writeset().iter() {
-            view.set(var, outcome.before_image.get(var));
+            let before = outcome.before_image.get(var).expect("the before image covers writes");
+            view.set(var, before);
         }
     }
 
@@ -165,8 +166,8 @@ pub fn build_undo_repair(
 struct UraContext<'a> {
     undone_writes: VarSet,
     undone_writes_before: VarSet,
-    before: &'a DbState,
-    after: &'a DbState,
+    before: &'a ItemValues,
+    after: &'a ItemValues,
 }
 
 impl UraContext<'_> {
@@ -187,7 +188,7 @@ impl UraContext<'_> {
                         // Case 1: no pruned transaction wrote x — the effect
                         // survived the undo. Drop the statement, but record
                         // the computed value for later operand uses.
-                        if let Some(v) = self.after.try_get(x) {
+                        if let Some(v) = self.after.get(x) {
                             local_known.insert(x, v);
                         }
                         prev_updated.insert(x);
@@ -196,7 +197,9 @@ impl UraContext<'_> {
                         // re-assert the logged after value.
                         out.push(Statement::Update {
                             target: x,
-                            expr: Expr::Const(self.after.get(x)),
+                            expr: Expr::Const(
+                                self.after.get(x).expect("the after image covers writes"),
+                            ),
                         });
                         prev_updated.insert(x);
                         local_known.remove(&x);
@@ -255,7 +258,7 @@ impl UraContext<'_> {
         if !self.undone_writes_before.contains(y) {
             // Untouched by earlier pruned transactions: what ag_k read
             // originally is what it must read now.
-            return self.before.try_get(y);
+            return self.before.get(y);
         }
         // An earlier pruned transaction wrote y: the post-undo state holds
         // the repaired value — read it at run time.
@@ -365,7 +368,7 @@ mod tests {
     use histmerge_history::readsfrom::affected_set;
     use histmerge_history::SerialHistory;
     use histmerge_semantics::{OracleStack, StaticAnalyzer};
-    use histmerge_txn::{Expr, ProgramBuilder, Transaction, TxnKind};
+    use histmerge_txn::{DbState, Expr, ProgramBuilder, Transaction, TxnKind};
     use std::sync::Arc;
 
     fn v(i: u32) -> VarId {

@@ -7,19 +7,21 @@
 //! executes through one copy-on-write [`OverlayState`], shares the initial
 //! state with its caller, keeps the final state as a write delta over it
 //! plus a per-step [`StepRecord`] (observed reads/writes and before/after
-//! images over each transaction's static footprint), and *derives* any
-//! state on demand — the final one from the delta, intermediate ones from
-//! a per-variable write index. Executing a history therefore costs
-//! O(footprint), not O(|database|). Outcomes are byte-identical to the
+//! images over each transaction's static footprint, each an inline
+//! [`ItemValues`]), and *derives* any state on demand — the final one from
+//! the delta, intermediate ones from one flat change index sorted by item
+//! and step. Executing a history therefore costs O(footprint), not
+//! O(|database|), and a footprint of up to seven items per step costs no
+//! heap block of its own. Outcomes are byte-identical to the
 //! clone-per-step execution; `tests/footprint_differential.rs` holds that
 //! contract.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use histmerge_txn::{
-    DbState, Fix, OverlayState, TxnError, TxnId, Value, VarId, VarSet, WriteDelta,
+    DbState, Fix, ItemValues, OverlayState, StateRead, TxnError, TxnId, Value, VarId, VarSet,
+    WriteDelta,
 };
 
 use crate::arena::TxnArena;
@@ -58,32 +60,36 @@ impl std::error::Error for HistoryError {
 /// The execution record of one history step: what the transaction
 /// observed and the before/after images over its static footprint —
 /// exactly the log information the undo approach of Section 6.2 needs.
+///
+/// All four maps are [`ItemValues`] keyed by the bound item, held inline
+/// for up to seven entries: a step over a small footprint records its log
+/// without a heap block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepRecord {
     /// The values the transaction observed for each item it read, in the
     /// position it executed (fix values for pinned items).
-    pub reads: BTreeMap<VarId, Value>,
+    pub reads: ItemValues,
     /// The values the transaction wrote.
-    pub writes: BTreeMap<VarId, Value>,
+    pub writes: ItemValues,
     /// Items actually read on the taken path (⊆ static read set).
     pub observed_readset: VarSet,
     /// Items actually written on the taken path (⊆ static write set).
     pub observed_writeset: VarSet,
     /// Before image over the transaction's static read ∪ write set.
-    pub before_image: DbState,
+    pub before_image: ItemValues,
     /// After image over the static read ∪ write set.
-    pub after_image: DbState,
+    pub after_image: ItemValues,
 }
 
 impl StepRecord {
     /// Convenience: the value this step observed for `var`, if it read it.
     pub fn read_value(&self, var: VarId) -> Option<Value> {
-        self.reads.get(&var).copied()
+        self.reads.get(var)
     }
 
     /// Convenience: the value this step wrote to `var`, if it wrote it.
     pub fn written_value(&self, var: VarId) -> Option<Value> {
-        self.writes.get(&var).copied()
+        self.writes.get(var)
     }
 }
 
@@ -129,10 +135,10 @@ pub struct AugmentedHistory {
     /// `initial` patched with `final_writes`, built on first use.
     final_state: OnceLock<DbState>,
     steps: Vec<StepRecord>,
-    /// Per-variable change index: ascending `(step, value written)` pairs.
-    /// `value_before(i, var)` is a binary search here instead of a stored
-    /// state per step.
-    writes_at: BTreeMap<VarId, Vec<(u32, Value)>>,
+    /// The change index: one `(item, step, value written)` entry per write,
+    /// sorted by item, then step. `value_before(i, var)` is a binary
+    /// search here instead of a stored state per step.
+    writes_at: Vec<(VarId, u32, Value)>,
 }
 
 impl AugmentedHistory {
@@ -193,20 +199,27 @@ impl AugmentedHistory {
         initial: Arc<DbState>,
     ) -> Result<Self, HistoryError> {
         let mut steps = Vec::with_capacity(entries.len());
-        let mut writes_at: BTreeMap<VarId, Vec<(u32, Value)>> = BTreeMap::new();
+        // Every write is bounded by its static write set, so one block
+        // holds the whole index.
+        let most_writes = entries.iter().map(|(id, _)| arena.get(*id).writeset().len()).sum();
+        let mut writes_at = Vec::with_capacity(most_writes);
         let mut view = OverlayState::new(&initial);
         for (i, (id, fix)) in entries.iter().enumerate() {
             let txn = arena.get(*id);
             let footprint = txn.footprint();
-            let before_image = view.project(footprint);
+            // The transaction reads and writes only its footprint, so it
+            // runs against its before image, and its writes turn that
+            // image into the after image.
+            let before_image = view.image(footprint);
             let delta = txn
-                .execute_delta(&view, fix)
+                .execute_delta(&before_image, fix)
                 .map_err(|source| HistoryError::Execution { txn: *id, source })?;
             view.apply_writes(&delta.writes);
-            let after_image = view.project(footprint);
+            let mut after_image = before_image.clone();
             for (var, value) in &delta.writes {
-                writes_at.entry(*var).or_default().push((i as u32, *value));
+                after_image.insert(var, value);
             }
+            writes_at.extend(delta.writes.iter().map(|(var, value)| (var, i as u32, value)));
             steps.push(StepRecord {
                 reads: delta.reads,
                 writes: delta.writes,
@@ -217,6 +230,8 @@ impl AugmentedHistory {
             });
         }
         let final_writes = view.into_writes();
+        // Items and steps are distinct pairs, so the order is total.
+        writes_at.sort_unstable_by_key(|&(var, step, _)| (var, step));
         Ok(AugmentedHistory {
             entries,
             initial,
@@ -252,23 +267,22 @@ impl AugmentedHistory {
     /// state. A binary search over the variable's change index — the
     /// cheap point query the rewriting algorithms use for fix pins.
     pub fn value_before(&self, i: usize, var: VarId) -> Option<Value> {
-        if let Some(changes) = self.writes_at.get(&var) {
-            let upto = changes.partition_point(|(step, _)| (*step as usize) < i);
-            if upto > 0 {
-                return Some(changes[upto - 1].1);
-            }
+        let upto = self.writes_at.partition_point(|&(v, step, _)| (v, step as usize) < (var, i));
+        match upto.checked_sub(1).map(|last| self.writes_at[last]) {
+            Some((v, _, value)) if v == var => Some(value),
+            _ => self.initial.try_get(var),
         }
-        self.initial.try_get(var)
     }
 
     /// Materializes the *before state* of the `i`-th transaction (the
     /// initial state with every write at steps `< i` applied).
     pub fn before_state(&self, i: usize) -> DbState {
         let mut state = (*self.initial).clone();
-        for (var, changes) in &self.writes_at {
-            let upto = changes.partition_point(|(step, _)| (*step as usize) < i);
-            if upto > 0 {
-                state.set(*var, changes[upto - 1].1);
+        // Within an item the entries ascend by step, so the last one
+        // before `i` wins.
+        for &(var, step, value) in &self.writes_at {
+            if (step as usize) < i {
+                state.set(var, value);
             }
         }
         state

@@ -18,13 +18,17 @@
 //!   greedily;
 //! * [`GreedyScc`] — repeatedly back out the highest-degree tentative
 //!   transaction of a cyclic SCC.
+//!
+//! The strategies work on the graph's node indices: the removed nodes are
+//! bits, and one computation reuses its Tarjan arrays across passes, so
+//! `B` is the only set built per transaction id.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
-use histmerge_txn::{TxnId, TxnKind};
+use histmerge_txn::TxnId;
 
-use crate::precedence::PrecedenceGraph;
+use crate::precedence::{Components, NodeSet, PrecedenceGraph, SccScratch};
 
 /// Errors raised by back-out computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,49 +92,72 @@ pub fn affected_weight(
     arena: &crate::TxnArena,
     hm: &crate::SerialHistory,
 ) -> impl Fn(TxnId) -> u64 + 'static {
-    let weights = crate::readsfrom::ClosureTable::build(arena, hm).weights();
-    move |id: TxnId| weights.get(&id).copied().unwrap_or(1)
+    let table = crate::readsfrom::ClosureTable::build(arena, hm);
+    move |id: TxnId| table.weight(id)
 }
 
-fn tentative_members(graph: &PrecedenceGraph, scc: &[TxnId]) -> Vec<TxnId> {
-    scc.iter().copied().filter(|id| graph.kind(*id) == Some(TxnKind::Tentative)).collect()
+/// One back-out computation: the graph, the nodes removed so far, and
+/// the Tarjan arrays its cycle searches reuse.
+struct Removal<'g> {
+    graph: &'g PrecedenceGraph,
+    removed: NodeSet,
+    work: SccScratch,
+}
+
+impl<'g> Removal<'g> {
+    fn new(graph: &'g PrecedenceGraph) -> Self {
+        Removal { graph, removed: NodeSet::new(graph.len()), work: SccScratch::default() }
+    }
+
+    /// The cyclic SCCs of the graph minus the removed nodes, into `out`.
+    fn cyclic_components(&mut self, out: &mut Components) {
+        self.graph.cyclic_components(&self.removed, &mut self.work, out);
+    }
+
+    /// The transactions of `nodes`.
+    fn ids(&self, nodes: &[usize]) -> Vec<TxnId> {
+        nodes.iter().map(|&i| self.graph.nodes()[i]).collect()
+    }
+
+    /// The back-out set `B`.
+    fn into_set(self) -> BTreeSet<TxnId> {
+        self.removed.iter().map(|i| self.graph.nodes()[i]).collect()
+    }
 }
 
 /// Greedy pass: while cycles remain, remove the tentative node with the
 /// highest degree-to-weight ratio inside some cyclic SCC. With `within`
-/// (a sorted SCC), only the cycles inside it are broken.
+/// (an SCC's nodes), only the cycles inside it are broken. `sccs` is
+/// working memory.
 fn greedy_break(
-    graph: &PrecedenceGraph,
+    removal: &mut Removal<'_>,
     weight: &dyn Fn(TxnId) -> u64,
-    removed: &mut BTreeSet<TxnId>,
-    within: Option<&[TxnId]>,
+    within: Option<&[usize]>,
+    sccs: &mut Components,
 ) -> Result<(), BackoutError> {
+    let graph = removal.graph;
     loop {
-        let mut sccs = graph.cyclic_sccs(removed);
-        if let Some(scope) = within {
-            // Removals only split SCCs, so each cyclic SCC now lies wholly
-            // inside or wholly outside `scope`.
-            sccs.retain(|scc| scope.binary_search(&scc[0]).is_ok());
-        }
-        if sccs.is_empty() {
-            return Ok(());
-        }
-        for scc in &sccs {
-            let candidates = tentative_members(graph, scc);
-            if candidates.is_empty() {
-                return Err(BackoutError::UnbreakableCycle { scc: scc.clone() });
-            }
+        removal.cyclic_components(sccs);
+        let mut cyclic = false;
+        // Removals only split SCCs, so each cyclic SCC now lies wholly
+        // inside or wholly outside `within`.
+        for scc in sccs.iter().filter(|scc| within.is_none_or(|scope| scope.contains(&scc[0]))) {
+            cyclic = true;
             // Cheapest back-out first: minimal weight (back-out cost),
             // ties broken by highest degree (more cycles covered), then by
             // id for determinism.
-            let pick = candidates
-                .into_iter()
-                .min_by_key(|id| {
-                    let d = graph.degree_without(*id, removed);
-                    (weight(*id).max(1), usize::MAX - d, *id)
-                })
-                .expect("candidates nonempty");
-            removed.insert(pick);
+            let pick = scc.iter().copied().filter(|&i| graph.is_tentative(i)).min_by_key(|&i| {
+                let id = graph.nodes()[i];
+                let d = graph.degree_without_nodes(i, &removal.removed);
+                (weight(id).max(1), usize::MAX - d, id)
+            });
+            match pick {
+                Some(i) => removal.removed.insert(i),
+                None => return Err(BackoutError::UnbreakableCycle { scc: removal.ids(scc) }),
+            }
+        }
+        if !cyclic {
+            return Ok(());
         }
     }
 }
@@ -166,28 +193,32 @@ impl BackoutStrategy for ExactMinimum {
         graph: &PrecedenceGraph,
         weight: &dyn Fn(TxnId) -> u64,
     ) -> Result<BTreeSet<TxnId>, BackoutError> {
-        let mut removed = BTreeSet::new();
+        let mut removal = Removal::new(graph);
+        let (mut sccs, mut inner) = (Components::default(), Components::default());
         // SCCs are independent: a cycle never spans two SCCs. Each is
         // settled on its own, exactly or (above the budget) greedily, so
         // `B` does not depend on the order the SCCs are listed in — which
         // differs between a graph and its conflict slice.
         loop {
-            let sccs = graph.cyclic_sccs(&removed);
+            removal.cyclic_components(&mut sccs);
             if sccs.is_empty() {
-                return Ok(removed);
+                return Ok(removal.into_set());
             }
-            for scc in &sccs {
-                let candidates = tentative_members(graph, scc);
+            for scc in sccs.iter() {
+                let candidates: Vec<usize> =
+                    scc.iter().copied().filter(|&i| graph.is_tentative(i)).collect();
                 if candidates.is_empty() {
-                    return Err(BackoutError::UnbreakableCycle { scc: scc.clone() });
+                    return Err(BackoutError::UnbreakableCycle { scc: removal.ids(scc) });
                 }
                 if candidates.len() > self.node_budget {
-                    greedy_break(graph, weight, &mut removed, Some(scc))?;
+                    greedy_break(&mut removal, weight, Some(scc), &mut inner)?;
                     continue;
                 }
-                let best = best_subset(graph, scc, &candidates, weight, &removed)
-                    .ok_or_else(|| BackoutError::UnbreakableCycle { scc: scc.clone() })?;
-                removed.extend(best);
+                let best = best_subset(graph, scc, &candidates, weight, &removal.removed)
+                    .ok_or_else(|| BackoutError::UnbreakableCycle { scc: removal.ids(scc) })?;
+                for i in best {
+                    removal.removed.insert(i);
+                }
             }
         }
     }
@@ -200,47 +231,49 @@ impl BackoutStrategy for ExactMinimum {
 /// Finds the minimum-weight subset of `candidates` whose removal (on top of
 /// `already`) breaks every cycle **within `scc`**. Other strongly connected
 /// components are handled independently, so the acyclicity check masks out
-/// every node outside this SCC. Enumerates subsets in order of increasing
-/// size, then weight, so the first hit is optimal in size with minimal
-/// weight among that size.
+/// every node outside this SCC. Enumerates subsets in mask order and keeps
+/// a subset only when it beats the best so far on (weight, size), so the
+/// first hit of the least weight wins.
 fn best_subset(
     graph: &PrecedenceGraph,
-    scc: &[TxnId],
-    candidates: &[TxnId],
+    scc: &[usize],
+    candidates: &[usize],
     weight: &dyn Fn(TxnId) -> u64,
-    already: &BTreeSet<TxnId>,
-) -> Option<BTreeSet<TxnId>> {
+    already: &NodeSet,
+) -> Option<Vec<usize>> {
     let n = candidates.len();
-    let outside: BTreeSet<TxnId> =
-        graph.nodes().iter().copied().filter(|id| !scc.contains(id)).collect();
-    let mut best: Option<(u64, usize, BTreeSet<TxnId>)> = None;
+    let mut masked = already.clone();
+    for i in (0..graph.len()).filter(|i| !scc.contains(i)) {
+        masked.insert(i);
+    }
+    let weights: Vec<u64> = candidates.iter().map(|&i| weight(graph.nodes()[i]).max(1)).collect();
+    let mut best: Option<(u64, usize, u64)> = None;
     // Enumerate all subsets; prune by current best weight.
     for mask in 0u64..(1u64 << n) {
         let size = mask.count_ones() as usize;
         let mut w = 0u64;
-        let mut set: BTreeSet<TxnId> = already.union(&outside).copied().collect();
-        for (i, id) in candidates.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                w = w.saturating_add(weight(*id).max(1));
-                set.insert(*id);
+        let mut set = masked.clone();
+        for (b, &i) in candidates.iter().enumerate() {
+            if mask & (1 << b) != 0 {
+                w = w.saturating_add(weights[b]);
+                set.insert(i);
             }
         }
-        if let Some((bw, bs, _)) = &best {
-            if (w, size) >= (*bw, *bs) {
+        if let Some((bw, bs, _)) = best {
+            if (w, size) >= (bw, bs) {
                 continue;
             }
         }
-        if graph.is_acyclic_without(&set) {
-            let chosen: BTreeSet<TxnId> = candidates
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, id)| *id)
-                .collect();
-            best = Some((w, size, chosen));
+        if graph.is_acyclic_without_nodes(&set) {
+            best = Some((w, size, mask));
         }
     }
-    best.map(|(_, _, s)| s)
+    best.map(|(_, _, mask)| members(candidates, mask))
+}
+
+/// The entries of `of` whose positions are set in `mask`.
+fn members(of: &[usize], mask: u64) -> Vec<usize> {
+    of.iter().enumerate().filter(|(b, _)| mask & (1 << b) != 0).map(|(_, &i)| i).collect()
 }
 
 /// Davidson's *breaking two-cycles optimally* strategy.
@@ -276,38 +309,38 @@ impl BackoutStrategy for TwoCycleOptimal {
         graph: &PrecedenceGraph,
         weight: &dyn Fn(TxnId) -> u64,
     ) -> Result<BTreeSet<TxnId>, BackoutError> {
-        let mut removed = BTreeSet::new();
-        let two_cycles = graph.two_cycles(&removed);
+        let mut removal = Removal::new(graph);
+        let mut two_cycles = Vec::new();
+        graph.two_cycle_nodes(&removal.removed, &mut two_cycles);
 
         // Forced picks: a 2-cycle touching a base transaction can only lose
         // its tentative member.
-        let mut open_pairs: Vec<(TxnId, TxnId)> = Vec::new();
+        let mut open_pairs: Vec<(usize, usize)> = Vec::new();
         for (a, b) in two_cycles {
-            let ta = graph.kind(a) == Some(TxnKind::Tentative);
-            let tb = graph.kind(b) == Some(TxnKind::Tentative);
-            match (ta, tb) {
+            match (graph.is_tentative(a), graph.is_tentative(b)) {
                 (true, true) => open_pairs.push((a, b)),
-                (true, false) => {
-                    removed.insert(a);
-                }
-                (false, true) => {
-                    removed.insert(b);
-                }
+                (true, false) => removal.removed.insert(a),
+                (false, true) => removal.removed.insert(b),
                 (false, false) => {
-                    return Err(BackoutError::UnbreakableCycle { scc: vec![a, b] });
+                    return Err(BackoutError::UnbreakableCycle { scc: removal.ids(&[a, b]) });
                 }
             }
         }
         // Drop pairs already covered by forced picks.
-        open_pairs.retain(|(a, b)| !removed.contains(a) && !removed.contains(b));
+        let removed = &mut removal.removed;
+        open_pairs.retain(|&(a, b)| !removed.contains(a) && !removed.contains(b));
 
-        // Vertex cover over the remaining tentative-tentative 2-cycles.
-        let mut vertices: Vec<TxnId> = open_pairs.iter().flat_map(|(a, b)| [*a, *b]).collect();
-        vertices.sort_unstable();
+        // Vertex cover over the remaining tentative-tentative 2-cycles,
+        // its vertices in transaction-id order.
+        let mut vertices: Vec<usize> = open_pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+        vertices.sort_unstable_by_key(|&i| graph.nodes()[i]);
         vertices.dedup();
+        let weight_of = |i: usize| weight(graph.nodes()[i]).max(1);
         if vertices.len() <= self.cover_budget {
-            if let Some(cover) = min_vertex_cover(&vertices, &open_pairs, weight) {
-                removed.extend(cover);
+            if let Some(cover) = min_vertex_cover(&vertices, &open_pairs, &weight_of) {
+                for i in cover {
+                    removed.insert(i);
+                }
             }
         } else {
             // Greedy cover: repeatedly take the vertex covering the most
@@ -317,20 +350,20 @@ impl BackoutStrategy for TwoCycleOptimal {
                 let pick = vertices
                     .iter()
                     .copied()
-                    .filter(|v| !removed.contains(v))
-                    .max_by_key(|v| {
-                        let cover = pairs.iter().filter(|(a, b)| a == v || b == v).count();
-                        (cover as u64 * 1_000_000) / weight(*v).max(1)
+                    .filter(|&v| !removed.contains(v))
+                    .max_by_key(|&v| {
+                        let cover = pairs.iter().filter(|&&(a, b)| a == v || b == v).count();
+                        (cover as u64 * 1_000_000) / weight_of(v)
                     })
                     .expect("open pairs imply candidate vertices");
                 removed.insert(pick);
-                pairs.retain(|(a, b)| *a != pick && *b != pick);
+                pairs.retain(|&(a, b)| a != pick && b != pick);
             }
         }
 
         // Residual (longer) cycles: greedy.
-        greedy_break(graph, weight, &mut removed, None)?;
-        Ok(removed)
+        greedy_break(&mut removal, weight, None, &mut Components::default())?;
+        Ok(removal.into_set())
     }
 
     fn name(&self) -> &'static str {
@@ -338,33 +371,33 @@ impl BackoutStrategy for TwoCycleOptimal {
     }
 }
 
-/// Exact minimum-weight vertex cover of `pairs` by subset enumeration.
+/// Exact minimum-weight vertex cover of `pairs` by subset enumeration
+/// over `vertices`, as bit masks: the first mask of the least (weight,
+/// size) wins.
 fn min_vertex_cover(
-    vertices: &[TxnId],
-    pairs: &[(TxnId, TxnId)],
-    weight: &dyn Fn(TxnId) -> u64,
-) -> Option<BTreeSet<TxnId>> {
+    vertices: &[usize],
+    pairs: &[(usize, usize)],
+    weight: &dyn Fn(usize) -> u64,
+) -> Option<Vec<usize>> {
     if pairs.is_empty() {
-        return Some(BTreeSet::new());
+        return Some(Vec::new());
     }
     let n = vertices.len();
-    let mut best: Option<(u64, BTreeSet<TxnId>)> = None;
+    let bit = |i: usize| 1u64 << vertices.iter().position(|&v| v == i).expect("a pair's vertex");
+    let pair_masks: Vec<u64> = pairs.iter().map(|&(a, b)| bit(a) | bit(b)).collect();
+    let weights: Vec<u64> = vertices.iter().map(|&v| weight(v)).collect();
+    let mut best: Option<(u64, u32, u64)> = None;
     for mask in 0u64..(1u64 << n) {
-        let set: BTreeSet<TxnId> = vertices
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, id)| *id)
-            .collect();
-        if !pairs.iter().all(|(a, b)| set.contains(a) || set.contains(b)) {
+        if !pair_masks.iter().all(|&pair| mask & pair != 0) {
             continue;
         }
-        let w: u64 = set.iter().map(|id| weight(*id).max(1)).sum();
-        if best.as_ref().is_none_or(|(bw, bset)| (w, set.len()) < (*bw, bset.len())) {
-            best = Some((w, set));
+        let w: u64 = (0..n).filter(|b| mask & (1 << b) != 0).map(|b| weights[b]).sum();
+        let size = mask.count_ones();
+        if best.is_none_or(|(bw, bs, _)| (w, size) < (bw, bs)) {
+            best = Some((w, size, mask));
         }
     }
-    best.map(|(_, s)| s)
+    best.map(|(_, _, mask)| members(vertices, mask))
 }
 
 /// Pure greedy strategy: the baseline heuristic.
@@ -384,9 +417,9 @@ impl BackoutStrategy for GreedyScc {
         graph: &PrecedenceGraph,
         weight: &dyn Fn(TxnId) -> u64,
     ) -> Result<BTreeSet<TxnId>, BackoutError> {
-        let mut removed = BTreeSet::new();
-        greedy_break(graph, weight, &mut removed, None)?;
-        Ok(removed)
+        let mut removal = Removal::new(graph);
+        greedy_break(&mut removal, weight, None, &mut Components::default())?;
+        Ok(removal.into_set())
     }
 
     fn name(&self) -> &'static str {
@@ -399,6 +432,7 @@ mod tests {
     use super::*;
     use crate::fixtures::example1;
     use crate::precedence::PrecedenceGraph;
+    use histmerge_txn::TxnKind;
 
     fn unit(_: TxnId) -> u64 {
         1

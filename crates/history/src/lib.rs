@@ -61,6 +61,6 @@ pub use arena::TxnArena;
 pub use augmented::{run_to_final, AugmentedHistory, HistoryError, StepRecord};
 pub use backout::{BackoutError, BackoutStrategy, ExactMinimum, GreedyScc, TwoCycleOptimal};
 pub use footprint::{BitsRef, DenseBits, VarInterner};
-pub use precedence::{rule1_edge_count, BaseEdgeCache, EdgeKind, PrecedenceGraph};
+pub use precedence::{rule1_edge_count, BaseEdgeCache, EdgeKind, PrecedenceGraph, SliceScratch};
 pub use readsfrom::{closure_weights_for, ClosureScratch, ClosureTable};
 pub use schedule::SerialHistory;

@@ -23,7 +23,7 @@
 //! ([`PrecedenceGraph::conflict_slice`]) over those nodes, with rule-2
 //! paths summarized by a per-epoch [`BaseEdgeCache`].
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use histmerge_txn::{TxnId, TxnKind};
@@ -278,6 +278,37 @@ impl BaseEdgeCache {
     }
 }
 
+/// Reusable working memory for
+/// [`PrecedenceGraph::conflict_slice_with_scratch`]: the rule-3 rows, the
+/// slice's base positions, the reachability rows and the arcs and edges
+/// under construction. A build leaves the buffers at the high-water mark
+/// of the slices seen so far, so a stream of merges allocates only the
+/// graphs it returns. Reuse is observation-free: a slice built through a
+/// used scratch equals one built through [`SliceScratch::new`].
+#[derive(Debug, Clone, Default)]
+pub struct SliceScratch {
+    /// Two rows of `⌈|H_b|/64⌉` words per tentative transaction: the `H_b`
+    /// positions it draws a `T_m → T_b` edge to, then the positions that
+    /// draw a `T_b → T_m` edge to it.
+    rule3: Vec<u64>,
+    /// The union of the rule-3 rows: the slice's base positions.
+    selected: Vec<u64>,
+    /// The slice's base positions, ascending.
+    positions: Vec<usize>,
+    /// Rule-2 reachability rows among the slice's base transactions.
+    reach: Vec<u64>,
+    /// The arcs and the reasoned edges of the graph under construction.
+    arcs: Vec<(usize, usize)>,
+    edges: Vec<(TxnId, TxnId, EdgeKind)>,
+}
+
+impl SliceScratch {
+    /// Creates an empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        SliceScratch::default()
+    }
+}
+
 /// The precedence graph over the transactions of `H_m ∪ H_b`, or over its
 /// conflict slice (see [`PrecedenceGraph::conflict_slice`]).
 #[derive(Debug, Clone)]
@@ -285,20 +316,21 @@ pub struct PrecedenceGraph {
     /// Node order: `H_m` transactions first, then `H_b` transactions.
     nodes: Vec<TxnId>,
     kinds: Vec<TxnKind>,
-    /// `TxnId` → node index.
-    index: HashMap<TxnId, usize>,
-    /// Adjacency in compressed rows: node `i`'s successors are
-    /// `succ[succ_at[i]..succ_at[i + 1]]`, ascending (membership tests
-    /// binary-search). `pred_at`/`pred` hold the transpose the same way.
-    succ_at: Vec<usize>,
-    succ: Vec<usize>,
-    pred_at: Vec<usize>,
-    pred: Vec<usize>,
+    /// `(TxnId, node index)` pairs sorted by id.
+    index: Vec<(TxnId, usize)>,
+    /// Adjacency in compressed rows, both directions in one array: with
+    /// `n` nodes, node `i`'s successors are `adj[at[i]..at[i + 1]]` and
+    /// its predecessors `adj[at[n + 1 + i]..at[n + 2 + i]]`, each
+    /// ascending (membership tests binary-search).
+    at: Vec<usize>,
+    adj: Vec<usize>,
     /// Every materialized edge with its reason, for diagnostics and
     /// Figure 1 rendering.
     edges: Vec<(TxnId, TxnId, EdgeKind)>,
     /// Edge count of the whole `G(H_m, H_b)` this graph stands for.
     full_edges: usize,
+    /// Rule-1 edges, all of them materialized.
+    rule1_edges: usize,
 }
 
 impl PrecedenceGraph {
@@ -309,7 +341,9 @@ impl PrecedenceGraph {
     /// writes it.
     pub fn build(arena: &TxnArena, hm: &SerialHistory, hb: &SerialHistory) -> Self {
         let hb = hb.order();
-        let mut graph = Builder::new(arena, hm.iter().chain(hb.iter().copied()).collect());
+        let (mut arcs, mut edges) = (Vec::new(), Vec::new());
+        let nodes = hm.iter().chain(hb.iter().copied()).collect();
+        let mut graph = Builder::new(arena, nodes, &mut arcs, &mut edges);
         let m = hm.len();
         graph.rule1(m);
 
@@ -332,20 +366,24 @@ impl PrecedenceGraph {
     /// graph.
     ///
     /// * Nodes: `H_m`, then — in `H_b` order — the base transactions with a
-    ///   rule-3 edge to `H_m`, i.e. those whose writes meet `H_m`'s read
-    ///   union or whose reads meet its write union. The cache's per-item
-    ///   index names them: the writers of `H_m`'s read items and the
-    ///   readers of its write items, each list walked only up to the end
-    ///   of the `hb` prefix. Selection costs those lists' lengths plus at
-    ///   most `⌈|H_b|/64⌉` bitset words, not a footprint test per base
-    ///   transaction.
-    /// * Edges: rules 1 and 3 as in [`build`](Self::build). Base-to-base
-    ///   paths are summarized by adjacency entries carrying rule-2
-    ///   reachability ([`BaseEdgeCache`] keeps it): `T_b → T_b'` when
-    ///   `T_b` reaches `T_b'` and no other slice base transaction lies on
-    ///   a path between them (the transitive reduction, so a hot item
-    ///   shared by the whole slice costs a chain, not a clique). These
-    ///   summary entries are not in [`edges`](Self::edges).
+    ///   rule-3 edge to `H_m`.
+    /// * Edges: rules 1 and 3 as in [`build`](Self::build), in the same
+    ///   order. Base-to-base paths are summarized by adjacency entries
+    ///   carrying rule-2 reachability ([`BaseEdgeCache`] keeps it):
+    ///   `T_b → T_b'` when `T_b` reaches `T_b'` and no other slice base
+    ///   transaction lies on a path between them (the transitive
+    ///   reduction, so a hot item shared by the whole slice costs a chain,
+    ///   not a clique). These summary entries are not in
+    ///   [`edges`](Self::edges).
+    ///
+    /// Rule 3 and the selection come from the cache's per-item index, with
+    /// no pairwise footprint test. For each tentative transaction, the
+    /// writers of its read items are the `H_b` positions it draws
+    /// `T_m → T_b` edges to, and the readers of its write items those that
+    /// draw `T_b → T_m` edges to it. Each ascending list is walked only up
+    /// to the end of the `hb` prefix into one bitset row per direction,
+    /// and the union of the rows is the slice. Building costs those lists'
+    /// lengths plus `2 · |H_m|` rows of `⌈|H_b|/64⌉` words.
     ///
     /// A cycle of `G` runs through a tentative node, and each maximal base
     /// run on it enters and leaves by a rule-3 edge, so both its ends are
@@ -357,7 +395,8 @@ impl PrecedenceGraph {
     /// counts rule 2 without materializing it.
     ///
     /// `cache` must cover `hb`: `hb` must equal a prefix of the cached
-    /// history.
+    /// history. [`conflict_slice_with_scratch`](Self::conflict_slice_with_scratch)
+    /// builds the same graph through reusable working memory.
     ///
     /// # Panics
     ///
@@ -368,37 +407,80 @@ impl PrecedenceGraph {
         hb: &SerialHistory,
         cache: &BaseEdgeCache,
     ) -> Self {
+        Self::conflict_slice_with_scratch(arena, hm, hb, cache, &mut SliceScratch::new())
+    }
+
+    /// [`conflict_slice`](Self::conflict_slice) with caller-held working
+    /// memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache holds fewer transactions than `hb`.
+    pub fn conflict_slice_with_scratch(
+        arena: &TxnArena,
+        hm: &SerialHistory,
+        hb: &SerialHistory,
+        cache: &BaseEdgeCache,
+        scratch: &mut SliceScratch,
+    ) -> Self {
         assert!(cache.len() >= hb.len(), "base-edge cache is behind the base history");
         debug_assert!(
             hb.order() == &cache.history().order()[..hb.len()],
             "base-edge cache prefix does not match the base history"
         );
-        let mut reads = DenseBits::new();
-        let mut writes = DenseBits::new();
-        for id in hm.iter() {
-            reads.union_with(arena.read_bits(id));
-            writes.union_with(arena.write_bits(id));
-        }
-        // The positions with a rule-3 edge to `H_m`, from the index. Each
-        // list ascends, so its walk stops at the first position past the
-        // prefix; the bitset dedups and yields them in `H_b` order.
-        let lists = reads
-            .iter()
-            .filter_map(|x| cache.writers.get(x as usize))
-            .chain(writes.iter().filter_map(|x| cache.readers.get(x as usize)));
-        let mut selected = DenseBits::new();
-        for list in lists {
-            for &p in list.iter().take_while(|&&p| (p as usize) < hb.len()) {
-                selected.set(p);
+        let SliceScratch { rule3, selected, positions, reach, arcs, edges } = scratch;
+        let (m, words) = (hm.len(), hb.len().div_ceil(64));
+        rule3.clear();
+        rule3.resize(2 * m * words, 0);
+        selected.clear();
+        selected.resize(words, 0);
+        if words > 0 {
+            for (id, rows) in hm.iter().zip(rule3.chunks_exact_mut(2 * words)) {
+                let (reads_base, base_reads) = rows.split_at_mut(words);
+                for (bits, lists, row) in [
+                    (arena.read_bits(id), &cache.writers, reads_base),
+                    (arena.write_bits(id), &cache.readers, base_reads),
+                ] {
+                    for list in bits.iter().filter_map(|x| lists.get(x as usize)) {
+                        for &p in list.iter().take_while(|&&p| (p as usize) < hb.len()) {
+                            row[p as usize / 64] |= 1u64 << (p % 64);
+                        }
+                    }
+                    for (word, bits) in selected.iter_mut().zip(row.iter()) {
+                        *word |= bits;
+                    }
+                }
             }
         }
-        let positions: Vec<usize> = selected.iter().map(|p| p as usize).collect();
+        positions.clear();
+        for (w, &word) in selected.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                positions.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
 
-        let m = hm.len();
-        let nodes = hm.iter().chain(positions.iter().map(|&p| hb.order()[p])).collect();
-        let mut graph = Builder::new(arena, nodes);
+        let mut nodes = Vec::with_capacity(m + positions.len());
+        nodes.extend(hm.iter());
+        nodes.extend(positions.iter().map(|&p| hb.order()[p]));
+        let mut graph = Builder::new(arena, nodes, arcs, edges);
         graph.rule1(m);
-        graph.rule3(m);
+        // Rule 3 in `build`'s order: tentative, then slice position, each
+        // `T_m → T_b` edge before its `T_b → T_m` twin.
+        let has = |row: &[u64], p: usize| row[p / 64] & (1u64 << (p % 64)) != 0;
+        for a in 0..m {
+            let (reads_base, base_reads) =
+                rule3[2 * a * words..2 * (a + 1) * words].split_at(words);
+            for (s, &p) in positions.iter().enumerate() {
+                if has(reads_base, p) {
+                    graph.edge(a, m + s, EdgeKind::MobileReadBase);
+                }
+                if has(base_reads, p) {
+                    graph.edge(m + s, a, EdgeKind::BaseReadMobile);
+                }
+            }
+        }
         let full_edges = graph.edges.len() + cache.edge_count(hb.len());
 
         // Base to base: the transitive reduction of rule-2 reachability
@@ -408,7 +490,8 @@ impl PrecedenceGraph {
         // paths from `a`, so it gets an entry and brings its own row.
         let k = positions.len();
         let words = k.div_ceil(64);
-        let mut reach = vec![0u64; k * words];
+        reach.clear();
+        reach.resize(k * words, 0);
         for a in (0..k).rev() {
             let (upto, later) = reach.split_at_mut((a + 1) * words);
             let row = &mut upto[a * words..];
@@ -429,11 +512,12 @@ impl PrecedenceGraph {
     }
 
     fn succs(&self, i: usize) -> &[usize] {
-        &self.succ[self.succ_at[i]..self.succ_at[i + 1]]
+        &self.adj[self.at[i]..self.at[i + 1]]
     }
 
     fn preds(&self, i: usize) -> &[usize] {
-        &self.pred[self.pred_at[i]..self.pred_at[i + 1]]
+        let n = self.nodes.len();
+        &self.adj[self.at[n + 1 + i]..self.at[n + 2 + i]]
     }
 
     /// The transactions in the graph (tentative first, then base). For a
@@ -456,6 +540,13 @@ impl PrecedenceGraph {
         self.full_edges
     }
 
+    /// The number of rule-1 edges (conflicting tentative pairs in `H_m`
+    /// order), counted while the graph was built: the same number as
+    /// [`rule1_edge_count`] of `H_m`.
+    pub fn rule1_edges(&self) -> usize {
+        self.rule1_edges
+    }
+
     /// Returns `true` if there is an edge `from → to` (in a conflict slice,
     /// base-to-base entries mean rule-2 reachability).
     pub fn has_edge(&self, from: TxnId, to: TxnId) -> bool {
@@ -467,7 +558,8 @@ impl PrecedenceGraph {
 
     /// The node index of `id`, if present.
     fn index(&self, id: TxnId) -> Option<usize> {
-        self.index.get(&id).copied()
+        let at = self.index.binary_search_by_key(&id, |entry| entry.0).ok()?;
+        Some(self.index[at].1)
     }
 
     /// The kind (base/tentative) of a node.
@@ -475,17 +567,66 @@ impl PrecedenceGraph {
         self.index(id).map(|i| self.kinds[i])
     }
 
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Returns `true` if node `i` is a tentative transaction.
+    pub(crate) fn is_tentative(&self, i: usize) -> bool {
+        self.kinds[i] == TxnKind::Tentative
+    }
+
+    /// The node indices of the transactions in `removed` that are in the
+    /// graph.
+    fn node_set(&self, removed: &BTreeSet<TxnId>) -> NodeSet {
+        let mut set = NodeSet::new(self.len());
+        for i in removed.iter().filter_map(|id| self.index(*id)) {
+            set.insert(i);
+        }
+        set
+    }
+
     /// Returns `true` if the graph is acyclic, ignoring nodes in `removed`.
     ///
     /// By Theorem 1, acyclicity means the two histories are serializable
     /// into one merged history.
     pub fn is_acyclic_without(&self, removed: &BTreeSet<TxnId>) -> bool {
-        self.topo_order_without(removed).is_some()
+        self.is_acyclic_without_nodes(&self.node_set(removed))
     }
 
     /// Returns `true` if the full graph is acyclic (Theorem 1).
     pub fn is_acyclic(&self) -> bool {
-        self.is_acyclic_without(&BTreeSet::new())
+        self.is_acyclic_without_nodes(&NodeSet::new(self.len()))
+    }
+
+    /// [`is_acyclic_without`](Self::is_acyclic_without) over node
+    /// indices: Kahn's algorithm, counting the nodes it can emit.
+    pub(crate) fn is_acyclic_without_nodes(&self, removed: &NodeSet) -> bool {
+        let n = self.len();
+        let mut indegree = vec![0usize; n];
+        for from in (0..n).filter(|&i| !removed.contains(i)) {
+            for &to in self.succs(from) {
+                if !removed.contains(to) {
+                    indegree[to] += 1;
+                }
+            }
+        }
+        let mut ready: Vec<usize> =
+            (0..n).filter(|&i| !removed.contains(i) && indegree[i] == 0).collect();
+        let mut emitted = 0;
+        while let Some(i) = ready.pop() {
+            emitted += 1;
+            for &to in self.succs(i) {
+                if !removed.contains(to) {
+                    indegree[to] -= 1;
+                    if indegree[to] == 0 {
+                        ready.push(to);
+                    }
+                }
+            }
+        }
+        emitted == (0..n).filter(|&i| !removed.contains(i)).count()
     }
 
     /// Kahn topological sort over the nodes not in `removed`; `None` if the
@@ -494,33 +635,29 @@ impl PrecedenceGraph {
     /// deterministically front-load the durable base history where the
     /// graph allows, matching the paper's `H = Tb1 Tb2 Tm1 Tm2` in
     /// Example 1.
-    fn topo_order_without(&self, removed: &BTreeSet<TxnId>) -> Option<Vec<TxnId>> {
-        let n = self.nodes.len();
-        let alive: Vec<bool> = self.nodes.iter().map(|id| !removed.contains(id)).collect();
+    fn topo_order_without(&self, removed: &NodeSet) -> Option<Vec<TxnId>> {
+        let n = self.len();
         let mut indegree = vec![0usize; n];
-        for from in 0..n {
-            if !alive[from] {
-                continue;
-            }
+        for from in (0..n).filter(|&i| !removed.contains(i)) {
             for &to in self.succs(from) {
-                if alive[to] {
+                if !removed.contains(to) {
                     indegree[to] += 1;
                 }
             }
         }
         let mut order = Vec::with_capacity(n);
-        let mut emitted = vec![false; n];
-        let alive_count = alive.iter().filter(|a| **a).count();
+        let mut emitted = removed.clone();
+        let alive_count = (0..n).filter(|&i| !removed.contains(i)).count();
         loop {
             // Deterministic tie-break: base nodes first, then lowest index.
             let next = (0..n)
-                .filter(|&i| alive[i] && !emitted[i] && indegree[i] == 0)
+                .filter(|&i| !emitted.contains(i) && indegree[i] == 0)
                 .min_by_key(|&i| (self.kinds[i] != TxnKind::Base, i));
             let Some(i) = next else { break };
-            emitted[i] = true;
+            emitted.insert(i);
             order.push(self.nodes[i]);
             for &to in self.succs(i) {
-                if alive[to] && !emitted[to] {
+                if !emitted.contains(to) {
                     indegree[to] -= 1;
                 }
             }
@@ -533,75 +670,62 @@ impl PrecedenceGraph {
     /// Only a [`build`](Self::build) holds every transaction; a conflict
     /// slice yields a history over its own nodes.
     pub fn merged_history_without(&self, removed: &BTreeSet<TxnId>) -> Option<SerialHistory> {
-        self.topo_order_without(removed).map(SerialHistory::from_order)
+        self.topo_order_without(&self.node_set(removed)).map(SerialHistory::from_order)
     }
 
     /// The strongly connected components with more than one node, or with a
     /// self-loop — i.e. the components containing cycles. Nodes in
     /// `removed` are ignored.
     pub fn cyclic_sccs(&self, removed: &BTreeSet<TxnId>) -> Vec<Vec<TxnId>> {
-        let sccs = self.tarjan_sccs(removed);
-        sccs.into_iter()
-            .filter(|scc| {
-                scc.len() > 1 || {
-                    let i = self.index(scc[0]).expect("scc node");
-                    self.succs(i).binary_search(&i).is_ok()
-                }
-            })
-            .collect()
+        let mut components = Components::default();
+        self.cyclic_components(
+            &self.node_set(removed),
+            &mut SccScratch::default(),
+            &mut components,
+        );
+        components.iter().map(|scc| scc.iter().map(|&i| self.nodes[i]).collect()).collect()
     }
 
-    /// All 2-cycles `(a, b)` (edges both ways) among non-removed nodes,
-    /// with `a < b` by node order. Davidson's simulations found most
-    /// conflicts appear as 2-cycles, motivating the two-cycle-optimal
-    /// back-out strategy.
-    pub fn two_cycles(&self, removed: &BTreeSet<TxnId>) -> Vec<(TxnId, TxnId)> {
-        let mut out = Vec::new();
-        for i in 0..self.nodes.len() {
-            if removed.contains(&self.nodes[i]) {
-                continue;
-            }
-            for &j in self.succs(i) {
-                if j > i
-                    && !removed.contains(&self.nodes[j])
-                    && self.succs(j).binary_search(&i).is_ok()
-                {
-                    out.push((self.nodes[i], self.nodes[j]));
-                }
-            }
-        }
-        out
-    }
-
-    /// Tarjan's strongly-connected-components algorithm (iterative), over
-    /// nodes not in `removed`.
-    fn tarjan_sccs(&self, removed: &BTreeSet<TxnId>) -> Vec<Vec<TxnId>> {
-        let n = self.nodes.len();
-        let alive: Vec<bool> = self.nodes.iter().map(|id| !removed.contains(id)).collect();
-        let mut index = vec![usize::MAX; n];
-        let mut lowlink = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        // Explicit DFS stack: (node, position in its successor list).
-        let mut call_stack: Vec<(usize, usize)> = Vec::new();
+    /// [`cyclic_sccs`](Self::cyclic_sccs) over node indices, into `out`:
+    /// Tarjan's algorithm (iterative) over the nodes not in `removed`,
+    /// components in the order Tarjan completes them, each component's
+    /// members sorted by transaction id.
+    pub(crate) fn cyclic_components(
+        &self,
+        removed: &NodeSet,
+        work: &mut SccScratch,
+        out: &mut Components,
+    ) {
+        let n = self.len();
+        out.members.clear();
+        out.ends.clear();
+        let SccScratch { index, lowlink, stack, call_stack } = work;
+        index.clear();
+        index.resize(n, usize::MAX);
+        lowlink.clear();
+        lowlink.resize(n, 0);
+        stack.clear();
+        call_stack.clear();
+        // On the component stack: visited and not yet assigned.
+        let mut on_stack = NodeSet::new(n);
         let mut next_index = 0usize;
-        let mut sccs: Vec<Vec<TxnId>> = Vec::new();
 
         for start in 0..n {
-            if !alive[start] || index[start] != usize::MAX {
+            if removed.contains(start) || index[start] != usize::MAX {
                 continue;
             }
             index[start] = next_index;
             lowlink[start] = next_index;
             next_index += 1;
             stack.push(start);
-            on_stack[start] = true;
+            on_stack.insert(start);
+            // Explicit DFS stack: (node, position in its successor list).
             call_stack.push((start, 0));
 
             while let Some((v, pos)) = call_stack.last_mut() {
                 let v = *v;
                 let succs = self.succs(v);
-                while *pos < succs.len() && !alive[succs[*pos]] {
+                while *pos < succs.len() && removed.contains(succs[*pos]) {
                     *pos += 1;
                 }
                 if *pos < succs.len() {
@@ -612,9 +736,9 @@ impl PrecedenceGraph {
                         lowlink[w] = next_index;
                         next_index += 1;
                         stack.push(w);
-                        on_stack[w] = true;
+                        on_stack.insert(w);
                         call_stack.push((w, 0));
-                    } else if on_stack[w] {
+                    } else if on_stack.contains(w) {
                         lowlink[v] = lowlink[v].min(index[w]);
                     }
                 } else {
@@ -623,48 +747,174 @@ impl PrecedenceGraph {
                         lowlink[*parent] = lowlink[*parent].min(lowlink[v]);
                     }
                     if lowlink[v] == index[v] {
-                        let mut scc = Vec::new();
+                        let from = out.members.len();
                         loop {
                             let w = stack.pop().expect("tarjan stack");
-                            on_stack[w] = false;
-                            scc.push(self.nodes[w]);
+                            on_stack.remove(w);
+                            out.members.push(w);
                             if w == v {
                                 break;
                             }
                         }
-                        scc.sort_unstable();
-                        sccs.push(scc);
+                        let scc = &mut out.members[from..];
+                        if scc.len() > 1 || self.succs(v).binary_search(&v).is_ok() {
+                            scc.sort_unstable_by_key(|&i| self.nodes[i]);
+                            out.ends.push(out.members.len());
+                        } else {
+                            out.members.truncate(from);
+                        }
                     }
                 }
             }
         }
-        sccs
+    }
+
+    /// All 2-cycles `(a, b)` (edges both ways) among non-removed nodes,
+    /// with `a < b` by node order. Davidson's simulations found most
+    /// conflicts appear as 2-cycles, motivating the two-cycle-optimal
+    /// back-out strategy.
+    pub fn two_cycles(&self, removed: &BTreeSet<TxnId>) -> Vec<(TxnId, TxnId)> {
+        let mut out = Vec::new();
+        self.two_cycle_nodes(&self.node_set(removed), &mut out);
+        out.into_iter().map(|(a, b)| (self.nodes[a], self.nodes[b])).collect()
+    }
+
+    /// [`two_cycles`](Self::two_cycles) over node indices, into `out`.
+    pub(crate) fn two_cycle_nodes(&self, removed: &NodeSet, out: &mut Vec<(usize, usize)>) {
+        out.clear();
+        for i in (0..self.len()).filter(|&i| !removed.contains(i)) {
+            for &j in self.succs(i) {
+                if j > i && !removed.contains(j) && self.succs(j).binary_search(&i).is_ok() {
+                    out.push((i, j));
+                }
+            }
+        }
     }
 
     /// Out-degree plus in-degree of a node, counting only edges between
     /// non-removed nodes. Used by greedy back-out strategies.
     pub fn degree_without(&self, id: TxnId, removed: &BTreeSet<TxnId>) -> usize {
-        let Some(i) = self.index(id) else { return 0 };
-        if removed.contains(&id) {
+        match self.index(id) {
+            Some(i) => self.degree_without_nodes(i, &self.node_set(removed)),
+            None => 0,
+        }
+    }
+
+    /// [`degree_without`](Self::degree_without) of node `i`.
+    pub(crate) fn degree_without_nodes(&self, i: usize, removed: &NodeSet) -> usize {
+        if removed.contains(i) {
             return 0;
         }
-        let live = |j: &&usize| !removed.contains(&self.nodes[**j]);
+        let live = |j: &&usize| !removed.contains(**j);
         self.succs(i).iter().filter(live).count() + self.preds(i).iter().filter(live).count()
     }
 }
 
+/// A set of node indices of one [`PrecedenceGraph`], one bit per node:
+/// the first 64 in place, the rest in a `Vec` that stays empty for the
+/// slices the merger builds.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct NodeSet {
+    first: u64,
+    rest: Vec<u64>,
+}
+
+impl NodeSet {
+    /// The empty set over `n` nodes.
+    pub(crate) fn new(n: usize) -> Self {
+        NodeSet { first: 0, rest: vec![0; n.div_ceil(64).saturating_sub(1)] }
+    }
+
+    fn word(&mut self, i: usize) -> &mut u64 {
+        match i / 64 {
+            0 => &mut self.first,
+            w => &mut self.rest[w - 1],
+        }
+    }
+
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        let word = match i / 64 {
+            0 => self.first,
+            w => self.rest[w - 1],
+        };
+        word & (1u64 << (i % 64)) != 0
+    }
+
+    pub(crate) fn insert(&mut self, i: usize) {
+        *self.word(i) |= 1u64 << (i % 64);
+    }
+
+    pub(crate) fn remove(&mut self, i: usize) {
+        *self.word(i) &= !(1u64 << (i % 64));
+    }
+
+    /// The members, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied()).enumerate().flat_map(
+            |(w, word)| {
+                let mut bits = word;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let b = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        w * 64 + b
+                    })
+                })
+            },
+        )
+    }
+}
+
+/// Tarjan's working arrays, reused across the passes of one back-out
+/// computation.
+#[derive(Debug, Default)]
+pub(crate) struct SccScratch {
+    index: Vec<usize>,
+    lowlink: Vec<usize>,
+    stack: Vec<usize>,
+    call_stack: Vec<(usize, usize)>,
+}
+
+/// Cyclic components as node indices: component `c` is
+/// `members[ends[c - 1]..ends[c]]` (from 0 for the first).
+#[derive(Debug, Default)]
+pub(crate) struct Components {
+    members: Vec<usize>,
+    ends: Vec<usize>,
+}
+
+impl Components {
+    /// The components, in the order they were found.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(from, &to)| &self.members[from..to])
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+}
+
 /// A [`PrecedenceGraph`] under construction: its nodes, the arcs added
-/// so far, and the reasoned edges among them.
+/// so far, and the reasoned edges among them, built in borrowed buffers.
 struct Builder<'a> {
     arena: &'a TxnArena,
     nodes: Vec<TxnId>,
-    arcs: Vec<(usize, usize)>,
-    edges: Vec<(TxnId, TxnId, EdgeKind)>,
+    arcs: &'a mut Vec<(usize, usize)>,
+    edges: &'a mut Vec<(TxnId, TxnId, EdgeKind)>,
+    rule1_edges: usize,
 }
 
 impl<'a> Builder<'a> {
-    fn new(arena: &'a TxnArena, nodes: Vec<TxnId>) -> Self {
-        Builder { arena, nodes, arcs: Vec::new(), edges: Vec::new() }
+    fn new(
+        arena: &'a TxnArena,
+        nodes: Vec<TxnId>,
+        arcs: &'a mut Vec<(usize, usize)>,
+        edges: &'a mut Vec<(TxnId, TxnId, EdgeKind)>,
+    ) -> Self {
+        arcs.clear();
+        edges.clear();
+        Builder { arena, nodes, arcs, edges, rule1_edges: 0 }
     }
 
     /// Rule 1: order of conflicting tentative transactions (the first `m`
@@ -676,15 +926,16 @@ impl<'a> Builder<'a> {
             for j in i + 1..m {
                 if self.arena.conflicts(self.nodes[i], self.nodes[j]) {
                     self.edge(i, j, EdgeKind::MobileConflict);
+                    self.rule1_edges += 1;
                 }
             }
         }
     }
 
-    /// Rule 3: cross edges between the first `m` (tentative) nodes and the
-    /// rest (base). Both histories started from the same state, so a
-    /// tentative read of an item some base transaction wrote must have
-    /// observed the pre-base value (and vice versa).
+    /// Rule 3, pairwise: cross edges between the first `m` (tentative)
+    /// nodes and the rest (base). Both histories started from the same
+    /// state, so a tentative read of an item some base transaction wrote
+    /// must have observed the pre-base value (and vice versa).
     fn rule3(&mut self, m: usize) {
         for a in 0..m {
             for b in m..self.nodes.len() {
@@ -708,44 +959,55 @@ impl<'a> Builder<'a> {
 
     /// Lays the arcs out as ascending compressed rows (rule-3 targets
     /// arrive out of order), so membership binary-searches and iteration
-    /// matches the former `BTreeSet` order, and fills the transpose.
+    /// matches the former `BTreeSet` order, and fills the transpose
+    /// behind them in the same array.
     fn finish(self, full_edges: usize) -> PrecedenceGraph {
         let n = self.nodes.len();
-        let mut arcs = self.arcs;
+        let arcs = self.arcs;
         arcs.sort_unstable();
-        let succ_at = row_offsets(n, arcs.iter().map(|arc| arc.0));
-        let pred_at = row_offsets(n, arcs.iter().map(|arc| arc.1));
-        let mut pred = vec![0; arcs.len()];
-        let mut next = pred_at.clone();
-        for &(from, to) in &arcs {
-            pred[next[to]] = from;
-            next[to] += 1;
+        let e = arcs.len();
+        // `at[i + 1]` counts node `i`'s successors and `at[n + 2 + i]` its
+        // predecessors; prefix sums turn the counts into row starts.
+        let mut at = vec![0; 2 * (n + 1)];
+        for &(from, to) in arcs.iter() {
+            at[from + 1] += 1;
+            at[n + 2 + to] += 1;
         }
+        at[n + 1] = e;
+        for i in 0..n {
+            at[i + 1] += at[i];
+            at[n + 2 + i] += at[n + 1 + i];
+        }
+        let mut adj = vec![0; 2 * e];
+        for (slot, &(_, to)) in adj.iter_mut().zip(arcs.iter()) {
+            *slot = to;
+        }
+        // Counting sort into the predecessor rows: `at[n + 1 + to]` walks
+        // row `to` and ends at the next row's start, so shifting the
+        // cursors up one row restores the starts. Arcs ascend by `from`,
+        // so each row ascends.
+        for &(from, to) in arcs.iter() {
+            adj[at[n + 1 + to]] = from;
+            at[n + 1 + to] += 1;
+        }
+        for i in (n + 2..2 * n + 2).rev() {
+            at[i] = at[i - 1];
+        }
+        at[n + 1] = e;
+        let mut index: Vec<(TxnId, usize)> =
+            self.nodes.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+        index.sort_unstable();
         PrecedenceGraph {
             kinds: self.nodes.iter().map(|id| self.arena.get(*id).kind()).collect(),
-            index: self.nodes.iter().enumerate().map(|(i, id)| (*id, i)).collect(),
+            index,
             nodes: self.nodes,
-            succ_at,
-            succ: arcs.into_iter().map(|arc| arc.1).collect(),
-            pred_at,
-            pred,
-            edges: self.edges,
+            at,
+            adj,
+            edges: self.edges.to_vec(),
             full_edges,
+            rule1_edges: self.rule1_edges,
         }
     }
-}
-
-/// Start offsets of `n` compressed rows holding one entry per item of
-/// `rows` (each item names its row), plus the total at the end.
-fn row_offsets(n: usize, rows: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut at = vec![0; n + 1];
-    for row in rows {
-        at[row + 1] += 1;
-    }
-    for i in 0..n {
-        at[i + 1] += at[i];
-    }
-    at
 }
 
 impl fmt::Display for PrecedenceGraph {
@@ -936,7 +1198,7 @@ mod tests {
     }
 
     fn materialized(g: &PrecedenceGraph) -> usize {
-        g.succ.len()
+        g.adj.len() / 2
     }
 
     fn cache_history(ids: &[TxnId]) -> SerialHistory {

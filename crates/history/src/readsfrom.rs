@@ -197,6 +197,13 @@ impl ClosureTable {
         self.order.iter().enumerate().map(|(p, id)| (*id, self.weight_of_position(p))).collect()
     }
 
+    /// The back-out weight of transaction `id`: that of its position, or
+    /// 1 (itself alone) if the history does not hold it. The merger's
+    /// weight function, which builds no map.
+    pub fn weight(&self, id: TxnId) -> u64 {
+        self.order.iter().position(|t| *t == id).map_or(1, |p| self.weight_of_position(p))
+    }
+
     /// The affected set `AG(bad)`: one AND-any per row against the mask of
     /// `bad` positions. Equals [`affected_set`] on the same inputs.
     pub fn affected_of(&self, bad: &BTreeSet<TxnId>) -> BTreeSet<TxnId> {
@@ -424,6 +431,10 @@ mod tests {
             assert_eq!(table.weight_of_position(p), 1 + ag.len() as u64);
         }
         assert_eq!(table.weights()[&ex.m[0]], 4);
+        for (id, weight) in table.weights() {
+            assert_eq!(table.weight(id), weight);
+        }
+        assert_eq!(table.weight(ex.b[0]), 1, "a transaction outside the history");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use histmerge_core::merge::{InstallPlan, MergeOutcome};
-use histmerge_history::{rule1_edge_count, SerialHistory};
+use histmerge_history::SerialHistory;
 use histmerge_obs::Phase;
 use histmerge_txn::{DbState, TxnId};
 use histmerge_workload::cost::{merging_cost, reprocessing_cost, MergeStats, ReprocessStats};
@@ -216,7 +216,7 @@ impl Simulation {
             hm_len: hm.len(),
             hb_len,
             rw_entries,
-            graph_edges: rule1_edge_count(&self.arena, hm),
+            graph_edges: outcome.rule1_edges,
             full_graph_edges: outcome.graph_edges,
             n_saved: outcome.saved.len(),
             n_backed_out: outcome.backed_out.len(),

@@ -5,14 +5,16 @@
 //! which items were actually read and written (on the taken path), the
 //! values involved, and before/after images for the logging that the undo
 //! approach of Section 6.2 depends on.
-
-use std::collections::BTreeMap;
+//!
+//! The interpreter keeps its local context and both observation records
+//! in [`ItemValues`] maps keyed by the bound item, so a run over a
+//! footprint of up to seven items allocates nothing.
 
 use crate::error::TxnError;
 use crate::fix::Fix;
 use crate::program::{Program, Statement};
 use crate::state::{DbState, StateRead};
-use crate::value::{Value, VarId, VarSet};
+use crate::value::{ItemValues, Value, VarId, VarSet};
 
 /// The result of executing a program once.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,9 +24,9 @@ pub struct ExecOutcome {
     /// The values the transaction observed for each item it read, in the
     /// position it executed (fix values for pinned items). This is exactly
     /// the information a fix records (Definition 1).
-    pub reads: BTreeMap<VarId, Value>,
+    pub reads: ItemValues,
     /// The values the transaction wrote.
-    pub writes: BTreeMap<VarId, Value>,
+    pub writes: ItemValues,
     /// Items actually read on the taken path (⊆ static read set).
     pub observed_readset: VarSet,
     /// Items actually written on the taken path (⊆ static write set).
@@ -41,12 +43,12 @@ impl ExecOutcome {
     /// Convenience: the value this execution observed for `var`, if it read
     /// it.
     pub fn read_value(&self, var: VarId) -> Option<Value> {
-        self.reads.get(&var).copied()
+        self.reads.get(var)
     }
 
     /// Convenience: the value this execution wrote to `var`, if it wrote it.
     pub fn written_value(&self, var: VarId) -> Option<Value> {
-        self.writes.get(&var).copied()
+        self.writes.get(var)
     }
 }
 
@@ -57,12 +59,17 @@ impl ExecOutcome {
 /// in particular a copy-on-write
 /// [`OverlayState`](crate::OverlayState) — so history execution can apply
 /// the writes to an overlay instead of cloning a full state per step.
+/// Both records are inline [`ItemValues`] keyed by the bound item: a delta
+/// over a footprint of up to seven items holds no heap block, and
+/// [`DbState::apply_writes`] and
+/// [`OverlayState::apply_writes`](crate::OverlayState::apply_writes) take
+/// its writes as they are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecDelta {
     /// The values the transaction observed for each item it read.
-    pub reads: BTreeMap<VarId, Value>,
+    pub reads: ItemValues,
     /// The values the transaction wrote.
-    pub writes: BTreeMap<VarId, Value>,
+    pub writes: ItemValues,
     /// Items actually read on the taken path (⊆ static read set).
     pub observed_readset: VarSet,
     /// Items actually written on the taken path (⊆ static write set).
@@ -103,9 +110,9 @@ pub(crate) fn execute_bound(
     fix: &Fix,
 ) -> Result<ExecDelta, TxnError> {
     let mut interp = Interp {
-        env: BTreeMap::new(),
-        reads: BTreeMap::new(),
-        writes: BTreeMap::new(),
+        env: ItemValues::new(),
+        reads: ItemValues::new(),
+        writes: ItemValues::new(),
         observed_readset: VarSet::new(),
         observed_writeset: VarSet::new(),
         state,
@@ -149,9 +156,7 @@ pub fn execute(
 pub(crate) fn materialize(delta: ExecDelta, footprint: &VarSet, state: &DbState) -> ExecOutcome {
     let before_image = state.project(footprint);
     let mut after = state.clone();
-    for (var, value) in &delta.writes {
-        after.set(*var, *value);
-    }
+    after.apply_writes(&delta.writes);
     let after_image = after.project(footprint);
     ExecOutcome {
         after,
@@ -177,10 +182,10 @@ pub(crate) fn bind(binding: &[VarId], slot: VarId) -> Result<VarId, TxnError> {
 }
 
 struct Interp<'a> {
-    /// Local context: values read or computed so far.
-    env: BTreeMap<VarId, Value>,
-    reads: BTreeMap<VarId, Value>,
-    writes: BTreeMap<VarId, Value>,
+    /// Local context: values read or computed so far, by bound item.
+    env: ItemValues,
+    reads: ItemValues,
+    writes: ItemValues,
     observed_readset: VarSet,
     observed_writeset: VarSet,
     state: &'a dyn StateRead,
@@ -207,7 +212,7 @@ impl Interp<'_> {
                         let Interp { env, params, binding, .. } = self;
                         let mut lookup = |slot: VarId| {
                             let var = bind(binding, slot)?;
-                            env.get(&var).copied().ok_or(TxnError::MissingVariable { var })
+                            env.get(var).ok_or(TxnError::MissingVariable { var })
                         };
                         cond.eval_with(&mut lookup, params)?
                     };
@@ -226,7 +231,7 @@ impl Interp<'_> {
     /// local context is a no-op: the transaction keeps working with the
     /// value it first obtained (or last computed).
     fn do_read(&mut self, var: VarId) -> Result<(), TxnError> {
-        if self.env.contains_key(&var) {
+        if self.env.contains(var) {
             return Ok(());
         }
         let value = match self.fix.get(var) {
@@ -243,7 +248,7 @@ impl Interp<'_> {
         let Interp { env, params, binding, .. } = self;
         let mut lookup = |slot: VarId| {
             let var = bind(binding, slot)?;
-            env.get(&var).copied().ok_or(TxnError::MissingVariable { var })
+            env.get(var).ok_or(TxnError::MissingVariable { var })
         };
         expr.eval_with(&mut lookup, params)
     }

@@ -74,4 +74,4 @@ pub use inline::TxnName;
 pub use program::{Program, ProgramBuilder, Statement};
 pub use state::{DbState, OverlayState, StateRead, WriteDelta};
 pub use transaction::{Concrete, Transaction, TxnId, TxnKind};
-pub use value::{Value, VarId, VarMask, VarSet};
+pub use value::{ItemValues, Value, VarId, VarMask, VarSet};

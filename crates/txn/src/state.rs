@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::value::{Value, VarId, VarSet};
+use crate::value::{ItemValues, Value, VarId, VarSet};
 
 /// A database state: a total assignment of values to a finite set of data
 /// items.
@@ -105,11 +105,13 @@ impl DbState {
         }
     }
 
-    /// Applies a write delta in place: O(written items), no copy of the
-    /// untouched ones.
-    pub fn apply_writes(&mut self, writes: &WriteDelta) {
+    /// Applies an execution's writes
+    /// ([`ExecDelta::writes`](crate::exec::ExecDelta)) in place:
+    /// O(written items), no copy of the untouched ones and, once every
+    /// written item is present, no allocation.
+    pub fn apply_writes(&mut self, writes: &ItemValues) {
         for (var, val) in writes {
-            self.items.insert(*var, *val);
+            self.items.insert(var, val);
         }
     }
 
@@ -117,7 +119,9 @@ impl DbState {
     /// copy a caller pays to materialize a delta.
     pub fn patched(&self, writes: &WriteDelta) -> DbState {
         let mut state = self.clone();
-        state.apply_writes(writes);
+        for (var, val) in writes {
+            state.items.insert(*var, *val);
+        }
         state
     }
 
@@ -142,9 +146,9 @@ impl FromIterator<(VarId, Value)> for DbState {
     }
 }
 
-/// A write delta: the items some execution wrote, each with its final
-/// value. Applying it to the state the execution started from gives the
-/// state it ended in.
+/// A write delta: the items some run of transactions wrote, each with its
+/// final value. Applying it to the state the run started from gives the
+/// state it ended in. One execution's writes are an [`ItemValues`].
 pub type WriteDelta = BTreeMap<VarId, Value>;
 
 /// Read access to a database state, without committing to a representation.
@@ -157,11 +161,26 @@ pub type WriteDelta = BTreeMap<VarId, Value>;
 pub trait StateRead {
     /// Returns the value of `var`, or `None` if it is not present.
     fn read(&self, var: VarId) -> Option<Value>;
+
+    /// The values of the items of `vars` present in the state: an image
+    /// over a footprint, held inline for up to seven items.
+    fn image(&self, vars: &VarSet) -> ItemValues {
+        vars.iter().filter_map(|var| self.read(var).map(|value| (var, value))).collect()
+    }
 }
 
 impl StateRead for DbState {
     fn read(&self, var: VarId) -> Option<Value> {
         self.try_get(var)
+    }
+}
+
+/// An image read as a state. A transaction reads only items of its static
+/// footprint, so it executes against its before image exactly as against
+/// the state the image was taken from, with an inline lookup per read.
+impl StateRead for ItemValues {
+    fn read(&self, var: VarId) -> Option<Value> {
+        self.get(var)
     }
 }
 
@@ -209,11 +228,11 @@ impl<'a> OverlayState<'a> {
         self.overlay.insert(var, value);
     }
 
-    /// Applies a write delta (e.g. [`ExecDelta::writes`](crate::exec::ExecDelta))
-    /// to the overlay.
-    pub fn apply_writes(&mut self, writes: &WriteDelta) {
+    /// Applies an execution's writes
+    /// ([`ExecDelta::writes`](crate::exec::ExecDelta)) to the overlay.
+    pub fn apply_writes(&mut self, writes: &ItemValues) {
         for (var, value) in writes {
-            self.overlay.insert(*var, *value);
+            self.overlay.insert(var, value);
         }
     }
 

@@ -359,6 +359,181 @@ impl FromIterator<VarId> for VarSet {
     }
 }
 
+/// A map from data items to values, sorted by item: an execution's read
+/// and write values, and its before and after images.
+///
+/// Like [`VarSet`], up to seven entries are stored inline, so executing a
+/// transaction of a few items records its observations without a heap
+/// block; larger maps spill to a sorted `Vec`. Iteration is in ascending
+/// [`VarId`] order, inserting an item already present overwrites its
+/// value, and equality compares entries, not storage. `{:?}` prints the
+/// text of a `BTreeMap<VarId, Value>` with the same entries.
+///
+/// # Example
+///
+/// ```rust
+/// use histmerge_txn::{ItemValues, VarId};
+///
+/// let mut writes = ItemValues::new();
+/// writes.insert(VarId::new(4), 10);
+/// writes.insert(VarId::new(1), 7);
+/// assert_eq!(writes.insert(VarId::new(4), 11), Some(10));
+/// assert_eq!(writes.get(VarId::new(4)), Some(11));
+/// let items: Vec<u32> = writes.iter().map(|(var, _)| var.index()).collect();
+/// assert_eq!(items, vec![1, 4]);
+/// ```
+#[derive(Clone)]
+pub struct ItemValues(Entries);
+
+/// An [`ItemValues`]'s storage: inline exactly when it has at most
+/// [`INLINE`] entries, items ascending and distinct in both forms.
+#[derive(Clone)]
+enum Entries {
+    /// The entries are `entries[..len]`.
+    Inline { len: u8, entries: [(VarId, Value); INLINE] },
+    /// More than [`INLINE`] entries.
+    Spilled(Vec<(VarId, Value)>),
+}
+
+impl ItemValues {
+    /// Creates an empty map.
+    pub fn new() -> Self {
+        ItemValues(Entries::Inline { len: 0, entries: [(VarId(0), 0); INLINE] })
+    }
+
+    /// The entries, ascending by item.
+    fn as_slice(&self) -> &[(VarId, Value)] {
+        match &self.0 {
+            Entries::Inline { len, entries } => &entries[..*len as usize],
+            Entries::Spilled(entries) => entries,
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Returns `true` if the map has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// The value of `var`, if it has an entry.
+    pub fn get(&self, var: VarId) -> Option<Value> {
+        let entries = self.as_slice();
+        entries.binary_search_by_key(&var, |entry| entry.0).ok().map(|at| entries[at].1)
+    }
+
+    /// Returns `true` if `var` has an entry.
+    pub fn contains(&self, var: VarId) -> bool {
+        self.get(var).is_some()
+    }
+
+    /// Sets `var` to `value`, returning the value it replaced, if any.
+    pub fn insert(&mut self, var: VarId, value: Value) -> Option<Value> {
+        let pos = match self.as_slice().binary_search_by_key(&var, |entry| entry.0) {
+            Ok(at) => {
+                let slot = match &mut self.0 {
+                    Entries::Inline { entries, .. } => &mut entries[at].1,
+                    Entries::Spilled(entries) => &mut entries[at].1,
+                };
+                return Some(std::mem::replace(slot, value));
+            }
+            Err(pos) => pos,
+        };
+        match &mut self.0 {
+            Entries::Inline { len, entries } if (*len as usize) < INLINE => {
+                entries.copy_within(pos..*len as usize, pos + 1);
+                entries[pos] = (var, value);
+                *len += 1;
+            }
+            Entries::Inline { entries, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE);
+                spilled.extend_from_slice(&entries[..pos]);
+                spilled.push((var, value));
+                spilled.extend_from_slice(&entries[pos..]);
+                self.0 = Entries::Spilled(spilled);
+            }
+            Entries::Spilled(entries) => entries.insert(pos, (var, value)),
+        }
+        None
+    }
+
+    /// Removes `var`'s entry, returning its value if it had one. A spilled
+    /// map moves back inline once it has seven entries or fewer.
+    pub fn remove(&mut self, var: VarId) -> Option<Value> {
+        let at = self.as_slice().binary_search_by_key(&var, |entry| entry.0).ok()?;
+        let value = self.as_slice()[at].1;
+        match &mut self.0 {
+            Entries::Inline { len, entries } => {
+                entries.copy_within(at + 1..*len as usize, at);
+                *len -= 1;
+            }
+            Entries::Spilled(entries) => {
+                entries.remove(at);
+                if entries.len() <= INLINE {
+                    let mut inline = [(VarId(0), 0); INLINE];
+                    inline[..entries.len()].copy_from_slice(entries);
+                    self.0 = Entries::Inline { len: entries.len() as u8, entries: inline };
+                }
+            }
+        }
+        Some(value)
+    }
+
+    /// Iterates `(item, value)` pairs in ascending item order.
+    pub fn iter(&self) -> impl Iterator<Item = (VarId, Value)> + '_ {
+        self.as_slice().iter().copied()
+    }
+
+    /// Iterates the items in ascending order.
+    pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.as_slice().iter().map(|entry| entry.0)
+    }
+}
+
+impl Default for ItemValues {
+    fn default() -> Self {
+        ItemValues::new()
+    }
+}
+
+impl PartialEq for ItemValues {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ItemValues {}
+
+impl fmt::Debug for ItemValues {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.as_slice().iter().map(|(var, value)| (var, value))).finish()
+    }
+}
+
+impl FromIterator<(VarId, Value)> for ItemValues {
+    /// Inserts each pair in turn, so a later value for an item wins, as
+    /// it does when collecting into a `BTreeMap`.
+    fn from_iter<I: IntoIterator<Item = (VarId, Value)>>(iter: I) -> Self {
+        let mut map = ItemValues::new();
+        for (var, value) in iter {
+            map.insert(var, value);
+        }
+        map
+    }
+}
+
+impl<'a> IntoIterator for &'a ItemValues {
+    type Item = (VarId, Value);
+    type IntoIter = std::iter::Copied<std::slice::Iter<'a, (VarId, Value)>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter().copied()
+    }
+}
+
 /// A [`VarSet`] with a 64-bit overlap filter, for sets tested against each
 /// other over and over.
 ///
